@@ -5,6 +5,12 @@ the incoming surface state, the side-reaction current is split off, the
 particles advance under the remaining intercalation current, and the
 degradation state integrates alongside. Fatigue capacity loss is applied
 from outside at cycle boundaries (see protocol.run_campaign).
+
+Each value is computed once over the span in which it can change:
+the active areas once per pair of electrode capacities (they move only
+when fatigue closes a cycle), the particle averages once per particle
+state, and the step that a CV solve's last trial evaluated is committed
+as it stands instead of being evaluated again.
 """
 
 from . import electrochem as ec
@@ -17,6 +23,14 @@ from .particle import ParticlePair, step_particle_diffusion
 
 
 class Cell:
+    """A cell whose state is held as values.
+
+    particles (ParticleState) and degradation (DegradationState) are
+    replaced on every step and never changed in place, so a snapshot
+    keeps references to them and the caches below may key on them by
+    identity. Only the stress envelope (extrema) is updated in place.
+    """
+
     def __init__(self, params, deg_params, degradation=None, n_li0=None,
                  particles=None):
         self.params = params
@@ -30,6 +44,9 @@ class Cell:
         self.extrema = StressExtrema()
         self.lam_lithium = 0.0   # mol booked against material loss, audit trail
         self.freeze_degradation = False   # RPT probes measure without aging
+        self._ctx_key = None     # (C_p, C_n) that _ctx belongs to
+        self._ctx = None
+        self._trial = None       # last voltage_after: its key and result
         if particles is None:
             w = self.esoh()
             particles = self.pair.at_stoichiometry(w.x_100, w.y_100)
@@ -47,8 +64,7 @@ class Cell:
         return ec.solve_window(self.params, d.C_p, d.C_n, self.n_li)
 
     def mean_stoichiometry(self):
-        x = self.pair.neg.c_avg(self.particles.c_neg) / self.params.c_smax_neg
-        y = self.pair.pos.c_avg(self.particles.c_pos) / self.params.c_smax_pos
+        _, _, y, x = self.pair.averages(self.particles)
         return x, y
 
     def particle_lithium(self):
@@ -87,54 +103,74 @@ class Cell:
                     n_li0=self.n_li0)
 
     def get_state(self):
-        """Snapshot for rollback during adaptive stepping."""
-        return (self.particles.copy(), self.degradation.copy(),
+        """Snapshot for rollback during adaptive stepping. Particles and
+        degradation are values, so only the stress envelope is copied."""
+        return (self.particles, self.degradation,
                 StressExtrema(**vars(self.extrema)), self.lam_lithium)
 
     def set_state(self, snap):
-        self.particles, self.degradation, self.extrema, self.lam_lithium = (
-            snap[0].copy(), snap[1].copy(),
-            StressExtrema(**vars(snap[2])), snap[3])
+        self.particles, self.degradation, extrema, self.lam_lithium = snap
+        self.extrema = StressExtrema(**vars(extrema))
+        self._trial = None
 
     # --- stepping ---
+
+    def _context(self):
+        """Per-cycle constants at the capacities in play: the positive and
+        negative active areas and their Faraday multiples."""
+        d = self.degradation
+        key = (d.C_p, d.C_n)
+        if key != self._ctx_key:
+            p = self.params
+            area_p = p.active_area("pos", d.C_p)
+            area_n = p.active_area("neg", d.C_n)
+            self._ctx = (area_p, area_n, p.F * area_p, p.F * area_n)
+            self._ctx_key = key
+        return self._ctx
 
     def _advance(self, I, dt):
         p = self.params
         d = self.degradation
+        particles = self.particles
         neg, pos = self.pair.neg, self.pair.pos
-        area_n = p.active_area("neg", d.C_n)
-        area_p = p.active_area("pos", d.C_p)
+        area_p, area_n, f_area_p, f_area_n = self._context()
 
-        j_neg0 = I / (p.F * area_n)
-        c_ss_n = neg.c_ss(self.particles.c_neg, j_neg0)
+        j_neg0 = I / f_area_n
+        c_ss_n = neg.c_ss(particles.c_neg, j_neg0)
         if self.freeze_degradation:
             deg_new = d
             inc = StepIncrements(0.0, 0.0, 0.0, 0.0, 0.0)
         else:
-            eta_neg = ec.intercalation_overpotential(p, "neg", I, c_ss_n, d.C_n)
+            eta_neg = ec.overpotential(p, "neg", I / area_n, c_ss_n)
             u_neg = p.ocp_neg(c_ss_n / p.c_smax_neg)
-            c_avg_n = neg.c_avg(self.particles.c_neg)
-            x_bar, y_bar = self.mean_stoichiometry()
+            _, c_avg_n, y_bar, x_bar = self.pair.averages(particles)
             deg_new, inc = step_degradation(
                 p, self.deg_params, d, eta_neg, u_neg, c_ss_n, c_avg_n,
                 x_bar, y_bar, self.n_li0, dt)
 
         # side reactions take their share of the negative-electrode current
-        j_neg = (I - inc.i_side) / (p.F * area_n)
-        j_pos = -I / (p.F * area_p)
-        parts = step_particle_diffusion(self.pair, self.particles,
+        j_neg = (I - inc.i_side) / f_area_n
+        j_pos = -I / f_area_p
+        parts = step_particle_diffusion(self.pair, particles,
                                         j_pos, j_neg, dt)
 
         c_ss_p2 = pos.c_ss(parts.c_pos, j_pos)
         c_ss_n2 = neg.c_ss(parts.c_neg, j_neg)
-        v_t = ec.terminal_voltage(p, c_ss_p2, c_ss_n2, I,
-                                  r_film(p, self.deg_params, deg_new)[1],
-                                  deg_new.C_p, deg_new.C_n)
+        v_t = ec.voltage_at_densities(
+            p, c_ss_p2, c_ss_n2, I, r_film(p, self.deg_params, deg_new)[1],
+            -I / area_p, I / area_n)
         return parts, deg_new, inc, c_ss_p2, c_ss_n2, v_t
 
     def voltage_after(self, I, dt):
-        """Terminal voltage one trial step ahead, without committing."""
-        return self._advance(I, dt)[5]
+        """Terminal voltage one trial step ahead, without committing.
+
+        The trial is kept: a step(I, dt) from the same state commits it
+        without evaluating it again.
+        """
+        result = self._advance(I, dt)
+        self._trial = (I, dt, self.particles, self.degradation,
+                       self.freeze_degradation, result)
+        return result[5]
 
     def step(self, I, dt):
         """Advance the cell one timestep under applied current I (A).
@@ -142,16 +178,22 @@ class Cell:
         Returns a record dict; raises SaturationError if the step drives
         a particle out of range (caller may retry with smaller dt).
         """
-        parts, deg_new, inc, c_ss_p, c_ss_n, v_t = self._advance(I, dt)
+        t = self._trial
+        if (t is not None and t[0] == I and t[1] == dt
+                and t[2] is self.particles and t[3] is self.degradation
+                and t[4] == self.freeze_degradation):
+            result = t[5]
+        else:
+            result = self._advance(I, dt)
+        self._trial = None
+        parts, deg_new, inc, c_ss_p, c_ss_n, v_t = result
         self.particles = parts
         self.degradation = deg_new
+        c_avg_p, c_avg_n, y, x = self.pair.averages(parts)
         lam = self.deg_params.lam
-        sig_p = hydrostatic_stress(lam, "pos", c_ss_p,
-                                   self.pair.pos.c_avg(parts.c_pos), self.params)
-        sig_n = hydrostatic_stress(lam, "neg", c_ss_n,
-                                   self.pair.neg.c_avg(parts.c_neg), self.params)
+        sig_p = hydrostatic_stress(lam, "pos", c_ss_p, c_avg_p, self.params)
+        sig_n = hydrostatic_stress(lam, "neg", c_ss_n, c_avg_n, self.params)
         self.extrema.update(sig_p, sig_n)
-        x, y = self.mean_stoichiometry()
         return {"I": I, "V": v_t, "x": x, "y": y,
                 "i_side": inc.i_side, "dn_sei": inc.dn_sei, "dn_pl": inc.dn_pl,
                 "sigma_pos": sig_p, "sigma_neg": sig_n}

@@ -7,9 +7,9 @@ Both electrode overpotentials are dissipative: discharge (I > 0) always
 pulls the terminal voltage below the OCV.
 """
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CellDeadError, KineticsSingularError, SaturationError
@@ -47,26 +47,42 @@ def molar_flux(params, electrode, I, capacity_Ah):
     return interfacial_current_density(params, electrode, I, capacity_Ah) / params.F
 
 
-def intercalation_overpotential(params, electrode, I, c_ss, capacity_Ah):
-    """Butler-Volmer overpotential, V. Odd in I, dissipative both ways."""
-    if I == 0.0:
+def overpotential(params, electrode, j, c_ss):
+    """Butler-Volmer overpotential, V, at interfacial current density j
+    (A/m^2, positive delithiating). Odd in j, dissipative both ways."""
+    if j == 0.0:
         return 0.0
     i0 = exchange_current_density(params, electrode, c_ss)
     if i0 == 0.0:
         raise KineticsSingularError(
-            f"{electrode} exchange current is zero with nonzero current {I:g} A")
-    j = interfacial_current_density(params, electrode, I, capacity_Ah)
-    return 2.0 * params.R_gas * params.T / params.F * np.arcsinh(j / (2.0 * i0))
+            f"{electrode} exchange current is zero with nonzero current "
+            f"density {j:g} A/m^2")
+    return 2.0 * params.R_gas * params.T / params.F * math.asinh(j / (2.0 * i0))
+
+
+def intercalation_overpotential(params, electrode, I, c_ss, capacity_Ah):
+    """Butler-Volmer overpotential, V, under applied cell current I."""
+    return overpotential(
+        params, electrode,
+        interfacial_current_density(params, electrode, I, capacity_Ah), c_ss)
 
 
 def terminal_voltage(params, c_ss_pos, c_ss_neg, I, r_film_cell, C_p, C_n):
     """V_T = U+ + eta+ - U- - eta- - I*R_film (discharge positive)."""
-    y_ss = c_ss_pos / params.c_smax_pos
-    x_ss = c_ss_neg / params.c_smax_neg
-    eta_pos = intercalation_overpotential(params, "pos", I, c_ss_pos, C_p)
-    eta_neg = intercalation_overpotential(params, "neg", I, c_ss_neg, C_n)
-    return (params.ocp_pos(y_ss) + eta_pos
-            - params.ocp_neg(x_ss) - eta_neg
+    return voltage_at_densities(
+        params, c_ss_pos, c_ss_neg, I, r_film_cell,
+        interfacial_current_density(params, "pos", I, C_p),
+        interfacial_current_density(params, "neg", I, C_n))
+
+
+def voltage_at_densities(params, c_ss_pos, c_ss_neg, I, r_film_cell,
+                         j_pos, j_neg):
+    """terminal_voltage with the interfacial current densities given, for
+    callers that hold the active areas."""
+    eta_pos = overpotential(params, "pos", j_pos, c_ss_pos)
+    eta_neg = overpotential(params, "neg", j_neg, c_ss_neg)
+    return (params.ocp_pos(c_ss_pos / params.c_smax_pos) + eta_pos
+            - params.ocp_neg(c_ss_neg / params.c_smax_neg) - eta_neg
             - I * r_film_cell)
 
 

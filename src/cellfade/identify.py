@@ -149,6 +149,9 @@ def sample_family(result, y, n):
     for t in ts:
         d_sei = (ra + (rb - ra) * t) ** 2
         frac = (d_sei - a_sei) / (b_sei - a_sei) if b_sei != a_sei else t
+        # sqrt(a)**2 can miss a by an ulp; that must not push the plated
+        # film an ulp below zero at an endpoint without plating
+        frac = min(max(frac, 0.0), 1.0)
         d_pl = a_pl + (b_pl - a_pl) * frac
         out.append(DegradationState(d_sei, d_pl, y.C_p, y.C_n, y.LLI))
     return out

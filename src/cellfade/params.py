@@ -6,7 +6,8 @@ convention: discharge current is positive. Everything downstream derives
 fluxes from that one choice.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import yaml
 
@@ -107,13 +108,15 @@ class CellParameters:
             return self.l_neg, self.c_smax_neg
         raise ConfigError(f"electrode must be 'pos' or 'neg', got {electrode!r}")
 
-    @property
+    # Parameters are never changed in place (copies come from
+    # dataclasses.replace), so the nominal areas are computed once.
+    @cached_property
     def a_s0_neg(self):
         """Nominal negative interfacial area per volume, frozen for film and
         lithium-mole bookkeeping so those algebraic identities stay exact."""
         return self.a_s("neg", self.C_n_nom)
 
-    @property
+    @cached_property
     def film_area_neg(self):
         """Nominal negative interfacial area A*l*a_s0, m^2."""
         return self.A * self.l_neg * self.a_s0_neg

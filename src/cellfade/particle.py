@@ -9,7 +9,7 @@ Flux sign: surface molar flux j > 0 removes lithium from the particle
 [0, c_smax] raises SaturationError.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,12 +86,16 @@ class SphereFV:
 
 @dataclass
 class ParticleState:
-    """Radial concentration profiles for the electrode pair, mol/m^3."""
+    """Radial concentration profiles for the electrode pair, mol/m^3.
+
+    A value: stepping returns a new state and never writes into the
+    profiles, so derived quantities can be kept alongside them.
+    """
     c_pos: np.ndarray
     c_neg: np.ndarray
-
-    def copy(self):
-        return ParticleState(self.c_pos.copy(), self.c_neg.copy())
+    # (c_avg_pos, c_avg_neg, y, x), filled on first use by ParticlePair.averages
+    averages: tuple = field(default=None, init=False, repr=False,
+                            compare=False)
 
 
 class ParticlePair:
@@ -106,6 +110,18 @@ class ParticlePair:
     def at_stoichiometry(self, x, y):
         """Equilibrated state: uniform profiles at (x negative, y positive)."""
         return ParticleState(self.pos.uniform(y), self.neg.uniform(x))
+
+    def averages(self, state):
+        """(c_avg_pos, c_avg_neg, y, x) of a state: volume-averaged
+        concentrations and the mean stoichiometries they imply. Computed
+        once per state."""
+        got = state.averages
+        if got is None:
+            c_p = self.pos.c_avg(state.c_pos)
+            c_n = self.neg.c_avg(state.c_neg)
+            got = state.averages = (c_p, c_n, c_p / self.pos.c_smax,
+                                    c_n / self.neg.c_smax)
+        return got
 
 
 def step_particle_diffusion(pair, state, j_pos, j_neg, dt):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import electrochem as ec
-from .errors import (CellDeadError, ConfigError, ProtocolStallError,
-                     SaturationError)
+from .errors import (CellDeadError, ConfigError, EstimationFailedError,
+                     ProtocolStallError, SaturationError)
 from .measurement import PseudoOCV, extract_esoh, irreversible_expansion
 
 VOLTAGE_BAND = 1e-3     # accepted overshoot at a fired voltage threshold, V
@@ -303,7 +303,8 @@ def run_rpt(cell, dt=10.0, pulse_c_rate=0.1):
     esoh_error = None
     try:
         esoh = extract_esoh(curve, p, capacity=capacity)
-    except Exception as e:   # keep the RPT usable even if the fit fails
+    except (EstimationFailedError, ConfigError) as e:
+        # keep the RPT usable when the fit fails; programming errors surface
         esoh_error = str(e)
 
     out = {

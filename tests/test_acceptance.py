@@ -84,6 +84,8 @@ def test_1_same_measurement_different_futures(params, degp, n_li0,
 
     ruls = [m["rul_cycles"] for m in rep["members"]]
     assert all(m["eol_reached"] for m in rep["members"])
+    # the member RULs that perfbench fingerprints at this timestep
+    assert ruls == [222, 187, 157]
     min_pair = min(abs(a - b) for i, a in enumerate(ruls)
                    for b in ruls[i + 1:])
     assert min_pair > 0.10 * max(ruls)

@@ -1,5 +1,7 @@
 """Coupled cell stepping: audits, cloning, placement, freeze mode."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,8 @@ def test_voltage_after_does_not_commit(cell):
 
 def test_get_set_state_round_trip(cell):
     snap = cell.get_state()
+    c_pos0, c_neg0 = snap[0].c_pos.copy(), snap[0].c_neg.copy()
+    deg0, ext0 = snap[1].copy(), dataclasses.replace(snap[2])
     for _ in range(20):
         cell.step(2.0, 10.0)
     moved = cell.degradation.copy()
@@ -87,6 +91,61 @@ def test_get_set_state_round_trip(cell):
     # snapshot is insulated from later stepping
     cell.step(2.0, 10.0)
     assert np.array_equal(snap[0].c_pos, cell.get_state()[0].c_pos) is False
+    assert np.array_equal(snap[0].c_pos, c_pos0)
+    assert np.array_equal(snap[0].c_neg, c_neg0)
+    assert snap[1] == deg0
+    assert snap[2] == ext0 and cell.extrema != ext0
+
+
+def count_advances(cell, monkeypatch):
+    """Record every kernel evaluation the cell makes from here on."""
+    calls = []
+    real = cell._advance
+
+    def counted(I, dt):
+        calls.append((I, dt))
+        return real(I, dt)
+    monkeypatch.setattr(cell, "_advance", counted)
+    return calls
+
+
+def test_step_commits_the_last_trial(params, degp, monkeypatch):
+    ref = Cell(params, degp)
+    want = ref.step(2.0, 10.0)
+    cell = Cell(params, degp)
+    calls = count_advances(cell, monkeypatch)
+    cell.voltage_after(1.5, 10.0)
+    v = cell.voltage_after(2.0, 10.0)
+    got = cell.step(2.0, 10.0)
+    assert len(calls) == 2   # the step reused the second trial
+    assert got == want and v == want["V"]
+    assert cell.degradation == ref.degradation
+    assert np.array_equal(cell.particles.c_pos, ref.particles.c_pos)
+    assert np.array_equal(cell.particles.c_neg, ref.particles.c_neg)
+    assert cell.extrema == ref.extrema
+    # a committed trial is spent: the next step from the new state evaluates
+    cell.step(2.0, 10.0)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("change", ["set_state", "dt", "current", "freeze"])
+def test_trial_is_not_reused_after_a_change(cell, monkeypatch, change):
+    snap = cell.get_state()
+    cell.voltage_after(2.0, 10.0)
+    I, dt = 2.0, 10.0
+    if change == "set_state":
+        cell.set_state(snap)
+    elif change == "dt":
+        dt = 5.0
+    elif change == "current":
+        I = 2.5
+    else:
+        cell.freeze_degradation = True
+    calls = count_advances(cell, monkeypatch)
+    rec = cell.step(I, dt)
+    assert calls == [(I, dt)]
+    if change == "freeze":
+        assert rec["i_side"] == 0.0
 
 
 def test_clone_is_independent(cell):

@@ -1,5 +1,7 @@
 """Measurement inversion: the family, the unique root, RUL prediction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,30 @@ class TestFamily:
                                 y_no_exp.R_s + 0.05)
         with pytest.raises(InfeasibleError):
             invert_without_expansion(params, degp, bad, n_li0)
+
+    def test_sample_family_endpoint_without_plating(self, params, degp,
+                                                    n_li0):
+        # the all-SEI endpoint (a_sei, 0) of an unclipped family, where
+        # sqrt(a_sei)**2 lands an ulp above a_sei: the first member must
+        # keep a zero plated film rather than a -1e-31 m one
+        for d_sei in np.linspace(5e-8, 2.5e-7, 60):
+            st = DegradationState(d_sei, 1e-8, 0.95 * params.C_p_nom,
+                                  0.95 * params.C_n_nom, 0.09)
+            m = forward_measure(params, degp, st, n_li0)
+            y = MeasurementVector(m.C_p, m.C_n, m.LLI, m.R_s)
+            fam = invert_without_expansion(params, degp, y, n_li0,
+                                           lli_budget=False)
+            (a_sei, a_pl), _ = fam.family_endpoints
+            if math.sqrt(a_sei) ** 2 > a_sei:
+                break
+        else:
+            pytest.fail("no family endpoint with sqrt(a)**2 > a in the sweep")
+        assert a_pl == 0.0
+        members = sample_family(fam, y, 5)
+        assert members[0].delta_pl == 0.0
+        assert all(mb.delta_pl >= 0.0 for mb in members)
+        pl = [mb.delta_pl for mb in members]
+        assert pl == sorted(pl)
 
     def test_sample_family_arguments(self, params, degp, y_no_exp, n_li0):
         fam = invert_without_expansion(params, degp, y_no_exp, n_li0)

@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cellfade import protocol
 from cellfade.cell import Cell
-from cellfade.errors import ConfigError, ProtocolStallError
+from cellfade.errors import (ConfigError, EstimationFailedError,
+                             ProtocolStallError)
 from cellfade.params import DegradationParameters
 from cellfade.protocol import (
     Campaign,
@@ -217,6 +219,24 @@ def test_rpt_esoh_close_to_truth(cell):
     assert rpt["esoh"]["C_p"] == pytest.approx(d.C_p, rel=0.01)
     assert rpt["esoh"]["C_n"] == pytest.approx(d.C_n, rel=0.01)
     assert rpt["esoh"]["x_100"] == pytest.approx(w.x_100, abs=0.02)
+
+
+def test_rpt_reports_a_failed_esoh_fit(cell, monkeypatch):
+    def fail(*args, **kwargs):
+        raise EstimationFailedError("fit did not converge")
+    monkeypatch.setattr(protocol, "extract_esoh", fail)
+    rpt = run_rpt(cell, dt=30.0)
+    assert rpt["esoh"] is None
+    assert rpt["esoh_error"] == "fit did not converge"
+    assert rpt["capacity_Ah"] > 0.0
+
+
+def test_rpt_surfaces_programming_errors(cell, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bad call")
+    monkeypatch.setattr(protocol, "extract_esoh", broken)
+    with pytest.raises(TypeError, match="bad call"):
+        run_rpt(cell, dt=30.0)
 
 
 def test_campaign_runs_and_records(cell, c1):
