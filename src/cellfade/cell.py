@@ -98,8 +98,9 @@ class Cell:
 
     def clone(self, degradation=None):
         """Independent cell with the same parameters, fresh accumulators."""
-        d = (self.degradation if degradation is None else degradation).copy()
-        return Cell(self.params, self.deg_params, degradation=d,
+        if degradation is None:
+            degradation = self.degradation
+        return Cell(self.params, self.deg_params, degradation=degradation,
                     n_li0=self.n_li0)
 
     def get_state(self):

@@ -9,10 +9,10 @@ identification, 4 numerical failure.
 """
 
 import argparse
-import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import io as cio
@@ -156,74 +156,26 @@ def cmd_identify(args):
     return code
 
 
-def _member_campaign(argstuple):
-    """Worker for --jobs > 1: recomputes one member's campaign from files."""
-    cell_path, demo_path, idx, dt, dt_rest = argstuple
-    params, deg = load_cell_config(cell_path)
-    c1 = reference_capacity(params)
-    y, n_members, campaign, budget = cio.load_ambiguity_config(demo_path, c1)
-    n_li0 = pristine_inventory(params)
-    fam = invert_without_expansion(params, deg, y, n_li0, lli_budget=budget)
-    member = sample_family(fam, y, n_members)[idx]
-    cell = Cell(params, deg, degradation=member, n_li0=n_li0)
-    traj, rul, eol = run_campaign(cell, campaign, dt=dt, dt_rest=dt_rest,
-                                  keep_series=False)
-    return idx, rul, eol, [(c.cycle, c.capacity_Ah) for c in traj.cycles], \
-        [(c.cycle, c.degradation) for c in traj.cycles]
-
-
 def cmd_ambiguity_demo(args):
     t0 = time.monotonic()
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     params, deg = load_cell_config(args.cell)
     c1 = reference_capacity(params)
     y, n_members, campaign, budget = cio.load_ambiguity_config(args.demo, c1)
     if campaign is None:
         raise ConfigError(f"demo config {args.demo} needs campaign steps")
     out = _outdir(args.out)
-    n_li0 = pristine_inventory(params)
 
-    if args.jobs > 1:
-        fam = invert_without_expansion(params, deg, y, n_li0, lli_budget=budget)
-        members = sample_family(fam, y, n_members)
-        report = {
-            "n_members": n_members,
-            "family_endpoints": fam.family_endpoints,
-            "family_span": fam.family_span,
-            "r_film_areal": fam.r_film_areal,
-            "members": [],
-        }
-        from .electrochem import solve_window
-        from .measurement import synthesize_pseudo_ocv
-        w = solve_window(params, y.C_p, y.C_n, n_li0 * (1.0 - y.LLI))
-        report["esoh"] = w.as_dict()
-        report["pseudo_ocv"] = synthesize_pseudo_ocv(params, w)
-        measures = [forward_measure(params, deg, m, n_li0) for m in members]
-        rs = [m.R_s for m in measures]
-        report["rs_spread_rel"] = (max(rs) - min(rs)) / max(rs)
-        work = [(args.cell, args.demo, i, args.dt, args.dt_rest)
-                for i in range(n_members)]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = sorted(pool.map(_member_campaign, work))
-        for (i, rul, eol, caps, degs), m, meas in zip(results, members, measures):
-            report["members"].append({
-                "delta_sei_m": m.delta_sei, "delta_pl_m": m.delta_pl,
-                "R_s_ohm": meas.R_s, "delta_irr_m": meas.delta_irr,
-                "rul_cycles": rul, "eol_reached": eol,
-                "capacity_curve": caps, "degradation_curve": degs,
-            })
-        ruls = [mb["rul_cycles"] for mb in report["members"]]
-        if len(ruls) > 1 and max(ruls) > 0:
-            report["rul_spread_rel"] = (max(ruls) - min(ruls)) / max(ruls)
-        import numpy as np
-        exps = [mb["delta_irr_m"] for mb in report["members"]]
-        report["expansion_distinct"] = (
-            len(set(np.round(exps, 15))) == len(exps) if len(exps) > 1 else True)
-    else:
-        report = ambiguity_experiment(params, deg, y, campaign,
-                                      n_members=n_members, n_li0=n_li0,
-                                      dt=args.dt, dt_rest=args.dt_rest,
-                                      lli_budget=budget,
-                                      progress=lambda s: print(s, file=sys.stderr))
+    with ExitStack() as stack:
+        members_map = map
+        if args.jobs > 1:
+            members_map = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(args.jobs, n_members))).map
+        report = ambiguity_experiment(
+            params, deg, y, campaign, n_members=n_members, dt=args.dt,
+            dt_rest=args.dt_rest, lli_budget=budget,
+            progress=lambda s: print(s, file=sys.stderr), map=members_map)
 
     curve = report.pop("pseudo_ocv")
     cio.write_pseudo_ocv_csv(out / "pseudo_ocv.csv", curve)
@@ -291,7 +243,7 @@ def build_parser():
     p.add_argument("--demo", required=True, help="demo YAML")
     p.add_argument("--dt-rest", type=float, default=60.0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel member campaigns")
+                   help="age the members in up to this many processes")
     p.set_defaults(fn=cmd_ambiguity_demo)
     return ap
 

@@ -48,26 +48,22 @@ def sei_overpotential(eta_neg, u_neg_surface, U_sei):
     return eta_neg + u_neg_surface - U_sei
 
 
-def sei_flux(sei, delta_sei, eta_sei, T, R_gas, F):
+def sei_rate_constant(sei, eta_sei, T, R_gas, F):
+    """Kinetic rate constant of solvent reduction at overpotential
+    eta_sei, m/s."""
+    return sei.k_sei * math.exp(-sei.alpha_sei * F * eta_sei / (R_gas * T))
+
+
+def sei_flux(sei, delta_sei, eta_sei, T, R_gas, F, kin=None):
     """Solvent-reduction molar flux, mol/(m^2 s), always <= 0.
 
     Kinetic and film-transport resistances compose in series; growth is
     self-limiting because the transport term scales with thickness.
+    kin is sei_rate_constant at the same arguments, if the caller has it.
     """
-    kin = sei.k_sei * math.exp(-sei.alpha_sei * F * eta_sei / (R_gas * T))
+    if kin is None:
+        kin = sei_rate_constant(sei, eta_sei, T, R_gas, F)
     return -sei.c_ec0 / (1.0 / kin + delta_sei / sei.D_sei)
-
-
-def sei_flux_ddelta(sei, delta_sei, eta_sei, T, R_gas, F):
-    """Closed-form d(j_sei)/d(delta_sei) at fixed overpotential."""
-    kin = sei.k_sei * math.exp(-sei.alpha_sei * F * eta_sei / (R_gas * T))
-    S = 1.0 / kin + delta_sei / sei.D_sei
-    return sei.c_ec0 / (sei.D_sei * S * S)
-
-
-def sei_growth_rate(sei, j_sei):
-    """Film thickness growth rate, m/s, >= 0."""
-    return -sei.Omega_sei * j_sei / 2.0
 
 
 def sei_lithium_moles(params, sei, delta_sei):
@@ -75,14 +71,15 @@ def sei_lithium_moles(params, sei, delta_sei):
     return 2.0 * params.film_area_neg * delta_sei / sei.Omega_sei
 
 
-def _sei_implicit_step(sei, delta, eta_sei, dt, T, R_gas, F):
+def _sei_implicit_step(sei, delta, eta_sei, dt, T, R_gas, F, kin=None):
     """Backward-Euler thickness update, exact via the quadratic it implies.
 
     d' solves d' = d + dt*(Omega*c_ec0/2)/(K + d'/D): growth evaluated at
     the new thickness, which keeps the diffusion-limited tail stable at
-    long strides.
+    long strides. kin as in sei_flux.
     """
-    kin = sei.k_sei * math.exp(-sei.alpha_sei * F * eta_sei / (R_gas * T))
+    if kin is None:
+        kin = sei_rate_constant(sei, eta_sei, T, R_gas, F)
     K = 1.0 / kin
     G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
     D = sei.D_sei
@@ -186,23 +183,6 @@ def lam_cycle_update(state, extrema, lam, params):
     return new, dC_p, dC_n
 
 
-# --- lithium inventory ---
-
-def lli_rate(params, sei, plating, ddelta_sei_dt, ddelta_pl_dt,
-             dC_p_dt, dC_n_dt, x, y, n_li0):
-    """Normalized inventory loss rate, 1/s.
-
-    Film terms convert growth rates back to molar consumption; the
-    material-loss term books the lithium trapped in lost host sites at
-    the prevailing stoichiometries. Capacity rates are <= 0, so every
-    contribution here is >= 0.
-    """
-    film = params.film_area_neg * (2.0 * ddelta_sei_dt / sei.Omega_sei
-                                   + ddelta_pl_dt / plating.Omega_pl)
-    trapped = -(3600.0 / params.F) * (y * dC_p_dt + x * dC_n_dt)
-    return (film + trapped) / n_li0
-
-
 @dataclass
 class StepIncrements:
     """What one coupled step consumed, for flux splitting and audits."""
@@ -224,10 +204,11 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     sei = deg.sei
     pl = deg.plating
     eta_sei = sei_overpotential(eta_neg, u_neg_surface, sei.U_sei)
+    kin = sei_rate_constant(sei, eta_sei, params.T, params.R_gas, params.F)
     j_sei = sei_flux(sei, state.delta_sei, eta_sei, params.T,
-                     params.R_gas, params.F)
+                     params.R_gas, params.F, kin)
     d_sei_new = _sei_implicit_step(sei, state.delta_sei, eta_sei, dt,
-                                   params.T, params.R_gas, params.F)
+                                   params.T, params.R_gas, params.F, kin)
 
     eta_pl = plating_overpotential(eta_neg, u_neg_surface)
     j_pl = plating_flux(pl, params, c_ss_neg, c_avg_neg, eta_pl)

@@ -42,11 +42,6 @@ def interfacial_current_density(params, electrode, I, capacity_Ah):
     return I / area if electrode == "neg" else -I / area
 
 
-def molar_flux(params, electrode, I, capacity_Ah):
-    """Surface molar flux for the diffusion step, mol/(m^2 s), outflow positive."""
-    return interfacial_current_density(params, electrode, I, capacity_Ah) / params.F
-
-
 def overpotential(params, electrode, j, c_ss):
     """Butler-Volmer overpotential, V, at interfacial current density j
     (A/m^2, positive delithiating). Odd in j, dissipative both ways."""

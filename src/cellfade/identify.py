@@ -10,6 +10,7 @@ algebra alone.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .degradation import (DegradationState, plated_lithium_moles,
 from .errors import AmbiguousRootsError, ConfigError, InfeasibleError
 from .measurement import (forward_measure, kinetic_resistance,
                           material_loss_expansion, synthesize_pseudo_ocv)
-from .electrochem import solve_window
+from .electrochem import pristine_inventory, solve_window
 from .protocol import run_campaign
 
 REL_TOL = 1e-9          # slack for float cancellation in feasibility checks
@@ -236,29 +237,36 @@ def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
                                 r_film_areal=r_areal, residual=res)
 
 
+def _age_member(params, deg_params, n_li0, campaign, dt, dt_rest, state):
+    """Run a cell that starts at this state to end of life: (rul, eol,
+    cycle records). Module level, so a process pool can run it."""
+    cell = Cell(params, deg_params, degradation=state, n_li0=n_li0)
+    traj, rul, eol = run_campaign(cell, campaign, dt=dt, dt_rest=dt_rest,
+                                  keep_series=False)
+    return rul, eol, traj.cycles
+
+
 def predict_rul(params, deg_params, state, campaign, n_li0=None, dt=10.0,
                 dt_rest=60.0):
     """Cycles a cell starting at this state survives before EOL."""
-    cell = Cell(params, deg_params, degradation=state.copy(), n_li0=n_li0)
-    _, rul, _ = run_campaign(cell, campaign, dt=dt, dt_rest=dt_rest,
-                             keep_series=False)
-    return rul
+    return _age_member(params, deg_params, n_li0, campaign, dt, dt_rest,
+                       state)[0]
 
 
 def ambiguity_experiment(params, deg_params, y, campaign, n_members=3,
                          n_li0=None, dt=10.0, dt_rest=60.0, lli_budget=True,
-                         progress=None):
+                         progress=None, map=map):
     """The headline demonstration: states that measure identically but
     age apart.
 
     Builds n members on the family of a measurement vector, checks the
     premise (same pseudo-OCV curve, same R_s, distinct expansion), then
-    runs each to end of life. Returns a report dict.
+    runs each to end of life through map (the builtin, or a process
+    pool's map: the results are the same). Returns a report dict.
     """
     if n_members < 1:
         raise ConfigError("n_members must be >= 1")
     if n_li0 is None:
-        from .electrochem import pristine_inventory
         n_li0 = pristine_inventory(params)
     fam = invert_without_expansion(params, deg_params, y, n_li0,
                                    lli_budget=lli_budget)
@@ -280,12 +288,12 @@ def ambiguity_experiment(params, deg_params, y, campaign, n_members=3,
         "pseudo_ocv": curve,
         "members": [],
     }
+    aged = map(partial(_age_member, params, deg_params, n_li0, campaign, dt,
+                       dt_rest), members)
     for i, (m, meas) in enumerate(zip(members, measures)):
         if progress is not None:
             progress(f"member {i + 1}/{n_members}")
-        traj, rul, eol = run_campaign(
-            Cell(params, deg_params, degradation=m.copy(), n_li0=n_li0),
-            campaign, dt=dt, dt_rest=dt_rest, keep_series=False)
+        rul, eol, cycles = next(aged)
         report["members"].append({
             "delta_sei_m": m.delta_sei,
             "delta_pl_m": m.delta_pl,
@@ -293,8 +301,8 @@ def ambiguity_experiment(params, deg_params, y, campaign, n_members=3,
             "delta_irr_m": meas.delta_irr,
             "rul_cycles": rul,
             "eol_reached": eol,
-            "capacity_curve": [(c.cycle, c.capacity_Ah) for c in traj.cycles],
-            "degradation_curve": [(c.cycle, c.degradation) for c in traj.cycles],
+            "capacity_curve": [(c.cycle, c.capacity_Ah) for c in cycles],
+            "degradation_curve": [(c.cycle, c.degradation) for c in cycles],
         })
     ruls = [mb["rul_cycles"] for mb in report["members"]]
     if len(ruls) > 1 and max(ruls) > 0:

@@ -35,6 +35,25 @@ def _load_yaml(path, what):
     return data
 
 
+def _number(kind, value, what):
+    """value as int or float (kind); one that does not convert is a
+    ConfigError naming what it is."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+_CAMPAIGN_FIELDS = (("rpt_every", int), ("max_cycles", int),
+                    ("eol_capacity_fraction", float))
+
+
+def _campaign_fields(raw, where):
+    """The campaign settings present in a config mapping, converted."""
+    return {key: _number(kind, raw[key], f"{where}: {key}")
+            for key, kind in _CAMPAIGN_FIELDS if key in raw}
+
+
 _MODES = {"cc": "cc", "constant-current": "cc",
           "cv": "cv", "constant-voltage": "cv",
           "rest": "rest"}
@@ -58,7 +77,8 @@ def _parse_steps(raw_steps, c_1c, where):
         elif mode == "cv":
             if "setpoint" not in s:
                 raise ConfigError(f"{where}: step {k + 1} (cv) needs a setpoint")
-            setpoint = float(s["setpoint"])
+            setpoint = _number(float, s["setpoint"],
+                               f"{where}: step {k + 1} setpoint")
         else:
             setpoint = 0.0
         terms = []
@@ -74,7 +94,8 @@ def _parse_steps(raw_steps, c_1c, where):
                     f"{where}: step {k + 1} termination missing {e.args[0]}")
             if q == "current":
                 thr = abs(parse_current(thr, c_1c))
-            terms.append(Termination(str(q), str(comp), float(thr)))
+            thr = _number(float, thr, f"{where}: step {k + 1} threshold")
+            terms.append(Termination(str(q), str(comp), thr))
         try:
             steps.append(ProtocolStep(mode, setpoint, terms))
         except ConfigError as e:
@@ -100,13 +121,7 @@ def load_campaign(path, c_1c):
         steps = load_protocol(ref, c_1c)
     else:
         raise ConfigError(f"campaign file {path} needs steps or a protocol reference")
-    kw = {}
-    for key in ("rpt_every", "max_cycles"):
-        if key in raw:
-            kw[key] = int(raw[key])
-    if "eol_capacity_fraction" in raw:
-        kw["eol_capacity_fraction"] = float(raw["eol_capacity_fraction"])
-    return Campaign(cycle_protocol=steps, **kw)
+    return Campaign(cycle_protocol=steps, **_campaign_fields(raw, str(path)))
 
 
 def load_measurements(path):
@@ -118,14 +133,17 @@ def load_measurements(path):
         raise ConfigError(f"measurements file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"measurements file {path}: {e}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"measurements file {path} must be a JSON object")
+    where = f"measurements file {path}"
     try:
-        return MeasurementVector(
-            C_p=float(raw["C_p"]), C_n=float(raw["C_n"]),
-            LLI=float(raw["LLI"]), R_s=float(raw["R_s"]),
-            delta_irr=(float(raw["delta_irr"]) if "delta_irr" in raw
-                       and raw["delta_irr"] is not None else None))
+        fields = {k: raw[k] for k in ("C_p", "C_n", "LLI", "R_s")}
     except KeyError as e:
-        raise ConfigError(f"measurements file {path} missing {e.args[0]}")
+        raise ConfigError(f"{where} missing {e.args[0]}")
+    if raw.get("delta_irr") is not None:
+        fields["delta_irr"] = raw["delta_irr"]
+    return MeasurementVector(**{k: _number(float, v, f"{where}: {k}")
+                                for k, v in fields.items()})
 
 
 def load_ambiguity_config(path, c_1c):
@@ -135,21 +153,19 @@ def load_ambiguity_config(path, c_1c):
         raise ConfigError(f"demo config {path} needs a measurement block")
     m = raw["measurement"]
     try:
-        y = MeasurementVector(C_p=float(m["C_p"]), C_n=float(m["C_n"]),
-                              LLI=float(m["LLI"]), R_s=float(m["R_s"]))
+        y = MeasurementVector(**{
+            k: _number(float, m[k], f"demo config {path}: measurement {k}")
+            for k in ("C_p", "C_n", "LLI", "R_s")})
     except (KeyError, TypeError) as e:
         raise ConfigError(f"demo config {path}: bad measurement block ({e})")
-    n_members = int(raw.get("n_members", 3))
+    n_members = _number(int, raw.get("n_members", 3),
+                        f"demo config {path}: n_members")
     if n_members < 1:
         raise ConfigError(f"demo config {path}: n_members must be >= 1")
     steps = _parse_steps(raw["steps"], c_1c, str(path)) if "steps" in raw else None
-    kw = {}
-    for key in ("rpt_every", "max_cycles"):
-        if key in raw:
-            kw[key] = int(raw[key])
-    if "eol_capacity_fraction" in raw:
-        kw["eol_capacity_fraction"] = float(raw["eol_capacity_fraction"])
-    campaign = Campaign(cycle_protocol=steps, **kw) if steps else None
+    campaign = (Campaign(cycle_protocol=steps,
+                         **_campaign_fields(raw, f"demo config {path}"))
+                if steps else None)
     return y, n_members, campaign, bool(raw.get("lli_budget", True))
 
 

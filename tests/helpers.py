@@ -1,10 +1,11 @@
-"""Shared test utilities: randomized state/window draws, curve comparison."""
+"""Shared test utilities: randomized state/window draws, curve comparison,
+and closed-form oracles that the package itself does not need."""
 
 import numpy as np
 
 from cellfade.degradation import (DegradationState, plated_lithium_moles,
-                                  sei_lithium_moles)
-from cellfade.electrochem import solve_window
+                                  sei_lithium_moles, sei_rate_constant)
+from cellfade.electrochem import interfacial_current_density, solve_window
 from cellfade.errors import CellDeadError
 from cellfade.measurement import forward_measure
 
@@ -53,3 +54,35 @@ def curve_gap(a, b, n=200):
     va = np.interp(grid, a.capacity_Ah, a.voltage)
     vb = np.interp(grid, b.capacity_Ah, b.voltage)
     return float(np.max(np.abs(va - vb)))
+
+
+def molar_flux(params, electrode, I, capacity_Ah):
+    """Surface molar flux for the diffusion step, mol/(m^2 s), outflow positive."""
+    return interfacial_current_density(params, electrode, I, capacity_Ah) / params.F
+
+
+def sei_flux_ddelta(sei, delta_sei, eta_sei, T, R_gas, F):
+    """Closed-form d(j_sei)/d(delta_sei) at fixed overpotential."""
+    kin = sei_rate_constant(sei, eta_sei, T, R_gas, F)
+    S = 1.0 / kin + delta_sei / sei.D_sei
+    return sei.c_ec0 / (sei.D_sei * S * S)
+
+
+def sei_growth_rate(sei, j_sei):
+    """Film thickness growth rate, m/s, >= 0."""
+    return -sei.Omega_sei * j_sei / 2.0
+
+
+def lli_rate(params, sei, plating, ddelta_sei_dt, ddelta_pl_dt,
+             dC_p_dt, dC_n_dt, x, y, n_li0):
+    """Normalized inventory loss rate, 1/s.
+
+    Film terms convert growth rates back to molar consumption; the
+    material-loss term books the lithium trapped in lost host sites at
+    the prevailing stoichiometries. Capacity rates are <= 0, so every
+    contribution here is >= 0.
+    """
+    film = params.film_area_neg * (2.0 * ddelta_sei_dt / sei.Omega_sei
+                                   + ddelta_pl_dt / plating.Omega_pl)
+    trapped = -(3600.0 / params.F) * (y * dC_p_dt + x * dC_n_dt)
+    return (film + trapped) / n_li0

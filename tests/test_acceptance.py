@@ -15,8 +15,7 @@ import pytest
 from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.degradation import (DegradationState, plated_lithium_moles,
-                                  sei_flux, sei_flux_ddelta,
-                                  sei_lithium_moles)
+                                  sei_flux, sei_lithium_moles)
 from cellfade.errors import InfeasibleError
 from cellfade.identify import ambiguity_experiment, invert_with_expansion
 from cellfade.measurement import (extract_esoh, forward_measure,
@@ -26,7 +25,8 @@ from cellfade.params import DegradationParameters, PlatingParameters
 from cellfade.particle import SphereFV
 from cellfade.protocol import (Campaign, reference_capacity, run_campaign,
                                run_rpt)
-from helpers import curve_gap, random_truths, sample_windows
+from helpers import (curve_gap, random_truths, sample_windows,
+                     sei_flux_ddelta)
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
 DT, DT_REST = 60.0, 300.0

@@ -161,11 +161,14 @@ def test_clone_with_given_state(cell):
     d = DegradationState(3e-8, 1e-8, 6.2, 5.4, 0.05)
     aged = cell.clone(degradation=d)
     assert aged.degradation == d
-    assert aged.degradation is not d   # defensive copy
     # placed at its own full-charge point
     w = aged.esoh()
     x, y = aged.mean_stoichiometry()
     assert x == pytest.approx(w.x_100, abs=1e-12)
+    # the state is a value: a step replaces it and leaves d as it was
+    aged.step(2.0, 10.0)
+    assert d == DegradationState(3e-8, 1e-8, 6.2, 5.4, 0.05)
+    assert aged.degradation.delta_sei > d.delta_sei
 
 
 def test_equilibrate_at_soc(cell):

@@ -185,7 +185,7 @@ def test_identify_expansion_flag_needs_channel(tmp_path, params):
     assert rc == 2
 
 
-def test_ambiguity_demo_small(tmp_path):
+def _small_demo(tmp_path):
     # a cut-down demo: 2 members, 2 cycles, no full EOL run
     demo = yaml.safe_load((DATA / "ambiguity_demo.yaml").read_text())
     demo["n_members"] = 2
@@ -193,9 +193,28 @@ def test_ambiguity_demo_small(tmp_path):
     demo["eol_capacity_fraction"] = 0.05
     small = tmp_path / "demo.yaml"
     small.write_text(yaml.safe_dump(demo))
+    return small
+
+
+def _run_ambiguity(tmp_path, out, jobs):
+    return main(["ambiguity", "--cell", CELL,
+                 "--demo", str(_small_demo(tmp_path)), "--dt", "60",
+                 "--dt-rest", "300", "--jobs", str(jobs), "--out", str(out)])
+
+
+@pytest.fixture(scope="module")
+def serial_demo(tmp_path_factory):
+    """Outputs of the cut-down demo run with --jobs 1."""
+    tmp = tmp_path_factory.mktemp("serial")
+    out = tmp / "amb"
+    assert _run_ambiguity(tmp, out, 1) == 0
+    return out
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ambiguity_demo_small(tmp_path, serial_demo, jobs):
     out = tmp_path / "amb"
-    rc = main(["ambiguity", "--cell", CELL, "--demo", str(small),
-               "--dt", "60", "--dt-rest", "300", "--out", str(out)])
+    rc = _run_ambiguity(tmp_path, out, jobs)
     assert rc == 0
     doc = read_json(out / "ambiguity.json")
     assert doc["n_members"] == 2
@@ -204,6 +223,43 @@ def test_ambiguity_demo_small(tmp_path):
     for i in (1, 2):
         assert (out / f"member_{i}_capacity.csv").exists()
     assert (out / "pseudo_ocv.csv").exists()
+    # the process pool changes where members age, not what they give
+    for name in ("ambiguity.json", "pseudo_ocv.csv", "member_1_capacity.csv",
+                 "member_2_capacity.csv"):
+        assert (out / name).read_bytes() == (serial_demo / name).read_bytes()
+
+
+def test_ambiguity_jobs_below_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "amb"
+    assert _run_ambiguity(tmp_path, out, 0) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["max_cycles", "n_members", "C_p"])
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, field):
+    if field == "max_cycles":
+        campaign = yaml.safe_load((DATA / "campaign_default.yaml").read_text())
+        campaign["protocol"] = str(DATA / campaign["protocol"])
+        campaign["max_cycles"] = "abc"
+        bad = tmp_path / "campaign.yaml"
+        bad.write_text(yaml.safe_dump(campaign))
+        argv = ["simulate", "--campaign", str(bad)]
+    elif field == "n_members":
+        demo = yaml.safe_load((DATA / "ambiguity_demo.yaml").read_text())
+        demo["n_members"] = "three"
+        bad = tmp_path / "demo.yaml"
+        bad.write_text(yaml.safe_dump(demo))
+        argv = ["ambiguity", "--demo", str(bad)]
+    else:
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"C_p": "x", "C_n": 5.0, "LLI": 0.05,
+                                   "R_s": 0.01}))
+        argv = ["identify", "--measurements", str(bad), "--without-expansion"]
+    rc = main(argv + ["--cell", CELL, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and field in err
 
 
 def test_bad_subcommand_exits_2(capsys):

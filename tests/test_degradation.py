@@ -11,19 +11,17 @@ from cellfade.degradation import (
     _sei_implicit_step,
     hydrostatic_stress,
     lam_cycle_update,
-    lli_rate,
     plated_lithium_moles,
     plating_flux,
     plating_growth_rate,
     plating_overpotential,
     sei_flux,
-    sei_flux_ddelta,
-    sei_growth_rate,
     sei_lithium_moles,
     sei_overpotential,
     step_degradation,
 )
 from cellfade.errors import CellDeadError, ConfigError
+from helpers import lli_rate, sei_flux_ddelta, sei_growth_rate
 
 R_GAS = 8.314462618
 F = 96485.33212
