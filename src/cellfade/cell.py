@@ -97,7 +97,8 @@ class Cell:
         return self
 
     def clone(self, degradation=None):
-        """Independent cell with the same parameters, fresh accumulators."""
+        """New cell with the same parameters and fresh accumulators. It
+        shares the degradation state, a frozen value, by reference."""
         if degradation is None:
             degradation = self.degradation
         return Cell(self.params, self.deg_params, degradation=degradation,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import CellDeadError, ConfigError
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegradationState:
     delta_sei: float   # m
     delta_pl: float    # m
@@ -54,15 +54,13 @@ def sei_rate_constant(sei, eta_sei, T, R_gas, F):
     return sei.k_sei * math.exp(-sei.alpha_sei * F * eta_sei / (R_gas * T))
 
 
-def sei_flux(sei, delta_sei, eta_sei, T, R_gas, F, kin=None):
+def sei_flux(sei, delta_sei, kin):
     """Solvent-reduction molar flux, mol/(m^2 s), always <= 0.
 
     Kinetic and film-transport resistances compose in series; growth is
     self-limiting because the transport term scales with thickness.
-    kin is sei_rate_constant at the same arguments, if the caller has it.
+    kin is the kinetic rate constant from sei_rate_constant, m/s.
     """
-    if kin is None:
-        kin = sei_rate_constant(sei, eta_sei, T, R_gas, F)
     return -sei.c_ec0 / (1.0 / kin + delta_sei / sei.D_sei)
 
 
@@ -71,15 +69,13 @@ def sei_lithium_moles(params, sei, delta_sei):
     return 2.0 * params.film_area_neg * delta_sei / sei.Omega_sei
 
 
-def _sei_implicit_step(sei, delta, eta_sei, dt, T, R_gas, F, kin=None):
+def _sei_implicit_step(sei, delta, kin, dt):
     """Backward-Euler thickness update, exact via the quadratic it implies.
 
     d' solves d' = d + dt*(Omega*c_ec0/2)/(K + d'/D): growth evaluated at
     the new thickness, which keeps the diffusion-limited tail stable at
     long strides. kin as in sei_flux.
     """
-    if kin is None:
-        kin = sei_rate_constant(sei, eta_sei, T, R_gas, F)
     K = 1.0 / kin
     G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
     D = sei.D_sei
@@ -205,10 +201,8 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     pl = deg.plating
     eta_sei = sei_overpotential(eta_neg, u_neg_surface, sei.U_sei)
     kin = sei_rate_constant(sei, eta_sei, params.T, params.R_gas, params.F)
-    j_sei = sei_flux(sei, state.delta_sei, eta_sei, params.T,
-                     params.R_gas, params.F, kin)
-    d_sei_new = _sei_implicit_step(sei, state.delta_sei, eta_sei, dt,
-                                   params.T, params.R_gas, params.F, kin)
+    j_sei = sei_flux(sei, state.delta_sei, kin)
+    d_sei_new = _sei_implicit_step(sei, state.delta_sei, kin, dt)
 
     eta_pl = plating_overpotential(eta_neg, u_neg_surface)
     j_pl = plating_flux(pl, params, c_ss_neg, c_avg_neg, eta_pl)

@@ -15,7 +15,8 @@ import pytest
 from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.degradation import (DegradationState, plated_lithium_moles,
-                                  sei_flux, sei_lithium_moles)
+                                  sei_flux, sei_lithium_moles,
+                                  sei_rate_constant)
 from cellfade.errors import InfeasibleError
 from cellfade.identify import ambiguity_experiment, invert_with_expansion
 from cellfade.measurement import (extract_esoh, forward_measure,
@@ -250,12 +251,11 @@ def test_7_numerical_hygiene(params, degp):
 
     # film-growth derivative: closed form vs central differences
     sei = degp.sei
+    kin = sei_rate_constant(sei, -0.12, params.T, params.R_gas, params.F)
     worst_fd = 0.0
     for d in (1e-9, 5e-9, 2e-8, 8e-8, 3e-7):
         h = 1e-6 * d
-        fd = (sei_flux(sei, d + h, -0.12, params.T, params.R_gas, params.F)
-              - sei_flux(sei, d - h, -0.12, params.T, params.R_gas,
-                         params.F)) / (2.0 * h)
+        fd = (sei_flux(sei, d + h, kin) - sei_flux(sei, d - h, kin)) / (2.0 * h)
         cf = sei_flux_ddelta(sei, d, -0.12, params.T, params.R_gas, params.F)
         worst_fd = max(worst_fd, abs(cf - fd) / abs(fd))
         assert abs(cf - fd) / abs(fd) < 1e-4

@@ -213,9 +213,10 @@ def serial_demo(tmp_path_factory):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_ambiguity_demo_small(tmp_path, serial_demo, jobs):
-    out = tmp_path / "amb"
-    rc = _run_ambiguity(tmp_path, out, jobs)
-    assert rc == 0
+    out = serial_demo
+    if jobs > 1:
+        out = tmp_path / "amb"
+        assert _run_ambiguity(tmp_path, out, jobs) == 0
     doc = read_json(out / "ambiguity.json")
     assert doc["n_members"] == 2
     assert doc["rs_spread_rel"] < 0.005

@@ -18,6 +18,7 @@ from cellfade.degradation import (
     sei_flux,
     sei_lithium_moles,
     sei_overpotential,
+    sei_rate_constant,
     step_degradation,
 )
 from cellfade.errors import CellDeadError, ConfigError
@@ -26,6 +27,10 @@ from helpers import lli_rate, sei_flux_ddelta, sei_growth_rate
 R_GAS = 8.314462618
 F = 96485.33212
 T = 298.15
+
+
+def _kin(sei, eta):
+    return sei_rate_constant(sei, eta, T, R_GAS, F)
 
 
 def test_state_validation():
@@ -45,22 +50,22 @@ class TestSEI:
         sei = degp.sei
         for d in (0.0, 1e-9, 5e-8, 1e-6):
             for eta in (-0.3, -0.05, 0.0, 0.1):
-                assert sei_flux(sei, d, eta, T, R_GAS, F) < 0.0
+                assert sei_flux(sei, d, _kin(sei, eta)) < 0.0
 
     def test_flux_kinetic_limit_at_zero_thickness(self, degp):
         # with no film, the series resistance is purely kinetic
         sei = degp.sei
         eta = -0.1
         kin = sei.k_sei * math.exp(-sei.alpha_sei * F * eta / (R_GAS * T))
-        assert sei_flux(sei, 0.0, eta, T, R_GAS, F) == pytest.approx(
+        assert sei_flux(sei, 0.0, _kin(sei, eta)) == pytest.approx(
             -sei.c_ec0 * kin, rel=1e-12)
 
     def test_flux_transport_limit_at_large_thickness(self, degp):
         # thick film: |j| -> c_ec0 * D / delta regardless of overpotential
         sei = degp.sei
         d = 1e-4
-        j_a = sei_flux(sei, d, -0.5, T, R_GAS, F)
-        j_b = sei_flux(sei, d, -0.1, T, R_GAS, F)
+        j_a = sei_flux(sei, d, _kin(sei, -0.5))
+        j_b = sei_flux(sei, d, _kin(sei, -0.1))
         lim = -sei.c_ec0 * sei.D_sei / d
         assert j_a == pytest.approx(lim, rel=1e-2)
         assert j_b == pytest.approx(lim, rel=1e-2)
@@ -68,36 +73,36 @@ class TestSEI:
     def test_flux_magnitude_decreases_with_thickness(self, degp):
         sei = degp.sei
         ds = [0.0, 1e-9, 1e-8, 1e-7, 1e-6]
-        js = [abs(sei_flux(sei, d, -0.1, T, R_GAS, F)) for d in ds]
+        js = [abs(sei_flux(sei, d, _kin(sei, -0.1))) for d in ds]
         assert all(a > b for a, b in zip(js, js[1:]))
 
     def test_flux_derivative_matches_finite_difference(self, degp):
         # closed form vs central difference at several thicknesses
         sei = degp.sei
         eta = -0.12
+        kin = _kin(sei, eta)
         for d in (1e-9, 5e-9, 2e-8, 8e-8, 3e-7):
             h = 1e-6 * d
-            fd = (sei_flux(sei, d + h, eta, T, R_GAS, F)
-                  - sei_flux(sei, d - h, eta, T, R_GAS, F)) / (2.0 * h)
+            fd = (sei_flux(sei, d + h, kin)
+                  - sei_flux(sei, d - h, kin)) / (2.0 * h)
             cf = sei_flux_ddelta(sei, d, eta, T, R_GAS, F)
             assert cf == pytest.approx(fd, rel=1e-4)
             assert cf > 0.0  # |j| shrinks as the film thickens
 
     def test_growth_rate_sign(self, degp):
         sei = degp.sei
-        j = sei_flux(sei, 1e-9, -0.1, T, R_GAS, F)
+        j = sei_flux(sei, 1e-9, _kin(sei, -0.1))
         assert sei_growth_rate(sei, j) > 0.0
         assert sei_growth_rate(sei, 0.0) == 0.0
 
     def test_implicit_step_satisfies_its_equation(self, degp):
         # d' = d + dt * growth(j(d')): plug the root back in
         sei = degp.sei
-        eta = -0.15
+        kin = _kin(sei, -0.15)
         d0 = 3e-9
         for dt in (0.1, 10.0, 1000.0, 1e6):
-            d1 = _sei_implicit_step(sei, d0, eta, dt, T, R_GAS, F)
-            resid = d1 - d0 - dt * sei_growth_rate(
-                sei, sei_flux(sei, d1, eta, T, R_GAS, F))
+            d1 = _sei_implicit_step(sei, d0, kin, dt)
+            resid = d1 - d0 - dt * sei_growth_rate(sei, sei_flux(sei, d1, kin))
             assert abs(resid) < 1e-18 + 1e-12 * d1
             assert d1 >= d0
 
@@ -105,9 +110,9 @@ class TestSEI:
         # diffusion-limited growth: doubling time should less-than-double
         # the added thickness once the film is thick
         sei = degp.sei
-        eta = -0.15
-        d = _sei_implicit_step(sei, 1e-7, eta, 1e7, T, R_GAS, F)
-        d2 = _sei_implicit_step(sei, 1e-7, eta, 2e7, T, R_GAS, F)
+        kin = _kin(sei, -0.15)
+        d = _sei_implicit_step(sei, 1e-7, kin, 1e7)
+        d2 = _sei_implicit_step(sei, 1e-7, kin, 2e7)
         assert d2 - 1e-7 < 2.0 * (d - 1e-7)
 
     def test_lithium_moles_linear_in_thickness(self, params, degp):
