@@ -141,7 +141,7 @@ class Cell:
         c_ss_n = neg.c_ss(particles.c_neg, j_neg0)
         if self.freeze_degradation:
             deg_new = d
-            inc = StepIncrements(0.0, 0.0, 0.0, 0.0, 0.0)
+            inc = StepIncrements(0.0, 0.0, 0.0)
         else:
             eta_neg = ec.overpotential(p, "neg", I / area_n, c_ss_n)
             u_neg = p.ocp_neg(c_ss_n / p.c_smax_neg)

@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import io as cio
@@ -36,6 +36,15 @@ def _outdir(path):
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+@contextmanager
+def _input(where):
+    """Name the input file where in a ConfigError raised by the block."""
+    try:
+        yield
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _load_cell(args):
@@ -102,16 +111,14 @@ def cmd_identify(args):
     params, deg = load_cell_config(args.cell)
     y = cio.load_measurements(args.measurements)
     n_li0 = pristine_inventory(params)
-    out = _outdir(args.out)
     budget = not args.no_lli_budget
     doc = {"measurements": y.as_dict()}
     code = EXIT_OK
     try:
         if args.with_expansion:
-            if y.delta_irr is None:
-                raise ConfigError(
-                    "--with-expansion needs delta_irr in the measurements file")
-            res = invert_with_expansion(params, deg, y, n_li0, lli_budget=budget)
+            with _input(f"measurements file {args.measurements}"):
+                res = invert_with_expansion(params, deg, y, n_li0,
+                                            lli_budget=budget)
             doc.update({
                 "kind": "unique",
                 "solution": res.solution.as_dict(),
@@ -121,8 +128,9 @@ def cmd_identify(args):
                   f"delta_sei {res.solution.delta_sei * 1e9:.3f} nm, "
                   f"delta_pl {res.solution.delta_pl * 1e9:.3f} nm")
         else:
-            res = invert_without_expansion(params, deg, y, n_li0,
-                                           lli_budget=budget)
+            with _input(f"measurements file {args.measurements}"):
+                res = invert_without_expansion(params, deg, y, n_li0,
+                                               lli_budget=budget)
             members = sample_family(res, y, args.family_samples)
             doc.update({
                 "kind": "family",
@@ -150,6 +158,7 @@ def cmd_identify(args):
         doc.update({"kind": "infeasible", "error": str(e)})
         print(f"infeasible: {e}", file=sys.stderr)
         code = EXIT_INFEASIBLE
+    out = _outdir(args.out)
     cio.write_json(out / "identification.json", doc)
     cio.write_manifest(out, {"cell": args.cell, "measurements": args.measurements},
                        args.seed, ["identification.json"], time.monotonic() - t0)
@@ -163,20 +172,20 @@ def cmd_ambiguity_demo(args):
     params, deg = load_cell_config(args.cell)
     c1 = reference_capacity(params)
     y, n_members, campaign, budget = cio.load_ambiguity_config(args.demo, c1)
-    if campaign is None:
-        raise ConfigError(f"demo config {args.demo} needs campaign steps")
-    out = _outdir(args.out)
 
     with ExitStack() as stack:
         members_map = map
-        if args.jobs > 1:
-            members_map = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(args.jobs, n_members))).map
-        report = ambiguity_experiment(
-            params, deg, y, campaign, n_members=n_members, dt=args.dt,
-            dt_rest=args.dt_rest, lli_budget=budget,
-            progress=lambda s: print(s, file=sys.stderr), map=members_map)
+        workers = min(args.jobs, n_members)
+        if workers > 1:
+            members_map = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers)).map
+        with _input(f"demo config {args.demo}"):
+            report = ambiguity_experiment(
+                params, deg, y, campaign, n_members=n_members, dt=args.dt,
+                dt_rest=args.dt_rest, lli_budget=budget,
+                progress=lambda s: print(s, file=sys.stderr), map=members_map)
 
+    out = _outdir(args.out)
     curve = report.pop("pseudo_ocv")
     cio.write_pseudo_ocv_csv(out / "pseudo_ocv.csv", curve)
     outputs = ["pseudo_ocv.csv", "ambiguity.json"]
@@ -216,8 +225,9 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="run an aging campaign")
     common(p, state=True)
-    p.add_argument("--campaign", help="campaign YAML (steps + EOL settings)")
-    p.add_argument("--protocol", help="protocol YAML (single pass steps)")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--campaign", help="campaign YAML (steps + EOL settings)")
+    g.add_argument("--protocol", help="protocol YAML (single pass steps)")
     p.add_argument("--dt-rest", type=float, default=60.0)
     p.add_argument("--max-cycles", type=int, default=0,
                    help="override the campaign cycle cap")

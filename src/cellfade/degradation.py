@@ -54,16 +54,6 @@ def sei_rate_constant(sei, eta_sei, T, R_gas, F):
     return sei.k_sei * math.exp(-sei.alpha_sei * F * eta_sei / (R_gas * T))
 
 
-def sei_flux(sei, delta_sei, kin):
-    """Solvent-reduction molar flux, mol/(m^2 s), always <= 0.
-
-    Kinetic and film-transport resistances compose in series; growth is
-    self-limiting because the transport term scales with thickness.
-    kin is the kinetic rate constant from sei_rate_constant, m/s.
-    """
-    return -sei.c_ec0 / (1.0 / kin + delta_sei / sei.D_sei)
-
-
 def sei_lithium_moles(params, sei, delta_sei):
     """Lithium locked in a film of the given thickness, mol."""
     return 2.0 * params.film_area_neg * delta_sei / sei.Omega_sei
@@ -74,7 +64,9 @@ def _sei_implicit_step(sei, delta, kin, dt):
 
     d' solves d' = d + dt*(Omega*c_ec0/2)/(K + d'/D): growth evaluated at
     the new thickness, which keeps the diffusion-limited tail stable at
-    long strides. kin as in sei_flux.
+    long strides. Kinetic and film-transport resistances compose in
+    series, K = 1/kin with kin from sei_rate_constant (m/s), so growth is
+    self-limiting.
     """
     K = 1.0 / kin
     G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
@@ -185,8 +177,6 @@ class StepIncrements:
     i_side: float     # side-reaction current, A, <= 0
     dn_sei: float     # mol of lithium into SEI this step
     dn_pl: float      # mol of lithium plated this step
-    j_sei: float
-    j_pl: float
 
 
 def step_degradation(params, deg, state, eta_neg, u_neg_surface,
@@ -201,7 +191,6 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     pl = deg.plating
     eta_sei = sei_overpotential(eta_neg, u_neg_surface, sei.U_sei)
     kin = sei_rate_constant(sei, eta_sei, params.T, params.R_gas, params.F)
-    j_sei = sei_flux(sei, state.delta_sei, kin)
     d_sei_new = _sei_implicit_step(sei, state.delta_sei, kin, dt)
 
     eta_pl = plating_overpotential(eta_neg, u_neg_surface)
@@ -217,5 +206,5 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     new = DegradationState(d_sei_new, d_pl_new, state.C_p, state.C_n, lli_new)
     inc = StepIncrements(
         i_side=-params.F * (dn_sei + dn_pl) / dt,
-        dn_sei=dn_sei, dn_pl=dn_pl, j_sei=j_sei, j_pl=j_pl)
+        dn_sei=dn_sei, dn_pl=dn_pl)
     return new, inc

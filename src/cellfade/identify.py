@@ -166,8 +166,7 @@ def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
     AmbiguousRootsError (carrying both) unless the LLI budget rejects one.
     """
     if y.delta_irr is None:
-        raise ConfigError("measurement vector has no delta_irr; "
-                          "use invert_without_expansion")
+        raise ConfigError("no delta_irr (expansion channel) in the measurement")
     ex = deg_params.expansion
     kap_s = deg_params.sei.kappa_sei
     kap_p = deg_params.plating.kappa_pl

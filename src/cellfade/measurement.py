@@ -27,6 +27,11 @@ class MeasurementVector:
     delta_irr: float = None   # m; None in the under-determined case
 
     def __post_init__(self):
+        if not (self.C_p > 0.0 and self.C_n > 0.0):
+            raise ConfigError(f"C_p and C_n must be positive, got "
+                              f"{self.C_p}, {self.C_n}")
+        if not (0.0 <= self.LLI < 1.0):
+            raise ConfigError(f"LLI must be in [0,1), got {self.LLI}")
         if not self.R_s > 0.0:
             raise ConfigError(f"R_s must be positive, got {self.R_s}")
         if self.delta_irr is not None and self.delta_irr < 0.0:

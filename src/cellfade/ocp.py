@@ -62,13 +62,22 @@ class MonotoneOCPTable:
     @classmethod
     def from_file(cls, path, name=None):
         """Load a two-column text table (comma or whitespace separated)."""
-        try:
-            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        except ValueError:
-            data = np.loadtxt(path, comments="#", ndmin=2)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ConfigError(f"{path}: expected exactly two columns")
-        return cls(data[:, 0], data[:, 1], name=name or str(path))
+        name = name or str(path)
+        for delimiter in (",", None):
+            try:
+                data = np.loadtxt(path, delimiter=delimiter, comments="#",
+                                  ndmin=2)
+                break
+            except ValueError:
+                continue
+            except OSError as e:
+                raise ConfigError(
+                    f"{name}: cannot read {path}: {e.strerror or e}") from None
+        else:
+            raise ConfigError(f"{name}: {path} is not a numeric table")
+        if data.shape[1] != 2:
+            raise ConfigError(f"{name}: {path}: expected exactly two columns")
+        return cls(data[:, 0], data[:, 1], name=name)
 
     def _segment(self, s):
         if not (self.s_min <= s <= self.s_max):

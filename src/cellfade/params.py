@@ -6,14 +6,70 @@ convention: discharge current is positive. Everything downstream derives
 fluxes from that one choice.
 """
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import yaml
 
 from .constants import FARADAY, GAS_CONSTANT
-from .errors import ConfigError
+from .errors import CellDeadError, ConfigError
 from .ocp import MonotoneOCPTable, load_builtin
+
+
+def read_mapping(path, what, parse=yaml.safe_load):
+    """The mapping held by a YAML input file (or, with parse=json.load, a
+    JSON one). A file that is missing, unreadable, malformed or not a
+    mapping is a ConfigError naming what it is."""
+    try:
+        with open(path) as f:
+            raw = parse(f)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"{what} {path}: {e.strerror or e}") from None
+    except (yaml.YAMLError, ValueError) as e:
+        raise ConfigError(f"{what} {path} does not parse: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {path} must be a mapping")
+    return raw
+
+
+def _number(kind, value, what):
+    """value as a finite int or float (kind). Numeric strings count (YAML
+    1.1 reads an unquoted 1e8 as one); a bool, a non-number, a non-finite
+    value, or a fraction where an int belongs is a ConfigError naming
+    what it is."""
+    try:
+        x = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None:
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(x) or (kind is int and not x.is_integer()):
+        raise ConfigError(f"{what} must be a finite {kind.__name__}, got {value!r}")
+    return kind(x)
+
+
+def from_mapping(cls, raw, where, **given):
+    """Dataclass cls from the mapping raw: each field not in given is read
+    by name through _number as its annotated type. An absent field (or a
+    null one whose default is None) keeps its default; an absent required
+    one is a ConfigError, as is a value that cls rejects."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        value = raw.get(f.name, f.default)
+        if value is MISSING:
+            raise ConfigError(f"{where}: missing {f.name}")
+        if value is not f.default:
+            given[f.name] = _number(f.type, value, f"{where}: {f.name}")
+    try:
+        return cls(**given)
+    except (ConfigError, CellDeadError) as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _require_positive(obj, names):
@@ -192,14 +248,21 @@ class DegradationParameters:
     expansion: ExpansionParameters
 
 
-_SCALAR_CELL_KEYS = [f.name for f in fields(CellParameters)
-                     if f.name not in ("ocp_pos", "ocp_neg")]
+_PARAMETER_CLASSES = (SEIParameters, PlatingParameters, LAMParameters,
+                      ExpansionParameters)
 
 
-def _load_ocp(spec, name):
-    if isinstance(spec, str) and spec.startswith("builtin:"):
-        return load_builtin(spec.split(":", 1)[1])
-    return MonotoneOCPTable.from_file(spec, name=name)
+def _load_ocp(raw, name, where):
+    spec = raw.get(name)
+    if not isinstance(spec, str):
+        raise ConfigError(f"{where}: {name} must be a file path or "
+                          f"builtin:<table>, got {spec!r}")
+    try:
+        if spec.startswith("builtin:"):
+            return load_builtin(spec.split(":", 1)[1])
+        return MonotoneOCPTable.from_file(spec, name=name)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def load_cell_config(path):
@@ -208,53 +271,18 @@ def load_cell_config(path):
     Returns (CellParameters, DegradationParameters). OCP tables are given
     as file paths or "builtin:graphite" / "builtin:nmc".
     """
-    try:
-        with open(path) as f:
-            raw = yaml.safe_load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"cell config not found: {path}")
-    except yaml.YAMLError as e:
-        raise ConfigError(f"cell config {path} is not valid YAML: {e}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"cell config {path} must be a mapping")
-
-    def grab(cls, keys, **extra):
-        vals = {}
-        for k in keys:
-            if k in raw:
-                v = raw[k]
-                # YAML readers vary on exponent forms like 1e8; be tolerant
-                if isinstance(v, str):
-                    try:
-                        v = float(v)
-                    except ValueError:
-                        raise ConfigError(
-                            f"cell config {path}: {k} must be a number, "
-                            f"got {v!r}")
-                vals[k] = v
-        vals.update(extra)
-        try:
-            return cls(**vals)
-        except TypeError as e:
-            raise ConfigError(f"cell config {path}: {e}")
-
-    if "ocp_pos" not in raw or "ocp_neg" not in raw:
-        raise ConfigError(f"cell config {path}: ocp_pos and ocp_neg are required")
-    cell = grab(CellParameters, _SCALAR_CELL_KEYS,
-                ocp_pos=_load_ocp(raw["ocp_pos"], "ocp_pos"),
-                ocp_neg=_load_ocp(raw["ocp_neg"], "ocp_neg"))
-    deg = DegradationParameters(
-        sei=grab(SEIParameters, [f.name for f in fields(SEIParameters)]),
-        plating=grab(PlatingParameters, [f.name for f in fields(PlatingParameters)]),
-        lam=grab(LAMParameters, [f.name for f in fields(LAMParameters)]),
-        expansion=grab(ExpansionParameters, [f.name for f in fields(ExpansionParameters)]),
-    )
-    known = set(_SCALAR_CELL_KEYS) | {"ocp_pos", "ocp_neg"}
-    for cls in (SEIParameters, PlatingParameters, LAMParameters, ExpansionParameters):
-        known |= {f.name for f in fields(cls)}
+    raw = read_mapping(path, "cell config")
+    where = f"cell config {path}"
+    known = {f.name for cls in (CellParameters,) + _PARAMETER_CLASSES
+             for f in fields(cls)}
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"cell config {path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    cell = from_mapping(CellParameters, raw, where,
+                        ocp_pos=_load_ocp(raw, "ocp_pos", where),
+                        ocp_neg=_load_ocp(raw, "ocp_neg", where))
+    deg = DegradationParameters(*(from_mapping(cls, raw, where)
+                                  for cls in _PARAMETER_CLASSES))
     return cell, deg
 
 

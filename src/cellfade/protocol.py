@@ -20,6 +20,7 @@ from . import electrochem as ec
 from .errors import (CellDeadError, ConfigError, EstimationFailedError,
                      ProtocolStallError, SaturationError)
 from .measurement import PseudoOCV, extract_esoh, irreversible_expansion
+from .params import _number
 
 VOLTAGE_BAND = 1e-3     # accepted overshoot at a fired voltage threshold, V
 CV_TOL = 1e-4           # CV voltage solve tolerance, V
@@ -82,10 +83,10 @@ _RATE = re.compile(r"^\s*(-?)\s*(\d+(?:\.\d+)?)?\s*[Cc]\s*(?:/\s*(\d+(?:\.\d+)?)
 
 def parse_current(value, c_1c):
     """Resolve an ampere number or C-rate string against a 1C current."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    m = _RATE.match(str(value))
-    if not m:
+    if not isinstance(value, str):
+        return _number(float, value, "current")
+    m = _RATE.match(value)
+    if not m or (m.group(3) and float(m.group(3)) == 0.0):
         raise ConfigError(f"cannot parse current {value!r} (want amps or e.g. 'C/5')")
     sign = -1.0 if m.group(1) else 1.0
     mult = float(m.group(2)) if m.group(2) else 1.0

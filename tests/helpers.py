@@ -61,6 +61,16 @@ def molar_flux(params, electrode, I, capacity_Ah):
     return interfacial_current_density(params, electrode, I, capacity_Ah) / params.F
 
 
+def sei_flux(sei, delta_sei, kin):
+    """Solvent-reduction molar flux, mol/(m^2 s), always <= 0.
+
+    Kinetic and film-transport resistances compose in series; growth is
+    self-limiting because the transport term scales with thickness.
+    kin is the kinetic rate constant from sei_rate_constant, m/s.
+    """
+    return -sei.c_ec0 / (1.0 / kin + delta_sei / sei.D_sei)
+
+
 def sei_flux_ddelta(sei, delta_sei, eta_sei, T, R_gas, F):
     """Closed-form d(j_sei)/d(delta_sei) at fixed overpotential."""
     kin = sei_rate_constant(sei, eta_sei, T, R_gas, F)

@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 import yaml
 
+from cellfade import io as cio
+from cellfade.cell import Cell
 from cellfade.cli import main
 from cellfade.degradation import DegradationState
 from cellfade.measurement import forward_measure
+from cellfade.params import load_cell_config
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
 CELL = str(DATA / "cell_default.yaml")
@@ -281,3 +284,121 @@ def test_console_script_help():
     assert res.returncode == 0
     for word in ("simulate", "rpt", "identify", "ambiguity"):
         assert word in res.stdout
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    if not isinstance(doc, str):
+        doc = json.dumps(doc) if name.endswith(".json") else yaml.safe_dump(doc)
+    path.write_text(doc)
+    return str(path)
+
+
+def _rpt_state(tmp_path, edit):
+    """rpt from the fresh default cell's state file, edited by edit(doc)."""
+    path = tmp_path / "state.json"
+    cio.save_state(path, Cell(*load_cell_config(CELL)))
+    path = _write(tmp_path, "state.json", edit(read_json(path)))
+    return ["rpt", "--cell", CELL, "--state", path], path
+
+
+def _rpt_cell(tmp_path, **changes):
+    cell = yaml.safe_load(Path(CELL).read_text())
+    path = _write(tmp_path, "cell.yaml", {**cell, **changes})
+    return ["rpt", "--cell", path], path
+
+
+def _simulate_flags(*flags):
+    return ["simulate", "--cell", CELL, "--max-cycles", "1", "--dt", "60",
+            "--dt-rest", "300", *flags]
+
+
+def _simulate_campaign(tmp_path, text):
+    path = _write(tmp_path, "campaign.yaml", text)
+    return _simulate_flags("--campaign", path), path
+
+
+def _identify(tmp_path, route="--without-expansion", **changes):
+    doc = {"C_p": 6.6, "C_n": 5.7, "LLI": 0.11, "R_s": 0.017, **changes}
+    path = _write(tmp_path, "m.json", doc)
+    return ["identify", "--cell", CELL, "--measurements", path, route], path
+
+
+def _ambiguity(tmp_path, jobs=1, **changes):
+    demo = yaml.safe_load(Path(_small_demo(tmp_path)).read_text())
+    path = _write(tmp_path, "demo.yaml", {**demo, "max_cycles": 1, **changes})
+    return ["ambiguity", "--cell", CELL, "--demo", path, "--dt", "60",
+            "--dt-rest", "300", "--jobs", str(jobs)], path
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _degradation(key, value):
+    return lambda doc: {**doc, "degradation": {**doc["degradation"], key: value}}
+
+
+PROTOCOL = str(DATA / "protocol_cycle.yaml")
+MALFORMED = [
+    pytest.param(lambda t: _rpt_state(t, lambda doc: [1, 2]), "mapping",
+                 id="state-list"),
+    pytest.param(lambda t: _rpt_state(t, _without("particles")), "particles",
+                 id="state-no-particles"),
+    pytest.param(lambda t: _rpt_state(t, _degradation("delta_extra", 0.0)),
+                 "delta_extra", id="state-extra-degradation-key"),
+    pytest.param(lambda t: _rpt_state(t, _degradation("delta_sei", "thick")),
+                 "delta_sei", id="state-string-film"),
+    pytest.param(lambda t: _rpt_state(t, lambda doc: {**doc, "n_li0": "lots"}),
+                 "n_li0", id="state-string-n_li0"),
+    pytest.param(lambda t: _rpt_cell(t, ocp_pos=5), "ocp_pos", id="ocp-number"),
+    pytest.param(lambda t: _rpt_cell(t, ocp_pos=str(t / "absent.csv")),
+                 "absent.csv", id="ocp-missing-csv"),
+    pytest.param(lambda t: _rpt_cell(t, ocp_pos=_write(
+        t, "bad.csv", "stoichiometry,potential\nlow,high\n")), "bad.csv",
+        id="ocp-bad-csv"),
+    pytest.param(lambda t: _rpt_cell(t, T=True), "T", id="cell-bool"),
+    pytest.param(lambda t: _simulate_campaign(
+        t, "steps:\n  - {mode: rest, until: 5}\n"), "until", id="until-number"),
+    pytest.param(lambda t: _simulate_campaign(
+        t, "steps:\n  - {mode: cc, setpoint: C/0, until: [{quantity: time, "
+        "comparator: '>=', threshold: 60}]}\n"), "C/0", id="c-rate-over-zero"),
+    pytest.param(lambda t: _simulate_campaign(t, "protocol: [1, 2]\n"),
+                 "protocol", id="protocol-list"),
+    pytest.param(lambda t: _simulate_campaign(
+        t, f"protocol: {PROTOCOL}\nmax_cycles: .inf\n"), "max_cycles",
+        id="max-cycles-inf"),
+    pytest.param(lambda t: _simulate_campaign(
+        t, f"protocol: {PROTOCOL}\nmax_cycles: on\n"), "max_cycles",
+        id="max-cycles-bool"),
+    pytest.param(lambda t: _ambiguity(t, lli_budget="false"), "lli_budget",
+                 id="lli-budget-string"),
+    pytest.param(lambda t: _identify(t, LLI=1.5), "LLI", id="measurement-LLI"),
+    pytest.param(lambda t: _identify(t, C_p=-6.6), "C_p", id="measurement-C_p"),
+    pytest.param(lambda t: _identify(t, R_s=True), "R_s", id="measurement-bool"),
+    pytest.param(lambda t: _identify(t, "--with-expansion"), "delta_irr",
+                 id="expansion-route-without-delta_irr"),
+    pytest.param(lambda t: _ambiguity(t, n_members=0), "n_members",
+                 id="demo-no-members"),
+    pytest.param(lambda t: _ambiguity(t, jobs=2, n_members=0), "n_members",
+                 id="demo-no-members-jobs-2"),
+    # simulate takes exactly one of --campaign and --protocol
+    pytest.param(lambda t: (_simulate_flags(), "--campaign"), "--protocol",
+                 id="simulate-neither"),
+    pytest.param(lambda t: (_simulate_flags(
+        "--campaign", str(DATA / "campaign_default.yaml"), "--protocol", PROTOCOL),
+        "--campaign"), "--protocol", id="simulate-both"),
+]
+
+
+@pytest.mark.parametrize("build, field", MALFORMED)
+def test_malformed_input_exits_2(tmp_path, capsys, build, field):
+    # exit 2, no traceback, an error naming the file (or flag) and field,
+    # and no output directory left behind
+    argv, path = build(tmp_path)
+    rc = main(argv + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "error:" in err and path in err and field in err, err
+    assert not (tmp_path / "o").exists()
+

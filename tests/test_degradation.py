@@ -15,14 +15,13 @@ from cellfade.degradation import (
     plating_flux,
     plating_growth_rate,
     plating_overpotential,
-    sei_flux,
     sei_lithium_moles,
     sei_overpotential,
     sei_rate_constant,
     step_degradation,
 )
 from cellfade.errors import CellDeadError, ConfigError
-from helpers import lli_rate, sei_flux_ddelta, sei_growth_rate
+from helpers import lli_rate, sei_flux, sei_flux_ddelta, sei_growth_rate
 
 R_GAS = 8.314462618
 F = 96485.33212
