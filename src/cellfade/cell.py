@@ -25,10 +25,10 @@ from .particle import ParticlePair, step_particle_diffusion
 class Cell:
     """A cell whose state is held as values.
 
-    particles (ParticleState) and degradation (DegradationState) are
-    replaced on every step and never changed in place, so a snapshot
-    keeps references to them and the caches below may key on them by
-    identity. Only the stress envelope (extrema) is updated in place.
+    particles (ParticleState), degradation (DegradationState) and the
+    stress envelope (StressExtrema) are replaced, never changed in place,
+    so a snapshot is a tuple of references and the caches below may key
+    on them by identity.
     """
 
     def __init__(self, params, deg_params, degradation=None, n_li0=None,
@@ -105,14 +105,13 @@ class Cell:
                     n_li0=self.n_li0)
 
     def get_state(self):
-        """Snapshot for rollback during adaptive stepping. Particles and
-        degradation are values, so only the stress envelope is copied."""
-        return (self.particles, self.degradation,
-                StressExtrema(**vars(self.extrema)), self.lam_lithium)
+        """Snapshot for rollback during adaptive stepping: references to
+        the state values, none of them copied."""
+        return (self.particles, self.degradation, self.extrema,
+                self.lam_lithium)
 
     def set_state(self, snap):
-        self.particles, self.degradation, extrema, self.lam_lithium = snap
-        self.extrema = StressExtrema(**vars(extrema))
+        self.particles, self.degradation, self.extrema, self.lam_lithium = snap
         self._trial = None
 
     # --- stepping ---
@@ -195,7 +194,7 @@ class Cell:
         lam = self.deg_params.lam
         sig_p = hydrostatic_stress(lam, "pos", c_ss_p, c_avg_p, self.params)
         sig_n = hydrostatic_stress(lam, "neg", c_ss_n, c_avg_n, self.params)
-        self.extrema.update(sig_p, sig_n)
+        self.extrema = self.extrema.update(sig_p, sig_n)
         return {"I": I, "V": v_t, "x": x, "y": y,
                 "i_side": inc.i_side, "dn_sei": inc.dn_sei, "dn_pl": inc.dn_pl,
                 "sigma_pos": sig_p, "sigma_neg": sig_n}

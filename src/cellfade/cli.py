@@ -13,6 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import io as cio
@@ -22,8 +23,8 @@ from .errors import (AmbiguousRootsError, CellfadeError, ConfigError,
 from .identify import (ambiguity_experiment, invert_with_expansion,
                        invert_without_expansion, sample_family)
 from .measurement import forward_measure
-from .params import load_cell_config
-from .protocol import reference_capacity, run_campaign, run_rpt
+from .params import _number, load_cell_config
+from .protocol import Campaign, reference_capacity, run_campaign, run_rpt
 from .electrochem import pristine_inventory
 
 EXIT_OK = 0
@@ -36,6 +37,19 @@ def _outdir(path):
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _positive(kind):
+    """argparse type: a finite number of kind (int or float) above zero."""
+    def parse(text):
+        try:
+            value = _number(kind, text, "value")
+            if value <= 0:
+                raise ConfigError(f"value must be > 0, got {text!r}")
+        except ConfigError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+    return parse
 
 
 @contextmanager
@@ -64,12 +78,10 @@ def cmd_simulate(args):
         campaign = cio.load_campaign(args.campaign, c1)
         cfg_key, cfg_path = "campaign", args.campaign
     else:
-        from .protocol import Campaign
-        steps = cio.load_protocol(args.protocol, c1)
-        campaign = Campaign(cycle_protocol=steps, max_cycles=args.max_cycles or 1)
+        campaign = Campaign(cio.load_protocol(args.protocol, c1), max_cycles=1)
         cfg_key, cfg_path = "protocol", args.protocol
-    if args.max_cycles:
-        campaign.max_cycles = args.max_cycles
+    if args.max_cycles is not None:
+        campaign = replace(campaign, max_cycles=args.max_cycles)
     out = _outdir(args.out)
     traj, rul, eol = run_campaign(cell, campaign, dt=args.dt,
                                   dt_rest=args.dt_rest)
@@ -167,8 +179,6 @@ def cmd_identify(args):
 
 def cmd_ambiguity_demo(args):
     t0 = time.monotonic()
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     params, deg = load_cell_config(args.cell)
     c1 = reference_capacity(params)
     y, n_members, campaign, budget = cio.load_ambiguity_config(args.demo, c1)
@@ -218,7 +228,7 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0,
                        help="recorded in the manifest; seeds optional noise")
-        p.add_argument("--dt", type=float, default=10.0,
+        p.add_argument("--dt", type=_positive(float), default=10.0,
                        help="timestep during active steps, s")
         if state:
             p.add_argument("--state", help="resume from a state JSON")
@@ -228,8 +238,8 @@ def build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--campaign", help="campaign YAML (steps + EOL settings)")
     g.add_argument("--protocol", help="protocol YAML (single pass steps)")
-    p.add_argument("--dt-rest", type=float, default=60.0)
-    p.add_argument("--max-cycles", type=int, default=0,
+    p.add_argument("--dt-rest", type=_positive(float), default=60.0)
+    p.add_argument("--max-cycles", type=_positive(int),
                    help="override the campaign cycle cap")
     p.set_defaults(fn=cmd_simulate)
 
@@ -245,14 +255,14 @@ def build_parser():
     g.add_argument("--without-expansion", action="store_true")
     p.add_argument("--no-lli-budget", action="store_true",
                    help="disable the lithium-budget feasibility filter")
-    p.add_argument("--family-samples", type=int, default=3)
+    p.add_argument("--family-samples", type=_positive(int), default=3)
     p.set_defaults(fn=cmd_identify)
 
     p = sub.add_parser("ambiguity", help="same-measurement divergence demo")
     common(p)
     p.add_argument("--demo", required=True, help="demo YAML")
-    p.add_argument("--dt-rest", type=float, default=60.0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--dt-rest", type=_positive(float), default=60.0)
+    p.add_argument("--jobs", type=_positive(int), default=1,
                    help="age the members in up to this many processes")
     p.set_defaults(fn=cmd_ambiguity_demo)
     return ap

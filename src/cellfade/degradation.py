@@ -125,23 +125,24 @@ def hydrostatic_stress(lam, electrode, c_ss, c_avg, params):
     return gain * (c_avg - c_ss) / cmax
 
 
-@dataclass
+@dataclass(frozen=True)
 class StressExtrema:
-    """Running per-cycle stress envelope, Pa."""
+    """Per-cycle stress envelope, Pa."""
     sigma_max_pos: float = 0.0
     sigma_min_pos: float = 0.0
     sigma_max_neg: float = 0.0
     sigma_min_neg: float = 0.0
 
     def update(self, sigma_pos, sigma_neg):
-        if sigma_pos > self.sigma_max_pos:
-            self.sigma_max_pos = sigma_pos
-        if sigma_pos < self.sigma_min_pos:
-            self.sigma_min_pos = sigma_pos
-        if sigma_neg > self.sigma_max_neg:
-            self.sigma_max_neg = sigma_neg
-        if sigma_neg < self.sigma_min_neg:
-            self.sigma_min_neg = sigma_neg
+        """The envelope widened to hold both stresses; itself when it
+        already does."""
+        if (self.sigma_min_pos <= sigma_pos <= self.sigma_max_pos
+                and self.sigma_min_neg <= sigma_neg <= self.sigma_max_neg):
+            return self
+        return StressExtrema(max(self.sigma_max_pos, sigma_pos),
+                             min(self.sigma_min_pos, sigma_pos),
+                             max(self.sigma_max_neg, sigma_neg),
+                             min(self.sigma_min_neg, sigma_neg))
 
 
 def lam_cycle_update(state, extrema, lam, params):

@@ -19,7 +19,8 @@ from .degradation import (DegradationState, plated_lithium_moles,
                           sei_lithium_moles)
 from .errors import AmbiguousRootsError, ConfigError, InfeasibleError
 from .measurement import (forward_measure, kinetic_resistance,
-                          material_loss_expansion, synthesize_pseudo_ocv)
+                          material_loss_expansion, operating_point,
+                          synthesize_pseudo_ocv)
 from .electrochem import pristine_inventory, solve_window
 from .protocol import run_campaign
 
@@ -37,15 +38,9 @@ class IdentificationResult:
     residual: dict = field(default_factory=dict)
 
 
-def _operating_point(params, C_p, C_n, LLI, n_li0):
-    """Mid-window stoichiometries implied by the measured health triple."""
-    w = solve_window(params, C_p, C_n, n_li0 * (1.0 - LLI))
-    return 0.5 * (w.x_0 + w.x_100), 0.5 * (w.y_0 + w.y_100)
-
-
 def _film_target(params, deg_params, y, n_li0):
     """Areal film resistance the measurement demands, ohm*m^2."""
-    x_mid, y_mid = _operating_point(params, y.C_p, y.C_n, y.LLI, n_li0)
+    x_mid, y_mid = operating_point(params, y.C_p, y.C_n, y.LLI, n_li0)
     h4 = kinetic_resistance(params, y.C_p, y.C_n, x_mid, y_mid)
     gap = y.R_s - h4
     if gap < -REL_TOL * max(y.R_s, h4):

@@ -102,6 +102,13 @@ def irreversible_expansion(exp_params, state, params):
 
 # --- the forward measurement map used by identification ---
 
+def operating_point(params, C_p, C_n, LLI, n_li0):
+    """Mid-window stoichiometries (x, y) implied by a health triple: where
+    forward_measure reads R_s and where the inversion reads it back."""
+    w = solve_window(params, C_p, C_n, n_li0 * (1.0 - LLI))
+    return 0.5 * (w.x_0 + w.x_100), 0.5 * (w.y_0 + w.y_100)
+
+
 def forward_measure(params, deg_params, state, n_li0):
     """Noiseless measurement vector of a degradation state.
 
@@ -109,10 +116,8 @@ def forward_measure(params, deg_params, state, n_li0):
     own stoichiometric window; inversion reconstructs the same operating
     point from (C_p, C_n, LLI), so the map is exactly invertible.
     """
-    n_li = n_li0 * (1.0 - state.LLI)
-    w = solve_window(params, state.C_p, state.C_n, n_li)
-    x_mid = 0.5 * (w.x_0 + w.x_100)
-    y_mid = 0.5 * (w.y_0 + w.y_100)
+    x_mid, y_mid = operating_point(params, state.C_p, state.C_n, state.LLI,
+                                   n_li0)
     return MeasurementVector(
         C_p=state.C_p, C_n=state.C_n, LLI=state.LLI,
         R_s=instantaneous_resistance(params, deg_params, state, x_mid, y_mid),

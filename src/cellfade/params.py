@@ -9,6 +9,7 @@ fluxes from that one choice.
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
+from pathlib import Path
 
 import yaml
 
@@ -252,7 +253,9 @@ _PARAMETER_CLASSES = (SEIParameters, PlatingParameters, LAMParameters,
                       ExpansionParameters)
 
 
-def _load_ocp(raw, name, where):
+def _load_ocp(raw, name, path, where):
+    """The OCP table named by raw[name]: a builtin, or a CSV path resolved
+    relative to the cell file at path."""
     spec = raw.get(name)
     if not isinstance(spec, str):
         raise ConfigError(f"{where}: {name} must be a file path or "
@@ -260,7 +263,7 @@ def _load_ocp(raw, name, where):
     try:
         if spec.startswith("builtin:"):
             return load_builtin(spec.split(":", 1)[1])
-        return MonotoneOCPTable.from_file(spec, name=name)
+        return MonotoneOCPTable.from_file(Path(path).parent / spec, name=name)
     except ConfigError as e:
         raise ConfigError(f"{where}: {e}") from None
 
@@ -269,7 +272,8 @@ def load_cell_config(path):
     """Read a flat key-value YAML cell file.
 
     Returns (CellParameters, DegradationParameters). OCP tables are given
-    as file paths or "builtin:graphite" / "builtin:nmc".
+    as "builtin:graphite" / "builtin:nmc" or as CSV paths relative to the
+    cell file.
     """
     raw = read_mapping(path, "cell config")
     where = f"cell config {path}"
@@ -279,8 +283,8 @@ def load_cell_config(path):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
     cell = from_mapping(CellParameters, raw, where,
-                        ocp_pos=_load_ocp(raw, "ocp_pos", where),
-                        ocp_neg=_load_ocp(raw, "ocp_neg", where))
+                        ocp_pos=_load_ocp(raw, "ocp_pos", path, where),
+                        ocp_neg=_load_ocp(raw, "ocp_neg", path, where))
     deg = DegradationParameters(*(from_mapping(cls, raw, where)
                                   for cls in _PARAMETER_CLASSES))
     return cell, deg

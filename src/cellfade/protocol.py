@@ -166,7 +166,7 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
     t = 0.0
     q_signed = 0.0
     base_dt = dt_rest if step.mode == "rest" else dt
-    i_cv = None
+    i_cv = 0.0
     time_terms = [c for c in step.terminations if c.quantity == "time"]
     while True:
         if t >= STEP_TIME_CAP:
@@ -177,7 +177,6 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
         for c in time_terms:
             dt_eff = min(dt_eff, max(c.threshold - t, MIN_DT * 1e-3))
 
-        fired = None
         while True:   # refine dt near thresholds
             snap = cell.get_state()
             if step.mode == "rest":
@@ -185,39 +184,29 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
             elif step.mode == "cc":
                 I = step.setpoint
             else:
-                if i_cv is None:
-                    i_cv = 0.0
                 I = _solve_cv_current(cell, step.setpoint, dt_eff, i_cv)
+            saturated = None
             try:
                 rec = cell.step(I, dt_eff)
-            except SaturationError:
-                cell.set_state(snap)
-                if dt_eff <= MIN_DT:
-                    raise
-                dt_eff = max(dt_eff / 2.0, MIN_DT)
-                continue
-
-            fired = None
-            overshoot = False
-            for c in step.terminations:
-                if c.quantity == "time":
-                    if c.met(t + dt_eff):
+            except SaturationError as e:
+                saturated = e
+            else:
+                now = {"time": t + dt_eff, "voltage": rec["V"],
+                       "current": rec["I"]}
+                fired = None
+                for c in step.terminations:
+                    if c.met(now[c.quantity]):
                         fired = c
-                elif c.quantity == "voltage":
-                    if c.met(rec["V"]):
-                        fired = c
-                        if abs(rec["V"] - c.threshold) > VOLTAGE_BAND:
-                            overshoot = True
-                elif c.quantity == "current":
-                    if c.met(rec["I"]):
-                        fired = c
-                if fired is not None:
+                        break
+                overshoot = (fired is not None and fired.quantity == "voltage"
+                             and abs(rec["V"] - fired.threshold) > VOLTAGE_BAND)
+                if not overshoot or dt_eff <= MIN_DT:
                     break
-            if overshoot and dt_eff > MIN_DT:
-                cell.set_state(snap)
-                dt_eff = max(dt_eff / 2.0, MIN_DT)
-                continue
-            break
+            # rejected: saturated, or a voltage threshold overshot
+            cell.set_state(snap)
+            if saturated is not None and dt_eff <= MIN_DT:
+                raise saturated
+            dt_eff = max(dt_eff / 2.0, MIN_DT)
 
         if step.mode == "cv":
             i_cv = I
@@ -244,6 +233,18 @@ def run_protocol(cell, steps, dt=10.0, dt_rest=60.0, trajectory=None,
     return t, discharged
 
 
+def _sweep(cell, current, until, dt):
+    """Constant current until the termination fires. Returns the charge
+    passed so far at each step (Ah, discharge positive) and the terminal
+    voltage at each step."""
+    traj = Trajectory()
+    run_step(cell, ProtocolStep("cc", current, [until]), dt=dt,
+             trajectory=traj)
+    a = traj.arrays()
+    q = np.cumsum(a["I"] * np.diff(np.concatenate([[0.0], a["t"]]))) / 3600.0
+    return q, a["V"]
+
+
 def run_rpt(cell, dt=10.0, pulse_c_rate=0.1):
     """Characterize the cell without aging it.
 
@@ -266,25 +267,14 @@ def run_rpt(cell, dt=10.0, pulse_c_rate=0.1):
     ]
     run_protocol(probe, top, dt=dt)
 
-    traj_d = Trajectory()
-    dis = ProtocolStep("cc", c1 / 20.0,
-                       [Termination("voltage", "<=", p.V_min)])
-    run_step(probe, dis, dt=dt, trajectory=traj_d)
-    a = traj_d.arrays()
-    q_d = np.cumsum(a["I"] * np.diff(np.concatenate([[0.0], a["t"]]))) / 3600.0
-    v_d = a["V"]
+    q_d, v_d = _sweep(probe, c1 / 20.0, Termination("voltage", "<=", p.V_min),
+                      dt)
     capacity = float(q_d[-1])
-
     run_step(probe, ProtocolStep("rest", 0.0,
                                  [Termination("time", ">=", 600.0)]), dt=dt)
-    traj_c = Trajectory()
-    chg = ProtocolStep("cc", -c1 / 20.0,
-                       [Termination("voltage", ">=", p.V_max)])
-    run_step(probe, chg, dt=dt, trajectory=traj_c)
-    b = traj_c.arrays()
-    q_c = capacity + np.cumsum(
-        b["I"] * np.diff(np.concatenate([[0.0], b["t"]]))) / 3600.0
-    v_c = b["V"]
+    q_c, v_c = _sweep(probe, -c1 / 20.0, Termination("voltage", ">=", p.V_max),
+                      dt)
+    q_c = capacity + q_c
 
     # average discharge and charge branches on a common removed-charge axis
     grid = np.linspace(max(q_d.min(), q_c.min()),
@@ -337,29 +327,23 @@ def run_campaign(cell, campaign, dt=10.0, dt_rest=60.0, keep_series=True,
     rul = 0
     eol = False
     for cyc in range(1, campaign.max_cycles + 1):
+        rpt_rec = None
         if campaign.rpt_every and (cyc - 1) % campaign.rpt_every == 0:
-            rpt = run_rpt(cell, dt=dt)
-            rpt_rec = {k: rpt[k] for k in
-                       ("capacity_Ah", "R_s_ohm", "delta_irr_m", "esoh")}
-            if "esoh_error" in rpt:
-                rpt_rec["esoh_error"] = rpt["esoh_error"]
-        else:
-            rpt_rec = None
+            rpt_rec = run_rpt(cell, dt=dt)
+            del rpt_rec["pseudo_ocv"]
         try:
             el, discharged = run_protocol(cell, campaign.cycle_protocol,
                                           dt=dt, dt_rest=dt_rest,
                                           trajectory=series, t0=t_abs, cycle=cyc)
             cell.apply_cycle_fatigue()
         except CellDeadError:
-            eol = True
-            traj.cycles.append(CycleRecord(
-                cycle=cyc, capacity_Ah=0.0,
-                degradation=cell.degradation.as_dict(), rpt=rpt_rec))
-            break
-        t_abs += el
+            discharged, eol = 0.0, True
         traj.cycles.append(CycleRecord(
             cycle=cyc, capacity_Ah=discharged,
             degradation=cell.degradation.as_dict(), rpt=rpt_rec))
+        if eol:
+            break
+        t_abs += el
         if progress is not None:
             progress(cyc, discharged)
         if discharged < threshold:

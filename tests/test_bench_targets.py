@@ -1,0 +1,68 @@
+"""The package names the benchmark in perfbench/ wraps and calls.
+
+perfbench/tracing.py patches each of its TARGETS by name and
+perfbench/workloads.py imports and calls package functions by name, so
+renaming or deleting one breaks the benchmark without failing any other
+test. The files are read here, never changed.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from cellfade import io as cio
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tracing_targets():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return [(m, a) for m, a, _ in mod.TARGETS]
+
+
+def _workload_names():
+    """(module, attribute) for every cellfade name workloads.py imports,
+    and for every attribute it reads off an imported cellfade module."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    names, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("cellfade"):
+            for a in node.names:
+                if node.module == "cellfade":   # a submodule
+                    modules[a.asname or a.name] = "cellfade." + a.name
+                else:
+                    names.add((node.module, a.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add((modules[node.value.id], node.attr))
+    return sorted(names)
+
+
+@pytest.mark.parametrize("module, attr", _tracing_targets())
+def test_tracer_target_exists(module, attr):
+    obj = importlib.import_module("cellfade." + module)
+    if "." in attr:   # the tracer replaces the method on its own class
+        cls_name, meth = attr.split(".")
+        obj = getattr(obj, cls_name)
+        assert meth in vars(obj), f"{module}.{attr}"
+    else:
+        assert callable(getattr(obj, attr, None)), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("module, attr", _workload_names())
+def test_workload_name_exists(module, attr):
+    assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+def test_write_manifest_takes_seed_third():
+    # the campaign workload passes it positionally
+    params = list(inspect.signature(cio.write_manifest).parameters)
+    assert params[2] == "seed"

@@ -97,6 +97,16 @@ def test_get_set_state_round_trip(cell):
     assert snap[2] == ext0 and cell.extrema != ext0
 
 
+def test_snapshot_and_rollback_keep_references(cell):
+    cell.step(2.0, 10.0)
+    snap = cell.get_state()
+    held = (cell.particles, cell.degradation, cell.extrema)
+    assert all(a is b for a, b in zip(snap, held))
+    cell.step(2.0, 10.0)
+    cell.set_state(snap)
+    assert all(a is b for a, b in zip(cell.get_state(), held))
+
+
 def count_advances(cell, monkeypatch):
     """Record every kernel evaluation the cell makes from here on."""
     calls = []

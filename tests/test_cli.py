@@ -382,6 +382,32 @@ MALFORMED = [
                  id="demo-no-members"),
     pytest.param(lambda t: _ambiguity(t, jobs=2, n_members=0), "n_members",
                  id="demo-no-members-jobs-2"),
+    # numeric flags: finite and above zero, or exit 2 naming the flag
+    pytest.param(lambda t: (_simulate_flags("--protocol", PROTOCOL, "--dt", "0"),
+                            "--dt"), "> 0", id="dt-zero"),
+    pytest.param(lambda t: (_simulate_flags("--protocol", PROTOCOL, "--dt", "-5"),
+                            "--dt"), "> 0", id="dt-negative"),
+    pytest.param(lambda t: (_simulate_flags("--protocol", PROTOCOL, "--dt", "nan"),
+                            "--dt"), "finite", id="dt-nan"),
+    pytest.param(lambda t: (_simulate_flags("--protocol", PROTOCOL,
+                                            "--dt-rest", "0"), "--dt-rest"),
+                 "> 0", id="dt-rest-zero"),
+    pytest.param(lambda t: (_simulate_flags("--protocol", PROTOCOL,
+                                            "--dt-rest", "inf"), "--dt-rest"),
+                 "finite", id="dt-rest-inf"),
+    pytest.param(lambda t: (_simulate_flags(
+        "--campaign", str(DATA / "campaign_default.yaml"),
+        "--max-cycles", "-3"), "--max-cycles"), "> 0",
+        id="max-cycles-negative"),
+    pytest.param(lambda t: (_simulate_flags("--protocol", PROTOCOL,
+                                            "--max-cycles", "1.5"),
+                            "--max-cycles"), "finite int",
+                 id="max-cycles-fraction"),
+    pytest.param(lambda t: (_identify(t)[0] + ["--family-samples", "0"],
+                            "--family-samples"), "> 0",
+                 id="family-samples-zero"),
+    pytest.param(lambda t: (_ambiguity(t)[0] + ["--dt-rest", "0"],
+                            "--dt-rest"), "> 0", id="ambiguity-dt-rest-zero"),
     # simulate takes exactly one of --campaign and --protocol
     pytest.param(lambda t: (_simulate_flags(), "--campaign"), "--protocol",
                  id="simulate-neither"),

@@ -1,5 +1,6 @@
 """Unit behavior of the aging mechanisms: films, fatigue, inventory."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -186,13 +187,17 @@ class TestStressAndLAM:
 
     def test_extrema_tracking(self):
         ex = StressExtrema()
-        ex.update(5.0, -2.0)
-        ex.update(3.0, -7.0)
-        ex.update(8.0, 1.0)
+        ex = ex.update(5.0, -2.0)
+        ex = ex.update(3.0, -7.0)
+        ex = ex.update(8.0, 1.0)
         assert ex.sigma_max_pos == 8.0
         assert ex.sigma_min_pos == 0.0   # never went negative
         assert ex.sigma_max_neg == 1.0
         assert ex.sigma_min_neg == -7.0
+        # a value: stresses inside the envelope keep it, fields are frozen
+        assert ex.update(4.0, -7.0) is ex
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ex.sigma_max_pos = 9.0
 
     def test_cycle_update_reduces_capacities(self, params, degp):
         state = DegradationState(0.0, 0.0, params.C_p_nom, params.C_n_nom, 0.0)

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.errors import ConfigError
+from cellfade.params import load_cell_config
 from cellfade.protocol import (ProtocolStep, Termination, Trajectory,
                                run_protocol)
 
@@ -25,6 +27,21 @@ def test_packaged_protocol_loads():
     cv_term = steps[3].terminations[0]
     assert cv_term.quantity == "current" and cv_term.comparator == "abs<="
     assert cv_term.threshold == pytest.approx(0.2)
+
+
+def test_relative_ocp_path_resolves_against_cell_file(params, tmp_path,
+                                                      monkeypatch):
+    cell = yaml.safe_load((DATA / "cell_default.yaml").read_text())
+    cell["ocp_pos"] = "tables/nmc.csv"
+    (tmp_path / "cells" / "tables").mkdir(parents=True)
+    (tmp_path / "cells" / "tables" / "nmc.csv").write_text(
+        (DATA / "ocp_nmc.csv").read_text())
+    path = tmp_path / "cells" / "cell.yaml"
+    path.write_text(yaml.safe_dump(cell))
+    monkeypatch.chdir(tmp_path)   # tables/nmc.csv is not here
+    loaded, _ = load_cell_config(path)
+    assert np.array_equal(loaded.ocp_pos.stoich, params.ocp_pos.stoich)
+    assert np.array_equal(loaded.ocp_pos.potential, params.ocp_pos.potential)
 
 
 def test_packaged_campaign_references_protocol():
