@@ -42,11 +42,13 @@ for rec in traj.cycles:
              rec.rpt["delta_irr_m"] * 1e6,
              ", eSOH C_p %.3f C_n %.3f" % (e["C_p"], e["C_n"]) if e else ""))
 
-with open(OUT / "aging_campaign.csv", "w") as f:
-    f.write("cycle,capacity_Ah,delta_sei_m,delta_pl_m,LLI,C_p,C_n\n")
-    for rec in traj.cycles:
-        d = rec.degradation
-        f.write("%d,%.6f,%.6e,%.6e,%.6f,%.6f,%.6f\n"
-                % (rec.cycle, rec.capacity_Ah, d["delta_sei"], d["delta_pl"],
-                   d["LLI"], d["C_p"], d["C_n"]))
+degs = [rec.degradation for rec in traj.cycles]
+cio.write_csv(OUT / "aging_campaign.csv", {
+    "cycle": [rec.cycle for rec in traj.cycles],
+    "capacity_Ah": [rec.capacity_Ah for rec in traj.cycles],
+    "delta_sei_m": [d["delta_sei"] for d in degs],
+    "delta_pl_m": [d["delta_pl"] for d in degs],
+    "LLI": [d["LLI"] for d in degs],
+    "C_p": [d["C_p"] for d in degs],
+    "C_n": [d["C_n"] for d in degs]})
 print("\nwrote aging_campaign.csv, wall %.1f s" % (time.time() - t0))

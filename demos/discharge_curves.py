@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import cellfade as cf
+from cellfade import io as cio
 from cellfade.protocol import ProtocolStep, Termination, Trajectory, run_step
 
 OUT = Path(__file__).resolve().parent / "out"
@@ -32,10 +33,8 @@ for label, rate in [("C/20", c1 / 20.0), ("C/2", c1 / 2.0), ("1C", c1)]:
     a = traj.arrays()
     q = np.cumsum(a["I"] * np.diff(np.concatenate([[0.0], a["t"]]))) / 3600.0
     curves[label] = (q, a["V"])
-    with open(OUT / ("discharge_%s.csv" % label.replace("/", "")), "w") as f:
-        f.write("q_Ah,V_V\n")
-        for qi, vi in zip(q, a["V"]):
-            f.write("%.6f,%.6f\n" % (qi, vi))
+    cio.write_csv(OUT / ("discharge_%s.csv" % label.replace("/", "")),
+                  {"q_Ah": q, "V_V": a["V"]})
     print("%-4s  delivered %.3f Ah  (%.1f%% of quasi-static)"
           % (label, q[-1], 100.0 * q[-1] / ref.capacity_Ah[-1]))
 

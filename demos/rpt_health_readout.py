@@ -11,7 +11,6 @@ from pathlib import Path
 
 import cellfade as cf
 from cellfade import io as cio
-from cellfade.measurement import PseudoOCV
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -47,7 +46,5 @@ print("  R_s pulse      %.4f ohm, expansion %.1f um"
 d2 = cell.degradation
 assert d2.delta_sei == d.delta_sei and d2.LLI == d.LLI
 
-curve = rpt["pseudo_ocv"]
-cio.write_pseudo_ocv_csv(OUT / "rpt_pseudo_ocv.csv",
-                         PseudoOCV(curve.capacity_Ah, curve.voltage))
+cio.write_pseudo_ocv_csv(OUT / "rpt_pseudo_ocv.csv", rpt["pseudo_ocv"])
 print("\nwrote rpt_pseudo_ocv.csv, wall %.1f s" % (time.time() - t0))

@@ -62,10 +62,9 @@ print("pairwise RUL gaps: %s cycles (up to %.0f%% of the best member)"
       % (gaps, 100 * max(gaps) / max(ruls)))
 
 for i, m in enumerate(report["members"]):
-    with open(OUT / ("triage_member_%d.csv" % (i + 1)), "w") as f:
-        f.write("cycle,capacity_Ah\n")
-        for cyc, cap in m["capacity_curve"]:
-            f.write("%d,%.6f\n" % (cyc, cap))
+    cio.write_csv(OUT / ("triage_member_%d.csv" % (i + 1)), {
+        "cycle": [cyc for cyc, _ in m["capacity_curve"]],
+        "capacity_Ah": [cap for _, cap in m["capacity_curve"]]})
 
 # --- step 2: the expansion channel breaks the tie ---
 print("\nwith the expansion reading added to each member's vector:")

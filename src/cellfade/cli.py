@@ -1,11 +1,13 @@
 """Command-line surface.
 
-Subcommands: simulate, rpt, identify, ambiguity. Outputs are plot-ready
-CSV/JSON plus a manifest with content hashes; identical config and seed
-reproduce outputs byte for byte.
+Subcommands: simulate, rpt, identify, ambiguity. Each computes and returns
+its exit code with the files to write; main writes them and a manifest
+with their content hashes. Outputs are plot-ready CSV/JSON, and the same
+inputs reproduce them byte for byte.
 
-Exit codes: 0 ok, 2 input error, 3 infeasible (or ambiguous)
-identification, 4 numerical failure.
+Exit codes: 0 ok, 2 input error or unwritable --out, 3 infeasible (or
+ambiguous) identification, 4 numerical failure. --out is created only
+for exit 0 or 3.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import io as cio
@@ -32,11 +35,9 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-
-def _outdir(path):
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# input-file flags, recorded in the manifest when set
+CONFIG_FLAGS = ("cell", "campaign", "protocol", "state", "measurements",
+                "demo")
 
 
 def _positive(kind):
@@ -63,7 +64,7 @@ def _input(where):
 
 def _load_cell(args):
     params, deg = load_cell_config(args.cell)
-    if getattr(args, "state", None):
+    if args.state:
         cell = cio.load_state(args.state, params, deg)
     else:
         cell = Cell(params, deg)
@@ -71,55 +72,40 @@ def _load_cell(args):
 
 
 def cmd_simulate(args):
-    t0 = time.monotonic()
     params, deg, cell = _load_cell(args)
     c1 = reference_capacity(params)
     if args.campaign:
         campaign = cio.load_campaign(args.campaign, c1)
-        cfg_key, cfg_path = "campaign", args.campaign
     else:
         campaign = Campaign(cio.load_protocol(args.protocol, c1), max_cycles=1)
-        cfg_key, cfg_path = "protocol", args.protocol
     if args.max_cycles is not None:
         campaign = replace(campaign, max_cycles=args.max_cycles)
-    out = _outdir(args.out)
     traj, rul, eol = run_campaign(cell, campaign, dt=args.dt,
                                   dt_rest=args.dt_rest)
-    cio.write_trajectory_csv(out / "trajectory.csv", traj)
-    cio.write_cycles_json(out / "cycles.json", traj, extra={
-        "rul_cycles": rul, "eol_reached": eol,
-        "reference_capacity_Ah": c1})
-    cio.save_state(out / "state_final.json", cell)
-    configs = {"cell": args.cell, cfg_key: cfg_path}
-    if getattr(args, "state", None):
-        configs["state"] = args.state
-    cio.write_manifest(out, configs, args.seed,
-                       ["trajectory.csv", "cycles.json", "state_final.json"],
-                       time.monotonic() - t0)
     print(f"cycles run: {len(traj.cycles)}  rul: {rul}  eol: {eol}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "trajectory.csv": partial(cio.write_trajectory_csv, traj=traj),
+        "cycles.json": partial(cio.write_cycles_json, traj=traj, extra={
+            "rul_cycles": rul, "eol_reached": eol,
+            "reference_capacity_Ah": c1}),
+        "state_final.json": partial(cio.save_state, cell=cell),
+    }
 
 
 def cmd_rpt(args):
-    t0 = time.monotonic()
     params, deg, cell = _load_cell(args)
-    out = _outdir(args.out)
     rpt = run_rpt(cell, dt=args.dt)
-    cio.write_pseudo_ocv_csv(out / "pseudo_ocv.csv", rpt.pop("pseudo_ocv"))
-    cio.write_json(out / "rpt.json", rpt)
-    configs = {"cell": args.cell}
-    if getattr(args, "state", None):
-        configs["state"] = args.state
-    cio.write_manifest(out, configs, args.seed,
-                       ["pseudo_ocv.csv", "rpt.json"], time.monotonic() - t0)
+    curve = rpt.pop("pseudo_ocv")
     print(f"capacity: {rpt['capacity_Ah']:.4f} Ah  "
           f"R_s: {rpt['R_s_ohm'] * 1e3:.3f} mOhm  "
           f"delta_irr: {rpt['delta_irr_m'] * 1e6:.3f} um")
-    return EXIT_OK
+    return EXIT_OK, {
+        "pseudo_ocv.csv": partial(cio.write_pseudo_ocv_csv, curve=curve),
+        "rpt.json": partial(cio.write_json, doc=rpt),
+    }
 
 
 def cmd_identify(args):
-    t0 = time.monotonic()
     params, deg = load_cell_config(args.cell)
     y = cio.load_measurements(args.measurements)
     n_li0 = pristine_inventory(params)
@@ -170,15 +156,10 @@ def cmd_identify(args):
         doc.update({"kind": "infeasible", "error": str(e)})
         print(f"infeasible: {e}", file=sys.stderr)
         code = EXIT_INFEASIBLE
-    out = _outdir(args.out)
-    cio.write_json(out / "identification.json", doc)
-    cio.write_manifest(out, {"cell": args.cell, "measurements": args.measurements},
-                       args.seed, ["identification.json"], time.monotonic() - t0)
-    return code
+    return code, {"identification.json": partial(cio.write_json, doc=doc)}
 
 
 def cmd_ambiguity_demo(args):
-    t0 = time.monotonic()
     params, deg = load_cell_config(args.cell)
     c1 = reference_capacity(params)
     y, n_members, campaign, budget = cio.load_ambiguity_config(args.demo, c1)
@@ -195,26 +176,21 @@ def cmd_ambiguity_demo(args):
                 dt_rest=args.dt_rest, lli_budget=budget,
                 progress=lambda s: print(s, file=sys.stderr), map=members_map)
 
-    out = _outdir(args.out)
     curve = report.pop("pseudo_ocv")
-    cio.write_pseudo_ocv_csv(out / "pseudo_ocv.csv", curve)
-    outputs = ["pseudo_ocv.csv", "ambiguity.json"]
+    files = {"pseudo_ocv.csv": partial(cio.write_pseudo_ocv_csv, curve=curve),
+             "ambiguity.json": partial(cio.write_json, doc=report)}
     for i, m in enumerate(report["members"]):
-        name = f"member_{i + 1}_capacity.csv"
-        with open(out / name, "w") as f:
-            f.write("cycle,capacity_Ah,delta_sei_m,delta_pl_m,LLI\n")
-            for (cyc, cap), (_, d) in zip(m["capacity_curve"],
-                                          m["degradation_curve"]):
-                f.write(f"{cyc},{cap!r},{d['delta_sei']!r},"
-                        f"{d['delta_pl']!r},{d['LLI']!r}\n")
-        outputs.append(name)
-    cio.write_json(out / "ambiguity.json", report)
-    cio.write_manifest(out, {"cell": args.cell, "demo": args.demo},
-                       args.seed, outputs, time.monotonic() - t0)
+        degs = [d for _, d in m["degradation_curve"]]
+        files[f"member_{i + 1}_capacity.csv"] = partial(cio.write_csv, columns={
+            "cycle": [c for c, _ in m["capacity_curve"]],
+            "capacity_Ah": [q for _, q in m["capacity_curve"]],
+            "delta_sei_m": [d["delta_sei"] for d in degs],
+            "delta_pl_m": [d["delta_pl"] for d in degs],
+            "LLI": [d["LLI"] for d in degs]})
     ruls = [m["rul_cycles"] for m in report["members"]]
     print(f"member RULs: {ruls}  spread: "
           f"{report.get('rul_spread_rel', 0.0):.3f}")
-    return EXIT_OK
+    return EXIT_OK, files
 
 
 def build_parser():
@@ -223,13 +199,14 @@ def build_parser():
         description="Battery degradation simulation and health identification")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, state=False):
+    def common(p, state=False, dt=True):
         p.add_argument("--cell", required=True, help="cell config YAML")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the manifest; seeds optional noise")
-        p.add_argument("--dt", type=_positive(float), default=10.0,
-                       help="timestep during active steps, s")
+                       help="recorded in the manifest, used nowhere else")
+        if dt:
+            p.add_argument("--dt", type=_positive(float), default=10.0,
+                           help="timestep during active steps, s")
         if state:
             p.add_argument("--state", help="resume from a state JSON")
 
@@ -248,7 +225,7 @@ def build_parser():
     p.set_defaults(fn=cmd_rpt)
 
     p = sub.add_parser("identify", help="invert a measurement vector")
-    common(p)
+    common(p, dt=False)
     p.add_argument("--measurements", required=True, help="measurement JSON")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--with-expansion", action="store_true")
@@ -275,8 +252,9 @@ def main(argv=None):
     except SystemExit as e:
         # argparse exits 2 on bad input already; normalize other exits
         return int(e.code) if e.code else 0
+    t0 = time.monotonic()
     try:
-        return args.fn(args)
+        code, files = args.fn(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -289,6 +267,19 @@ def main(argv=None):
     except CellfadeError as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            write(out / name)
+        configs = {k: getattr(args, k) for k in CONFIG_FLAGS
+                   if getattr(args, k, None)}
+        cio.write_manifest(out, configs, args.seed, list(files),
+                           time.monotonic() - t0)
+    except OSError as e:
+        print(f"error: cannot write --out {args.out}: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

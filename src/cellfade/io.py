@@ -168,26 +168,29 @@ def load_state(path, params, deg_params):
 
 # --- result writers ---
 
-def _fmt(v):
-    return repr(float(v))
+_INTEGERS = (int, np.integer)
+
+
+def write_csv(path, columns):
+    """CSV with a header row and one row per index. columns maps each
+    header to an equal-length sequence (list or numpy array); integers are
+    written as integers and every other value as the repr of a float."""
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        for row in zip(*columns.values(), strict=True):
+            f.write(",".join([str(int(v)) if isinstance(v, _INTEGERS)
+                              else repr(float(v)) for v in row]) + "\n")
 
 
 def write_trajectory_csv(path, traj):
-    a = traj.arrays()
-    with open(path, "w") as f:
-        f.write("t_s,cycle,step_index,I_A,V_V,x,y\n")
-        for i in range(len(a["t"])):
-            f.write(",".join([
-                _fmt(a["t"][i]), str(int(a["cycle"][i])),
-                str(int(a["step_index"][i])), _fmt(a["I"][i]),
-                _fmt(a["V"][i]), _fmt(a["x"][i]), _fmt(a["y"][i])]) + "\n")
+    write_csv(path, {"t_s": traj.t, "cycle": traj.cycle,
+                     "step_index": traj.step_index, "I_A": traj.I,
+                     "V_V": traj.V, "x": traj.x, "y": traj.y})
 
 
 def write_pseudo_ocv_csv(path, curve):
-    with open(path, "w") as f:
-        f.write("capacity_Ah,voltage_V\n")
-        for q, v in zip(curve.capacity_Ah, curve.voltage):
-            f.write(f"{_fmt(q)},{_fmt(v)}\n")
+    write_csv(path, {"capacity_Ah": curve.capacity_Ah,
+                     "voltage_V": curve.voltage})
 
 
 def write_cycles_json(path, traj, extra=None):

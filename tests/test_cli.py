@@ -74,6 +74,8 @@ def test_simulate_resume_from_state(tmp_path):
                "--state", str(first / "state_final.json"),
                "--dt", "30", "--out", str(resumed)])
     assert rc == 0
+    assert set(read_json(resumed / "manifest.json")["configs"]) == {"cell",
+                                                                   "state"}
     aged = read_json(resumed / "rpt.json")
     fresh_dir = tmp_path / "fresh"
     rc = main(["rpt", "--cell", CELL, "--dt", "30", "--out", str(fresh_dir)])
@@ -109,6 +111,7 @@ def test_stalled_protocol_exits_4(tmp_path):
     rc = main(["simulate", "--cell", CELL, "--protocol", str(proto),
                "--dt-rest", "100000", "--out", str(tmp_path / "o")])
     assert rc == 4
+    assert not (tmp_path / "o").exists()
 
 
 def test_identify_family(tmp_path, params, degp, n_li0):
@@ -231,6 +234,9 @@ def test_ambiguity_demo_small(tmp_path, serial_demo, jobs):
     for name in ("ambiguity.json", "pseudo_ocv.csv", "member_1_capacity.csv",
                  "member_2_capacity.csv"):
         assert (out / name).read_bytes() == (serial_demo / name).read_bytes()
+    # every member CSV field is a plain number
+    rows = (out / "member_1_capacity.csv").read_text().splitlines()[1:]
+    assert rows and all(float(v) == float(v) for r in rows for v in r.split(","))
 
 
 def test_ambiguity_jobs_below_one_exits_2(tmp_path, capsys):
@@ -408,6 +414,9 @@ MALFORMED = [
                  id="family-samples-zero"),
     pytest.param(lambda t: (_ambiguity(t)[0] + ["--dt-rest", "0"],
                             "--dt-rest"), "> 0", id="ambiguity-dt-rest-zero"),
+    # identify never steps the cell, so it takes no timestep
+    pytest.param(lambda t: (_identify(t)[0] + ["--dt", "5"], "--dt"),
+                 "unrecognized", id="identify-dt"),
     # simulate takes exactly one of --campaign and --protocol
     pytest.param(lambda t: (_simulate_flags(), "--campaign"), "--protocol",
                  id="simulate-neither"),
@@ -428,3 +437,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, build, field):
     assert "error:" in err and path in err and field in err, err
     assert not (tmp_path / "o").exists()
 
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    argv, _ = _identify(tmp_path)
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(out) in err, err
+    assert out.read_text() == "keep\n"

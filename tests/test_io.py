@@ -177,6 +177,24 @@ def test_trajectory_csv_deterministic(params, degp, tmp_path):
     assert v_back == tr.V[0]
 
 
+@pytest.mark.parametrize("as_array", [False, True])
+def test_write_csv_round_trips_exactly(tmp_path, as_array):
+    ints = [0, -3, 2**53 + 1, 7]
+    floats = [2.0, -0.0, 1e-300, 1 / 3]
+    if as_array:
+        ints = np.array(ints, dtype=np.int64)
+        floats = np.array(floats, dtype=np.float64)
+    path = tmp_path / "c.csv"
+    cio.write_csv(path, {"n": ints, "v": floats})
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,v"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(n) for n, _ in rows] == list(ints)
+    assert [float(v).hex() for _, v in rows] == [float(v).hex() for v in floats]
+    cio.write_csv(path, {"n": ints[:0], "v": floats[:0]})
+    assert path.read_text() == "n,v\n"
+
+
 def test_manifest_hashes_outputs(params, degp, tmp_path):
     tr = _small_trajectory(params, degp)
     cio.write_trajectory_csv(tmp_path / "trajectory.csv", tr)
