@@ -143,13 +143,18 @@ def load_state(path, params, deg_params):
     if not isinstance(particles, dict):
         raise ConfigError(f"{where}: particles must be a mapping")
     profiles = []
-    for name in ("c_pos", "c_neg"):
+    for name, c_smax in (("c_pos", params.c_smax_pos),
+                         ("c_neg", params.c_smax_neg)):
         values = particles.get(name)
         what = f"{where}: particles {name}"
         if not isinstance(values, list) or len(values) != params.n_shells:
             raise ConfigError(f"{what} must be a list of n_shells "
                               f"({params.n_shells}) numbers")
-        profiles.append(np.array([_number(float, v, what) for v in values]))
+        c = np.array([_number(float, v, what) for v in values])
+        if c.min() < 0.0 or c.max() > c_smax:
+            raise ConfigError(f"{what} must lie in [0, c_smax {c_smax:g}], "
+                              f"got [{c.min():.6g}, {c.max():.6g}]")
+        profiles.append(c)
     deg = doc.get("degradation")
     unknown = (set(deg) - {f.name for f in fields(DegradationState)}
                if isinstance(deg, dict) else ())

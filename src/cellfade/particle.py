@@ -1,12 +1,17 @@
 """Radial solid diffusion in spherical particles.
 
 Finite-volume shells on a fixed mesh, backward-Euler in time. The propagator
-(I - dt*M)^-1 is cached per timestep size, so advancing a particle is one
+P = (I - dt*M)^-1 is cached per timestep size, so advancing a particle is one
 small matrix-vector product; that is what makes multi-month aging runs cheap.
 
 Flux sign: surface molar flux j > 0 removes lithium from the particle
 (delithiation). Concentrations are never clamped; a step that would leave
 [0, c_smax] raises SaturationError.
+
+P has no negative entry and rows summing to 1, so min(P c) >= min(c) and
+max(P c) <= max(c). A step moves an enclosure (lo, hi) of the profile in
+closed form and takes the exact min and max only when it leaves [0, c_smax];
+inside, the exact check cannot fail, so no step's outcome changes.
 """
 
 from dataclasses import dataclass, field
@@ -47,27 +52,41 @@ class SphereFV:
         self._props = {}
 
     def _propagator(self, dt):
-        key = dt
-        got = self._props.get(key)
+        """(P, P e, min(P e), max(P e), slack) for one timestep size."""
+        got = self._props.get(dt)
         if got is None:
             P = np.linalg.inv(np.eye(self.n) - dt * self._M)
-            got = (P, P @ self._e)
+            Pe = P @ self._e
+            # Rounding of a step and its enclosure per c_smax: the row sums'
+            # measured distance from 1, the n-term sums of the step and of
+            # that measurement, eight single operations. P < 0 voids it.
+            rho = np.abs(P.sum(axis=1) - 1.0).max() if P.min() >= 0.0 else np.inf
+            slack = float(rho + (self.n + 4) * np.finfo(float).eps) * self.c_smax
+            got = (P, Pe, float(Pe.min()), float(Pe.max()), slack)
             if len(self._props) > 64:
                 self._props.clear()
-            self._props[key] = got
+            self._props[dt] = got
         return got
 
-    def step(self, c, j, dt):
-        """Advance one backward-Euler step under surface molar flux j."""
-        P, Pe = self._propagator(dt)
-        c_new = P @ c - (dt * j) * Pe
-        lo = c_new.min()
-        hi = c_new.max()
+    def step(self, c, j, dt, enclosure=None):
+        """Advance one backward-Euler step under surface molar flux j.
+        Returns c_new and its enclosure, moved from c's enclosure (inside
+        [0, c_smax]) or, past those ends or from None, computed exactly."""
+        P, Pe, pe_lo, pe_hi, slack = self._propagator(dt)
+        s = dt * j
+        c_new = P @ c - s * Pe
+        if enclosure is not None:
+            e_lo, e_hi = (pe_hi, pe_lo) if s >= 0.0 else (pe_lo, pe_hi)
+            lo = enclosure[0] - s * e_lo - slack
+            hi = enclosure[1] - s * e_hi + slack
+            if lo >= 0.0 and hi <= self.c_smax:   # NaN falls through
+                return c_new, (lo, hi)
+        lo, hi = float(c_new.min()), float(c_new.max())
         if lo < 0.0 or hi > self.c_smax:
             raise SaturationError(
                 f"{self.name} particle concentration left [0, {self.c_smax:g}]: "
                 f"range [{lo:.6g}, {hi:.6g}] under flux {j:.6g}")
-        return c_new
+        return c_new, (lo, hi)
 
     def c_ss(self, c, j):
         """Surface concentration from the outermost shell and the flux BC."""
@@ -89,10 +108,14 @@ class ParticleState:
     """Radial concentration profiles for the electrode pair, mol/m^3.
 
     A value: stepping returns a new state and never writes into the
-    profiles, so derived quantities can be kept alongside them.
+    profiles, so derived quantities can be kept alongside them. enclosure
+    pairs a (lo, hi) in [0, c_smax] around each profile's min and max, or
+    None where unknown (read from a file); it only lets a step skip a range
+    check that cannot fail, so it changes no result.
     """
     c_pos: np.ndarray
     c_neg: np.ndarray
+    enclosure: tuple = field(default=None, repr=False, compare=False)
     # (c_avg_pos, c_avg_neg, y, x), filled on first use by ParticlePair.averages
     averages: tuple = field(default=None, init=False, repr=False,
                             compare=False)
@@ -109,7 +132,9 @@ class ParticlePair:
 
     def at_stoichiometry(self, x, y):
         """Equilibrated state: uniform profiles at (x negative, y positive)."""
-        return ParticleState(self.pos.uniform(y), self.neg.uniform(x))
+        return ParticleState(self.pos.uniform(y), self.neg.uniform(x), tuple(
+            (float(v * sp.c_smax),) * 2 if 0.0 <= v <= 1.0 else None
+            for sp, v in ((self.pos, y), (self.neg, x))))
 
     def averages(self, state):
         """(c_avg_pos, c_avg_neg, y, x) of a state: volume-averaged
@@ -128,7 +153,7 @@ def step_particle_diffusion(pair, state, j_pos, j_neg, dt):
     """Advance both particles one step; returns a new ParticleState."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return ParticleState(
-        pair.pos.step(state.c_pos, j_pos, dt),
-        pair.neg.step(state.c_neg, j_neg, dt),
-    )
+    enc_pos, enc_neg = state.enclosure or (None, None)
+    c_pos, enc_pos = pair.pos.step(state.c_pos, j_pos, dt, enc_pos)
+    c_neg, enc_neg = pair.neg.step(state.c_neg, j_neg, dt, enc_neg)
+    return ParticleState(c_pos, c_neg, (enc_pos, enc_neg))

@@ -243,7 +243,7 @@ def test_7_numerical_hygiene(params, degp):
                        n, "neg")
         c = sph.uniform(0.5)
         for _ in range(60):
-            c = sph.step(c, j, 10.0)
+            c, _ = sph.step(c, j, 10.0)
         css.append(sph.c_ss(c, j))
     mesh_err = abs(css[0] - css[1]) / css[1]
     assert mesh_err < 2e-3

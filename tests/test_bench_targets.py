@@ -3,7 +3,9 @@
 perfbench/tracing.py patches each of its TARGETS by name and
 perfbench/workloads.py imports and calls package functions by name, so
 renaming or deleting one breaks the benchmark without failing any other
-test. The files are read here, never changed.
+test. Its call counts are read as work done, so the calls one cell step
+makes into a traced layer are pinned here too. The files are read here,
+never changed.
 """
 
 import ast
@@ -14,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from cellfade import cell as ccell
 from cellfade import io as cio
+from cellfade import particle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,3 +70,26 @@ def test_write_manifest_takes_seed_third():
     # the campaign workload passes it positionally
     params = list(inspect.signature(cio.write_manifest).parameters)
     assert params[2] == "seed"
+
+
+def test_particle_calls_per_cell_evaluation(params, degp, monkeypatch):
+    # particle.step.calls reads as two SphereFV.step calls and one
+    # step_particle_diffusion per evaluated cell step
+    calls = {"step": 0, "pair": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(particle.SphereFV, "step",
+                        counted("step", particle.SphereFV.step))
+    pair = counted("pair", particle.step_particle_diffusion)
+    for module in (particle, ccell):   # as the tracer rebinds it
+        monkeypatch.setattr(module, "step_particle_diffusion", pair)
+    cell = ccell.Cell(params, degp)
+    cell.voltage_after(2.0, 10.0)
+    assert calls == {"step": 2, "pair": 1}
+    cell.step(1.0, 10.0)   # another current: the trial is not kept
+    assert calls == {"step": 4, "pair": 2}

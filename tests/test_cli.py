@@ -308,6 +308,14 @@ def _rpt_state(tmp_path, edit):
     return ["rpt", "--cell", CELL, "--state", path], path
 
 
+def _simulate_state(tmp_path, name, value):
+    """simulate from the fresh default cell's state file with the first
+    shell of profile name set to value."""
+    _, path = _rpt_state(tmp_path, lambda doc: {**doc, "particles": {
+        **doc["particles"], name: [value] + doc["particles"][name][1:]}})
+    return _simulate_flags("--protocol", PROTOCOL, "--state", path), path
+
+
 def _rpt_cell(tmp_path, **changes):
     cell = yaml.safe_load(Path(CELL).read_text())
     path = _write(tmp_path, "cell.yaml", {**cell, **changes})
@@ -357,6 +365,12 @@ MALFORMED = [
                  "delta_sei", id="state-string-film"),
     pytest.param(lambda t: _rpt_state(t, lambda doc: {**doc, "n_li0": "lots"}),
                  "n_li0", id="state-string-n_li0"),
+    # out-of-range profiles: diffusion would smooth a negative shell away
+    # unseen, and a huge one ended as a numerical failure (exit 4)
+    pytest.param(lambda t: _simulate_state(t, "c_neg", -5.0), "particles c_neg",
+                 id="state-negative-concentration"),
+    pytest.param(lambda t: _simulate_state(t, "c_neg", 1e9), "particles c_neg",
+                 id="state-concentration-above-cmax"),
     pytest.param(lambda t: _rpt_cell(t, ocp_pos=5), "ocp_pos", id="ocp-number"),
     pytest.param(lambda t: _rpt_cell(t, ocp_pos=str(t / "absent.csv")),
                  "absent.csv", id="ocp-missing-csv"),

@@ -1,10 +1,13 @@
 """Radial diffusion: conservation, refinement oracles, saturation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cellfade.errors import SaturationError
 from cellfade.particle import SphereFV, step_particle_diffusion
+from cellfade.protocol import MIN_DT
 
 
 def make_sphere(n=20, r=5e-6, D=3.9e-14, cmax=30000.0):
@@ -14,7 +17,7 @@ def make_sphere(n=20, r=5e-6, D=3.9e-14, cmax=30000.0):
 def test_uniform_profile_is_equilibrium():
     sp = make_sphere()
     c = np.full(sp.n, 12345.6)
-    c2 = sp.step(c, 0.0, 30.0)
+    c2, _ = sp.step(c, 0.0, 30.0)
     assert np.max(np.abs(c2 - c)) < 1e-9
 
 
@@ -28,7 +31,7 @@ def test_mass_balance_every_step():
         j = rng.uniform(-2e-5, 2e-5)
         dt = rng.uniform(1.0, 60.0)
         try:
-            c2 = sp.step(c, j, dt)
+            c2, _ = sp.step(c, j, dt)
         except SaturationError:
             continue
         dn = sp.moles(c2) - sp.moles(c)
@@ -43,7 +46,7 @@ def test_long_run_conservation_at_zero_flux():
     c = 15000.0 + 2000.0 * rng.standard_normal(sp.n)
     n0 = sp.moles(c)
     for _ in range(1000):
-        c = sp.step(c, 0.0, 45.0)
+        c, _ = sp.step(c, 0.0, 45.0)
     assert sp.moles(c) == pytest.approx(n0, rel=1e-12)
     # diffusion alone relaxes to a uniform profile
     assert np.max(c) - np.min(c) < 1e-6
@@ -57,8 +60,8 @@ def test_surface_concentration_against_fine_grid():
     cc = np.full(20, 20000.0)
     cf_ = np.full(200, 20000.0)
     for _ in range(120):
-        cc = coarse.step(cc, j, 10.0)
-        cf_ = fine.step(cf_, j, 10.0)
+        cc, _ = coarse.step(cc, j, 10.0)
+        cf_, _ = fine.step(cf_, j, 10.0)
     css_c = coarse.c_ss(cc, j)
     css_f = fine.c_ss(cf_, j)
     assert abs(css_c - css_f) / css_f < 0.005
@@ -71,17 +74,17 @@ def test_mesh_halving_changes_surface_by_little():
     ca = np.full(20, 18000.0)
     cb = np.full(40, 18000.0)
     for _ in range(60):
-        ca = a.step(ca, j, 15.0)
-        cb = b.step(cb, j, 15.0)
+        ca, _ = a.step(ca, j, 15.0)
+        cb, _ = b.step(cb, j, 15.0)
     assert abs(a.c_ss(ca, j) - b.c_ss(cb, j)) / b.c_ss(cb, j) < 0.002
 
 
 def test_surface_value_sign_convention():
     sp = make_sphere()
     c = np.full(sp.n, 15000.0)
-    c2 = sp.step(c, 1e-5, 20.0)   # positive flux leaves the particle
+    c2, _ = sp.step(c, 1e-5, 20.0)   # positive flux leaves the particle
     assert sp.c_ss(c2, 1e-5) < 15000.0
-    c3 = sp.step(c, -1e-5, 20.0)
+    c3, _ = sp.step(c, -1e-5, 20.0)
     assert sp.c_ss(c3, -1e-5) > 15000.0
 
 
@@ -90,7 +93,7 @@ def test_saturation_raises_not_clamps():
     c = np.full(sp.n, 29990.0)
     with pytest.raises(SaturationError):
         for _ in range(200):
-            c = sp.step(c, -5e-5, 30.0)   # keep inserting lithium
+            c, _ = sp.step(c, -5e-5, 30.0)   # keep inserting lithium
 
 
 def test_depletion_raises():
@@ -98,7 +101,7 @@ def test_depletion_raises():
     c = np.full(sp.n, 50.0)
     with pytest.raises(SaturationError):
         for _ in range(200):
-            c = sp.step(c, 5e-5, 30.0)
+            c, _ = sp.step(c, 5e-5, 30.0)
 
 
 def test_c_avg_is_volume_weighted_mean():
@@ -118,3 +121,86 @@ def test_pair_step_moves_both_particles(params):
     assert st2.c_pos[-1] != st.c_pos[-1]
     # original untouched
     assert st.c_neg[0] == pytest.approx(0.5 * params.c_smax_neg, rel=1e-12)
+
+
+def test_propagator_invariants_over_random_meshes():
+    # the discrete maximum principle and volume conservation that the
+    # carried enclosure rests on, for every stride the stepper can take:
+    # from the clamped minimum 5e-5 s up to 1e5 s
+    rng = np.random.default_rng(8)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        n = int(rng.integers(4, 61))
+        sp = SphereFV(10 ** rng.uniform(-7, -4.5), 10 ** rng.uniform(-16, -12),
+                      rng.uniform(1e4, 6e4), n, "draw")
+        dt = 10 ** rng.uniform(np.log10(MIN_DT * 1e-3), 5)
+        P, Pe, pe_lo, pe_hi, slack = sp._propagator(dt)
+        assert P.min() >= 0.0
+        row_err = max(abs(math.fsum(row) - 1.0) for row in P)
+        assert row_err * sp.c_smax < slack
+        assert (pe_lo, pe_hi) == (Pe.min(), Pe.max())
+        # both residuals scale with the conditioning of I - dt*M
+        tol = n * eps * np.linalg.cond(np.eye(n) - dt * sp._M, np.inf)
+        assert np.abs(sp.volumes @ P - sp.volumes).max() <= tol * sp.volumes.max()
+        assert sp.volumes @ Pe == pytest.approx(sp.area_surf, rel=tol)
+
+
+def _flux_walk(sp, rng, steps):
+    """(j, dt) pairs: rests, sign switches, strides clamped to a
+    termination the way run_step clamps them, and sustained drives that
+    saturate the particle at 0 and at c_smax."""
+    j_1c = sp.c_smax * sp.r_p / (3.0 * 3600.0)   # full swing in an hour
+    j = 0.0
+    for _ in range(steps):
+        kind = rng.integers(5)
+        if kind == 0:
+            j = 0.0
+        elif kind == 1:
+            j = rng.uniform(-3.0, 3.0) * j_1c
+        elif kind == 2:
+            j = -j
+        elif kind == 3:
+            j = rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 6.0) * j_1c
+        dt = rng.choice([MIN_DT, 10.0, 60.0, 300.0])
+        if rng.random() < 0.3:   # the last stride before a threshold
+            dt = min(dt, max(rng.uniform(-1.0, 1.0) * dt, MIN_DT * 1e-3))
+        yield j, float(dt)
+
+
+def test_carried_enclosure_decides_as_the_exact_check(params):
+    # stepping with the carried enclosure and with the exact check alone
+    # gives the same profiles and raises at the same step with the same
+    # message, and the enclosure always holds the profile's min and max
+    from cellfade.particle import ParticlePair
+    pair = ParticlePair(params)
+    rng = np.random.default_rng(17)
+    fast = exact = 0
+    for sp in (pair.pos, pair.neg):
+        saturated = set()   # which end, as the sign of the flux
+        for _ in range(20):
+            c = sp.uniform(rng.uniform(0.02, 0.98))
+            enc = (float(c[0]),) * 2
+            for j, dt in _flux_walk(sp, rng, 300):
+                want = got = None
+                try:
+                    c_want, _ = sp.step(c, j, dt)
+                except SaturationError as err:
+                    want = str(err)
+                try:
+                    c_got, enc_got = sp.step(c, j, dt, enc)
+                except SaturationError as err:
+                    got = str(err)
+                assert got == want
+                if want is not None:
+                    saturated.add(j > 0.0)
+                    continue   # retry from the same state, as run_step does
+                assert np.array_equal(c_got, c_want)
+                assert enc_got[0] <= c_got.min() and c_got.max() <= enc_got[1]
+                assert 0.0 <= enc_got[0] and enc_got[1] <= sp.c_smax
+                if enc_got == (c_got.min(), c_got.max()):
+                    exact += 1
+                else:
+                    fast += 1
+                c, enc = c_got, enc_got
+        assert saturated == {True, False}   # emptied and filled
+    assert fast > exact > 0   # both ways of deciding were exercised
