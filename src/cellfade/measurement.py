@@ -1,7 +1,8 @@
 """The three health readouts: eSOH from pseudo-OCV, instantaneous
 resistance, and irreversible expansion.
 
-All functions here are pure; the simulated-pulse and RPT routes that
+All functions here are pure (operating_point's memo on the never-mutated
+CellParameters cannot go stale); the simulated-pulse and RPT routes that
 exercise them live in protocol.py so the two paths to each quantity stay
 independent of one another.
 """
@@ -104,9 +105,19 @@ def irreversible_expansion(exp_params, state, params):
 
 def operating_point(params, C_p, C_n, LLI, n_li0):
     """Mid-window stoichiometries (x, y) implied by a health triple: where
-    forward_measure reads R_s and where the inversion reads it back."""
-    w = solve_window(params, C_p, C_n, n_li0 * (1.0 - LLI))
-    return 0.5 * (w.x_0 + w.x_100), 0.5 * (w.y_0 + w.y_100)
+    forward_measure reads R_s and where the inversion reads it back.
+    Remembered on params, errors excepted: both inversion routes and the
+    forward check of their answers ask for each vector's window."""
+    memo = params.operating_points
+    key = (C_p, C_n, LLI, n_li0)
+    got = memo.get(key)
+    if got is None:
+        w = solve_window(params, C_p, C_n, n_li0 * (1.0 - LLI))
+        got = 0.5 * (w.x_0 + w.x_100), 0.5 * (w.y_0 + w.y_100)
+        if len(memo) >= 64:
+            memo.clear()
+        memo[key] = got
+    return got
 
 
 def forward_measure(params, deg_params, state, n_li0):
@@ -188,14 +199,15 @@ def extract_esoh(curve, params, capacity=None, endpoint_weight=10.0):
         y_c = np.clip(y, tp.s_min, tp.s_max)
         pen_x = np.abs(x - x_c).max()
         pen_y = np.abs(y - y_c).max()
-        vm = tp(y_c) - tn(x_c)
-        x100 = np.clip(x_0 + C_meas / C_n, tn.s_min, tn.s_max)
-        y100 = np.clip(y_0 - C_meas / C_p, tp.s_min, tp.s_max)
-        ends = [tp(np.asarray(y_0)) - tn(np.asarray(x_0)) - params.V_min,
-                tp(np.asarray(y100)) - tn(np.asarray(x100)) - params.V_max]
+        x100 = min(max(x_0 + C_meas / C_n, tn.s_min), tn.s_max)
+        y100 = min(max(y_0 - C_meas / C_p, tp.s_min), tp.s_max)
+        # one table call per electrode: the curve, then the window ends
+        # (pchip evaluates each point alone, so batching changes no bit)
+        vm = tp(np.append(y_c, (y_0, y100))) - tn(np.append(x_c, (x_0, x100)))
+        ends = vm[-2:] - (params.V_min, params.V_max)
         return np.concatenate([
-            vm - v,
-            endpoint_weight * np.asarray(ends, dtype=float),
+            vm[:-2] - v,
+            endpoint_weight * ends,
             [1e3 * pen_x, 1e3 * pen_y],
         ])
 

@@ -97,11 +97,16 @@ class MonotoneOCPTable:
         return i, s - self._breaks[i]
 
     def _snap_array(self, s):
+        # in-range input (the common case) is returned as is, uncopied;
+        # NaN fails this test and takes the checks below
+        lo, hi = (s.min(), s.max()) if s.size else (self.s_min, self.s_max)
+        if self.s_min <= lo and hi <= self.s_max:
+            return s
         snap = 1e-9 * (self.s_max - self.s_min)
         if np.any(s < self.s_min - snap) or np.any(s > self.s_max + snap):
             raise SaturationError(
-                f"{self.name}: stoichiometry outside table "
-                f"[{self.s_min:.6g}, {self.s_max:.6g}]")
+                f"{self.name}: stoichiometry in [{lo:.6g}, {hi:.6g}] outside "
+                f"table [{self.s_min:.6g}, {self.s_max:.6g}]")
         return np.clip(s, self.s_min, self.s_max)
 
     def __call__(self, s):

@@ -178,6 +178,12 @@ class CellParameters:
         """Nominal negative interfacial area A*l*a_s0, m^2."""
         return self.A * self.l_neg * self.a_s0_neg
 
+    @cached_property
+    def operating_points(self):
+        """measurement.operating_point's memo: (x_mid, y_mid) by the exact
+        (C_p, C_n, LLI, n_li0). A replace() copy starts with its own."""
+        return {}
+
 
 @dataclass
 class SEIParameters:

@@ -3,22 +3,25 @@
 perfbench/tracing.py patches each of its TARGETS by name and
 perfbench/workloads.py imports and calls package functions by name, so
 renaming or deleting one breaks the benchmark without failing any other
-test. Its call counts are read as work done, so the calls one cell step
-makes into a traced layer are pinned here too. The files are read here,
-never changed.
+test. Its call counts are read as work done, so the calls that one cell
+step, one identified vector and one eSOH residual make into a traced
+layer are pinned here too. The files are read here, never changed.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cellfade import cell as ccell
+from cellfade import electrochem, identify, measurement, ocp, particle
 from cellfade import io as cio
-from cellfade import particle
+from cellfade.degradation import DegradationState
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -93,3 +96,50 @@ def test_particle_calls_per_cell_evaluation(params, degp, monkeypatch):
     assert calls == {"step": 2, "pair": 1}
     cell.step(1.0, 10.0)   # another current: the trial is not kept
     assert calls == {"step": 4, "pair": 2}
+
+
+def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
+    # electrochem.window.calls reads as one solve_window per identified
+    # vector however often the routes and their checks ask, and
+    # ocp.array.calls as two table calls per eSOH residual evaluation
+    state = DegradationState(1e-7, 2e-8, 0.95 * params.C_p_nom,
+                             0.95 * params.C_n_nom, 0.09)
+    y = measurement.forward_measure(params, degp, state, n_li0)
+    curve = measurement.synthesize_pseudo_ocv(
+        params, electrochem.solve_window(params, y.C_p, y.C_n,
+                                         n_li0 * (1.0 - y.LLI)),
+        noise_mv=0.5, rng=np.random.default_rng(3))
+    p = dataclasses.replace(params)   # a copy starts with no memo
+    calls = {"window": 0, "array": 0, "residual": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    window = counted("window", electrochem.solve_window)
+    for module in (electrochem, measurement, identify):   # as the tracer does
+        monkeypatch.setattr(module, "solve_window", window)
+    identify.invert_with_expansion(p, degp, y, n_li0)
+    fam = identify.invert_without_expansion(p, degp, y, n_li0)
+    for member in identify.sample_family(fam, y, 3):
+        measurement.forward_measure(p, degp, member, n_li0)
+    assert calls["window"] == 1
+
+    table_call = ocp.MonotoneOCPTable.__call__
+
+    def table(self, s):
+        calls["array"] += isinstance(s, np.ndarray)
+        return table_call(self, s)
+
+    least_squares = measurement.least_squares
+
+    def counting_least_squares(fun, *args, **kwargs):
+        return least_squares(counted("residual", fun), *args, **kwargs)
+
+    monkeypatch.setattr(ocp.MonotoneOCPTable, "__call__", table)
+    monkeypatch.setattr(measurement, "least_squares", counting_least_squares)
+    measurement.extract_esoh(curve, p)
+    assert calls["residual"] > 0
+    assert calls["array"] == 2 * calls["residual"]

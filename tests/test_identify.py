@@ -1,5 +1,6 @@
 """Measurement inversion: the family, the unique root, RUL prediction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,16 +9,19 @@ import pytest
 from cellfade.cell import Cell
 from cellfade.degradation import (DegradationState, plated_lithium_moles,
                                   sei_lithium_moles)
-from cellfade.errors import (AmbiguousRootsError, ConfigError,
+from cellfade.electrochem import solve_window
+from cellfade.errors import (AmbiguousRootsError, CellDeadError, ConfigError,
                              InfeasibleError)
 from cellfade.identify import (
+    VERIFY_TOL,
     ambiguity_experiment,
     invert_with_expansion,
     invert_without_expansion,
     predict_rul,
     sample_family,
 )
-from cellfade.measurement import MeasurementVector, forward_measure
+from cellfade.measurement import (MeasurementVector, forward_measure,
+                                  instantaneous_resistance)
 from cellfade.protocol import (Campaign, ProtocolStep, Termination,
                                reference_capacity, run_campaign)
 from helpers import random_truths
@@ -229,6 +233,53 @@ def test_round_trip_100_random_states(params, degp, n_li0, rng):
             got, want = getattr(res.solution, attr), getattr(st, attr)
             assert got == pytest.approx(want, rel=5e-3, abs=1e-12), attr
     assert false_infeasible == 0
+
+
+def test_invariants_on_perturbed_parameters(params, degp, n_li0):
+    # the round trip and the family's shared measurement hold off the
+    # default cell too: voltage limits shifted by up to 50 mV, kinetics,
+    # film conductivities and expansion coefficients scaled by 0.5-2x.
+    # Each state is measured under five fresh parameter copies, so a
+    # window remembered across copies would show in the direct R_s check.
+    rng = np.random.default_rng(2019)
+    rep = dataclasses.replace
+
+    def scaled(v):
+        return v * 2.0 ** rng.uniform(-1.0, 1.0)
+
+    tried = dead = 0
+    for st in random_truths(params, degp, n_li0, rng, 8):
+        for _ in range(5):
+            p = rep(params,
+                    V_min=params.V_min + rng.uniform(-0.05, 0.05),
+                    V_max=params.V_max + rng.uniform(-0.05, 0.05),
+                    k0_pos=scaled(params.k0_pos), k0_neg=scaled(params.k0_neg))
+            ex = degp.expansion
+            d = rep(degp,
+                    sei=rep(degp.sei, kappa_sei=scaled(degp.sei.kappa_sei)),
+                    plating=rep(degp.plating,
+                                kappa_pl=scaled(degp.plating.kappa_pl)),
+                    expansion=rep(ex, b_sei=scaled(ex.b_sei),
+                                  b_pl=scaled(ex.b_pl)))
+            tried += 1
+            try:
+                y = forward_measure(p, d, st, n_li0)
+            except CellDeadError:
+                dead += 1   # the shifted window has no solution here
+                continue
+            w = solve_window(p, st.C_p, st.C_n, n_li0 * (1.0 - st.LLI))
+            assert y.R_s == instantaneous_resistance(
+                p, d, st, 0.5 * (w.x_0 + w.x_100), 0.5 * (w.y_0 + w.y_100))
+            res = invert_with_expansion(p, d, y, n_li0)
+            assert res.residual["ok"]
+            for attr in ("delta_sei", "delta_pl"):
+                assert getattr(res.solution, attr) == pytest.approx(
+                    getattr(st, attr), rel=1e-9, abs=1e-18), attr
+            fam = invert_without_expansion(p, d, y, n_li0)
+            for member in sample_family(fam, y, 4):
+                m = forward_measure(p, d, member, n_li0)
+                assert abs(m.R_s - y.R_s) <= VERIFY_TOL * y.R_s
+    assert tried == 40 and dead <= 10
 
 
 def test_sensitivity_to_measurement_noise(params, degp, n_li0, rng):

@@ -1,8 +1,11 @@
 """Health readouts: resistance, expansion, eSOH extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cellfade import measurement
 from cellfade.cell import Cell
 from cellfade.degradation import DegradationState
 from cellfade.errors import CellDeadError, ConfigError, EstimationFailedError
@@ -14,6 +17,7 @@ from cellfade.measurement import (
     irreversible_expansion,
     kinetic_resistance,
     material_loss_expansion,
+    operating_point,
     r_film,
     synthesize_pseudo_ocv,
 )
@@ -136,6 +140,53 @@ def test_forward_measure_components(params, degp, n_li0):
     assert m.R_s > r_film(params, degp, s)[1]
     assert m.delta_irr == pytest.approx(
         irreversible_expansion(degp.expansion, s, params), rel=1e-12)
+
+
+class TestOperatingPointMemo:
+    """operating_point remembers windows on its CellParameters; each test
+    takes a replace() copy, which starts with an empty memo."""
+
+    @staticmethod
+    def midpoint(params, C_p, C_n, LLI, n_li0):
+        w = solve_window(params, C_p, C_n, n_li0 * (1.0 - LLI))
+        return 0.5 * (w.x_0 + w.x_100), 0.5 * (w.y_0 + w.y_100)
+
+    def test_equals_window_midpoint(self, params, n_li0):
+        p = dataclasses.replace(params)
+        args = (0.93 * p.C_p_nom, 0.91 * p.C_n_nom, 0.07, n_li0)
+        want = self.midpoint(p, *args)
+        assert operating_point(p, *args) == want   # solved
+        assert operating_point(p, *args) == want   # remembered
+        assert p.operating_points == {args: want}
+
+    def test_copy_with_another_window_gets_its_own_answer(self, params, n_li0):
+        p = dataclasses.replace(params)
+        args = (0.95 * p.C_p_nom, 0.95 * p.C_n_nom, 0.05, n_li0)
+        first = operating_point(p, *args)
+        q = dataclasses.replace(p, V_max=p.V_max - 0.05)
+        assert q.operating_points == {}
+        second = operating_point(q, *args)
+        assert second == self.midpoint(q, *args)
+        assert second != first
+        assert operating_point(p, *args) == first
+
+    def test_errors_are_not_remembered(self, params, n_li0, monkeypatch):
+        p = dataclasses.replace(params)
+        calls = []
+        monkeypatch.setattr(measurement, "solve_window",
+                            lambda *a: calls.append(a) or solve_window(*a))
+        for _ in range(3):
+            with pytest.raises(CellDeadError):
+                operating_point(p, p.C_p_nom, p.C_n_nom, 0.99, n_li0)
+        assert len(calls) == 3
+        assert p.operating_points == {}
+
+    def test_memo_is_bounded(self, params, n_li0):
+        p = dataclasses.replace(params)
+        for i in range(200):
+            operating_point(p, p.C_p_nom * (1.0 - 5e-4 * i), p.C_n_nom, 0.05,
+                            n_li0)
+            assert 1 <= len(p.operating_points) <= 64
 
 
 class TestESOH:

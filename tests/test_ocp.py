@@ -59,6 +59,8 @@ def test_out_of_range_raises():
         t(0.999)
     with pytest.raises(SaturationError):
         t(np.array([0.5, 1.2]))
+    with pytest.raises(SaturationError, match=r"in \[0\.5, 1\.2\] outside"):
+        t(np.array([0.5, 1.2]))
 
 
 def test_edge_values_are_valid():
@@ -75,6 +77,46 @@ def test_scalar_and_array_paths_agree():
     arr = t(ss)
     scal = np.array([t(float(s)) for s in ss])
     assert np.max(np.abs(arr - scal)) < 1e-12
+
+
+@pytest.mark.parametrize("which", ["graphite", "nmc"])
+def test_array_calls_are_pointwise(which):
+    # callers batch points into one call (eSOH appends the window ends to
+    # the curve), which is only sound if each point is evaluated alone
+    t = load_builtin(which)
+    snap = 1e-9 * (t.s_max - t.s_min)
+    rng = np.random.default_rng(11)
+    s = np.concatenate([t.stoich, rng.uniform(t.s_min, t.s_max, 300),
+                        [t.s_min - 0.5 * snap, t.s_max + 0.5 * snap]])
+    rng.shuffle(s)
+    cuts = [0, 1, 40, 41, 200, len(s)]
+    pieces = [s[a:b] for a, b in zip(cuts, cuts[1:])] + [
+        np.asarray(t.s_min), np.asarray(t.s_max + 0.25 * snap)]
+    whole = np.concatenate([np.atleast_1d(p) for p in pieces])
+    for f in (t, t.derivative):
+        got = f(whole)
+        want = np.concatenate([np.atleast_1d(f(p)) for p in pieces])
+        assert np.array_equal(got, want)
+    # snapping is a clip: exact for sub-snap excursions, and in-range
+    # input is evaluated as is, uncopied
+    inside = np.clip(s, t.s_min, t.s_max)
+    for arr in (whole, inside):
+        assert np.array_equal(t(arr), t._pchip(np.clip(arr, t.s_min, t.s_max)))
+    assert t._snap_array(inside) is inside
+
+
+@pytest.mark.parametrize("which", ["graphite", "nmc"])
+def test_array_nan_and_empty_input(which):
+    t = load_builtin(which)
+    for f in (t, t.derivative):
+        for empty in (np.array([]), np.array([], dtype=int)):
+            out = f(empty)
+            assert out.shape == (0,) and out.dtype == np.float64
+        assert np.isnan(f(np.array(np.nan)))
+        out = f(np.array([np.nan, 0.5]))
+        assert np.isnan(out[0]) and out[1] == f(np.array([0.5]))[0]
+        with pytest.raises(SaturationError):
+            f(np.array([np.nan, 2.0]))
 
 
 def test_derivative_matches_finite_differences():
