@@ -81,9 +81,12 @@ def voltage_at_densities(params, c_ss_pos, c_ss_neg, I, r_film_cell,
             - I * r_film_cell)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ESOHRecord:
-    """Electrode-level health: capacities and stoichiometric window."""
+    """Electrode-level health: capacities and stoichiometric window.
+
+    fit_rms_v is the rms voltage misfit of a record fitted to a pseudo-OCV
+    curve; a window solved from known capacities has none."""
     C: float
     C_p: float
     C_n: float
@@ -92,10 +95,14 @@ class ESOHRecord:
     y_0: float
     y_100: float
     n_li: float   # mol
+    fit_rms_v: float = None
 
     def as_dict(self):
-        return {k: float(getattr(self, k)) for k in
-                ("C", "C_p", "C_n", "x_0", "x_100", "y_0", "y_100", "n_li")}
+        d = {k: float(getattr(self, k)) for k in
+             ("C", "C_p", "C_n", "x_0", "x_100", "y_0", "y_100", "n_li")}
+        if self.fit_rms_v is not None:
+            d["fit_rms_v"] = float(self.fit_rms_v)
+        return d
 
 
 def solve_window(params, C_p, C_n, n_li):

@@ -163,7 +163,9 @@ def extract_esoh(curve, params, capacity=None, endpoint_weight=10.0):
     Least squares over the whole curve shape plus the two voltage-limit
     constraints; the endpoint equations alone leave the problem
     under-determined. Initial guess scales the nominal electrode pair by
-    the measured capacity ratio.
+    the measured capacity ratio. The solver gets the exact Jacobian of the
+    residual: one derivative call per electrode per iteration in place of
+    four finite-difference residual evaluations.
     """
     q = np.asarray(curve.capacity_Ah, dtype=float)
     v = np.asarray(curve.voltage, dtype=float)
@@ -181,49 +183,73 @@ def extract_esoh(curve, params, capacity=None, endpoint_weight=10.0):
             f"window [{params.V_min}, {params.V_max}] V")
 
     tp, tn = params.ocp_pos, params.ocp_neg
-    fresh = solve_window(params, params.C_p_nom, params.C_n_nom,
-                         ec.pristine_inventory(params))
+    fresh = params.fresh_window
     ratio = min(max(C_meas / fresh.C, 0.3), 1.5)
     theta0 = np.array([params.C_p_nom * ratio, params.C_n_nom * ratio,
                        fresh.x_0, fresh.y_0])
     lo = np.array([0.5 * C_meas, 0.5 * C_meas, tn.s_min, 0.4])
     hi = np.array([8.0 * C_meas, 8.0 * C_meas, 0.4, tp.s_max])
     theta0 = np.clip(theta0, lo, hi)
+    n = len(q)
+    # charge left above the bottom of the window: the curve points, then
+    # the window ends at 0 % (x_0, y_0) and 100 % (x100, y100) state of charge
+    dq = np.append(C_meas - q, (0.0, C_meas))
+
+    def stoichiometries(theta):
+        C_p, C_n, x_0, y_0 = theta
+        x = x_0 + dq / C_n
+        y = y_0 - dq / C_p
+        # keep trial evaluations on-table; penalize the excursion instead
+        # (the bounds keep x_0 and y_0 on-table, so only x100, y100 and
+        # the curve can clip)
+        return x, y, np.clip(x, tn.s_min, tn.s_max), np.clip(y, tp.s_min, tp.s_max)
 
     def residuals(theta):
-        C_p, C_n, x_0, y_0 = theta
-        x = x_0 + (C_meas - q) / C_n
-        y = y_0 - (C_meas - q) / C_p
-        # keep trial evaluations on-table; penalize the excursion instead
-        x_c = np.clip(x, tn.s_min, tn.s_max)
-        y_c = np.clip(y, tp.s_min, tp.s_max)
-        pen_x = np.abs(x - x_c).max()
-        pen_y = np.abs(y - y_c).max()
-        x100 = min(max(x_0 + C_meas / C_n, tn.s_min), tn.s_max)
-        y100 = min(max(y_0 - C_meas / C_p, tp.s_min), tp.s_max)
-        # one table call per electrode: the curve, then the window ends
+        x, y, x_c, y_c = stoichiometries(theta)
+        # one table call per electrode, curve and window ends together
         # (pchip evaluates each point alone, so batching changes no bit)
-        vm = tp(np.append(y_c, (y_0, y100))) - tn(np.append(x_c, (x_0, x100)))
-        ends = vm[-2:] - (params.V_min, params.V_max)
+        vm = tp(y_c) - tn(x_c)
         return np.concatenate([
-            vm[:-2] - v,
-            endpoint_weight * ends,
-            [1e3 * pen_x, 1e3 * pen_y],
+            vm[:n] - v,
+            endpoint_weight * (vm[n:] - (params.V_min, params.V_max)),
+            [1e3 * np.abs(x[:n] - x_c[:n]).max(),
+             1e3 * np.abs(y[:n] - y_c[:n]).max()],
         ])
 
-    res = least_squares(residuals, theta0, bounds=(lo, hi), method="trf",
-                        x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14)
-    rms = math.sqrt(float(np.mean(res.fun[:len(q)] ** 2)))
+    def jacobian(theta):
+        C_p, C_n, _, _ = theta
+        x, y, x_c, y_c = stoichiometries(theta)
+        # a clipped point does not move with theta: the clip's derivative
+        # is 1 on the closed table range and 0 outside it
+        dp = tp.derivative(y_c) * (y == y_c)
+        dn = tn.derivative(x_c) * (x == x_c)
+        J = np.zeros((n + 4, 4))
+        J[:n + 2] = np.column_stack(
+            [dp * dq / C_p ** 2, dn * dq / C_n ** 2, -dn, dp])
+        J[n:n + 2] *= endpoint_weight
+        # each penalty's subgradient at the point argmax picks, signed by
+        # the excursion; a zero row when that electrode stays on-table
+        k = np.argmax(np.abs(x[:n] - x_c[:n]))
+        sign = 1e3 * np.sign(x[k] - x_c[k])
+        J[n + 2, [1, 2]] = -sign * dq[k] / C_n ** 2, sign
+        k = np.argmax(np.abs(y[:n] - y_c[:n]))
+        sign = 1e3 * np.sign(y[k] - y_c[k])
+        J[n + 3, [0, 3]] = sign * dq[k] / C_p ** 2, sign
+        return J
+
+    res = least_squares(residuals, theta0, jac=jacobian, bounds=(lo, hi),
+                        method="trf", x_scale="jac",
+                        ftol=1e-14, xtol=1e-14, gtol=1e-14)
+    rms = math.sqrt(float(np.mean(res.fun[:n] ** 2)))
     if not res.success or rms > 0.05:
         raise EstimationFailedError(
             f"eSOH fit did not converge (status {res.status}, "
             f"rms {rms * 1e3:.2f} mV)")
     C_p, C_n, x_0, y_0 = (float(t) for t in res.x)
-    rec = ESOHRecord(
+    return ESOHRecord(
         C=C_meas, C_p=C_p, C_n=C_n,
         x_0=x_0, x_100=x_0 + C_meas / C_n,
         y_0=y_0, y_100=y_0 - C_meas / C_p,
         n_li=3600.0 / params.F * (x_0 * C_n + y_0 * C_p),
+        fit_rms_v=rms,
     )
-    rec.fit_rms_v = rms
-    return rec

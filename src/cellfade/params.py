@@ -13,6 +13,7 @@ from pathlib import Path
 
 import yaml
 
+from . import electrochem as ec
 from .constants import FARADAY, GAS_CONSTANT
 from .errors import CellDeadError, ConfigError
 from .ocp import MonotoneOCPTable, load_builtin
@@ -177,6 +178,13 @@ class CellParameters:
     def film_area_neg(self):
         """Nominal negative interfacial area A*l*a_s0, m^2."""
         return self.A * self.l_neg * self.a_s0_neg
+
+    @cached_property
+    def fresh_window(self):
+        """The pristine cell's window (a frozen ESOHRecord): the reference
+        capacity and the eSOH fit's initial guess."""
+        return ec.solve_window(self, self.C_p_nom, self.C_n_nom,
+                               ec.pristine_inventory(self))
 
     @cached_property
     def operating_points(self):

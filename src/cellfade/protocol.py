@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import electrochem as ec
 from .errors import (CellDeadError, ConfigError, EstimationFailedError,
                      ProtocolStallError, SaturationError)
 from .measurement import PseudoOCV, extract_esoh, irreversible_expansion
@@ -131,9 +130,7 @@ class Trajectory:
 
 def reference_capacity(params):
     """The fresh cell's window capacity, Ah: the 1C basis and the EOL basis."""
-    w = ec.solve_window(params, params.C_p_nom, params.C_n_nom,
-                        ec.pristine_inventory(params))
-    return w.C
+    return params.fresh_window.C
 
 
 def _solve_cv_current(cell, v_set, dt, i_guess):

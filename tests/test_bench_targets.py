@@ -102,6 +102,8 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     # electrochem.window.calls reads as one solve_window per identified
     # vector however often the routes and their checks ask, and
     # ocp.array.calls as two table calls per eSOH residual evaluation
+    # (the fit's Jacobian makes two array derivative calls per evaluation
+    # and no residual evaluation of its own)
     state = DegradationState(1e-7, 2e-8, 0.95 * params.C_p_nom,
                              0.95 * params.C_n_nom, 0.09)
     y = measurement.forward_measure(params, degp, state, n_li0)
@@ -133,6 +135,22 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
         calls["array"] += isinstance(s, np.ndarray)
         return table_call(self, s)
 
+    calls.update(jacobian=0, derivative=0)
+    fits = []
+    scipy_least_squares = measurement.least_squares
+    table_derivative = ocp.MonotoneOCPTable.derivative
+
+    def derivative(self, s):
+        calls["derivative"] += isinstance(s, np.ndarray)
+        return table_derivative(self, s)
+
+    def recording_least_squares(fun, *args, jac, **kwargs):
+        fits.append(scipy_least_squares(fun, *args,
+                                        jac=counted("jacobian", jac), **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(ocp.MonotoneOCPTable, "derivative", derivative)
+    monkeypatch.setattr(measurement, "least_squares", recording_least_squares)
     least_squares = measurement.least_squares
 
     def counting_least_squares(fun, *args, **kwargs):
@@ -143,3 +161,6 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     measurement.extract_esoh(curve, p)
     assert calls["residual"] > 0
     assert calls["array"] == 2 * calls["residual"]
+    assert calls["residual"] == fits[0].nfev
+    assert calls["jacobian"] == fits[0].njev > 0
+    assert calls["derivative"] == 2 * calls["jacobian"]

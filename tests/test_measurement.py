@@ -231,3 +231,112 @@ class TestESOH:
         curve = synthesize_pseudo_ocv(params, truth)
         with pytest.raises(ConfigError):
             extract_esoh(curve, params, capacity=0.0)
+
+
+class TestESOHJacobian:
+    """extract_esoh hands least_squares the exact Jacobian of its residual;
+    both are captured through the module's least_squares name."""
+
+    @staticmethod
+    def fit_problem(params, n_li0, monkeypatch):
+        seen = {}
+        least_squares = measurement.least_squares
+
+        def capture(fun, x0, **kwargs):
+            seen.update(fun=fun, jac=kwargs["jac"])
+            return least_squares(fun, x0, **kwargs)
+
+        monkeypatch.setattr(measurement, "least_squares", capture)
+        truth = solve_window(params, 0.93 * params.C_p_nom,
+                             0.9 * params.C_n_nom, 0.92 * n_li0)
+        curve = synthesize_pseudo_ocv(params, truth, noise_mv=1.0,
+                                      rng=np.random.default_rng(5))
+        fit = extract_esoh(curve, params)
+        return seen["fun"], seen["jac"], fit
+
+    @staticmethod
+    def central_differences(fun, theta, rel=1e-6):
+        cols = []
+        for j in range(len(theta)):
+            h = rel * abs(theta[j])
+            up, down = theta.copy(), theta.copy()
+            up[j] += h
+            down[j] -= h
+            cols.append((fun(up) - fun(down)) / (2.0 * h))
+        return np.column_stack(cols)
+
+    @staticmethod
+    def draws(params, fit, rng, count, shrink=None):
+        """Seeded theta within 2 % of the fit, with the capacity in column
+        shrink (if any) cut to 0.6-0.8 of the window capacity. Draws that
+        put a curve point or window end within 1e-4 of a table end are
+        redrawn: central differences must not straddle a clip kink."""
+        q = np.linspace(0.0, fit.C, 241)
+        dq = np.append(fit.C - q, (0.0, fit.C))
+        tn, tp = params.ocp_neg, params.ocp_pos
+        out = []
+        while len(out) < count:
+            theta = np.array([fit.C_p, fit.C_n, fit.x_0, fit.y_0])
+            theta *= 1.0 + rng.uniform(-0.02, 0.02, 4)
+            if shrink is not None:
+                theta[shrink] = fit.C * rng.uniform(0.6, 0.8)
+            C_p, C_n, x_0, y_0 = theta
+            x, y = x_0 + dq / C_n, y_0 - dq / C_p
+            margin = min(np.abs(x - tn.s_min).min(), np.abs(x - tn.s_max).min(),
+                         np.abs(y - tp.s_min).min(), np.abs(y - tp.s_max).min())
+            if margin > 1e-4:
+                out.append(theta)
+        return out
+
+    def check(self, fun, jac, theta):
+        J = jac(theta)
+        fd = self.central_differences(fun, theta)
+        assert J.shape == fd.shape == (241 + 4, 4)
+        for j in range(4):
+            scale = np.abs(fd[:, j]).max()
+            assert np.abs(J[:, j] - fd[:, j]).max() <= 1e-6 * scale, j
+        return J
+
+    def test_interior_theta(self, params, n_li0, monkeypatch):
+        fun, jac, fit = self.fit_problem(params, n_li0, monkeypatch)
+        for theta in self.draws(params, fit, np.random.default_rng(11), 5):
+            J = self.check(fun, jac, theta)
+            assert not J[-2:].any()   # nothing off-table, no penalty
+
+    @pytest.mark.parametrize("electrode", ["neg", "pos"])
+    def test_theta_off_each_table(self, params, n_li0, monkeypatch, electrode):
+        # a small electrode capacity stretches its stoichiometry range past
+        # the table: x over the top of the negative, y under the bottom of
+        # the positive
+        fun, jac, fit = self.fit_problem(params, n_li0, monkeypatch)
+        col, row = (1, -2) if electrode == "neg" else (0, -1)
+        for theta in self.draws(params, fit, np.random.default_rng(12), 5,
+                                shrink=col):
+            J = self.check(fun, jac, theta)
+            # that electrode's penalty row only
+            assert J[row].any() and not J[-3 - row].any()
+            # clipped curve points do not move with its capacity
+            assert (J[:-2, col] == 0.0).any()
+
+    def test_fit_agrees_with_finite_differences(self, params, n_li0, rng,
+                                                monkeypatch):
+        # the same residual fitted with scipy's 2-point Jacobian: the
+        # exact one changes the iterates, not the answer
+        least_squares = measurement.least_squares
+
+        def two_point(fun, x0, **kwargs):
+            return least_squares(fun, x0, **dict(kwargs, jac="2-point"))
+
+        curves = [synthesize_pseudo_ocv(params, w, noise_mv=noise, rng=rng)
+                  for noise in (0.0, 1.0)
+                  for w in sample_windows(params, n_li0, rng, 15)]
+        exact = [extract_esoh(c, params) for c in curves]
+        monkeypatch.setattr(measurement, "least_squares", two_point)
+        for curve, a in zip(curves, exact):
+            b = extract_esoh(curve, params)
+            for k in ("C_p", "C_n", "x_0", "y_0"):
+                assert getattr(a, k) == pytest.approx(getattr(b, k), rel=1e-6)
+            # clean curves fit to rounding noise (~1e-16 V), where relative
+            # agreement means nothing; 1 pV is far below the 1 mV fits
+            assert a.fit_rms_v == pytest.approx(b.fit_rms_v, rel=1e-6,
+                                                abs=1e-12)
