@@ -56,6 +56,12 @@ def curve_gap(a, b, n=200):
     return float(np.max(np.abs(va - vb)))
 
 
+def moles(sp, c):
+    """Lithium content of one SphereFV particle, mol: a numpy oracle, not
+    the kernel's BLAS average."""
+    return float(sp.volumes @ c)
+
+
 def molar_flux(params, electrode, I, capacity_Ah):
     """Surface molar flux for the diffusion step, mol/(m^2 s), outflow positive."""
     return interfacial_current_density(params, electrode, I, capacity_Ah) / params.F

@@ -12,7 +12,7 @@ from cellfade.cell import Cell
 from cellfade.errors import ConfigError
 from cellfade.params import load_cell_config
 from cellfade.protocol import (ProtocolStep, Termination, Trajectory,
-                               run_protocol)
+                               reference_capacity, run_campaign, run_protocol)
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
 
@@ -152,6 +152,38 @@ class TestStateFiles:
         p.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             cio.load_state(p, params, degp)
+
+
+def test_resume_from_state_file_is_exact(params, degp, tmp_path):
+    # 30 cycles straight and 15 + save/load + 15 give the same cell and
+    # voltages; the loaded state carries no enclosure, so its first steps
+    # take the exact range check
+    camp = cio.load_campaign(DATA / "campaign_default.yaml",
+                             reference_capacity(params))
+    camp.rpt_every = 0
+
+    def age(cell, cycles):
+        camp.max_cycles = cycles
+        traj, _, eol = run_campaign(cell, camp, dt=60.0, dt_rest=300.0)
+        assert len(traj.cycles) == cycles and not eol
+        return traj
+
+    straight = Cell(params, degp)
+    whole = age(straight, 30)
+    first = Cell(params, degp)
+    age(first, 15)
+    p = tmp_path / "state.json"
+    cio.save_state(p, first)
+    resumed = cio.load_state(p, params, degp)
+    assert resumed.particles.enclosure is None
+    second = age(resumed, 15)
+
+    assert resumed.degradation == straight.degradation
+    assert resumed.lam_lithium == straight.lam_lithium
+    assert np.array_equal(resumed.particles.c_pos, straight.particles.c_pos)
+    assert np.array_equal(resumed.particles.c_neg, straight.particles.c_neg)
+    tail = [v for v, cyc in zip(whole.V, whole.cycle) if cyc > 15]
+    assert tail and tail == second.V
 
 
 def _small_trajectory(params, degp):

@@ -8,6 +8,7 @@ import pytest
 from cellfade.errors import SaturationError
 from cellfade.particle import SphereFV, step_particle_diffusion
 from cellfade.protocol import MIN_DT
+from helpers import moles
 
 
 def make_sphere(n=20, r=5e-6, D=3.9e-14, cmax=30000.0):
@@ -34,7 +35,7 @@ def test_mass_balance_every_step():
             c2, _ = sp.step(c, j, dt)
         except SaturationError:
             continue
-        dn = sp.moles(c2) - sp.moles(c)
+        dn = moles(sp, c2) - moles(sp, c)
         expect = -j * area * dt
         assert dn == pytest.approx(expect, rel=1e-8, abs=1e-22)
         c = c2
@@ -44,10 +45,10 @@ def test_long_run_conservation_at_zero_flux():
     sp = make_sphere()
     rng = np.random.default_rng(3)
     c = 15000.0 + 2000.0 * rng.standard_normal(sp.n)
-    n0 = sp.moles(c)
+    n0 = moles(sp, c)
     for _ in range(1000):
         c, _ = sp.step(c, 0.0, 45.0)
-    assert sp.moles(c) == pytest.approx(n0, rel=1e-12)
+    assert moles(sp, c) == pytest.approx(n0, rel=1e-12)
     # diffusion alone relaxes to a uniform profile
     assert np.max(c) - np.min(c) < 1e-6
 
@@ -143,6 +144,35 @@ def test_propagator_invariants_over_random_meshes():
         tol = n * eps * np.linalg.cond(np.eye(n) - dt * sp._M, np.inf)
         assert np.abs(sp.volumes @ P - sp.volumes).max() <= tol * sp.volumes.max()
         assert sp.volumes @ Pe == pytest.approx(sp.area_surf, rel=tol)
+
+
+def test_step_and_average_match_numpy_and_write_nothing():
+    # the BLAS kernel against the numpy expressions it replaces, over the
+    # meshes and strides drawn above, with fluxes of both signs and zero;
+    # neither the profile nor the cached propagator may change
+    rng = np.random.default_rng(8)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        n = int(rng.integers(4, 61))
+        sp = SphereFV(10 ** rng.uniform(-7, -4.5), 10 ** rng.uniform(-16, -12),
+                      rng.uniform(1e4, 6e4), n, "draw")
+        dt = 10 ** rng.uniform(np.log10(MIN_DT * 1e-3), 5)
+        P, Pe, _, pe_hi, _ = sp._propagator(dt)
+        P0, Pe0 = P.copy(), Pe.copy()
+        c = sp.c_smax * rng.uniform(0.3, 0.7, n)
+        c0 = c.copy()
+        # |s| * max(Pe) <= 0.2 c_smax keeps every step inside [0, c_smax]
+        j_max = 0.2 * sp.c_smax / (dt * pe_hi)
+        for j in (0.0, rng.uniform(0.0, j_max), -rng.uniform(0.0, j_max)):
+            c_new, _ = sp.step(c, j, dt)
+            want = P @ c - dt * j * Pe
+            assert np.abs(c_new - want).max() <= 4 * eps * sp.c_smax
+            assert not np.shares_memory(c_new, Pe)
+        assert sp.c_avg(c) == pytest.approx(sp.volumes @ c / sp.total_volume,
+                                            rel=n * eps)
+        assert np.array_equal(c, c0)
+        assert np.array_equal(P, P0) and np.array_equal(Pe, Pe0)
+        assert sp._propagator(dt)[0] is P
 
 
 def _flux_walk(sp, rng, steps):
