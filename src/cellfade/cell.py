@@ -36,7 +36,8 @@ class Cell:
         self.params = params
         self.deg_params = deg_params
         self.pair = ParticlePair(params)
-        self.n_li0 = ec.pristine_inventory(params) if n_li0 is None else n_li0
+        self.n_li0 = float(ec.pristine_inventory(params) if n_li0 is None
+                           else n_li0)
         if degradation is None:
             degradation = DegradationState(0.0, 0.0, params.C_p_nom,
                                            params.C_n_nom, 0.0)

@@ -24,13 +24,24 @@ class DegradationState:
     C_n: float         # Ah
     LLI: float         # fraction of pristine inventory lost
 
-    def __post_init__(self):
-        if self.delta_sei < 0.0 or self.delta_pl < 0.0:
+    def __init__(self, delta_sei, delta_pl, C_p, C_n, LLI):
+        # Fields are stored as Python floats: a numpy scalar (from a
+        # linspace or a root solve) would carry its slower arithmetic into
+        # every step that starts from this state.
+        delta_sei = float(delta_sei)
+        delta_pl = float(delta_pl)
+        C_p = float(C_p)
+        C_n = float(C_n)
+        LLI = float(LLI)
+        if delta_sei < 0.0 or delta_pl < 0.0:
             raise ConfigError("film thicknesses must be non-negative")
-        if self.C_p <= 0.0 or self.C_n <= 0.0:
+        if C_p <= 0.0 or C_n <= 0.0:
             raise CellDeadError("electrode capacity must be positive")
-        if not (0.0 <= self.LLI < 1.0):
-            raise ConfigError(f"LLI must be in [0,1), got {self.LLI}")
+        if not (0.0 <= LLI < 1.0):
+            raise ConfigError(f"LLI must be in [0,1), got {LLI}")
+        # frozen: fill the fields past the blocked __setattr__
+        self.__dict__.update(delta_sei=delta_sei, delta_pl=delta_pl,
+                             C_p=C_p, C_n=C_n, LLI=LLI)
 
     def copy(self):
         return DegradationState(self.delta_sei, self.delta_pl,

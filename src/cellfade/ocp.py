@@ -7,7 +7,7 @@ Evaluation outside the tabulated stoichiometry range is an error, not an
 extrapolation.
 """
 
-import bisect
+from bisect import bisect_right
 from importlib import resources
 
 import numpy as np
@@ -22,8 +22,13 @@ class MonotoneOCPTable:
     """Strictly monotone potential(stoichiometry) interpolant.
 
     Scalar calls run on precomputed piecewise-cubic coefficients (the
-    simulator evaluates these in its inner loop); array calls go through
-    the underlying scipy interpolant.
+    simulator evaluates these in its inner loop) and return a Python
+    float. An in-range float finds its segment inline, by one bisect
+    bounded to the segments so that s_max falls in the last one. Any other
+    scalar (a numpy scalar, an int, a value in the 1e-9 snap band or off
+    the table) and every derivative call take _segment, which converts,
+    snaps onto the table or raises SaturationError, then bisects the same
+    way. Array calls go through the underlying scipy interpolant.
     """
 
     def __init__(self, stoich, potential, name="ocp"):
@@ -53,6 +58,7 @@ class MonotoneOCPTable:
         self._dpchip = self._pchip.derivative()
         # flat python lists beat numpy indexing for one point at a time
         self._breaks = s.tolist()
+        self._n_segments = len(s) - 1
         c = self._pchip.c  # (4, n-1)
         self._c0 = c[0].tolist()
         self._c1 = c[1].tolist()
@@ -80,6 +86,8 @@ class MonotoneOCPTable:
         return cls(data[:, 0], data[:, 1], name=name)
 
     def _segment(self, s):
+        """Segment index and offset of the scalar s, of any numeric type."""
+        s = float(s)
         if not (self.s_min <= s <= self.s_max):
             # absorb sub-ulp excursions from solving balance equations
             snap = 1e-9 * (self.s_max - self.s_min)
@@ -91,9 +99,7 @@ class MonotoneOCPTable:
                 raise SaturationError(
                     f"{self.name}: stoichiometry {s:.6g} outside table "
                     f"[{self.s_min:.6g}, {self.s_max:.6g}]")
-        i = bisect.bisect_right(self._breaks, s) - 1
-        if i >= len(self._c0):
-            i = len(self._c0) - 1
+        i = bisect_right(self._breaks, s, 0, self._n_segments) - 1
         return i, s - self._breaks[i]
 
     def _snap_array(self, s):
@@ -110,16 +116,20 @@ class MonotoneOCPTable:
         return np.clip(s, self.s_min, self.s_max)
 
     def __call__(self, s):
-        if isinstance(s, np.ndarray):
+        if type(s) is float and self.s_min <= s <= self.s_max:
+            i = bisect_right(self._breaks, s, 0, self._n_segments) - 1
+            dx = s - self._breaks[i]
+        elif isinstance(s, np.ndarray):
             return self._pchip(self._snap_array(s))
-        i, dx = self._segment(float(s))
+        else:
+            i, dx = self._segment(s)
         return ((self._c0[i] * dx + self._c1[i]) * dx + self._c2[i]) * dx + self._c3[i]
 
     def derivative(self, s):
         """dU/ds at a scalar or array of stoichiometries."""
         if isinstance(s, np.ndarray):
             return self._dpchip(self._snap_array(s))
-        i, dx = self._segment(float(s))
+        i, dx = self._segment(s)
         return (3.0 * self._c0[i] * dx + 2.0 * self._c1[i]) * dx + self._c2[i]
 
     def inverse(self, v):

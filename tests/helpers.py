@@ -1,13 +1,19 @@
 """Shared test utilities: randomized state/window draws, curve comparison,
 and closed-form oracles that the package itself does not need."""
 
+import bisect
+from importlib import resources
+
 import numpy as np
 
+from cellfade import io as cio
 from cellfade.degradation import (DegradationState, plated_lithium_moles,
                                   sei_lithium_moles, sei_rate_constant)
 from cellfade.electrochem import interfacial_current_density, solve_window
-from cellfade.errors import CellDeadError
+from cellfade.errors import CellDeadError, SaturationError
+from cellfade.identify import invert_without_expansion, sample_family
 from cellfade.measurement import forward_measure
+from cellfade.protocol import reference_capacity
 
 
 def random_truths(params, degp, n_li0, rng, count):
@@ -29,6 +35,15 @@ def random_truths(params, degp, n_li0, rng, count):
             continue   # no solvable window means no measurement exists
         out.append(st)
     return out
+
+
+def demo_members(params, degp, n_li0):
+    """The family members that the packaged ambiguity demo ages."""
+    y, n, _, budget = cio.load_ambiguity_config(
+        resources.files("cellfade.data") / "ambiguity_demo.yaml",
+        reference_capacity(params))
+    fam = invert_without_expansion(params, degp, y, n_li0, lli_budget=budget)
+    return sample_family(fam, y, n)
 
 
 def sample_windows(params, n_li0, rng, count):
@@ -54,6 +69,32 @@ def curve_gap(a, b, n=200):
     va = np.interp(grid, a.capacity_Ah, a.voltage)
     vb = np.interp(grid, b.capacity_Ah, b.voltage)
     return float(np.max(np.abs(va - vb)))
+
+
+def ocp_oracle(table, s):
+    """(U, dU/ds) of a MonotoneOCPTable at the scalar s, located the way
+    the table first did it: snap into the 1e-9 band, unbounded bisect,
+    clamp to the last segment, Horner on scipy's own coefficients."""
+    s = float(s)
+    if not (table.s_min <= s <= table.s_max):
+        snap = 1e-9 * (table.s_max - table.s_min)
+        if table.s_min - snap <= s <= table.s_min:
+            s = table.s_min
+        elif table.s_max <= s <= table.s_max + snap:
+            s = table.s_max
+        else:
+            raise SaturationError(
+                f"{table.name}: stoichiometry {s:.6g} outside table "
+                f"[{table.s_min:.6g}, {table.s_max:.6g}]")
+    breaks = table._pchip.x.tolist()
+    c0, c1, c2, c3 = (row.tolist() for row in table._pchip.c)
+    i = bisect.bisect_right(breaks, s) - 1
+    if i >= len(c0):
+        i = len(c0) - 1
+    dx = s - breaks[i]
+    value = ((c0[i] * dx + c1[i]) * dx + c2[i]) * dx + c3[i]
+    slope = (3.0 * c0[i] * dx + 2.0 * c1[i]) * dx + c2[i]
+    return value, slope
 
 
 def moles(sp, c):

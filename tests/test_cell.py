@@ -8,6 +8,9 @@ import pytest
 from cellfade.cell import Cell
 from cellfade.degradation import DegradationState
 from cellfade.params import default_cell
+from cellfade.protocol import (ProtocolStep, Termination, reference_capacity,
+                               run_step)
+from helpers import demo_members
 
 
 @pytest.fixture
@@ -39,6 +42,57 @@ def test_lithium_audit_survives_stepping(cell):
     total = cell.particle_lithium() + film + cell.lam_lithium
     assert total == pytest.approx(cell.n_li0, rel=1e-10)
     assert cell.n_li == pytest.approx(cell.n_li0 * (1.0 - d.LLI), rel=1e-12)
+
+
+def _random_steps(rng, cell, c1):
+    """3-6 CC/CV/rest steps, each drawn when the one before has ended:
+    currents within +-1C, voltage thresholds inside the window, every step
+    capped in time. A CV setpoint lies within 30 mV of the open-circuit
+    voltage it starts from, as it would after a CC step to it: holding a
+    voltage far from it takes more current than any particle can pass."""
+    p = cell.params
+    for _ in range(rng.integers(3, 7)):
+        mode = str(rng.choice(["cc", "cv", "rest"]))
+        until = [Termination("time", ">=", float(rng.uniform(60.0, 1800.0)))]
+        if mode == "cc":
+            current = float(rng.uniform(-c1, c1))
+            until.append(Termination("voltage", "<=" if current > 0 else ">=",
+                                     float(rng.uniform(p.V_min, p.V_max))))
+            yield ProtocolStep("cc", current, until)
+        elif mode == "cv":
+            v = cell.open_circuit_voltage() + float(rng.uniform(-0.03, 0.03))
+            until.append(Termination("current", "abs<=", c1 / 20.0))
+            yield ProtocolStep("cv", min(max(v, p.V_min), p.V_max), until)
+        else:
+            yield ProtocolStep("rest", 0.0, until)
+
+
+def test_lithium_audit_under_random_protocols(params, degp, n_li0):
+    # particle + film + trapped lithium == pristine inventory after any
+    # protocol, each closed as a cycle with its fatigue loss
+    c1 = reference_capacity(params)
+    members = demo_members(params, degp, n_li0)
+    rng = np.random.default_rng(2024)
+
+    def film(d):
+        return (2.0 * params.film_area_neg * d.delta_sei / degp.sei.Omega_sei
+                + params.film_area_neg * d.delta_pl / degp.plating.Omega_pl)
+
+    for start in (None, members[len(members) // 2]):
+        cell = Cell(params, degp, degradation=start, n_li0=n_li0)
+        # the member's loss not held in its films was trapped by material
+        # loss before it was measured
+        cell.lam_lithium = cell.degradation.LLI * n_li0 - film(
+            cell.degradation)
+        trapped0 = cell.lam_lithium
+        for _ in range(20):
+            for step in _random_steps(rng, cell, c1):
+                run_step(cell, step, dt=60.0, dt_rest=300.0)
+            cell.apply_cycle_fatigue()
+            total = (cell.particle_lithium() + film(cell.degradation)
+                     + cell.lam_lithium)
+            assert total == pytest.approx(n_li0, rel=1e-10)
+        assert cell.lam_lithium > trapped0
 
 
 def test_step_record_fields(cell):

@@ -45,6 +45,43 @@ def test_state_validation():
     assert c == s and c is not s
 
 
+def test_state_stores_python_floats():
+    # numpy scalars would carry their slower arithmetic into every step
+    s = DegradationState(np.float64(1e-9), 0, np.float64(6.0), 5,
+                         np.float64(0.01))
+    assert [f.name for f in dataclasses.fields(s)] == [
+        "delta_sei", "delta_pl", "C_p", "C_n", "LLI"]
+    for f in dataclasses.fields(s):
+        assert type(getattr(s, f.name)) is float
+    assert s == DegradationState(1e-9, 0.0, 6.0, 5.0, 0.01)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.LLI = 0.5
+    r = dataclasses.replace(s, LLI=np.float64(0.2))
+    assert type(r.LLI) is float
+    assert r == DegradationState(1e-9, 0.0, 6.0, 5.0, 0.2)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((-1e-9, 0.0, 6.0, 5.0, 0.0), ConfigError,
+     "film thicknesses must be non-negative"),
+    ((0.0, np.float64(-1e-12), 6.0, 5.0, 0.0), ConfigError,
+     "film thicknesses must be non-negative"),
+    ((0.0, 0.0, 0, 5.0, 0.0), CellDeadError,
+     "electrode capacity must be positive"),
+    ((0.0, 0.0, 6.0, np.float64(-5.0), 0.0), CellDeadError,
+     "electrode capacity must be positive"),
+    ((0.0, 0.0, 6.0, 5.0, 1.0), ConfigError, "LLI must be in [0,1), got 1.0"),
+    ((0.0, 0.0, 6.0, 5.0, np.float64(-0.5)), ConfigError,
+     "LLI must be in [0,1), got -0.5"),
+    ((0.0, 0.0, 6.0, 5.0, float("nan")), ConfigError,
+     "LLI must be in [0,1), got nan"),
+])
+def test_state_rejects_invalid_input(args, error, message):
+    with pytest.raises(error) as e:
+        DegradationState(*args)
+    assert type(e.value) is error and str(e.value) == message
+
+
 class TestSEI:
     def test_flux_always_negative(self, degp):
         sei = degp.sei

@@ -23,8 +23,8 @@ from cellfade.identify import (
 from cellfade.measurement import (MeasurementVector, forward_measure,
                                   instantaneous_resistance)
 from cellfade.protocol import (Campaign, ProtocolStep, Termination,
-                               reference_capacity, run_campaign)
-from helpers import random_truths
+                               reference_capacity, run_campaign, run_step)
+from helpers import demo_members, random_truths
 
 
 @pytest.fixture(scope="module")
@@ -356,3 +356,35 @@ class TestAmbiguityExperiment:
             ambiguity_experiment(params, degp, y_no_exp,
                                  short_campaign(params), n_members=0,
                                  n_li0=n_li0)
+
+
+def test_inverted_states_age_on_python_floats(params, degp, y_full, n_li0):
+    # a numpy scalar in a state or a step record slows every later step
+    c1 = reference_capacity(params)
+    protocol = [
+        ProtocolStep("cc", c1 / 2.0, [Termination("voltage", "<=", 3.6),
+                                      Termination("time", ">=", 1200.0)]),
+        ProtocolStep("rest", 0.0, [Termination("time", ">=", 600.0)]),
+        ProtocolStep("cv", 4.0, [Termination("current", "abs<=", c1 / 20.0),
+                                 Termination("time", ">=", 600.0)]),
+    ]
+    unique = invert_with_expansion(params, degp, y_full, n_li0).solution
+    for state in demo_members(params, degp, n_li0) + [unique]:
+        cell = Cell(params, degp, degradation=state, n_li0=np.float64(n_li0))
+        records = []
+        commit = cell.step
+
+        def recording(I, dt, commit=commit):
+            records.append(commit(I, dt))
+            return records[-1]
+
+        cell.step = recording
+        for step in protocol:
+            run_step(cell, step, dt=60.0, dt_rest=300.0)
+        assert records
+        values = [getattr(cell.degradation, f.name)
+                  for f in dataclasses.fields(cell.degradation)]
+        values += [v for rec in records for v in rec.values()]
+        values += [cell.n_li0, cell.lam_lithium]
+        assert all(type(v) is float for v in values), {
+            type(v).__name__ for v in values}

@@ -5,6 +5,7 @@ import pytest
 
 from cellfade.errors import ConfigError, SaturationError
 from cellfade.ocp import MonotoneOCPTable, load_builtin
+from helpers import ocp_oracle
 
 
 def make_table(n=25, direction=-1):
@@ -151,3 +152,54 @@ def test_from_file_comma_and_whitespace(tmp_path):
     tc = MonotoneOCPTable.from_file(pc)
     tw = MonotoneOCPTable.from_file(pw)
     assert tc(0.5) == pytest.approx(tw(0.5), abs=1e-14)
+
+
+def _oracle_points(t, rng):
+    """Seeded interior points, every knot, both ends, the snap band."""
+    snap = 1e-9 * (t.s_max - t.s_min)
+    return np.concatenate([
+        rng.uniform(t.s_min, t.s_max, 2000), t.stoich,
+        np.nextafter(t.stoich, -np.inf)[1:], np.nextafter(t.stoich, np.inf)[:-1],
+        [t.s_min, t.s_max, t.s_min - snap, t.s_max + snap],
+        t.s_min - rng.uniform(0.0, snap, 50),
+        t.s_max + rng.uniform(0.0, snap, 50)]).tolist()
+
+
+def _assert_matches_oracle(t, arg):
+    value, slope = ocp_oracle(t, arg)
+    got, got_slope = t(arg), t.derivative(arg)
+    assert type(got) is float and type(got_slope) is float
+    assert got.hex() == value.hex() and got_slope.hex() == slope.hex(), arg
+
+
+@pytest.mark.parametrize("which", ["graphite", "nmc"])
+def test_scalar_calls_match_the_segment_oracle(which):
+    t = load_builtin(which)
+    for s in _oracle_points(t, np.random.default_rng(12)):
+        _assert_matches_oracle(t, s)
+        _assert_matches_oracle(t, np.float64(s))
+
+
+def test_int_calls_match_the_segment_oracle():
+    s = np.linspace(0.0, 3.0, 25)
+    t = MonotoneOCPTable(s, 4.0 - 0.3 * s ** 1.5, name="wide")
+    for k in range(4):
+        _assert_matches_oracle(t, k)
+
+
+@pytest.mark.parametrize("which", ["graphite", "nmc"])
+def test_scalar_calls_outside_the_band_raise_as_the_oracle(which):
+    t = load_builtin(which)
+    snap = 1e-9 * (t.s_max - t.s_min)
+    wide = MonotoneOCPTable(np.linspace(0.0, 3.0, 25),
+                            np.linspace(4.0, 3.0, 25), name="wide")
+    cases = [(t, s) for s in (t.s_min - 2.0 * snap, t.s_max + 2.0 * snap,
+                              -0.5, 1.5, float("nan"), float("inf"))]
+    cases += [(t, np.float64(t.s_max + 1e-6)), (wide, -1), (wide, 4)]
+    for table, s in cases:
+        with pytest.raises(SaturationError) as want:
+            ocp_oracle(table, s)
+        for method in (table.__call__, table.derivative):
+            with pytest.raises(SaturationError) as got:
+                method(s)
+            assert str(got.value) == str(want.value)
