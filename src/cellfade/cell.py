@@ -16,6 +16,7 @@ as it stands instead of being evaluated again.
 from . import electrochem as ec
 from .degradation import (DegradationState, StepIncrements, StressExtrema,
                           hydrostatic_stress, lam_cycle_update,
+                          plated_lithium_moles, sei_lithium_moles,
                           step_degradation)
 from .errors import CellDeadError
 from .measurement import r_film
@@ -43,7 +44,13 @@ class Cell:
                                            params.C_n_nom, 0.0)
         self.degradation = degradation
         self.extrema = StressExtrema()
-        self.lam_lithium = 0.0   # mol booked against material loss, audit trail
+        # mol booked against material loss, audit trail; a given state's
+        # LLI not held in its films was trapped before the cell was built
+        self.lam_lithium = float(
+            self.n_li0 * degradation.LLI
+            - (sei_lithium_moles(params, deg_params.sei, degradation.delta_sei)
+               + plated_lithium_moles(params, deg_params.plating,
+                                      degradation.delta_pl)))
         self.freeze_degradation = False   # RPT probes measure without aging
         self._ctx_key = None     # (C_p, C_n) that _ctx belongs to
         self._ctx = None
@@ -98,8 +105,10 @@ class Cell:
         return self
 
     def clone(self, degradation=None):
-        """New cell with the same parameters and fresh accumulators. It
-        shares the degradation state, a frozen value, by reference."""
+        """New cell with the same parameters, at the top of its window. It
+        shares the degradation state, a frozen value, by reference, and
+        books the state's lithium loss not held in films as lam_lithium,
+        like any cell built from a state."""
         if degradation is None:
             degradation = self.degradation
         return Cell(self.params, self.deg_params, degradation=degradation,

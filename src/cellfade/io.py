@@ -178,8 +178,9 @@ _INTEGERS = (int, np.integer)
 
 def write_csv(path, columns):
     """CSV with a header row and one row per index. columns maps each
-    header to an equal-length sequence (list or numpy array); integers are
-    written as integers and every other value as the repr of a float."""
+    header to an equal-length sequence (list, array.array or numpy array);
+    integers are written as integers and every other value as the repr of
+    a float."""
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
         for row in zip(*columns.values(), strict=True):

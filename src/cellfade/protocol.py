@@ -12,6 +12,7 @@ would. Discharge current is positive.
 
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,16 +103,21 @@ class CycleRecord:
 
 
 class Trajectory:
-    """Time series plus per-cycle records of one campaign."""
+    """Time series plus per-cycle records of one campaign.
+
+    The series are typed columns, 8 bytes a value: t, I, V, x and y are
+    array("d"), cycle and step_index array("q"). arrays() returns numpy
+    copies, because an array.array that exports its buffer cannot grow.
+    """
 
     def __init__(self):
-        self.t = []
-        self.I = []
-        self.V = []
-        self.x = []
-        self.y = []
-        self.cycle = []
-        self.step_index = []
+        self.t = array("d")
+        self.I = array("d")
+        self.V = array("d")
+        self.x = array("d")
+        self.y = array("d")
+        self.cycle = array("q")
+        self.step_index = array("q")
         self.cycles = []
 
     def append(self, t, rec, cycle, step_index):
@@ -124,7 +130,7 @@ class Trajectory:
         self.step_index.append(step_index)
 
     def arrays(self):
-        return {k: np.asarray(getattr(self, k)) for k in
+        return {k: np.array(getattr(self, k)) for k in
                 ("t", "I", "V", "x", "y", "cycle", "step_index")}
 
 
@@ -176,14 +182,14 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
 
         while True:   # refine dt near thresholds
             snap = cell.get_state()
-            if step.mode == "rest":
-                I = 0.0
-            elif step.mode == "cc":
-                I = step.setpoint
-            else:
-                I = _solve_cv_current(cell, step.setpoint, dt_eff, i_cv)
             saturated = None
             try:
+                if step.mode == "rest":
+                    I = 0.0
+                elif step.mode == "cc":
+                    I = step.setpoint
+                else:
+                    I = _solve_cv_current(cell, step.setpoint, dt_eff, i_cv)
                 rec = cell.step(I, dt_eff)
             except SaturationError as e:
                 saturated = e
@@ -199,7 +205,8 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
                              and abs(rec["V"] - fired.threshold) > VOLTAGE_BAND)
                 if not overshoot or dt_eff <= MIN_DT:
                     break
-            # rejected: saturated, or a voltage threshold overshot
+            # rejected: saturated (a CV trial included), or a voltage
+            # threshold overshot
             cell.set_state(snap)
             if saturated is not None and dt_eff <= MIN_DT:
                 raise saturated

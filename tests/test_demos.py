@@ -3,9 +3,7 @@
 Each test runs a copy of its script from tmp_path, so the script's out/
 directory is written there and not in the repository. The scripts check
 their own physics as they go; a test asserts only that the script runs
-to the end and writes its files. second_life_triage.py is not run here:
-it takes several seconds, and repeats `cellfade ambiguity` and
-`cellfade identify`, which tests/test_cli.py covers.
+to the end and writes its files.
 """
 
 import runpy
@@ -21,6 +19,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     ("discharge_curves.py",
      ["discharge_C20.csv", "discharge_C2.csv", "discharge_1C.csv"]),
     ("rpt_health_readout.py", ["rpt_pseudo_ocv.csv"]),
+    ("second_life_triage.py",
+     ["triage_member_1.csv", "triage_member_2.csv", "triage_member_3.csv"]),
 ])
 def test_demo_runs(tmp_path, script, outputs):
     copy = tmp_path / script

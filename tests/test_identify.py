@@ -388,3 +388,34 @@ def test_inverted_states_age_on_python_floats(params, degp, y_full, n_li0):
         values += [cell.n_li0, cell.lam_lithium]
         assert all(type(v) is float for v in values), {
             type(v).__name__ for v in values}
+
+
+def test_cell_from_state_books_loss_outside_films(params, degp, y_full,
+                                                  n_li0):
+    # a state's LLI not held in its films was trapped by material loss, so
+    # the lithium books close from construction on, with no hand booking
+    c1 = reference_capacity(params)
+    protocol = [
+        ProtocolStep("cc", c1 / 2.0, [Termination("voltage", "<=", 3.6),
+                                      Termination("time", ">=", 1200.0)]),
+        ProtocolStep("cv", 4.0, [Termination("current", "abs<=", c1 / 20.0),
+                                 Termination("time", ">=", 600.0)]),
+        ProtocolStep("rest", 0.0, [Termination("time", ">=", 600.0)]),
+    ]
+
+    def total(cell):
+        d = cell.degradation
+        return (cell.particle_lithium() + cell.lam_lithium
+                + sei_lithium_moles(params, degp.sei, d.delta_sei)
+                + plated_lithium_moles(params, degp.plating, d.delta_pl))
+
+    unique = invert_with_expansion(params, degp, y_full, n_li0).solution
+    for state in demo_members(params, degp, n_li0) + [unique]:
+        cell = Cell(params, degp, degradation=state, n_li0=n_li0)
+        assert type(cell.lam_lithium) is float and cell.lam_lithium > 0.0
+        assert total(cell) == pytest.approx(n_li0, rel=1e-10)
+        for step in protocol:
+            run_step(cell, step, dt=60.0, dt_rest=300.0)
+        cell.apply_cycle_fatigue()
+        assert total(cell) == pytest.approx(n_li0, rel=1e-10)
+    assert Cell(params, degp).lam_lithium == 0.0

@@ -1,6 +1,7 @@
 """Config parsing, state files, and deterministic result writers."""
 
 import json
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +184,7 @@ def test_resume_from_state_file_is_exact(params, degp, tmp_path):
     assert np.array_equal(resumed.particles.c_pos, straight.particles.c_pos)
     assert np.array_equal(resumed.particles.c_neg, straight.particles.c_neg)
     tail = [v for v, cyc in zip(whole.V, whole.cycle) if cyc > 15]
-    assert tail and tail == second.V
+    assert tail and tail == list(second.V)
 
 
 def _small_trajectory(params, degp):
@@ -225,6 +226,23 @@ def test_write_csv_round_trips_exactly(tmp_path, as_array):
     assert [float(v).hex() for _, v in rows] == [float(v).hex() for v in floats]
     cio.write_csv(path, {"n": ints[:0], "v": floats[:0]})
     assert path.read_text() == "n,v\n"
+
+
+def test_write_csv_round_trips_typed_columns(tmp_path):
+    # the trajectory's array.array columns write like lists of the values
+    ints = array("q", [0, -3, 2**53 + 1, 2**63 - 1])
+    floats = array("d", [-0.0, 5e-324, 1e308, 1 / 3])
+    path = tmp_path / "c.csv"
+    cio.write_csv(path, {"n": ints, "v": floats})
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [n for n, _ in rows] == ["0", "-3", "9007199254740993",
+                                    "9223372036854775807"]
+    assert [v for _, v in rows] == ["-0.0", "5e-324", "1e+308",
+                                    repr(1 / 3)]
+    assert [float(v).hex() for _, v in rows] == [v.hex() for v in floats]
+    other = tmp_path / "l.csv"
+    cio.write_csv(other, {"n": list(ints), "v": list(floats)})
+    assert other.read_bytes() == path.read_bytes()
 
 
 def test_manifest_hashes_outputs(params, degp, tmp_path):

@@ -1,6 +1,7 @@
 """Protocol execution: terminations, CV regulation, RPTs, campaigns."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from cellfade import protocol
 from cellfade.cell import Cell
 from cellfade.errors import (ConfigError, EstimationFailedError,
-                             ProtocolStallError)
+                             ProtocolStallError, SaturationError)
 from cellfade.params import DegradationParameters
 from cellfade.protocol import (
     Campaign,
@@ -116,6 +117,35 @@ def test_cc_coulomb_count_matches_trajectory(cell, c1):
     q_int = float(np.sum(a["I"] * dt)) / 3600.0
     assert q == pytest.approx(q_int, rel=1e-3)
     assert q == pytest.approx(el * (c1 / 2.0) / 3600.0, rel=1e-6)
+
+
+def test_saturating_cv_trial_refines_dt(cell):
+    # a setpoint far below the open-circuit voltage asks the first secant
+    # trial for a current that empties a particle at the base dt; the
+    # trial is rejected like a saturated step and dt halves
+    cell.equilibrate_at(soc=0.5)
+    step = ProtocolStep("cv", 3.3, [Termination("time", ">=", 600.0)])
+    el, q, fired = run_step(cell, step, dt=60.0)
+    assert fired.quantity == "time"
+    assert el == pytest.approx(600.0, abs=1e-9)
+    assert q == pytest.approx(2.14, abs=0.01)
+
+
+def test_cv_saturation_raises_only_at_min_dt(cell, monkeypatch):
+    # 3.0 V from a full cell saturates at every dt; it surfaces only once
+    # the refinement has reached its floor
+    dts = []
+    trial = Cell.voltage_after
+
+    def spy(self, I, dt):
+        dts.append(dt)
+        return trial(self, I, dt)
+
+    monkeypatch.setattr(Cell, "voltage_after", spy)
+    step = ProtocolStep("cv", 3.0, [Termination("time", ">=", 600.0)])
+    with pytest.raises(SaturationError):
+        run_step(cell, step, dt=60.0)
+    assert dts[0] == 60.0 and dts[-1] == protocol.MIN_DT
 
 
 def test_cv_holds_setpoint_and_tapers(cell, c1):
@@ -299,3 +329,37 @@ def test_campaign_flat_when_mechanisms_off(cell, params, degp, c1):
     caps = [r.capacity_Ah for r in traj.cycles[1:]]
     assert max(caps) - min(caps) <= 1e-3 * max(caps)
     assert eol is False
+
+
+def test_trajectory_keeps_typed_columns():
+    # 7 columns of 8-byte values plus the arrays' growth headroom; lists
+    # of Python floats cost about three times that
+    traj = Trajectory()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k in range(20000):
+            v = k * 1e-3
+            traj.append(v * 60.0, {"I": v + 1.5, "V": v + 3.5, "x": v + 0.25,
+                                   "y": v + 0.75}, k // 100 + 1000, k % 5)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(traj.t) == 20000 and traj.cycle[-1] == 1199
+    assert grown <= 64 * 20000
+
+
+def test_trajectory_arrays_are_copies(cell, c1):
+    step = ProtocolStep("cc", c1 / 2.0, [Termination("time", ">=", 120.0)])
+    traj = Trajectory()
+    run_step(cell, step, dt=30.0, trajectory=traj)
+    a = traj.arrays()
+    assert a["V"].dtype == np.float64 and a["cycle"].dtype == np.int64
+    v0 = traj.V[0]
+    a["V"][0] = -1.0
+    a["t"][:] = 0.0
+    assert traj.V[0] == v0 and list(traj.t) == [30.0, 60.0, 90.0, 120.0]
+    # an exported buffer would pin the columns; copies leave them growable
+    run_step(cell, step, dt=30.0, trajectory=traj, t0=120.0, cycle=1)
+    assert len(traj.t) == 8 and traj.cycle[-1] == 1
+    assert list(a["t"]) == [0.0] * 4
