@@ -82,36 +82,28 @@ class Cell:
         x, y = self.mean_stoichiometry()
         return 3600.0 / p.F * (x * d.C_n + y * d.C_p)
 
-    def r_film_cell(self):
-        return r_film(self.params, self.deg_params, self.degradation)[1]
-
     def open_circuit_voltage(self):
         x, y = self.mean_stoichiometry()
         return self.params.ocp_pos(y) - self.params.ocp_neg(x)
 
     # --- state placement ---
 
-    def equilibrate_at(self, x=None, soc=None):
-        """Uniform profiles at negative stoichiometry x (or window SOC),
-        with the positive side fixed by lithium conservation."""
+    def equilibrate_at(self, soc):
+        """Uniform profiles at window state of charge soc, with the
+        positive side fixed by lithium conservation."""
         w = self.esoh()
-        if x is None:
-            if soc is None:
-                raise ValueError("give either x or soc")
-            x = w.x_0 + soc * w.C / w.C_n
+        x = w.x_0 + soc * w.C / w.C_n
         N_Ah = self.n_li * self.params.F / 3600.0
         y = (N_Ah - x * w.C_n) / w.C_p
         self.particles = self.pair.at_stoichiometry(x, y)
         return self
 
-    def clone(self, degradation=None):
+    def clone(self):
         """New cell with the same parameters, at the top of its window. It
         shares the degradation state, a frozen value, by reference, and
         books the state's lithium loss not held in films as lam_lithium,
         like any cell built from a state."""
-        if degradation is None:
-            degradation = self.degradation
-        return Cell(self.params, self.deg_params, degradation=degradation,
+        return Cell(self.params, self.deg_params, degradation=self.degradation,
                     n_li0=self.n_li0)
 
     def get_state(self):

@@ -202,8 +202,6 @@ def build_parser():
     def common(p, state=False, dt=True):
         p.add_argument("--cell", required=True, help="cell config YAML")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the manifest, used nowhere else")
         if dt:
             p.add_argument("--dt", type=_positive(float), default=10.0,
                            help="timestep during active steps, s")
@@ -274,7 +272,8 @@ def main(argv=None):
             write(out / name)
         configs = {k: getattr(args, k) for k in CONFIG_FLAGS
                    if getattr(args, k, None)}
-        cio.write_manifest(out, configs, args.seed, list(files),
+        # seed 0: no command draws a random number
+        cio.write_manifest(out, configs, 0, list(files),
                            time.monotonic() - t0)
     except OSError as e:
         print(f"error: cannot write --out {args.out}: {e}", file=sys.stderr)

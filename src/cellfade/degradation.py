@@ -3,7 +3,7 @@
 State vector: SEI thickness, plated-lithium thickness, the two electrode
 capacities, and the fractional loss of lithium inventory. Film thicknesses
 only grow; capacities only shrink. Lithium bookkeeping runs through the
-frozen pristine interfacial area (params.a_s0_neg) so that thickness,
+frozen pristine interfacial area (params.film_area_neg) so that thickness,
 consumed moles, and the LLI integral stay algebraically identical.
 
 Sign conventions: side-reaction molar fluxes are <= 0 (lithium leaving the

@@ -15,12 +15,6 @@ from scipy.optimize import brentq
 from .errors import CellDeadError, KineticsSingularError, SaturationError
 
 
-def ocp(params, electrode, stoichiometry):
-    """Open-circuit potential of one electrode at a stoichiometry."""
-    table = params.ocp_pos if electrode == "pos" else params.ocp_neg
-    return table(stoichiometry)
-
-
 def exchange_current_density(params, electrode, c_ss):
     """i0 in A/m^2; vanishes at an empty or saturated surface."""
     cmax = params.c_smax_pos if electrode == "pos" else params.c_smax_neg

@@ -161,13 +161,16 @@ def load_state(path, params, deg_params):
     if unknown:
         raise ConfigError(f"{where}: degradation has unknown keys "
                           f"{sorted(unknown, key=str)}")
-    cell = Cell(params, deg_params,
-                degradation=from_mapping(DegradationState, deg,
-                                         f"{where}: degradation"),
-                n_li0=_number(float, doc.get("n_li0"), f"{where}: n_li0"),
+    degradation = from_mapping(DegradationState, deg, f"{where}: degradation")
+    n_li0 = _number(float, doc.get("n_li0"), f"{where}: n_li0")
+    if not n_li0 > 0.0:
+        raise ConfigError(f"{where}: n_li0 must be > 0, got {n_li0!r}")
+    cell = Cell(params, deg_params, degradation=degradation, n_li0=n_li0,
                 particles=ParticleState(*profiles))
-    cell.lam_lithium = _number(float, doc.get("lam_lithium", 0.0),
-                               f"{where}: lam_lithium")
+    # without the key, keep the booking the Cell makes from the state
+    if "lam_lithium" in doc:
+        cell.lam_lithium = _number(float, doc["lam_lithium"],
+                                   f"{where}: lam_lithium")
     return cell
 
 
@@ -199,14 +202,12 @@ def write_pseudo_ocv_csv(path, curve):
                      "voltage_V": curve.voltage})
 
 
-def write_cycles_json(path, traj, extra=None):
-    doc = {"cycles": [
+def write_cycles_json(path, traj, extra):
+    """The per-cycle records, plus the run summary fields in extra."""
+    write_json(path, {"cycles": [
         {"cycle": c.cycle, "capacity_Ah": c.capacity_Ah,
          "degradation": c.degradation, "rpt": c.rpt}
-        for c in traj.cycles]}
-    if extra:
-        doc.update(extra)
-    write_json(path, doc)
+        for c in traj.cycles], **extra})
 
 
 def write_json(path, doc):

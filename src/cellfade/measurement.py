@@ -17,6 +17,9 @@ from . import electrochem as ec
 from .electrochem import ESOHRecord, solve_window
 from .errors import ConfigError, EstimationFailedError, KineticsSingularError
 
+PSEUDO_OCV_POINTS = 241   # samples on a synthesized or RPT pseudo-OCV curve
+ENDPOINT_WEIGHT = 10.0    # eSOH fit: weight of the two voltage-limit rows
+
 
 @dataclass
 class MeasurementVector:
@@ -145,9 +148,9 @@ class PseudoOCV:
     voltage: np.ndarray
 
 
-def synthesize_pseudo_ocv(params, esoh, n_points=241, noise_mv=0.0, rng=None):
+def synthesize_pseudo_ocv(params, esoh, noise_mv=0.0, rng=None):
     """Exact OCV-difference curve for a known window (test/demo helper)."""
-    q = np.linspace(0.0, esoh.C, n_points)
+    q = np.linspace(0.0, esoh.C, PSEUDO_OCV_POINTS)
     x = esoh.x_0 + (esoh.C - q) / esoh.C_n
     y = esoh.y_0 - (esoh.C - q) / esoh.C_p
     v = params.ocp_pos(y) - params.ocp_neg(x)
@@ -157,7 +160,7 @@ def synthesize_pseudo_ocv(params, esoh, n_points=241, noise_mv=0.0, rng=None):
     return PseudoOCV(q, v)
 
 
-def extract_esoh(curve, params, capacity=None, endpoint_weight=10.0):
+def extract_esoh(curve, params, capacity=None):
     """Fit (C_p, C_n, x_0, y_0) to a pseudo-OCV curve.
 
     Least squares over the whole curve shape plus the two voltage-limit
@@ -211,7 +214,7 @@ def extract_esoh(curve, params, capacity=None, endpoint_weight=10.0):
         vm = tp(y_c) - tn(x_c)
         return np.concatenate([
             vm[:n] - v,
-            endpoint_weight * (vm[n:] - (params.V_min, params.V_max)),
+            ENDPOINT_WEIGHT * (vm[n:] - (params.V_min, params.V_max)),
             [1e3 * np.abs(x[:n] - x_c[:n]).max(),
              1e3 * np.abs(y[:n] - y_c[:n]).max()],
         ])
@@ -226,7 +229,7 @@ def extract_esoh(curve, params, capacity=None, endpoint_weight=10.0):
         J = np.zeros((n + 4, 4))
         J[:n + 2] = np.column_stack(
             [dp * dq / C_p ** 2, dn * dq / C_n ** 2, -dn, dp])
-        J[n:n + 2] *= endpoint_weight
+        J[n:n + 2] *= ENDPOINT_WEIGHT
         # each penalty's subgradient at the point argmax picks, signed by
         # the excursion; a zero row when that electrode stays on-table
         k = np.argmax(np.abs(x[:n] - x_c[:n]))

@@ -1,8 +1,8 @@
 """Open-circuit potential tables.
 
 Half-cell OCPs enter as two-column tables (stoichiometry, potential vs
-Li/Li+) and are interpolated with a shape-preserving monotone cubic, so the
-interpolant is exact at every knot and strictly monotone between them.
+Li/Li+, strictly decreasing) and are interpolated with a shape-preserving
+monotone cubic, exact at every knot and strictly decreasing between them.
 Evaluation outside the tabulated stoichiometry range is an error, not an
 extrapolation.
 """
@@ -19,7 +19,7 @@ MIN_ROWS = 20
 
 
 class MonotoneOCPTable:
-    """Strictly monotone potential(stoichiometry) interpolant.
+    """Strictly decreasing potential(stoichiometry) interpolant.
 
     Scalar calls run on precomputed piecewise-cubic coefficients (the
     simulator evaluates these in its inner loop) and return a Python
@@ -42,13 +42,8 @@ class MonotoneOCPTable:
             raise ConfigError(f"{name}: non-finite table entry")
         if not np.all(np.diff(s) > 0):
             raise ConfigError(f"{name}: stoichiometry column must be strictly increasing")
-        dv = np.diff(v)
-        if np.all(dv < 0):
-            self.direction = -1
-        elif np.all(dv > 0):
-            self.direction = 1
-        else:
-            raise ConfigError(f"{name}: potential column must be strictly monotone")
+        if not np.all(np.diff(v) < 0):
+            raise ConfigError(f"{name}: potential column must be strictly decreasing")
         self.name = name
         self.stoich = s
         self.potential = v
@@ -134,16 +129,16 @@ class MonotoneOCPTable:
 
     def inverse(self, v):
         """Stoichiometry at potential v. Monotonicity makes this unique."""
-        lo, hi = sorted((self.potential[0], self.potential[-1]))
+        lo, hi = self.potential[-1], self.potential[0]
         if not (lo <= v <= hi):
             raise SaturationError(
                 f"{self.name}: potential {v:.6g} outside table range "
                 f"[{lo:.6g}, {hi:.6g}]")
-        pv = self.potential if self.direction > 0 else self.potential[::-1]
-        ps = self.stoich if self.direction > 0 else self.stoich[::-1]
+        # the tables decrease, so search the reversed (increasing) columns
+        pv, ps = self.potential[::-1], self.stoich[::-1]
         j = int(np.searchsorted(pv, v))
         j = min(max(j, 1), len(pv) - 1)
-        a, b = sorted((ps[j - 1], ps[j]))
+        a, b = ps[j], ps[j - 1]
         from scipy.optimize import brentq
         if self(a) == v:
             return float(a)

@@ -139,45 +139,29 @@ class CellParameters:
         for name, tab in (("ocp_pos", self.ocp_pos), ("ocp_neg", self.ocp_neg)):
             if not isinstance(tab, MonotoneOCPTable):
                 raise ConfigError(f"{name} must be an OCP table")
-            if tab.direction != -1:
-                raise ConfigError(f"{name} must be strictly decreasing in stoichiometry")
 
     # --- capacity <-> volume fraction bookkeeping ---
 
-    def eps_s(self, electrode, capacity_Ah):
-        """Active-material volume fraction implied by an electrode capacity."""
-        l, cmax = self._geom(electrode)
-        return 3600.0 * capacity_Ah / (self.A * self.F * l * cmax)
-
-    def a_s(self, electrode, capacity_Ah):
-        """Interfacial area per electrode volume, 1/m, at a given capacity."""
-        r = self.r_p_pos if electrode == "pos" else self.r_p_neg
-        return 3.0 * self.eps_s(electrode, capacity_Ah) / r
-
     def active_area(self, electrode, capacity_Ah):
-        """Total interfacial area A*l*a_s, m^2."""
-        l = self.l_pos if electrode == "pos" else self.l_neg
-        return self.A * l * self.a_s(electrode, capacity_Ah)
-
-    def _geom(self, electrode):
+        """Total interfacial area A*l*a_s, m^2, at a given capacity: the
+        capacity implies the active-material volume fraction eps_s, and
+        a_s = 3*eps_s/r_p is the interfacial area per electrode volume."""
         if electrode == "pos":
-            return self.l_pos, self.c_smax_pos
-        if electrode == "neg":
-            return self.l_neg, self.c_smax_neg
-        raise ConfigError(f"electrode must be 'pos' or 'neg', got {electrode!r}")
+            l, cmax, r = self.l_pos, self.c_smax_pos, self.r_p_pos
+        elif electrode == "neg":
+            l, cmax, r = self.l_neg, self.c_smax_neg, self.r_p_neg
+        else:
+            raise ConfigError(f"electrode must be 'pos' or 'neg', got {electrode!r}")
+        eps_s = 3600.0 * capacity_Ah / (self.A * self.F * l * cmax)
+        return self.A * l * (3.0 * eps_s / r)
 
     # Parameters are never changed in place (copies come from
-    # dataclasses.replace), so the nominal areas are computed once.
-    @cached_property
-    def a_s0_neg(self):
-        """Nominal negative interfacial area per volume, frozen for film and
-        lithium-mole bookkeeping so those algebraic identities stay exact."""
-        return self.a_s("neg", self.C_n_nom)
-
+    # dataclasses.replace), so the nominal area is computed once.
     @cached_property
     def film_area_neg(self):
-        """Nominal negative interfacial area A*l*a_s0, m^2."""
-        return self.A * self.l_neg * self.a_s0_neg
+        """Nominal negative interfacial area, m^2, frozen for film and
+        lithium-mole bookkeeping so those algebraic identities stay exact."""
+        return self.active_area("neg", self.C_n_nom)
 
     @cached_property
     def fresh_window(self):

@@ -19,13 +19,15 @@ import numpy as np
 
 from .errors import (CellDeadError, ConfigError, EstimationFailedError,
                      ProtocolStallError, SaturationError)
-from .measurement import PseudoOCV, extract_esoh, irreversible_expansion
+from .measurement import (PSEUDO_OCV_POINTS, PseudoOCV, extract_esoh,
+                          irreversible_expansion)
 from .params import _number
 
 VOLTAGE_BAND = 1e-3     # accepted overshoot at a fired voltage threshold, V
 CV_TOL = 1e-4           # CV voltage solve tolerance, V
 MIN_DT = 0.05           # s; refinement floor
 STEP_TIME_CAP = 7.2e5   # s; a single step exceeding this has stalled
+PULSE_C_RATE = 0.1      # RPT resistance pulse, in units of the reference capacity
 
 
 @dataclass
@@ -249,7 +251,7 @@ def _sweep(cell, current, until, dt):
     return q, a["V"]
 
 
-def run_rpt(cell, dt=10.0, pulse_c_rate=0.1):
+def run_rpt(cell, dt=10.0):
     """Characterize the cell without aging it.
 
     Works on a frozen clone: CCCV top-up, C/20 discharge and charge
@@ -282,7 +284,7 @@ def run_rpt(cell, dt=10.0, pulse_c_rate=0.1):
 
     # average discharge and charge branches on a common removed-charge axis
     grid = np.linspace(max(q_d.min(), q_c.min()),
-                       min(q_d.max(), q_c.max()), 241)
+                       min(q_d.max(), q_c.max()), PSEUDO_OCV_POINTS)
     vd_i = np.interp(grid, q_d, v_d)
     vc_i = np.interp(grid, q_c[::-1], v_c[::-1])
     curve = PseudoOCV(grid, 0.5 * (vd_i + vc_i))
@@ -290,7 +292,7 @@ def run_rpt(cell, dt=10.0, pulse_c_rate=0.1):
     # resistance pulse at mid-SOC from rest
     probe.equilibrate_at(soc=0.5)
     v0 = probe.open_circuit_voltage()
-    i_pulse = pulse_c_rate * c1
+    i_pulse = PULSE_C_RATE * c1
     rec = probe.step(i_pulse, 0.1)
     r_s = (v0 - rec["V"]) / i_pulse
 

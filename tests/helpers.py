@@ -103,6 +103,12 @@ def moles(sp, c):
     return float(sp.volumes @ c)
 
 
+def ocp(params, electrode, stoichiometry):
+    """Open-circuit potential of one electrode at a stoichiometry."""
+    table = params.ocp_pos if electrode == "pos" else params.ocp_neg
+    return table(stoichiometry)
+
+
 def molar_flux(params, electrode, I, capacity_Ah):
     """Surface molar flux for the diffusion step, mol/(m^2 s), outflow positive."""
     return interfacial_current_density(params, electrode, I, capacity_Ah) / params.F

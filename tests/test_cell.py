@@ -7,6 +7,7 @@ import pytest
 
 from cellfade.cell import Cell
 from cellfade.degradation import DegradationState
+from cellfade.measurement import r_film
 from cellfade.params import default_cell
 from cellfade.protocol import (ProtocolStep, Termination, reference_capacity,
                                run_step)
@@ -223,7 +224,7 @@ def test_clone_is_independent(cell):
 
 def test_clone_with_given_state(cell):
     d = DegradationState(3e-8, 1e-8, 6.2, 5.4, 0.05)
-    aged = cell.clone(degradation=d)
+    aged = Cell(cell.params, cell.deg_params, degradation=d, n_li0=cell.n_li0)
     assert aged.degradation == d
     # placed at its own full-charge point
     w = aged.esoh()
@@ -236,19 +237,13 @@ def test_clone_with_given_state(cell):
 
 
 def test_equilibrate_at_soc(cell):
-    w = cell.esoh()
     cell.equilibrate_at(soc=0.0)
     assert cell.open_circuit_voltage() == pytest.approx(cell.params.V_min, abs=1e-6)
     cell.equilibrate_at(soc=1.0)
     assert cell.open_circuit_voltage() == pytest.approx(cell.params.V_max, abs=1e-6)
-    cell.equilibrate_at(x=w.x_0 + 0.5 * w.C / w.C_n)
+    cell.equilibrate_at(soc=0.5)
     v_mid = cell.open_circuit_voltage()
     assert cell.params.V_min < v_mid < cell.params.V_max
-
-
-def test_equilibrate_requires_target(cell):
-    with pytest.raises(ValueError):
-        cell.equilibrate_at()
 
 
 def test_equilibrate_conserves_lithium(cell):
@@ -260,4 +255,4 @@ def test_default_cell_loads():
     params, degp = default_cell()
     c = Cell(params, degp)
     assert c.params.C_p_nom > c.params.C_n_nom > 0.0
-    assert c.r_film_cell() == 0.0   # no films yet
+    assert r_film(params, degp, c.degradation)[1] == 0.0   # no films yet

@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, outputs, determinism, resume."""
 
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,13 +14,14 @@ import yaml
 
 from cellfade import io as cio
 from cellfade.cell import Cell
-from cellfade.cli import main
+from cellfade.cli import build_parser, main
 from cellfade.degradation import DegradationState
 from cellfade.measurement import forward_measure
 from cellfade.params import load_cell_config
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
 CELL = str(DATA / "cell_default.yaml")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_json(path):
@@ -316,6 +319,21 @@ def _simulate_state(tmp_path, name, value):
     return _simulate_flags("--protocol", PROTOCOL, "--state", path), path
 
 
+def _state_n_li0(tmp_path, command, value):
+    """rpt or simulate from the fresh default cell's state file with its
+    n_li0 set to value."""
+    argv, path = _rpt_state(tmp_path, lambda doc: {**doc, "n_li0": value})
+    if command == "simulate":
+        argv = _simulate_flags("--protocol", PROTOCOL, "--state", path)
+    return argv, path
+
+
+def _rising_table(tmp_path):
+    """An OCP table whose potential increases with stoichiometry."""
+    rows = [f"{0.02 + 0.04 * k!r},{3.0 + 0.036 * k!r}" for k in range(25)]
+    return _write(tmp_path, "rising.csv", "\n".join(rows) + "\n")
+
+
 def _rpt_cell(tmp_path, **changes):
     cell = yaml.safe_load(Path(CELL).read_text())
     path = _write(tmp_path, "cell.yaml", {**cell, **changes})
@@ -365,6 +383,11 @@ MALFORMED = [
                  "delta_sei", id="state-string-film"),
     pytest.param(lambda t: _rpt_state(t, lambda doc: {**doc, "n_li0": "lots"}),
                  "n_li0", id="state-string-n_li0"),
+    # n_li0 <= 0 ended in a ZeroDivisionError (simulate, 0), a run that
+    # wrote outputs (simulate, -1) or a CellDeadError (rpt, exit 4)
+    *[pytest.param(lambda t, c=command, v=value: _state_n_li0(t, c, v),
+                   ": n_li0 must be > 0", id=f"state-n_li0-{value}-{command}")
+      for command in ("rpt", "simulate") for value in (0, -1)],
     # out-of-range profiles: diffusion would smooth a negative shell away
     # unseen, and a huge one ended as a numerical failure (exit 4)
     pytest.param(lambda t: _simulate_state(t, "c_neg", -5.0), "particles c_neg",
@@ -377,6 +400,9 @@ MALFORMED = [
     pytest.param(lambda t: _rpt_cell(t, ocp_pos=_write(
         t, "bad.csv", "stoichiometry,potential\nlow,high\n")), "bad.csv",
         id="ocp-bad-csv"),
+    pytest.param(lambda t: _rpt_cell(t, ocp_pos=_rising_table(t)),
+                 "ocp_pos: potential column must be strictly decreasing",
+                 id="ocp-increasing"),
     pytest.param(lambda t: _rpt_cell(t, T=True), "T", id="cell-bool"),
     pytest.param(lambda t: _simulate_campaign(
         t, "steps:\n  - {mode: rest, until: 5}\n"), "until", id="until-number"),
@@ -461,3 +487,24 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and str(out) in err, err
     assert out.read_text() == "keep\n"
+
+
+def _flags(text):
+    return set(re.findall(r"--[a-z][a-z-]*", text))
+
+
+def test_readme_command_line_matches_the_parser():
+    # each synopsis in the section's first block lists exactly its
+    # subcommand's flags, and every flag the section names exists
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {o for a in p._actions for o in a.option_strings
+                    if o.startswith("--") and o != "--help"}
+             for name, p in sub.choices.items()}
+    section = README.read_text().split("## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    synopses = re.split(r"^cellfade ", section.split("```", 2)[1], flags=re.M)
+    listed = {s.split()[0]: _flags(s.split("writes", 1)[0])
+              for s in synopses[1:]}
+    assert listed == flags
+    assert _flags(section) <= set().union(*flags.values())

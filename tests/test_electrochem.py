@@ -9,13 +9,12 @@ from cellfade.electrochem import (
     exchange_current_density,
     intercalation_overpotential,
     interfacial_current_density,
-    ocp,
     pristine_inventory,
     solve_window,
     terminal_voltage,
 )
 from cellfade.errors import CellDeadError, KineticsSingularError, SaturationError
-from helpers import molar_flux
+from helpers import molar_flux, ocp
 
 
 def test_overpotential_odd_in_current(params):

@@ -10,10 +10,12 @@ import yaml
 
 from cellfade import io as cio
 from cellfade.cell import Cell
+from cellfade.degradation import plated_lithium_moles, sei_lithium_moles
 from cellfade.errors import ConfigError
 from cellfade.params import load_cell_config
 from cellfade.protocol import (ProtocolStep, Termination, Trajectory,
                                reference_capacity, run_campaign, run_protocol)
+from helpers import demo_members
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
 
@@ -185,6 +187,30 @@ def test_resume_from_state_file_is_exact(params, degp, tmp_path):
     assert np.array_equal(resumed.particles.c_neg, straight.particles.c_neg)
     tail = [v for v, cyc in zip(whole.V, whole.cycle) if cyc > 15]
     assert tail and tail == list(second.V)
+
+
+def test_state_without_lam_lithium_keeps_the_booking(params, degp, n_li0,
+                                                     tmp_path):
+    # a Cell built from a state books its LLI not held in films as
+    # lam_lithium; a state file without the key keeps that booking, and
+    # the lithium books close after a cycle
+    member = demo_members(params, degp, n_li0)[0]
+    p = tmp_path / "state.json"
+    cio.save_state(p, Cell(params, degp, degradation=member, n_li0=n_li0))
+    doc = json.loads(p.read_text())
+    booked = doc.pop("lam_lithium")
+    p.write_text(json.dumps(doc))
+    cell = cio.load_state(p, params, degp)
+    assert cell.lam_lithium == booked > 0.0
+    c1 = reference_capacity(params)
+    run_protocol(cell, cio.load_protocol(DATA / "protocol_cycle.yaml", c1),
+                 dt=60.0, dt_rest=300.0)
+    cell.apply_cycle_fatigue()
+    d = cell.degradation
+    total = (cell.particle_lithium() + cell.lam_lithium
+             + sei_lithium_moles(params, degp.sei, d.delta_sei)
+             + plated_lithium_moles(params, degp.plating, d.delta_pl))
+    assert total == pytest.approx(n_li0, rel=1e-10)
 
 
 def _small_trajectory(params, degp):

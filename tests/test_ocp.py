@@ -21,10 +21,9 @@ def test_knots_reproduced_exactly():
 
 
 def test_builtin_tables_load_and_are_monotone():
-    for name, direction in (("graphite", -1), ("nmc", -1)):
+    for name in ("graphite", "nmc"):
         t = load_builtin(name)
         assert len(t.stoich) >= 20
-        assert t.direction == direction
         dense = np.linspace(t.s_min, t.s_max, 5001)
         dv = np.diff(t(dense))
         assert np.all(dv < 0), f"{name} not strictly decreasing between knots"
@@ -41,6 +40,11 @@ def test_rejects_non_monotone_voltage():
     v = np.cos(6 * s)
     with pytest.raises(ConfigError):
         MonotoneOCPTable(s, v)
+
+
+def test_rejects_increasing_voltage():
+    with pytest.raises(ConfigError, match="strictly decreasing"):
+        make_table(direction=1)
 
 
 def test_rejects_unsorted_stoichiometry():

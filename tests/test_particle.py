@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from cellfade.cell import Cell
 from cellfade.errors import SaturationError
 from cellfade.particle import SphereFV, step_particle_diffusion
-from cellfade.protocol import MIN_DT
+from cellfade.protocol import (MIN_DT, ProtocolStep, Termination,
+                               reference_capacity, run_step)
 from helpers import moles
 
 
@@ -234,3 +236,48 @@ def test_carried_enclosure_decides_as_the_exact_check(params):
                 c, enc = c_got, enc_got
         assert saturated == {True, False}   # emptied and filled
     assert fast > exact > 0   # both ways of deciding were exercised
+
+
+def test_propagator_cache_under_clamped_time_terminations(params, degp,
+                                                          monkeypatch):
+    # time caps clamp each step's last stride to its own dt; past 64 sizes
+    # the cache is emptied, so it holds at most 65 propagators, and a run
+    # through it equals one that builds every propagator afresh
+    c1 = reference_capacity(params)
+    lookup = SphereFV._propagator
+    sizes, peak = set(), [0]
+
+    def recording(self, dt):
+        sizes.add(dt)
+        got = lookup(self, dt)
+        peak[0] = max(peak[0], len(self._props))
+        return got
+
+    def uncached(self, dt):
+        self._props.clear()
+        return lookup(self, dt)
+
+    def age(propagator):
+        monkeypatch.setattr(SphereFV, "_propagator", propagator)
+        rng = np.random.default_rng(7)
+        cell = Cell(params, degp)
+        for k in range(40):
+            current = c1 / 2.0 if k % 2 == 0 else -c1 / 2.0
+            limit = (Termination("voltage", "<=", params.V_min) if current > 0
+                     else Termination("voltage", ">=", params.V_max))
+            for mode, setpoint, until in (("cc", current, [limit]),
+                                          ("rest", 0.0, [])):
+                cap = Termination("time", ">=", float(rng.uniform(30.0, 900.0)))
+                run_step(cell, ProtocolStep(mode, setpoint, until + [cap]),
+                         dt=60.0, dt_rest=300.0)
+        return cell
+
+    cached = age(recording)
+    fresh = age(uncached)
+    assert len(sizes) > 64
+    assert peak[0] <= 65
+    assert np.array_equal(cached.particles.c_pos, fresh.particles.c_pos)
+    assert np.array_equal(cached.particles.c_neg, fresh.particles.c_neg)
+    assert cached.degradation == fresh.degradation
+    assert cached.extrema == fresh.extrema
+    assert cached.lam_lithium == fresh.lam_lithium
