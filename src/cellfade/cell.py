@@ -6,6 +6,9 @@ particles advance under the remaining intercalation current, and the
 degradation state integrates alongside. Fatigue capacity loss is applied
 from outside at cycle boundaries (see protocol.run_campaign).
 
+Kinetics, OCP and areas come from the parameter set's two
+electrochem.Electrode objects (params.pos and params.neg), built once, so
+no step branches on an electrode name or rebuilds a kinetic constant.
 Each value is computed once over the span in which it can change:
 the active areas once per pair of electrode capacities (they move only
 when fatigue closes a cycle), the particle averages once per particle
@@ -19,7 +22,6 @@ from .degradation import (DegradationState, StepIncrements, StressExtrema,
                           plated_lithium_moles, sei_lithium_moles,
                           step_degradation)
 from .errors import CellDeadError
-from .measurement import r_film
 from .particle import ParticlePair, step_particle_diffusion
 
 
@@ -125,8 +127,8 @@ class Cell:
         key = (d.C_p, d.C_n)
         if key != self._ctx_key:
             p = self.params
-            area_p = p.active_area("pos", d.C_p)
-            area_n = p.active_area("neg", d.C_n)
+            area_p = p.pos.area(d.C_p)
+            area_n = p.neg.area(d.C_n)
             self._ctx = (area_p, area_n, p.F * area_p, p.F * area_n)
             self._ctx_key = key
         return self._ctx
@@ -135,17 +137,21 @@ class Cell:
         p = self.params
         d = self.degradation
         particles = self.particles
-        neg, pos = self.pair.neg, self.pair.pos
+        sp_neg, sp_pos = self.pair.neg, self.pair.pos
         area_p, area_n, f_area_p, f_area_n = self._context()
 
+        # surface concentrations: the outer shell corrected by the flux
+        # boundary condition across its half width
         j_neg0 = I / f_area_n
-        c_ss_n = neg.c_ss(particles.c_neg, j_neg0)
+        c_ss_n = (float(particles.c_neg[-1])
+                  - sp_neg.half_dr * j_neg0 / sp_neg.D)
         if self.freeze_degradation:
             deg_new = d
             inc = StepIncrements(0.0, 0.0, 0.0)
         else:
-            eta_neg = ec.overpotential(p, "neg", I / area_n, c_ss_n)
-            u_neg = p.ocp_neg(c_ss_n / p.c_smax_neg)
+            neg = p.neg
+            eta_neg = neg.overpotential(I / area_n, c_ss_n)
+            u_neg = neg.ocp(c_ss_n / neg.c_smax)
             _, c_avg_n, y_bar, x_bar = self.pair.averages(particles)
             deg_new, inc = step_degradation(
                 p, self.deg_params, d, eta_neg, u_neg, c_ss_n, c_avg_n,
@@ -157,11 +163,15 @@ class Cell:
         parts = step_particle_diffusion(self.pair, particles,
                                         j_pos, j_neg, dt)
 
-        c_ss_p2 = pos.c_ss(parts.c_pos, j_pos)
-        c_ss_n2 = neg.c_ss(parts.c_neg, j_neg)
-        v_t = ec.voltage_at_densities(
-            p, c_ss_p2, c_ss_n2, I, r_film(p, self.deg_params, deg_new)[1],
-            -I / area_p, I / area_n)
+        c_ss_p2 = float(parts.c_pos[-1]) - sp_pos.half_dr * j_pos / sp_pos.D
+        c_ss_n2 = float(parts.c_neg[-1]) - sp_neg.half_dr * j_neg / sp_neg.D
+        # measurement.r_film's cell value, inlined like the surface reads
+        dp = self.deg_params
+        r_film_cell = ((deg_new.delta_sei / dp.sei.kappa_sei
+                        + deg_new.delta_pl / dp.plating.kappa_pl)
+                       / p.film_area_neg)
+        v_t = ec.voltage_at_densities(p, c_ss_p2, c_ss_n2, I, r_film_cell,
+                                      -I / area_p, I / area_n)
         return parts, deg_new, inc, c_ss_p2, c_ss_n2, v_t
 
     def voltage_after(self, I, dt):
@@ -194,8 +204,10 @@ class Cell:
         self.degradation = deg_new
         c_avg_p, c_avg_n, y, x = self.pair.averages(parts)
         lam = self.deg_params.lam
-        sig_p = hydrostatic_stress(lam, "pos", c_ss_p, c_avg_p, self.params)
-        sig_n = hydrostatic_stress(lam, "neg", c_ss_n, c_avg_n, self.params)
+        sig_p = hydrostatic_stress(lam.stress_gain_pos, self.params.pos,
+                                   c_ss_p, c_avg_p)
+        sig_n = hydrostatic_stress(lam.stress_gain_neg, self.params.neg,
+                                   c_ss_n, c_avg_n)
         self.extrema = self.extrema.update(sig_p, sig_n)
         return {"I": I, "V": v_t, "x": x, "y": y,
                 "i_side": inc.i_side, "dn_sei": inc.dn_sei, "dn_pl": inc.dn_pl,

@@ -52,68 +52,11 @@ class DegradationState:
                 "C_p": self.C_p, "C_n": self.C_n, "LLI": self.LLI}
 
 
-# --- SEI ---
-
-def sei_overpotential(eta_neg, u_neg_surface, U_sei):
-    """Driving overpotential of the film reaction."""
-    return eta_neg + u_neg_surface - U_sei
-
-
-def sei_rate_constant(sei, eta_sei, T, R_gas, F):
-    """Kinetic rate constant of solvent reduction at overpotential
-    eta_sei, m/s."""
-    return sei.k_sei * math.exp(-sei.alpha_sei * F * eta_sei / (R_gas * T))
-
+# --- film lithium ---
 
 def sei_lithium_moles(params, sei, delta_sei):
     """Lithium locked in a film of the given thickness, mol."""
     return 2.0 * params.film_area_neg * delta_sei / sei.Omega_sei
-
-
-def _sei_implicit_step(sei, delta, kin, dt):
-    """Backward-Euler thickness update, exact via the quadratic it implies.
-
-    d' solves d' = d + dt*(Omega*c_ec0/2)/(K + d'/D): growth evaluated at
-    the new thickness, which keeps the diffusion-limited tail stable at
-    long strides. Kinetic and film-transport resistances compose in
-    series, K = 1/kin with kin from sei_rate_constant (m/s), so growth is
-    self-limiting.
-    """
-    K = 1.0 / kin
-    G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
-    D = sei.D_sei
-    # (1/D) d'^2 + (K - d/D) d' - (K d + G) = 0, take the positive root
-    a = 1.0 / D
-    b = K - delta / D
-    c = -(K * delta + G)
-    disc = b * b - 4.0 * a * c
-    d_new = (-b + math.sqrt(disc)) / (2.0 * a)
-    return max(d_new, delta)
-
-
-# --- lithium plating ---
-
-def plating_overpotential(eta_neg, u_neg_surface):
-    return eta_neg + u_neg_surface
-
-
-def plating_flux(plating, params, c_ss_neg, c_avg_neg, eta_pl):
-    """Plating molar flux, mol/(m^2 s); negative when depositing.
-
-    The surface-enrichment factor (c_ss - c_avg) keeps the mechanism
-    quiet at rest and during discharge without an explicit clamp.
-    """
-    drive = (c_ss_neg - c_avg_neg) / params.c_smax_neg
-    if plating.k_pl == 0.0:
-        return 0.0
-    expo = math.exp(-plating.alpha_pl * params.F * eta_pl
-                    / (params.R_gas * params.T))
-    return -plating.k_pl * params.c_e * drive * expo
-
-
-def plating_growth_rate(plating, j_pl):
-    """Thickness growth, m/s; deposition only, the model has no stripping."""
-    return plating.Omega_pl * max(0.0, -j_pl)
 
 
 def plated_lithium_moles(params, plating, delta_pl):
@@ -123,17 +66,14 @@ def plated_lithium_moles(params, plating, delta_pl):
 
 # --- mechanical stress and material loss ---
 
-def hydrostatic_stress(lam, electrode, c_ss, c_avg, params):
-    """Surface hydrostatic stress closure, Pa.
+def hydrostatic_stress(gain, electrode, c_ss, c_avg):
+    """Surface hydrostatic stress closure, Pa, of an electrochem.Electrode
+    with stress gain gain (Pa per unit stoichiometry difference).
 
     Tensile (positive) when the surface is depleted relative to the bulk,
     i.e. during discharge on the negative electrode.
     """
-    if electrode == "pos":
-        gain, cmax = lam.stress_gain_pos, params.c_smax_pos
-    else:
-        gain, cmax = lam.stress_gain_neg, params.c_smax_neg
-    return gain * (c_avg - c_ss) / cmax
+    return gain * (c_avg - c_ss) / electrode.c_smax
 
 
 @dataclass(frozen=True)
@@ -198,25 +138,49 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     Capacities are untouched here (fatigue applies per cycle). Returns
     (new_state, StepIncrements). The caller splits the applied current
     using i_side before stepping the particles.
+
+    SEI: solvent reduction at eta_neg + U-(c_ss) - U_sei, rate constant
+    kin (m/s) in series with film transport, so growth self-limits. The
+    thickness takes the backward-Euler step d' = d + dt*(Omega*c_ec0/2) /
+    (1/kin + d'/D), exact via its quadratic: growth at the new thickness
+    keeps the diffusion-limited tail stable at long strides.
+
+    Plating: flux -k_pl*c_e*drive*exp(...) at eta_neg + U-(c_ss), < 0 when
+    depositing; the surface enrichment drive (c_ss - c_avg)/c_smax keeps it
+    quiet at rest and in discharge. k_pl = 0 switches it off; nothing strips.
     """
     sei = deg.sei
     pl = deg.plating
-    eta_sei = sei_overpotential(eta_neg, u_neg_surface, sei.U_sei)
-    kin = sei_rate_constant(sei, eta_sei, params.T, params.R_gas, params.F)
-    d_sei_new = _sei_implicit_step(sei, state.delta_sei, kin, dt)
+    F = params.F
+    RT = params.R_gas * params.T
+    delta, delta_pl = state.delta_sei, state.delta_pl
+    eta_pl = eta_neg + u_neg_surface    # plating's; the SEI's less U_sei
+    kin = sei.k_sei * math.exp(-sei.alpha_sei * F * (eta_pl - sei.U_sei) / RT)
+    # (1/D) d'^2 + (K - d/D) d' - (K d + G) = 0, take the positive root
+    K = 1.0 / kin
+    G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
+    D = sei.D_sei
+    a = 1.0 / D
+    b = K - delta / D
+    c = -(K * delta + G)
+    d_sei_new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    if d_sei_new < delta:   # a root rounded below d: films never shrink
+        d_sei_new = delta
 
-    eta_pl = plating_overpotential(eta_neg, u_neg_surface)
-    j_pl = plating_flux(pl, params, c_ss_neg, c_avg_neg, eta_pl)
-    d_pl_new = state.delta_pl + dt * plating_growth_rate(pl, j_pl)
+    if pl.k_pl == 0.0:
+        j_pl = 0.0
+    else:
+        drive = (c_ss_neg - c_avg_neg) / params.c_smax_neg
+        j_pl = -pl.k_pl * params.c_e * drive * math.exp(
+            -pl.alpha_pl * F * eta_pl / RT)
+    d_pl_new = delta_pl + dt * (pl.Omega_pl * (-j_pl if j_pl < 0.0 else 0.0))
 
     # moles from the same thickness increments that the state keeps,
     # so the component reconstruction matches the LLI integral exactly
-    dn_sei = 2.0 * params.film_area_neg * (d_sei_new - state.delta_sei) / sei.Omega_sei
-    dn_pl = params.film_area_neg * (d_pl_new - state.delta_pl) / pl.Omega_pl
-    lli_new = state.LLI + (dn_sei + dn_pl) / n_li0
-
-    new = DegradationState(d_sei_new, d_pl_new, state.C_p, state.C_n, lli_new)
-    inc = StepIncrements(
-        i_side=-params.F * (dn_sei + dn_pl) / dt,
-        dn_sei=dn_sei, dn_pl=dn_pl)
-    return new, inc
+    area = params.film_area_neg
+    dn_sei = 2.0 * area * (d_sei_new - delta) / sei.Omega_sei
+    dn_pl = area * (d_pl_new - delta_pl) / pl.Omega_pl
+    dn = dn_sei + dn_pl
+    new = DegradationState(d_sei_new, d_pl_new, state.C_p, state.C_n,
+                           state.LLI + dn / n_li0)
+    return new, StepIncrements(-F * dn / dt, dn_sei, dn_pl)

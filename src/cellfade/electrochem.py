@@ -1,6 +1,13 @@
 """Cell-level electrochemistry: kinetics, terminal voltage, and the
 stoichiometric operating window.
 
+Each side of the cell is one Electrode, built once per parameter set
+(CellParameters.pos and .neg). It holds the OCP table, c_smax, the
+capacity to active-area formula, and the kinetic constants: the
+exchange-current prefix k0*c_e**(1-alpha), alpha, 1-alpha and 2RT/F.
+Each prefix is the leading, left-to-right part of the expression it
+starts, so a value rounds as the expression written out in full does.
+
 Overpotentials use the inverse symmetric Butler-Volmer form
 eta = (2*R*T/F) * asinh(j / (2*i0)); alpha only shapes the exchange current.
 Both electrode overpotentials are dissipative: discharge (I > 0) always
@@ -15,63 +22,86 @@ from scipy.optimize import brentq
 from .errors import CellDeadError, KineticsSingularError, SaturationError
 
 
-def exchange_current_density(params, electrode, c_ss):
-    """i0 in A/m^2; vanishes at an empty or saturated surface."""
-    cmax = params.c_smax_pos if electrode == "pos" else params.c_smax_neg
-    k0 = params.k0_pos if electrode == "pos" else params.k0_neg
-    if c_ss < 0.0 or c_ss > cmax:
-        raise SaturationError(
-            f"{electrode} surface concentration {c_ss:.6g} outside [0, {cmax:g}]")
-    a = params.alpha
-    return k0 * params.c_e ** (1.0 - a) * (cmax - c_ss) ** (1.0 - a) * c_ss ** a
+class Electrode:
+    """One electrode's OCP, area and Butler-Volmer kinetics."""
 
+    def __init__(self, params, name):
+        pos = name == "pos"
+        self.name = name
+        self.ocp = params.ocp_pos if pos else params.ocp_neg
+        self.c_smax = params.c_smax_pos if pos else params.c_smax_neg
+        self.r_p = params.r_p_pos if pos else params.r_p_neg
+        thickness = params.l_pos if pos else params.l_neg
+        k0 = params.k0_pos if pos else params.k0_neg
+        self.alpha = params.alpha
+        self.one_minus_alpha = 1.0 - params.alpha
+        self.i0_prefix = k0 * params.c_e ** self.one_minus_alpha
+        self.rt2f = 2.0 * params.R_gas * params.T / params.F
+        self._volume = params.A * thickness
+        self._full_charge = params.A * params.F * thickness * self.c_smax
 
-def interfacial_current_density(params, electrode, I, capacity_Ah):
-    """Per-area intercalation current density, A/m^2.
+    def area(self, capacity_Ah):
+        """Total interfacial area A*l*a_s, m^2, at a given capacity: the
+        capacity implies the active-material volume fraction eps_s, and
+        a_s = 3*eps_s/r_p is the interfacial area per electrode volume."""
+        eps_s = 3600.0 * capacity_Ah / self._full_charge
+        return self._volume * (3.0 * eps_s / self.r_p)
 
-    Positive density delithiates the electrode: discharge (I > 0) drains
-    the negative electrode and fills the positive one.
-    """
-    area = params.active_area(electrode, capacity_Ah)
-    return I / area if electrode == "neg" else -I / area
+    def exchange_current(self, c_ss):
+        """i0 in A/m^2; vanishes at an empty or saturated surface."""
+        cmax = self.c_smax
+        if c_ss < 0.0 or c_ss > cmax:
+            raise SaturationError(
+                f"{self.name} surface concentration {c_ss:.6g} outside "
+                f"[0, {cmax:g}]")
+        return (self.i0_prefix * (cmax - c_ss) ** self.one_minus_alpha
+                * c_ss ** self.alpha)
 
-
-def overpotential(params, electrode, j, c_ss):
-    """Butler-Volmer overpotential, V, at interfacial current density j
-    (A/m^2, positive delithiating). Odd in j, dissipative both ways."""
-    if j == 0.0:
-        return 0.0
-    i0 = exchange_current_density(params, electrode, c_ss)
-    if i0 == 0.0:
-        raise KineticsSingularError(
-            f"{electrode} exchange current is zero with nonzero current "
-            f"density {j:g} A/m^2")
-    return 2.0 * params.R_gas * params.T / params.F * math.asinh(j / (2.0 * i0))
+    def overpotential(self, j, c_ss):
+        """Butler-Volmer overpotential, V, at interfacial current density j
+        (A/m^2, positive delithiating). Odd in j, dissipative both ways."""
+        if j == 0.0:
+            return 0.0
+        # exchange_current, inlined: a cell step evaluates this three times
+        cmax = self.c_smax
+        if c_ss < 0.0 or c_ss > cmax:
+            raise SaturationError(
+                f"{self.name} surface concentration {c_ss:.6g} outside "
+                f"[0, {cmax:g}]")
+        i0 = (self.i0_prefix * (cmax - c_ss) ** self.one_minus_alpha
+              * c_ss ** self.alpha)
+        if i0 == 0.0:
+            raise KineticsSingularError(
+                f"{self.name} exchange current is zero with nonzero current "
+                f"density {j:g} A/m^2")
+        return self.rt2f * math.asinh(j / (2.0 * i0))
 
 
 def intercalation_overpotential(params, electrode, I, c_ss, capacity_Ah):
-    """Butler-Volmer overpotential, V, under applied cell current I."""
-    return overpotential(
-        params, electrode,
-        interfacial_current_density(params, electrode, I, capacity_Ah), c_ss)
+    """Butler-Volmer overpotential, V, of electrode "pos" or "neg" under
+    cell current I: discharge (I > 0) delithiates the negative electrode."""
+    if electrode == "pos":
+        pos = params.pos
+        return pos.overpotential(-I / pos.area(capacity_Ah), c_ss)
+    return params.neg.overpotential(I / params.neg.area(capacity_Ah), c_ss)
 
 
 def terminal_voltage(params, c_ss_pos, c_ss_neg, I, r_film_cell, C_p, C_n):
     """V_T = U+ + eta+ - U- - eta- - I*R_film (discharge positive)."""
     return voltage_at_densities(
         params, c_ss_pos, c_ss_neg, I, r_film_cell,
-        interfacial_current_density(params, "pos", I, C_p),
-        interfacial_current_density(params, "neg", I, C_n))
+        -I / params.pos.area(C_p), I / params.neg.area(C_n))
 
 
 def voltage_at_densities(params, c_ss_pos, c_ss_neg, I, r_film_cell,
                          j_pos, j_neg):
     """terminal_voltage with the interfacial current densities given, for
     callers that hold the active areas."""
-    eta_pos = overpotential(params, "pos", j_pos, c_ss_pos)
-    eta_neg = overpotential(params, "neg", j_neg, c_ss_neg)
-    return (params.ocp_pos(c_ss_pos / params.c_smax_pos) + eta_pos
-            - params.ocp_neg(c_ss_neg / params.c_smax_neg) - eta_neg
+    pos, neg = params.pos, params.neg
+    eta_pos = pos.overpotential(j_pos, c_ss_pos)
+    eta_neg = neg.overpotential(j_neg, c_ss_neg)
+    return (pos.ocp(c_ss_pos / pos.c_smax) + eta_pos
+            - neg.ocp(c_ss_neg / neg.c_smax) - eta_neg
             - I * r_film_cell)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import electrochem as ec
 from .electrochem import ESOHRecord, solve_window
 from .errors import ConfigError, EstimationFailedError, KineticsSingularError
 
@@ -69,15 +68,15 @@ def kinetic_resistance(params, C_p, C_n, x, y, I=0.0):
     with |I| as the kinetics leave the linear regime.
     """
     out = 0.0
-    for electrode, cap, s in (("pos", C_p, y), ("neg", C_n, x)):
-        cmax = params.c_smax_pos if electrode == "pos" else params.c_smax_neg
-        i0 = ec.exchange_current_density(params, electrode, s * cmax)
+    for electrode, cap, s in ((params.pos, C_p, y), (params.neg, C_n, x)):
+        i0 = electrode.exchange_current(s * electrode.c_smax)
         if i0 == 0.0:
             raise KineticsSingularError(
-                f"{electrode} stoichiometry {s:g} gives zero exchange current")
-        g = 1.0 / (2.0 * i0 * params.active_area(electrode, cap))
+                f"{electrode.name} stoichiometry {s:g} gives zero exchange "
+                f"current")
+        g = 1.0 / (2.0 * i0 * electrode.area(cap))
         out += g / math.sqrt((I * g) ** 2 + 1.0)
-    return 2.0 * params.R_gas * params.T / params.F * out
+    return params.pos.rt2f * out
 
 
 def instantaneous_resistance(params, deg_params, state, x, y, I=0.0):

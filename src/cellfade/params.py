@@ -140,28 +140,23 @@ class CellParameters:
             if not isinstance(tab, MonotoneOCPTable):
                 raise ConfigError(f"{name} must be an OCP table")
 
-    # --- capacity <-> volume fraction bookkeeping ---
-
-    def active_area(self, electrode, capacity_Ah):
-        """Total interfacial area A*l*a_s, m^2, at a given capacity: the
-        capacity implies the active-material volume fraction eps_s, and
-        a_s = 3*eps_s/r_p is the interfacial area per electrode volume."""
-        if electrode == "pos":
-            l, cmax, r = self.l_pos, self.c_smax_pos, self.r_p_pos
-        elif electrode == "neg":
-            l, cmax, r = self.l_neg, self.c_smax_neg, self.r_p_neg
-        else:
-            raise ConfigError(f"electrode must be 'pos' or 'neg', got {electrode!r}")
-        eps_s = 3600.0 * capacity_Ah / (self.A * self.F * l * cmax)
-        return self.A * l * (3.0 * eps_s / r)
-
     # Parameters are never changed in place (copies come from
-    # dataclasses.replace), so the nominal area is computed once.
+    # dataclasses.replace), so what derives from them is computed once.
+    @cached_property
+    def pos(self):
+        """The positive electrode (electrochem.Electrode)."""
+        return ec.Electrode(self, "pos")
+
+    @cached_property
+    def neg(self):
+        """The negative electrode (electrochem.Electrode)."""
+        return ec.Electrode(self, "neg")
+
     @cached_property
     def film_area_neg(self):
         """Nominal negative interfacial area, m^2, frozen for film and
         lithium-mole bookkeeping so those algebraic identities stay exact."""
-        return self.active_area("neg", self.C_n_nom)
+        return self.neg.area(self.C_n_nom)
 
     @cached_property
     def fresh_window(self):

@@ -34,6 +34,7 @@ class SphereFV:
         self.n = int(n_shells)
         self.name = name
         self.dr = self.r_p / self.n
+        self.half_dr = 0.5 * self.dr   # surface: c[-1] - half_dr * j / D
         faces = np.linspace(0.0, self.r_p, self.n + 1)
         self.volumes = 4.0 / 3.0 * np.pi * (faces[1:] ** 3 - faces[:-1] ** 3)
         self.total_volume = float(self.volumes.sum())
@@ -91,10 +92,6 @@ class SphereFV:
                 f"{self.name} particle concentration left [0, {self.c_smax:g}]: "
                 f"range [{lo:.6g}, {hi:.6g}] under flux {j:.6g}")
         return c_new, (lo, hi)
-
-    def c_ss(self, c, j):
-        """Surface concentration from the outermost shell and the flux BC."""
-        return float(c[-1]) - 0.5 * self.dr * j / self.D
 
     def c_avg(self, c):
         return ddot(self.volumes, c) / self.total_volume

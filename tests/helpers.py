@@ -2,15 +2,16 @@
 and closed-form oracles that the package itself does not need."""
 
 import bisect
+import math
 from importlib import resources
 
 import numpy as np
 
 from cellfade import io as cio
-from cellfade.degradation import (DegradationState, plated_lithium_moles,
-                                  sei_lithium_moles, sei_rate_constant)
-from cellfade.electrochem import interfacial_current_density, solve_window
-from cellfade.errors import CellDeadError, SaturationError
+from cellfade.degradation import (DegradationState, StepIncrements,
+                                  plated_lithium_moles, sei_lithium_moles)
+from cellfade.electrochem import solve_window
+from cellfade.errors import CellDeadError, KineticsSingularError, SaturationError
 from cellfade.identify import invert_without_expansion, sample_family
 from cellfade.measurement import forward_measure
 from cellfade.protocol import reference_capacity
@@ -97,6 +98,12 @@ def ocp_oracle(table, s):
     return value, slope
 
 
+def c_ss(sp, c, j):
+    """Surface concentration of a SphereFV profile from the outermost shell
+    and the flux boundary condition."""
+    return float(c[-1]) - 0.5 * sp.dr * j / sp.D
+
+
 def moles(sp, c):
     """Lithium content of one SphereFV particle, mol: a numpy oracle, not
     the kernel's BLAS average."""
@@ -109,9 +116,115 @@ def ocp(params, electrode, stoichiometry):
     return table(stoichiometry)
 
 
+# --- kinetics by electrode name: the oracles of electrochem.Electrode ---
+
+def active_area(params, electrode, capacity_Ah):
+    """Total interfacial area A*l*a_s, m^2, at a given capacity."""
+    if electrode == "pos":
+        l, cmax, r = params.l_pos, params.c_smax_pos, params.r_p_pos
+    else:
+        l, cmax, r = params.l_neg, params.c_smax_neg, params.r_p_neg
+    eps_s = 3600.0 * capacity_Ah / (params.A * params.F * l * cmax)
+    return params.A * l * (3.0 * eps_s / r)
+
+
+def exchange_current_density(params, electrode, c_ss):
+    """i0 in A/m^2; vanishes at an empty or saturated surface."""
+    cmax = params.c_smax_pos if electrode == "pos" else params.c_smax_neg
+    k0 = params.k0_pos if electrode == "pos" else params.k0_neg
+    if c_ss < 0.0 or c_ss > cmax:
+        raise SaturationError(
+            f"{electrode} surface concentration {c_ss:.6g} outside [0, {cmax:g}]")
+    a = params.alpha
+    return k0 * params.c_e ** (1.0 - a) * (cmax - c_ss) ** (1.0 - a) * c_ss ** a
+
+
+def interfacial_current_density(params, electrode, I, capacity_Ah):
+    """Per-area intercalation current density, A/m^2, positive
+    delithiating."""
+    area = active_area(params, electrode, capacity_Ah)
+    return I / area if electrode == "neg" else -I / area
+
+
+def overpotential(params, electrode, j, c_ss):
+    """Butler-Volmer overpotential, V, at interfacial current density j."""
+    if j == 0.0:
+        return 0.0
+    i0 = exchange_current_density(params, electrode, c_ss)
+    if i0 == 0.0:
+        raise KineticsSingularError(
+            f"{electrode} exchange current is zero with nonzero current "
+            f"density {j:g} A/m^2")
+    return 2.0 * params.R_gas * params.T / params.F * math.asinh(j / (2.0 * i0))
+
+
 def molar_flux(params, electrode, I, capacity_Ah):
     """Surface molar flux for the diffusion step, mol/(m^2 s), outflow positive."""
     return interfacial_current_density(params, electrode, I, capacity_Ah) / params.F
+
+
+# --- film growth term by term: the oracles of step_degradation ---
+
+def sei_overpotential(eta_neg, u_neg_surface, U_sei):
+    """Driving overpotential of the film reaction."""
+    return eta_neg + u_neg_surface - U_sei
+
+
+def sei_rate_constant(sei, eta_sei, T, R_gas, F):
+    """Kinetic rate constant of solvent reduction at overpotential
+    eta_sei, m/s."""
+    return sei.k_sei * math.exp(-sei.alpha_sei * F * eta_sei / (R_gas * T))
+
+
+def sei_implicit_step(sei, delta, kin, dt):
+    """Backward-Euler thickness update, exact via the quadratic it implies:
+    d' = d + dt*(Omega*c_ec0/2)/(K + d'/D) with K = 1/kin."""
+    K = 1.0 / kin
+    G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
+    D = sei.D_sei
+    a = 1.0 / D
+    b = K - delta / D
+    c = -(K * delta + G)
+    disc = b * b - 4.0 * a * c
+    d_new = (-b + math.sqrt(disc)) / (2.0 * a)
+    return max(d_new, delta)
+
+
+def plating_overpotential(eta_neg, u_neg_surface):
+    return eta_neg + u_neg_surface
+
+
+def plating_flux(plating, params, c_ss_neg, c_avg_neg, eta_pl):
+    """Plating molar flux, mol/(m^2 s); negative when depositing."""
+    drive = (c_ss_neg - c_avg_neg) / params.c_smax_neg
+    if plating.k_pl == 0.0:
+        return 0.0
+    expo = math.exp(-plating.alpha_pl * params.F * eta_pl
+                    / (params.R_gas * params.T))
+    return -plating.k_pl * params.c_e * drive * expo
+
+
+def plating_growth_rate(plating, j_pl):
+    """Thickness growth, m/s; deposition only, the model has no stripping."""
+    return plating.Omega_pl * max(0.0, -j_pl)
+
+
+def step_degradation_oracle(params, deg, state, eta_neg, u_neg_surface,
+                            c_ss_neg, c_avg_neg, n_li0, dt):
+    """degradation.step_degradation composed from the helpers above."""
+    sei = deg.sei
+    pl = deg.plating
+    eta_sei = sei_overpotential(eta_neg, u_neg_surface, sei.U_sei)
+    kin = sei_rate_constant(sei, eta_sei, params.T, params.R_gas, params.F)
+    d_sei_new = sei_implicit_step(sei, state.delta_sei, kin, dt)
+    eta_pl = plating_overpotential(eta_neg, u_neg_surface)
+    j_pl = plating_flux(pl, params, c_ss_neg, c_avg_neg, eta_pl)
+    d_pl_new = state.delta_pl + dt * plating_growth_rate(pl, j_pl)
+    dn_sei = 2.0 * params.film_area_neg * (d_sei_new - state.delta_sei) / sei.Omega_sei
+    dn_pl = params.film_area_neg * (d_pl_new - state.delta_pl) / pl.Omega_pl
+    lli_new = state.LLI + (dn_sei + dn_pl) / n_li0
+    new = DegradationState(d_sei_new, d_pl_new, state.C_p, state.C_n, lli_new)
+    return new, StepIncrements(-params.F * (dn_sei + dn_pl) / dt, dn_sei, dn_pl)
 
 
 def sei_flux(sei, delta_sei, kin):

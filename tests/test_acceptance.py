@@ -15,7 +15,7 @@ import pytest
 from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.degradation import (DegradationState, plated_lithium_moles,
-                                  sei_lithium_moles, sei_rate_constant)
+                                  sei_lithium_moles)
 from cellfade.errors import InfeasibleError
 from cellfade.identify import ambiguity_experiment, invert_with_expansion
 from cellfade.measurement import (extract_esoh, forward_measure,
@@ -25,8 +25,8 @@ from cellfade.params import DegradationParameters, PlatingParameters
 from cellfade.particle import SphereFV
 from cellfade.protocol import (Campaign, reference_capacity, run_campaign,
                                run_rpt)
-from helpers import (curve_gap, random_truths, sample_windows, sei_flux,
-                     sei_flux_ddelta)
+from helpers import (c_ss, curve_gap, random_truths, sample_windows,
+                     sei_flux, sei_flux_ddelta, sei_rate_constant)
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
 DT, DT_REST = 60.0, 300.0
@@ -244,7 +244,7 @@ def test_7_numerical_hygiene(params, degp):
         c = sph.uniform(0.5)
         for _ in range(60):
             c, _ = sph.step(c, j, 10.0)
-        css.append(sph.c_ss(c, j))
+        css.append(c_ss(sph, c, j))
     mesh_err = abs(css[0] - css[1]) / css[1]
     assert mesh_err < 2e-3
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from cellfade import cell as ccell
+from cellfade import degradation
 from cellfade import electrochem, identify, measurement, ocp, particle
 from cellfade import io as cio
 from cellfade.degradation import DegradationState
@@ -164,3 +165,28 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     assert calls["residual"] == fits[0].nfev
     assert calls["jacobian"] == fits[0].njev > 0
     assert calls["derivative"] == 2 * calls["jacobian"]
+
+
+def test_degradation_calls_per_cell_evaluation(params, degp, monkeypatch):
+    # degradation.step.calls reads as one step_degradation per evaluated
+    # cell step that ages the cell, and none on a frozen (RPT probe) step
+    calls = []
+    step_degradation = degradation.step_degradation
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step_degradation(*args, **kwargs)
+
+    for module in (degradation, ccell):   # as the tracer rebinds it
+        monkeypatch.setattr(module, "step_degradation", counted)
+    cell = ccell.Cell(params, degp)
+    cell.voltage_after(2.0, 10.0)
+    assert len(calls) == 1
+    cell.step(2.0, 10.0)   # commits the kept trial without evaluating it
+    assert len(calls) == 1
+    cell.step(1.0, 10.0)
+    assert len(calls) == 2
+    cell.freeze_degradation = True
+    cell.voltage_after(2.0, 10.0)
+    cell.step(1.0, 10.0)
+    assert len(calls) == 2

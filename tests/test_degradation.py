@@ -9,20 +9,26 @@ import pytest
 from cellfade.degradation import (
     DegradationState,
     StressExtrema,
-    _sei_implicit_step,
     hydrostatic_stress,
     lam_cycle_update,
     plated_lithium_moles,
-    plating_flux,
-    plating_growth_rate,
-    plating_overpotential,
     sei_lithium_moles,
-    sei_overpotential,
-    sei_rate_constant,
     step_degradation,
 )
 from cellfade.errors import CellDeadError, ConfigError
-from helpers import lli_rate, sei_flux, sei_flux_ddelta, sei_growth_rate
+from helpers import (
+    lli_rate,
+    plating_flux,
+    plating_growth_rate,
+    plating_overpotential,
+    sei_flux,
+    sei_flux_ddelta,
+    sei_growth_rate,
+    sei_implicit_step,
+    sei_overpotential,
+    sei_rate_constant,
+    step_degradation_oracle,
+)
 
 R_GAS = 8.314462618
 F = 96485.33212
@@ -138,7 +144,7 @@ class TestSEI:
         kin = _kin(sei, -0.15)
         d0 = 3e-9
         for dt in (0.1, 10.0, 1000.0, 1e6):
-            d1 = _sei_implicit_step(sei, d0, kin, dt)
+            d1 = sei_implicit_step(sei, d0, kin, dt)
             resid = d1 - d0 - dt * sei_growth_rate(sei, sei_flux(sei, d1, kin))
             assert abs(resid) < 1e-18 + 1e-12 * d1
             assert d1 >= d0
@@ -148,8 +154,8 @@ class TestSEI:
         # the added thickness once the film is thick
         sei = degp.sei
         kin = _kin(sei, -0.15)
-        d = _sei_implicit_step(sei, 1e-7, kin, 1e7)
-        d2 = _sei_implicit_step(sei, 1e-7, kin, 2e7)
+        d = sei_implicit_step(sei, 1e-7, kin, 1e7)
+        d2 = sei_implicit_step(sei, 1e-7, kin, 2e7)
         assert d2 - 1e-7 < 2.0 * (d - 1e-7)
 
     def test_lithium_moles_linear_in_thickness(self, params, degp):
@@ -211,15 +217,15 @@ class TestStressAndLAM:
         lam = degp.lam
         c = 0.5 * params.c_smax_neg
         # depleted surface -> tensile (positive)
-        assert hydrostatic_stress(lam, "neg", 0.9 * c, c, params) > 0.0
-        assert hydrostatic_stress(lam, "neg", 1.1 * c, c, params) < 0.0
-        assert hydrostatic_stress(lam, "neg", c, c, params) == 0.0
+        assert hydrostatic_stress(lam.stress_gain_neg, params.neg, 0.9 * c, c) > 0.0
+        assert hydrostatic_stress(lam.stress_gain_neg, params.neg, 1.1 * c, c) < 0.0
+        assert hydrostatic_stress(lam.stress_gain_neg, params.neg, c, c) == 0.0
 
     def test_stress_linear_in_gradient(self, params, degp):
         lam = degp.lam
         c = 0.5 * params.c_smax_pos
-        s1 = hydrostatic_stress(lam, "pos", c - 100.0, c, params)
-        s2 = hydrostatic_stress(lam, "pos", c - 200.0, c, params)
+        s1 = hydrostatic_stress(lam.stress_gain_pos, params.pos, c - 100.0, c)
+        s2 = hydrostatic_stress(lam.stress_gain_pos, params.pos, c - 200.0, c)
         assert s2 == pytest.approx(2.0 * s1, rel=1e-12)
 
     def test_extrema_tracking(self):
@@ -311,3 +317,61 @@ class TestInventory:
         assert state.delta_sei > 1e-9
         assert state.delta_pl > 1e-10
         assert 0.0 < state.LLI < 1.0
+
+
+def _outcome(fn, *args):
+    """Every float of a (state, increments) result as float.hex, or the
+    error it raised."""
+    try:
+        state, inc = fn(*args)
+    except (ConfigError, CellDeadError) as e:
+        return type(e).__name__, str(e)
+    return ([float.hex(getattr(state, f.name))
+             for f in dataclasses.fields(state)]
+            + [float.hex(getattr(inc, f.name))
+               for f in dataclasses.fields(inc)])
+
+
+@pytest.mark.parametrize("variant", ["default", "no plating", "skewed"])
+def test_step_degradation_equals_the_composed_helpers_bitwise(
+        params, degp, n_li0, variant):
+    # the flat step keeps every product and quotient of the helper chain
+    # in the same order, so no bit of the state or increments moves
+    if variant == "no plating":   # k_pl = 0 switches the mechanism off
+        degp = dataclasses.replace(
+            degp, plating=dataclasses.replace(degp.plating, k_pl=0.0))
+    elif variant == "skewed":   # values that make reassociation round apart
+        params = dataclasses.replace(params, T=313.15)
+        degp = dataclasses.replace(
+            degp, sei=dataclasses.replace(degp.sei, alpha_sei=0.37),
+            plating=dataclasses.replace(degp.plating, alpha_pl=0.61))
+    sei = degp.sei
+    rng = np.random.default_rng(16)
+    clamped = 0
+    for k in range(400):
+        # every fourth state is fresh, so that no film thickness swallows
+        # the low bits of a growth increment
+        fresh = k % 4 == 0
+        state = DegradationState(
+            0.0 if fresh else rng.uniform(0.0, 3e-7),
+            0.0 if fresh else rng.uniform(0.0, 5e-8),
+            params.C_p_nom * rng.uniform(0.7, 1.0),
+            params.C_n_nom * rng.uniform(0.7, 1.0), rng.uniform(0.0, 0.3))
+        eta, u = rng.uniform(-0.3, 0.3), rng.uniform(0.05, 0.8)
+        c_avg = params.c_smax_neg * rng.uniform(0.05, 0.95)
+        c_ss = c_avg * rng.uniform(0.9, 1.1)
+        dt = 10.0 ** rng.uniform(-6.0, 5.0)
+        got = _outcome(step_degradation, params, degp, state, eta, u, c_ss,
+                       c_avg, 0.5, 0.5, n_li0, dt)
+        want = _outcome(step_degradation_oracle, params, degp, state, eta,
+                        u, c_ss, c_avg, n_li0, dt)
+        assert got == want
+        # the quadratic's root before max(d_new, delta)
+        kin = sei_rate_constant(sei, sei_overpotential(eta, u, sei.U_sei),
+                                params.T, params.R_gas, params.F)
+        K, a = 1.0 / kin, 1.0 / sei.D_sei
+        b = K - state.delta_sei / sei.D_sei
+        c = -(K * state.delta_sei + dt * sei.Omega_sei * sei.c_ec0 / 2.0)
+        d_new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+        clamped += d_new < state.delta_sei
+    assert clamped > 0   # the clamp branch was taken and matched

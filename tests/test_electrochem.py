@@ -1,20 +1,27 @@
 """Kinetics, terminal voltage, and stoichiometric-window algebra."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cellfade.electrochem import (
-    exchange_current_density,
     intercalation_overpotential,
-    interfacial_current_density,
     pristine_inventory,
     solve_window,
     terminal_voltage,
 )
 from cellfade.errors import CellDeadError, KineticsSingularError, SaturationError
-from helpers import molar_flux, ocp
+from cellfade.measurement import kinetic_resistance
+from helpers import (
+    active_area,
+    exchange_current_density,
+    interfacial_current_density,
+    molar_flux,
+    ocp,
+    overpotential,
+)
 
 
 def test_overpotential_odd_in_current(params):
@@ -74,7 +81,7 @@ def test_molar_flux_consistent_with_current(params):
         assert n == pytest.approx(j / params.F, rel=1e-14)
     # total interfacial current integrates back to the applied current
     jn = interfacial_current_density(params, "neg", I, params.C_n_nom)
-    assert jn * params.active_area("neg", params.C_n_nom) == pytest.approx(I, rel=1e-12)
+    assert jn * active_area(params, "neg", params.C_n_nom) == pytest.approx(I, rel=1e-12)
 
 
 def test_terminal_voltage_is_ocv_at_rest(params):
@@ -100,6 +107,90 @@ def test_film_resistance_term_is_ohmic(params):
     v_a = terminal_voltage(params, *args, I, 0.0, params.C_p_nom, params.C_n_nom)
     v_b = terminal_voltage(params, *args, I, 0.004, params.C_p_nom, params.C_n_nom)
     assert v_a - v_b == pytest.approx(I * 0.004, rel=1e-10)
+
+
+def _outcome(fn, *args):
+    """A kinetics result as float.hex, or the error it raised and its text."""
+    try:
+        return float.hex(fn(*args))
+    except (SaturationError, KineticsSingularError) as e:
+        return type(e).__name__, str(e)
+
+
+def _skewed(params):
+    """A copy whose alpha and T make reassociated products round apart."""
+    return dataclasses.replace(params, alpha=0.43, T=313.15)
+
+
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("side", ["pos", "neg"])
+def test_electrode_kinetics_equal_the_oracles_bitwise(params, side, skew):
+    # the electrode's constants keep the oracle's left-to-right order, so
+    # every value (and every error and its message) is the same
+    if skew:
+        params = _skewed(params)
+    e = getattr(params, side)
+    cmax = e.c_smax
+    rng = np.random.default_rng(16)
+    for cap in rng.uniform(0.3, 1.2, 50) * params.C_n_nom:
+        assert e.area(cap) == active_area(params, side, cap)
+    area = e.area(params.C_n_nom)
+    c_draws = list(rng.uniform(0.0, cmax, 300)) + [
+        0.0, cmax, cmax * (1.0 - 1e-15), 1e-300,   # the surface's ends
+        -1e-9, -1.0, cmax * (1.0 + 1e-12), 2.0 * cmax]   # out of range
+    j_draws = list(rng.uniform(-30.0, 30.0, len(c_draws)) / area)
+    j_draws[::7] = [0.0] * len(j_draws[::7])
+    errors = set()
+    for c, j in zip(c_draws, j_draws):
+        assert (_outcome(e.exchange_current, c)
+                == _outcome(exchange_current_density, params, side, c))
+        for jj in (j, 0.0, 1.0):
+            got = _outcome(e.overpotential, jj, c)
+            assert got == _outcome(overpotential, params, side, jj, c)
+            if isinstance(got, tuple):
+                errors.add(got[0])
+    assert errors == {"SaturationError", "KineticsSingularError"}
+    # j = 0 never reads the surface, even past its ends
+    assert e.overpotential(0.0, -1.0) == 0.0
+    with pytest.raises(KineticsSingularError):
+        e.overpotential(1.0, cmax)
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_voltage_and_resistance_equal_the_oracles_bitwise(params, skew):
+    if skew:
+        params = _skewed(params)
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        c_p = params.c_smax_pos * rng.uniform(0.3, 0.95)
+        c_n = params.c_smax_neg * rng.uniform(0.05, 0.9)
+        I, r = rng.uniform(-20.0, 20.0), rng.uniform(0.0, 0.01)
+        C_p = params.C_p_nom * rng.uniform(0.7, 1.0)
+        C_n = params.C_n_nom * rng.uniform(0.7, 1.0)
+        j_p = interfacial_current_density(params, "pos", I, C_p)
+        j_n = interfacial_current_density(params, "neg", I, C_n)
+        want = (ocp(params, "pos", c_p / params.c_smax_pos)
+                + overpotential(params, "pos", j_p, c_p)
+                - ocp(params, "neg", c_n / params.c_smax_neg)
+                - overpotential(params, "neg", j_n, c_n) - I * r)
+        got = terminal_voltage(params, c_p, c_n, I, r, C_p, C_n)
+        assert float.hex(got) == float.hex(want)
+        for side, cap, c in (("pos", C_p, c_p), ("neg", C_n, c_n)):
+            assert float.hex(intercalation_overpotential(
+                params, side, I, c, cap)) == float.hex(overpotential(
+                    params, side,
+                    interfacial_current_density(params, side, I, cap), c))
+        # the charge-transfer resistance as it was written per electrode
+        x, y = c_n / params.c_smax_neg, c_p / params.c_smax_pos
+        out = 0.0
+        for side, cap, s_ in (("pos", C_p, y), ("neg", C_n, x)):
+            cmax = params.c_smax_pos if side == "pos" else params.c_smax_neg
+            g = 1.0 / (2.0 * exchange_current_density(params, side, s_ * cmax)
+                       * active_area(params, side, cap))
+            out += g / math.sqrt((I * g) ** 2 + 1.0)
+        want = 2.0 * params.R_gas * params.T / params.F * out
+        got = kinetic_resistance(params, C_p, C_n, x, y, I)
+        assert float.hex(got) == float.hex(want)
 
 
 class TestSolveWindow:
