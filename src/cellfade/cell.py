@@ -19,7 +19,6 @@ as it stands instead of being evaluated again.
 from . import electrochem as ec
 from .degradation import (DegradationState, StepIncrements, StressExtrema,
                           hydrostatic_stress, lam_cycle_update,
-                          plated_lithium_moles, sei_lithium_moles,
                           step_degradation)
 from .errors import CellDeadError
 from .particle import ParticlePair, step_particle_diffusion
@@ -46,13 +45,6 @@ class Cell:
                                            params.C_n_nom, 0.0)
         self.degradation = degradation
         self.extrema = StressExtrema()
-        # mol booked against material loss, audit trail; a given state's
-        # LLI not held in its films was trapped before the cell was built
-        self.lam_lithium = float(
-            self.n_li0 * degradation.LLI
-            - (sei_lithium_moles(params, deg_params.sei, degradation.delta_sei)
-               + plated_lithium_moles(params, deg_params.plating,
-                                      degradation.delta_pl)))
         self.freeze_degradation = False   # RPT probes measure without aging
         self._ctx_key = None     # (C_p, C_n) that _ctx belongs to
         self._ctx = None
@@ -103,19 +95,17 @@ class Cell:
     def clone(self):
         """New cell with the same parameters, at the top of its window. It
         shares the degradation state, a frozen value, by reference, and
-        books the state's lithium loss not held in films as lam_lithium,
-        like any cell built from a state."""
+        with it the state's deepSOH split (degradation.deep_soh)."""
         return Cell(self.params, self.deg_params, degradation=self.degradation,
                     n_li0=self.n_li0)
 
     def get_state(self):
         """Snapshot for rollback during adaptive stepping: references to
         the state values, none of them copied."""
-        return (self.particles, self.degradation, self.extrema,
-                self.lam_lithium)
+        return self.particles, self.degradation, self.extrema
 
     def set_state(self, snap):
-        self.particles, self.degradation, self.extrema, self.lam_lithium = snap
+        self.particles, self.degradation, self.extrema = snap
         self._trial = None
 
     # --- stepping ---
@@ -152,10 +142,10 @@ class Cell:
             neg = p.neg
             eta_neg = neg.overpotential(I / area_n, c_ss_n)
             u_neg = neg.ocp(c_ss_n / neg.c_smax)
-            _, c_avg_n, y_bar, x_bar = self.pair.averages(particles)
+            c_avg_n = self.pair.averages(particles)[1]
             deg_new, inc = step_degradation(
                 p, self.deg_params, d, eta_neg, u_neg, c_ss_n, c_avg_n,
-                x_bar, y_bar, self.n_li0, dt)
+                self.n_li0, dt)
 
         # side reactions take their share of the negative-electrode current
         j_neg = (I - inc.i_side) / f_area_n
@@ -214,8 +204,9 @@ class Cell:
                 "sigma_pos": sig_p, "sigma_neg": sig_n}
 
     def apply_cycle_fatigue(self):
-        """Close out a cycle: apply fatigue loss, book trapped lithium,
-        reset the stress envelope."""
+        """Close out a cycle: apply fatigue loss, book the lithium it
+        strands as LLI, so the state's deepSOH fracture share grows by
+        dn/n_li0, and reset the stress envelope."""
         p = self.params
         x, y = self.mean_stoichiometry()
         new, dC_p, dC_n = lam_cycle_update(self.degradation, self.extrema,
@@ -226,5 +217,4 @@ class Cell:
             raise CellDeadError("lithium inventory exhausted")
         self.degradation = DegradationState(new.delta_sei, new.delta_pl,
                                             new.C_p, new.C_n, lli)
-        self.lam_lithium += dn
         self.extrema = StressExtrema()

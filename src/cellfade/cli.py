@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import io as cio
 from .cell import Cell
+from .degradation import deep_soh
 from .errors import (AmbiguousRootsError, CellfadeError, ConfigError,
                      InfeasibleError)
 from .identify import (ambiguity_experiment, invert_with_expansion,
@@ -120,6 +121,7 @@ def cmd_identify(args):
             doc.update({
                 "kind": "unique",
                 "solution": res.solution.as_dict(),
+                "deep_soh": deep_soh(params, deg, res.solution, n_li0),
                 "residual": res.residual,
             })
             print("unique solution: "
@@ -138,7 +140,8 @@ def cmd_identify(args):
                 "residual": res.residual,
                 "samples": [
                     {"delta_sei": m.delta_sei, "delta_pl": m.delta_pl,
-                     "delta_irr": forward_measure(params, deg, m, n_li0).delta_irr}
+                     "delta_irr": forward_measure(params, deg, m, n_li0).delta_irr,
+                     "deep_soh": deep_soh(params, deg, m, n_li0)}
                     for m in members],
             })
             (lo, hi) = res.family_endpoints

@@ -64,6 +64,14 @@ def plated_lithium_moles(params, plating, delta_pl):
     return params.film_area_neg * delta_pl / plating.Omega_pl
 
 
+def deep_soh(params, deg_params, state, n_li0):
+    """deepSOH: the state's LLI split into the fractions of n_li0 held in
+    the SEI and plated films and, by difference, stranded by fracture."""
+    sei = sei_lithium_moles(params, deg_params.sei, state.delta_sei) / n_li0
+    pl = plated_lithium_moles(params, deg_params.plating, state.delta_pl) / n_li0
+    return {"sei": sei, "plating": pl, "fracture": state.LLI - sei - pl}
+
+
 # --- mechanical stress and material loss ---
 
 def hydrostatic_stress(gain, electrode, c_ss, c_avg):
@@ -132,7 +140,7 @@ class StepIncrements:
 
 
 def step_degradation(params, deg, state, eta_neg, u_neg_surface,
-                     c_ss_neg, c_avg_neg, x, y, n_li0, dt):
+                     c_ss_neg, c_avg_neg, n_li0, dt):
     """Advance film thicknesses and LLI over one timestep.
 
     Capacities are untouched here (fatigue applies per cycle). Returns

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .cell import Cell
-from .degradation import (DegradationState, plated_lithium_moles,
+from .degradation import (DegradationState, deep_soh, plated_lithium_moles,
                           sei_lithium_moles)
 from .errors import AmbiguousRootsError, ConfigError, InfeasibleError
 from .measurement import (forward_measure, kinetic_resistance,
@@ -207,11 +207,8 @@ def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
                 cands.append(st)
 
     if lli_budget and len(cands) > 1:
-        budget = y.LLI * n_li0 + REL_TOL * n_li0
-        kept = [st for st in cands
-                if sei_lithium_moles(params, deg_params.sei, st.delta_sei)
-                + plated_lithium_moles(params, deg_params.plating, st.delta_pl)
-                <= budget]
+        kept = [st for st in cands if deep_soh(
+            params, deg_params, st, n_li0)["fracture"] >= -REL_TOL]
         if kept:
             cands = kept
 
@@ -291,6 +288,7 @@ def ambiguity_experiment(params, deg_params, y, campaign, n_members=3,
         report["members"].append({
             "delta_sei_m": m.delta_sei,
             "delta_pl_m": m.delta_pl,
+            "deep_soh": deep_soh(params, deg_params, m, n_li0),
             "R_s_ohm": meas.R_s,
             "delta_irr_m": meas.delta_irr,
             "rul_cycles": rul,

@@ -13,14 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from .cell import Cell
-from .degradation import DegradationState
+from .degradation import DegradationState, deep_soh
 from .errors import ConfigError
+from .identify import REL_TOL
 from .particle import ParticleState
 from .measurement import MeasurementVector
 from .params import _number, from_mapping, read_mapping
 from .protocol import Campaign, ProtocolStep, Termination, parse_current
 
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 _MODES = {"cc": "cc", "constant-current": "cc",
           "cv": "cv", "constant-voltage": "cv",
@@ -126,7 +127,6 @@ def save_state(path, cell):
         "version": STATE_VERSION,
         "degradation": cell.degradation.as_dict(),
         "n_li0": cell.n_li0,
-        "lam_lithium": cell.lam_lithium,
         "particles": {
             "c_pos": [float(v) for v in cell.particles.c_pos],
             "c_neg": [float(v) for v in cell.particles.c_neg],
@@ -165,13 +165,11 @@ def load_state(path, params, deg_params):
     n_li0 = _number(float, doc.get("n_li0"), f"{where}: n_li0")
     if not n_li0 > 0.0:
         raise ConfigError(f"{where}: n_li0 must be > 0, got {n_li0!r}")
-    cell = Cell(params, deg_params, degradation=degradation, n_li0=n_li0,
+    if deep_soh(params, deg_params, degradation, n_li0)["fracture"] < -REL_TOL:
+        raise ConfigError(f"{where}: degradation films hold more lithium "
+                          f"than its LLI {degradation.LLI!r} of n_li0")
+    return Cell(params, deg_params, degradation=degradation, n_li0=n_li0,
                 particles=ParticleState(*profiles))
-    # without the key, keep the booking the Cell makes from the state
-    if "lam_lithium" in doc:
-        cell.lam_lithium = _number(float, doc["lam_lithium"],
-                                   f"{where}: lam_lithium")
-    return cell
 
 
 # --- result writers ---
@@ -206,7 +204,7 @@ def write_cycles_json(path, traj, extra):
     """The per-cycle records, plus the run summary fields in extra."""
     write_json(path, {"cycles": [
         {"cycle": c.cycle, "capacity_Ah": c.capacity_Ah,
-         "degradation": c.degradation, "rpt": c.rpt}
+         "degradation": c.degradation, "deep_soh": c.deep_soh, "rpt": c.rpt}
         for c in traj.cycles], **extra})
 
 

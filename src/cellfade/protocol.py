@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .degradation import deep_soh
 from .errors import (CellDeadError, ConfigError, EstimationFailedError,
                      ProtocolStallError, SaturationError)
 from .measurement import (PSEUDO_OCV_POINTS, PseudoOCV, extract_esoh,
@@ -101,6 +102,7 @@ class CycleRecord:
     cycle: int
     capacity_Ah: float
     degradation: dict
+    deep_soh: dict
     rpt: dict = None
 
 
@@ -344,9 +346,10 @@ def run_campaign(cell, campaign, dt=10.0, dt_rest=60.0, keep_series=True,
             cell.apply_cycle_fatigue()
         except CellDeadError:
             discharged, eol = 0.0, True
+        d = cell.degradation
         traj.cycles.append(CycleRecord(
-            cycle=cyc, capacity_Ah=discharged,
-            degradation=cell.degradation.as_dict(), rpt=rpt_rec))
+            cyc, discharged, d.as_dict(),
+            deep_soh(p, cell.deg_params, d, cell.n_li0), rpt_rec))
         if eol:
             break
         t_abs += el

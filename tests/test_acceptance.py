@@ -14,8 +14,7 @@ import pytest
 
 from cellfade import io as cio
 from cellfade.cell import Cell
-from cellfade.degradation import (DegradationState, plated_lithium_moles,
-                                  sei_lithium_moles)
+from cellfade.degradation import DegradationState, deep_soh
 from cellfade.errors import InfeasibleError
 from cellfade.identify import ambiguity_experiment, invert_with_expansion
 from cellfade.measurement import (extract_esoh, forward_measure,
@@ -152,15 +151,15 @@ def test_4_lithium_books_balance_over_100_cycles(params, degp):
     assert len(traj.cycles) == 100 and not eol
 
     lli_integrated = cell.degradation.LLI * cell.n_li0
-    components = (sei_lithium_moles(params, degp.sei,
-                                    cell.degradation.delta_sei)
-                  + plated_lithium_moles(params, degp.plating,
-                                         cell.degradation.delta_pl)
-                  + cell.lam_lithium)
-    rel = abs(lli_integrated - components) / lli_integrated
+    gone = cell.n_li0 - cell.particle_lithium()
+    rel = abs(lli_integrated - gone) / lli_integrated
     assert rel < 1e-5
-    ok(f"4/8 dual bookkeeping: LLI integral vs component sum "
-       f"rel diff {rel:.2e} over 100 cycles (tol 1e-5)")
+    split = deep_soh(params, degp, cell.degradation, cell.n_li0)
+    assert min(split.values()) > 0.0
+    ok(f"4/8 lithium books: LLI integral vs lithium gone from the particles "
+       f"rel diff {rel:.2e} over 100 cycles (tol 1e-5); deepSOH SEI "
+       f"{split['sei']:.4f} + plating {split['plating']:.4f} + fracture "
+       f"{split['fracture']:.4f}")
 
 
 def test_5_esoh_extraction_round_trip(params, n_li0):

@@ -1,15 +1,18 @@
 """Coupled cell stepping: audits, cloning, placement, freeze mode."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from cellfade.cell import Cell
-from cellfade.degradation import DegradationState
+from cellfade.degradation import (DegradationState, deep_soh,
+                                  lam_cycle_update)
 from cellfade.measurement import r_film
 from cellfade.params import default_cell
-from cellfade.protocol import (ProtocolStep, Termination, reference_capacity,
+from cellfade.protocol import (Campaign, ProtocolStep, Termination,
+                               reference_capacity, run_campaign,
                                run_step)
 from helpers import demo_members
 
@@ -33,14 +36,11 @@ def test_lithium_audit_identity_fresh(cell):
 
 
 def test_lithium_audit_survives_stepping(cell):
-    # particle lithium + film lithium + trapped lithium == pristine inventory
+    # particle lithium + lost lithium (n_li0 * LLI) == pristine inventory
     for _ in range(120):
         cell.step(2.0, 5.0)
     d = cell.degradation
-    p = cell.params
-    film = (2.0 * p.film_area_neg * d.delta_sei / cell.deg_params.sei.Omega_sei
-            + p.film_area_neg * d.delta_pl / cell.deg_params.plating.Omega_pl)
-    total = cell.particle_lithium() + film + cell.lam_lithium
+    total = cell.particle_lithium() + cell.n_li0 * d.LLI
     assert total == pytest.approx(cell.n_li0, rel=1e-10)
     assert cell.n_li == pytest.approx(cell.n_li0 * (1.0 - d.LLI), rel=1e-12)
 
@@ -69,31 +69,27 @@ def _random_steps(rng, cell, c1):
 
 
 def test_lithium_audit_under_random_protocols(params, degp, n_li0):
-    # particle + film + trapped lithium == pristine inventory after any
-    # protocol, each closed as a cycle with its fatigue loss
+    # particle lithium + lost lithium (n_li0 * LLI) == pristine inventory
+    # after any protocol, each closed as a cycle with its fatigue loss
     c1 = reference_capacity(params)
     members = demo_members(params, degp, n_li0)
     rng = np.random.default_rng(2024)
 
-    def film(d):
-        return (2.0 * params.film_area_neg * d.delta_sei / degp.sei.Omega_sei
-                + params.film_area_neg * d.delta_pl / degp.plating.Omega_pl)
+    def fracture(cell):
+        return deep_soh(params, degp, cell.degradation, n_li0)["fracture"]
 
     for start in (None, members[len(members) // 2]):
         cell = Cell(params, degp, degradation=start, n_li0=n_li0)
-        # the member's loss not held in its films was trapped by material
+        # the member's loss not held in its films was stranded by material
         # loss before it was measured
-        cell.lam_lithium = cell.degradation.LLI * n_li0 - film(
-            cell.degradation)
-        trapped0 = cell.lam_lithium
+        stranded0 = fracture(cell)
         for _ in range(20):
             for step in _random_steps(rng, cell, c1):
                 run_step(cell, step, dt=60.0, dt_rest=300.0)
             cell.apply_cycle_fatigue()
-            total = (cell.particle_lithium() + film(cell.degradation)
-                     + cell.lam_lithium)
+            total = cell.particle_lithium() + n_li0 * cell.degradation.LLI
             assert total == pytest.approx(n_li0, rel=1e-10)
-        assert cell.lam_lithium > trapped0
+        assert fracture(cell) > stranded0
 
 
 def test_step_record_fields(cell):
@@ -256,3 +252,66 @@ def test_default_cell_loads():
     c = Cell(params, degp)
     assert c.params.C_p_nom > c.params.C_n_nom > 0.0
     assert r_film(params, degp, c.degradation)[1] == 0.0   # no films yet
+
+
+def _cycle_steps(c1):
+    """One full discharge and CC-CV charge."""
+    return [
+        ProtocolStep("cc", c1 / 2.0, [Termination("voltage", "<=", 3.0)]),
+        ProtocolStep("rest", 0.0, [Termination("time", ">=", 900.0)]),
+        ProtocolStep("cc", -c1 / 2.0, [Termination("voltage", ">=", 4.2)]),
+        ProtocolStep("cv", 4.2, [Termination("current", "abs<=", c1 / 20.0)]),
+    ]
+
+
+def test_fracture_share_moves_only_at_the_fatigue_booking(params, degp,
+                                                          n_li0):
+    # within a cycle the films grow and LLI by the same lithium, so the
+    # fracture share holds to round-off (the film thicknesses track the
+    # LLI integral); apply_cycle_fatigue then books the lithium its lost
+    # material strands, dn at the mean stoichiometries, into LLI alone
+    c1 = reference_capacity(params)
+    for start in [None] + demo_members(params, degp, n_li0):
+        cell = Cell(params, degp, degradation=start, n_li0=n_li0)
+        start_split = deep_soh(params, degp, cell.degradation, n_li0)
+        for step in _cycle_steps(c1):
+            run_step(cell, step, dt=60.0, dt_rest=300.0)
+        d = cell.degradation
+        before = deep_soh(params, degp, d, n_li0)
+        assert before["sei"] - start_split["sei"] > 1e-5
+        assert before["plating"] - start_split["plating"] > 1e-5
+        assert abs(before["fracture"] - start_split["fracture"]) <= 1e-15
+
+        x, y = cell.mean_stoichiometry()
+        _, dC_p, dC_n = lam_cycle_update(d, cell.extrema, degp.lam, params)
+        dn = 3600.0 / params.F * (y * dC_p + x * dC_n)
+        assert dn > 0.0
+        cell.apply_cycle_fatigue()
+        after = deep_soh(params, degp, cell.degradation, n_li0)
+        assert cell.degradation.LLI == d.LLI + dn / n_li0
+        assert (after["sei"], after["plating"]) == (before["sei"],
+                                                    before["plating"])
+        assert after["fracture"] - before["fracture"] == pytest.approx(
+            dn / n_li0, abs=4.0 * math.ulp(cell.degradation.LLI))
+
+
+def test_fracture_share_never_decreases_over_a_campaign(params, degp):
+    # each cycle record carries its state's split: non-negative shares
+    # that sum to LLI, with fracture growing cycle by cycle
+    c1 = reference_capacity(params)
+    cell = Cell(params, degp)
+    traj, _, eol = run_campaign(
+        cell, Campaign(_cycle_steps(c1), eol_capacity_fraction=0.05,
+                       max_cycles=15), dt=60.0, dt_rest=300.0,
+        keep_series=False)
+    assert len(traj.cycles) == 15 and not eol
+    fracture = 0.0
+    for rec in traj.cycles:
+        split = rec.deep_soh
+        assert split == deep_soh(params, degp,
+                                 DegradationState(**rec.degradation),
+                                 cell.n_li0)
+        assert min(split.values()) >= 0.0
+        assert abs(sum(split.values()) - rec.degradation["LLI"]) <= 1e-15
+        assert split["fracture"] > fracture
+        fracture = split["fracture"]

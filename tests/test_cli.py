@@ -242,6 +242,41 @@ def test_ambiguity_demo_small(tmp_path, serial_demo, jobs):
     assert rows and all(float(v) == float(v) for r in rows for v in r.split(","))
 
 
+def test_outputs_carry_the_deep_soh_split(tmp_path, serial_demo, params,
+                                          degp, n_li0):
+    # cycles.json records, identify's states and ambiguity's members each
+    # carry the state's split of LLI, whose shares sum to that LLI
+    def check(split, lli):
+        assert set(split) == {"sei", "plating", "fracture"}
+        assert abs(sum(split.values()) - lli) <= 1e-15
+
+    out = tmp_path / "run"
+    assert main(["simulate", "--cell", CELL, "--protocol",
+                 str(DATA / "protocol_cycle.yaml"), "--max-cycles", "2",
+                 "--dt", "60", "--dt-rest", "300", "--out", str(out)]) == 0
+    for rec in read_json(out / "cycles.json")["cycles"]:
+        check(rec["deep_soh"], rec["degradation"]["LLI"])
+    truth = DegradationState(8e-8, 1.5e-8, 0.96 * params.C_p_nom,
+                             0.96 * params.C_n_nom, 0.08)
+    m = forward_measure(params, degp, truth, n_li0)
+    meas = tmp_path / "m.json"
+    meas.write_text(json.dumps(m.as_dict()))
+    for route in ("--with-expansion", "--without-expansion"):
+        out = tmp_path / route
+        assert main(["identify", "--cell", CELL, "--measurements", str(meas),
+                     route, "--out", str(out)]) == 0
+        doc = read_json(out / "identification.json")
+        # the unique solution's split sits beside it, a sample's in it
+        for state in doc.get("samples", [doc]):
+            check(state["deep_soh"], m.LLI)
+    members = read_json(serial_demo / "ambiguity.json")["members"]
+    lli = yaml.safe_load((DATA / "ambiguity_demo.yaml").read_text())[
+        "measurement"]["LLI"]
+    for member in members:
+        check(member["deep_soh"], lli)
+    assert members[0]["deep_soh"] != members[1]["deep_soh"]
+
+
 def test_ambiguity_jobs_below_one_exits_2(tmp_path, capsys):
     out = tmp_path / "amb"
     assert _run_ambiguity(tmp_path, out, 0) == 2
@@ -316,6 +351,14 @@ def _simulate_state(tmp_path, name, value):
     shell of profile name set to value."""
     _, path = _rpt_state(tmp_path, lambda doc: {**doc, "particles": {
         **doc["particles"], name: [value] + doc["particles"][name][1:]}})
+    return _simulate_flags("--protocol", PROTOCOL, "--state", path), path
+
+
+def _simulate_films_over_lli(tmp_path):
+    """simulate from the fresh default cell's state file given an SEI film
+    and no LLI to hold its lithium."""
+    _, path = _rpt_state(tmp_path, lambda doc: {**doc, "degradation": {
+        **doc["degradation"], "delta_sei": 1e-7, "LLI": 0.0}})
     return _simulate_flags("--protocol", PROTOCOL, "--state", path), path
 
 
@@ -394,6 +437,9 @@ MALFORMED = [
                  id="state-negative-concentration"),
     pytest.param(lambda t: _simulate_state(t, "c_neg", 1e9), "particles c_neg",
                  id="state-concentration-above-cmax"),
+    # film lithium beyond the LLI would read as a negative fracture share
+    pytest.param(_simulate_films_over_lli, "more lithium than its LLI",
+                 id="state-films-over-lli"),
     pytest.param(lambda t: _rpt_cell(t, ocp_pos=5), "ocp_pos", id="ocp-number"),
     pytest.param(lambda t: _rpt_cell(t, ocp_pos=str(t / "absent.csv")),
                  "absent.csv", id="ocp-missing-csv"),

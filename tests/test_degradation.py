@@ -9,6 +9,7 @@ import pytest
 from cellfade.degradation import (
     DegradationState,
     StressExtrema,
+    deep_soh,
     hydrostatic_stress,
     lam_cycle_update,
     plated_lithium_moles,
@@ -289,7 +290,7 @@ class TestInventory:
         new, inc = step_degradation(params, degp, state,
                                     eta_neg=-0.05, u_neg_surface=0.12,
                                     c_ss_neg=1.05 * c, c_avg_neg=c,
-                                    x=0.6, y=0.4, n_li0=n_li0, dt=1.0)
+                                    n_li0=n_li0, dt=1.0)
         # thickness increments and mole increments are the same bookkeeping
         assert inc.dn_sei == pytest.approx(
             2.0 * params.film_area_neg * (new.delta_sei - state.delta_sei)
@@ -312,7 +313,7 @@ class TestInventory:
             state, inc = step_degradation(params, degp, state,
                                           eta_neg=-0.02, u_neg_surface=0.1,
                                           c_ss_neg=1.02 * c, c_avg_neg=c,
-                                          x=0.6, y=0.4, n_li0=n_li0, dt=10.0)
+                                          n_li0=n_li0, dt=10.0)
             assert inc.dn_sei >= 0.0 and inc.dn_pl >= 0.0
         assert state.delta_sei > 1e-9
         assert state.delta_pl > 1e-10
@@ -362,7 +363,7 @@ def test_step_degradation_equals_the_composed_helpers_bitwise(
         c_ss = c_avg * rng.uniform(0.9, 1.1)
         dt = 10.0 ** rng.uniform(-6.0, 5.0)
         got = _outcome(step_degradation, params, degp, state, eta, u, c_ss,
-                       c_avg, 0.5, 0.5, n_li0, dt)
+                       c_avg, n_li0, dt)
         want = _outcome(step_degradation_oracle, params, degp, state, eta,
                         u, c_ss, c_avg, n_li0, dt)
         assert got == want
@@ -375,3 +376,23 @@ def test_step_degradation_equals_the_composed_helpers_bitwise(
         d_new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
         clamped += d_new < state.delta_sei
     assert clamped > 0   # the clamp branch was taken and matched
+
+
+def test_deep_soh_shares_sum_to_lli(params, degp, n_li0):
+    # SEI and plating are the film lithium, fracture the rest of LLI, so
+    # the three shares sum to LLI whatever the state
+    rng = np.random.default_rng(17)
+    for k in range(200):
+        fresh = k % 5 == 0
+        state = DegradationState(
+            0.0 if fresh else rng.uniform(0.0, 3e-7),
+            0.0 if fresh else rng.uniform(0.0, 5e-8),
+            params.C_p_nom, params.C_n_nom, rng.uniform(0.0, 0.5))
+        split = deep_soh(params, degp, state, n_li0)
+        assert set(split) == {"sei", "plating", "fracture"}
+        assert split["sei"] == (
+            sei_lithium_moles(params, degp.sei, state.delta_sei) / n_li0)
+        assert split["plating"] == (plated_lithium_moles(
+            params, degp.plating, state.delta_pl) / n_li0)
+        assert all(type(v) is float for v in split.values())
+        assert abs(sum(split.values()) - state.LLI) <= 1e-15

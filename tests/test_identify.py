@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cellfade.cell import Cell
-from cellfade.degradation import (DegradationState, plated_lithium_moles,
-                                  sei_lithium_moles)
+from cellfade.degradation import (DegradationState, deep_soh,
+                                  plated_lithium_moles, sei_lithium_moles)
 from cellfade.electrochem import solve_window
 from cellfade.errors import (AmbiguousRootsError, CellDeadError, ConfigError,
                              InfeasibleError)
@@ -235,6 +235,36 @@ def test_round_trip_100_random_states(params, degp, n_li0, rng):
     assert false_infeasible == 0
 
 
+def test_round_trip_recovers_the_deep_soh_split(params, degp, n_li0, rng):
+    # the expansion route gives back the generating state's split, not
+    # only its films: this is what the added measurement buys
+    for st in random_truths(params, degp, n_li0, rng, 100):
+        y = forward_measure(params, degp, st, n_li0)
+        got = deep_soh(params, degp,
+                       invert_with_expansion(params, degp, y, n_li0).solution,
+                       n_li0)
+        want = deep_soh(params, degp, st, n_li0)
+        assert want["fracture"] >= 0.0
+        for key in want:
+            assert got[key] == pytest.approx(want[key], abs=1e-12), key
+
+
+def test_family_members_share_lli_with_distinct_splits(params, degp, n_li0):
+    # the packaged demo's members measure alike and hold one LLI, but
+    # that LLI splits three ways between SEI, plating and fracture
+    members = demo_members(params, degp, n_li0)
+    splits = [deep_soh(params, degp, m, n_li0) for m in members]
+    assert len({m.LLI for m in members}) == 1
+    for split, m in zip(splits, members):
+        assert abs(sum(split.values()) - m.LLI) <= 1e-15
+        assert min(split.values()) >= 0.0
+    assert len({tuple(sorted(s.items())) for s in splits}) == len(members)
+    want = [(0.099, 0.0, 0.011), (0.025, 0.027, 0.058), (0.0, 0.036, 0.074)]
+    for split, (sei, pl, frac) in zip(splits, want):
+        assert (split["sei"], split["plating"], split["fracture"]) == (
+            pytest.approx((sei, pl, frac), abs=1e-3))
+
+
 def test_invariants_on_perturbed_parameters(params, degp, n_li0):
     # the round trip and the family's shared measurement hold off the
     # default cell too: voltage limits shifted by up to 50 mV, kinetics,
@@ -385,15 +415,17 @@ def test_inverted_states_age_on_python_floats(params, degp, y_full, n_li0):
         values = [getattr(cell.degradation, f.name)
                   for f in dataclasses.fields(cell.degradation)]
         values += [v for rec in records for v in rec.values()]
-        values += [cell.n_li0, cell.lam_lithium]
+        values += [cell.n_li0,
+                   *deep_soh(params, degp, cell.degradation, n_li0).values()]
         assert all(type(v) is float for v in values), {
             type(v).__name__ for v in values}
 
 
 def test_cell_from_state_books_loss_outside_films(params, degp, y_full,
                                                   n_li0):
-    # a state's LLI not held in its films was trapped by material loss, so
-    # the lithium books close from construction on, with no hand booking
+    # a state's LLI not held in its films was stranded by material loss:
+    # its fracture share is positive, and the lithium books close from
+    # construction on, with no hand booking
     c1 = reference_capacity(params)
     protocol = [
         ProtocolStep("cc", c1 / 2.0, [Termination("voltage", "<=", 3.6),
@@ -404,18 +436,18 @@ def test_cell_from_state_books_loss_outside_films(params, degp, y_full,
     ]
 
     def total(cell):
-        d = cell.degradation
-        return (cell.particle_lithium() + cell.lam_lithium
-                + sei_lithium_moles(params, degp.sei, d.delta_sei)
-                + plated_lithium_moles(params, degp.plating, d.delta_pl))
+        return cell.particle_lithium() + n_li0 * cell.degradation.LLI
+
+    def fracture(state):
+        return deep_soh(params, degp, state, n_li0)["fracture"]
 
     unique = invert_with_expansion(params, degp, y_full, n_li0).solution
     for state in demo_members(params, degp, n_li0) + [unique]:
         cell = Cell(params, degp, degradation=state, n_li0=n_li0)
-        assert type(cell.lam_lithium) is float and cell.lam_lithium > 0.0
+        assert type(fracture(state)) is float and fracture(state) > 0.0
         assert total(cell) == pytest.approx(n_li0, rel=1e-10)
         for step in protocol:
             run_step(cell, step, dt=60.0, dt_rest=300.0)
         cell.apply_cycle_fatigue()
         assert total(cell) == pytest.approx(n_li0, rel=1e-10)
-    assert Cell(params, degp).lam_lithium == 0.0
+    assert fracture(Cell(params, degp).degradation) == 0.0

@@ -10,7 +10,7 @@ import yaml
 
 from cellfade import io as cio
 from cellfade.cell import Cell
-from cellfade.degradation import plated_lithium_moles, sei_lithium_moles
+from cellfade.cli import main
 from cellfade.errors import ConfigError
 from cellfade.params import load_cell_config
 from cellfade.protocol import (ProtocolStep, Termination, Trajectory,
@@ -122,13 +122,11 @@ class TestStateFiles:
         cell = Cell(params, degp)
         for _ in range(25):
             cell.step(2.0, 10.0)
-        cell.lam_lithium = 1.5e-4
         p = tmp_path / "state.json"
         cio.save_state(p, cell)
         back = cio.load_state(p, params, degp)
         assert back.degradation == cell.degradation
         assert back.n_li0 == cell.n_li0
-        assert back.lam_lithium == cell.lam_lithium
         assert np.array_equal(back.particles.c_pos, cell.particles.c_pos)
         assert np.array_equal(back.particles.c_neg, cell.particles.c_neg)
         # identical next step from the restored state
@@ -144,6 +142,18 @@ class TestStateFiles:
         doc["version"] = 99
         p.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
+            cio.load_state(p, params, degp)
+
+    def test_films_over_the_lli_budget_rejected(self, params, degp,
+                                                tmp_path):
+        # film lithium is part of LLI: a state whose films hold more
+        # would start with a negative fracture share
+        p = tmp_path / "state.json"
+        cio.save_state(p, Cell(params, degp))
+        doc = json.loads(p.read_text())
+        doc["degradation"].update(delta_sei=1e-7, LLI=0.0)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="more lithium than its LLI"):
             cio.load_state(p, params, degp)
 
     def test_profile_length_mismatch_rejected(self, params, degp, tmp_path):
@@ -182,35 +192,31 @@ def test_resume_from_state_file_is_exact(params, degp, tmp_path):
     second = age(resumed, 15)
 
     assert resumed.degradation == straight.degradation
-    assert resumed.lam_lithium == straight.lam_lithium
     assert np.array_equal(resumed.particles.c_pos, straight.particles.c_pos)
     assert np.array_equal(resumed.particles.c_neg, straight.particles.c_neg)
     tail = [v for v, cyc in zip(whole.V, whole.cycle) if cyc > 15]
     assert tail and tail == list(second.V)
 
 
-def test_state_without_lam_lithium_keeps_the_booking(params, degp, n_li0,
-                                                     tmp_path):
-    # a Cell built from a state books its LLI not held in films as
-    # lam_lithium; a state file without the key keeps that booking, and
-    # the lithium books close after a cycle
+def test_version_1_state_file_exits_2(params, degp, n_li0, tmp_path,
+                                      capsys):
+    # version 1 stored a lam_lithium booking beside the state; version 2
+    # derives the split from the state (degradation.deep_soh), so a
+    # version-1 file stops at the version check with a message
     member = demo_members(params, degp, n_li0)[0]
     p = tmp_path / "state.json"
     cio.save_state(p, Cell(params, degp, degradation=member, n_li0=n_li0))
     doc = json.loads(p.read_text())
-    booked = doc.pop("lam_lithium")
+    assert doc["version"] == 2 and "lam_lithium" not in doc
+    doc.update(version=1, lam_lithium=1e-3)
     p.write_text(json.dumps(doc))
-    cell = cio.load_state(p, params, degp)
-    assert cell.lam_lithium == booked > 0.0
-    c1 = reference_capacity(params)
-    run_protocol(cell, cio.load_protocol(DATA / "protocol_cycle.yaml", c1),
-                 dt=60.0, dt_rest=300.0)
-    cell.apply_cycle_fatigue()
-    d = cell.degradation
-    total = (cell.particle_lithium() + cell.lam_lithium
-             + sei_lithium_moles(params, degp.sei, d.delta_sei)
-             + plated_lithium_moles(params, degp.plating, d.delta_pl))
-    assert total == pytest.approx(n_li0, rel=1e-10)
+    rc = main(["simulate", "--cell", str(DATA / "cell_default.yaml"),
+               "--protocol", str(DATA / "protocol_cycle.yaml"),
+               "--state", str(p), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "version 1 unsupported" in err and str(p) in err
+    assert not (tmp_path / "o").exists()
 
 
 def _small_trajectory(params, degp):

@@ -280,4 +280,3 @@ def test_propagator_cache_under_clamped_time_terminations(params, degp,
     assert np.array_equal(cached.particles.c_neg, fresh.particles.c_neg)
     assert cached.degradation == fresh.degradation
     assert cached.extrema == fresh.extrema
-    assert cached.lam_lithium == fresh.lam_lithium
