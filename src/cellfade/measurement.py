@@ -165,14 +165,21 @@ def extract_esoh(curve, params, capacity=None):
     Least squares over the whole curve shape plus the two voltage-limit
     constraints; the endpoint equations alone leave the problem
     under-determined. Initial guess scales the nominal electrode pair by
-    the measured capacity ratio. The solver gets the exact Jacobian of the
-    residual: one derivative call per electrode per iteration in place of
-    four finite-difference residual evaluations.
+    the measured capacity ratio. The solver is MINPACK's Levenberg-Marquardt
+    (lmder), whose whole iteration runs in compiled code. The fit is smooth,
+    has four unknowns against a row per curve point, and needs no bounds:
+    penalty rows keep every evaluated point on the OCP tables. A bounded
+    trust-region solver would add Python bookkeeping to every iteration.
+    The solver gets the exact Jacobian of the residual: one derivative
+    call per electrode per iteration in place of four finite-difference
+    residual evaluations.
     """
     q = np.asarray(curve.capacity_Ah, dtype=float)
     v = np.asarray(curve.voltage, dtype=float)
     if q.ndim != 1 or q.shape != v.shape or len(q) < 8:
         raise ConfigError("pseudo-OCV curve needs matching 1-D columns, >= 8 rows")
+    if not (np.isfinite(q).all() and np.isfinite(v).all()):
+        raise ConfigError("pseudo-OCV curve holds a non-finite value")
     C_meas = capacity if capacity is not None else float(q[-1] - q[0])
     if not C_meas > 0.0:
         raise ConfigError("curve spans no capacity")
@@ -189,9 +196,6 @@ def extract_esoh(curve, params, capacity=None):
     ratio = min(max(C_meas / fresh.C, 0.3), 1.5)
     theta0 = np.array([params.C_p_nom * ratio, params.C_n_nom * ratio,
                        fresh.x_0, fresh.y_0])
-    lo = np.array([0.5 * C_meas, 0.5 * C_meas, tn.s_min, 0.4])
-    hi = np.array([8.0 * C_meas, 8.0 * C_meas, 0.4, tp.s_max])
-    theta0 = np.clip(theta0, lo, hi)
     n = len(q)
     # charge left above the bottom of the window: the curve points, then
     # the window ends at 0 % (x_0, y_0) and 100 % (x100, y100) state of charge
@@ -202,8 +206,6 @@ def extract_esoh(curve, params, capacity=None):
         x = x_0 + dq / C_n
         y = y_0 - dq / C_p
         # keep trial evaluations on-table; penalize the excursion instead
-        # (the bounds keep x_0 and y_0 on-table, so only x100, y100 and
-        # the curve can clip)
         return x, y, np.clip(x, tn.s_min, tn.s_max), np.clip(y, tp.s_min, tp.s_max)
 
     def residuals(theta):
@@ -214,8 +216,7 @@ def extract_esoh(curve, params, capacity=None):
         return np.concatenate([
             vm[:n] - v,
             ENDPOINT_WEIGHT * (vm[n:] - (params.V_min, params.V_max)),
-            [1e3 * np.abs(x[:n] - x_c[:n]).max(),
-             1e3 * np.abs(y[:n] - y_c[:n]).max()],
+            [1e3 * np.abs(x - x_c).max(), 1e3 * np.abs(y - y_c).max()],
         ])
 
     def jacobian(theta):
@@ -231,19 +232,18 @@ def extract_esoh(curve, params, capacity=None):
         J[n:n + 2] *= ENDPOINT_WEIGHT
         # each penalty's subgradient at the point argmax picks, signed by
         # the excursion; a zero row when that electrode stays on-table
-        k = np.argmax(np.abs(x[:n] - x_c[:n]))
+        k = np.argmax(np.abs(x - x_c))
         sign = 1e3 * np.sign(x[k] - x_c[k])
         J[n + 2, [1, 2]] = -sign * dq[k] / C_n ** 2, sign
-        k = np.argmax(np.abs(y[:n] - y_c[:n]))
+        k = np.argmax(np.abs(y - y_c))
         sign = 1e3 * np.sign(y[k] - y_c[k])
         J[n + 3, [0, 3]] = sign * dq[k] / C_p ** 2, sign
         return J
 
-    res = least_squares(residuals, theta0, jac=jacobian, bounds=(lo, hi),
-                        method="trf", x_scale="jac",
-                        ftol=1e-14, xtol=1e-14, gtol=1e-14)
+    res = least_squares(residuals, theta0, jac=jacobian, method="lm",
+                        x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14)
     rms = math.sqrt(float(np.mean(res.fun[:n] ** 2)))
-    if not res.success or rms > 0.05:
+    if not res.success or not rms <= 0.05 or not np.isfinite(res.x).all():
         raise EstimationFailedError(
             f"eSOH fit did not converge (status {res.status}, "
             f"rms {rms * 1e3:.2f} mV)")

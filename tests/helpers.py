@@ -6,6 +6,7 @@ import math
 from importlib import resources
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from cellfade import io as cio
 from cellfade.degradation import (DegradationState, StepIncrements,
@@ -70,6 +71,22 @@ def curve_gap(a, b, n=200):
     va = np.interp(grid, a.capacity_Ah, a.voltage)
     vb = np.interp(grid, b.capacity_Ah, b.voltage)
     return float(np.max(np.abs(va - vb)))
+
+
+def bounded_trf(params, C_meas):
+    """Stand-in for measurement.least_squares: the solver the eSOH fit used
+    before MINPACK, scipy's bounded trust-region reflective method, in the
+    box that kept the window ends x_0 and y_0 on their OCP tables. It fits
+    the residual and Jacobian extract_esoh hands it, to the same
+    tolerances, so only the solver differs."""
+    lo = np.array([0.5 * C_meas, 0.5 * C_meas, params.ocp_neg.s_min, 0.4])
+    hi = np.array([8.0 * C_meas, 8.0 * C_meas, 0.4, params.ocp_pos.s_max])
+
+    def solve(fun, theta0, jac, **_):
+        return least_squares(fun, np.clip(theta0, lo, hi), jac=jac,
+                             bounds=(lo, hi), method="trf", x_scale="jac",
+                             ftol=1e-14, xtol=1e-14, gtol=1e-14)
+    return solve
 
 
 def ocp_oracle(table, s):

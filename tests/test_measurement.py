@@ -22,7 +22,8 @@ from cellfade.measurement import (
     synthesize_pseudo_ocv,
 )
 from cellfade.electrochem import solve_window
-from helpers import sample_windows
+from cellfade.protocol import run_rpt
+from helpers import bounded_trf, sample_windows
 
 
 def fresh_state(params):
@@ -232,6 +233,16 @@ class TestESOH:
         with pytest.raises(ConfigError):
             extract_esoh(curve, params, capacity=0.0)
 
+    @pytest.mark.parametrize("column", ["capacity_Ah", "voltage"])
+    def test_rejects_nan(self, params, n_li0, column):
+        # NaN compares False with everything, so it would pass the span
+        # check and reach the solver
+        truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
+        curve = synthesize_pseudo_ocv(params, truth)
+        getattr(curve, column)[100] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            extract_esoh(curve, params)
+
 
 class TestESOHJacobian:
     """extract_esoh hands least_squares the exact Jacobian of its residual;
@@ -318,6 +329,39 @@ class TestESOHJacobian:
             # clipped curve points do not move with its capacity
             assert (J[:-2, col] == 0.0).any()
 
+    @pytest.mark.parametrize("electrode", ["neg", "pos"])
+    def test_window_end_off_table_is_penalized(self, params, n_li0,
+                                               monkeypatch, electrode):
+        # an RPT curve stops short of the window ends, which the fit places
+        # from the measured capacity; with theta unbounded, only the
+        # penalty rows keep x_0 and y_0 on their tables
+        seen = {}
+        least_squares = measurement.least_squares
+
+        def capture(fun, x0, **kwargs):
+            seen.update(fun=fun, jac=kwargs["jac"])
+            return least_squares(fun, x0, **kwargs)
+
+        monkeypatch.setattr(measurement, "least_squares", capture)
+        truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
+        full = synthesize_pseudo_ocv(params, truth)
+        curve = type(full)(full.capacity_Ah[3:-3], full.voltage[3:-3])
+        fit = extract_esoh(curve, params, capacity=truth.C)
+        # 0.5 % of the window past the table end: every curve point, over
+        # 1 % inside the window, stays on-table
+        theta = np.array([fit.C_p, fit.C_n, fit.x_0, fit.y_0])
+        if electrode == "neg":
+            col, row, past = 2, -2, -0.005 * fit.C / fit.C_n
+            theta[col] = params.ocp_neg.s_min + past
+        else:
+            col, row, past = 3, -1, 0.005 * fit.C / fit.C_p
+            theta[col] = params.ocp_pos.s_max + past
+        assert seen["fun"](theta)[row] == pytest.approx(1e3 * abs(past),
+                                                        rel=1e-9)
+        J = seen["jac"](theta)
+        assert J[row, col] == 1e3 * np.sign(past)
+        assert not J[-3 - row].any()
+
     def test_fit_agrees_with_finite_differences(self, params, n_li0, rng,
                                                 monkeypatch):
         # the same residual fitted with scipy's 2-point Jacobian: the
@@ -340,3 +384,50 @@ class TestESOHJacobian:
             # agreement means nothing; 1 pV is far below the 1 mV fits
             assert a.fit_rms_v == pytest.approx(b.fit_rms_v, rel=1e-6,
                                                 abs=1e-12)
+
+
+class TestESOHSolver:
+    """extract_esoh solves with MINPACK's Levenberg-Marquardt; the bounded
+    trust-region fit it replaced is the reference."""
+
+    def test_agrees_with_bounded_trf(self, params, degp, n_li0, rng,
+                                     monkeypatch):
+        fits = [(synthesize_pseudo_ocv(params, w, noise_mv=noise, rng=rng), None)
+                for noise in (0.0, 1.0)
+                for w in sample_windows(params, n_li0, rng, 15)]
+        # the production caller: a curve taken under load, fitted with the
+        # measured capacity
+        rpt = run_rpt(Cell(params, degp), dt=30.0)
+        fits.append((rpt["pseudo_ocv"], rpt["capacity_Ah"]))
+        lm = [extract_esoh(curve, params, capacity=c) for curve, c in fits]
+        for (curve, c), a in zip(fits, lm):
+            q = curve.capacity_Ah
+            monkeypatch.setattr(measurement, "least_squares", bounded_trf(
+                params, c if c is not None else q[-1] - q[0]))
+            b = extract_esoh(curve, params, capacity=c)
+            for k in ("C_p", "C_n", "x_0", "y_0"):
+                assert getattr(a, k) == pytest.approx(getattr(b, k), rel=1e-6)
+            # clean curves fit to rounding noise, where only an absolute
+            # floor means anything
+            assert a.fit_rms_v == pytest.approx(b.fit_rms_v, rel=1e-6,
+                                                abs=1e-12)
+
+    @pytest.mark.parametrize("field", ["x", "fun"])
+    def test_non_finite_answer_is_a_failed_fit(self, params, degp, n_li0,
+                                               monkeypatch, field):
+        # NaN fails every comparison: "rms > 0.05" would accept a NaN
+        # misfit, and a NaN answer has no misfit check of its own
+        least_squares = measurement.least_squares
+
+        def diverged(fun, theta0, **kwargs):
+            res = least_squares(fun, theta0, **kwargs)
+            res[field] = np.full_like(res[field], np.nan)
+            return res
+
+        monkeypatch.setattr(measurement, "least_squares", diverged)
+        truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
+        with pytest.raises(EstimationFailedError):
+            extract_esoh(synthesize_pseudo_ocv(params, truth), params)
+        rpt = run_rpt(Cell(params, degp), dt=30.0)
+        assert rpt["esoh"] is None
+        assert "did not converge" in rpt["esoh_error"]

@@ -8,6 +8,7 @@ import pytest
 
 from cellfade import protocol
 from cellfade.cell import Cell
+from cellfade.degradation import DegradationState
 from cellfade.errors import (ConfigError, EstimationFailedError,
                              ProtocolStallError, SaturationError)
 from cellfade.params import DegradationParameters
@@ -249,6 +250,23 @@ def test_rpt_esoh_close_to_truth(cell):
     assert rpt["esoh"]["C_p"] == pytest.approx(d.C_p, rel=0.01)
     assert rpt["esoh"]["C_n"] == pytest.approx(d.C_n, rel=0.01)
     assert rpt["esoh"]["x_100"] == pytest.approx(w.x_100, abs=0.02)
+
+
+def test_rpt_esoh_close_to_truth_at_end_of_life(params, degp):
+    # a quarter of the negative electrode and a tenth of the positive lost,
+    # LLI 0.2 (0.086 of it in the films). The C/20 curve is taken under
+    # load and stops short of the window edges; the fit measured
+    # C_p +0.46 %, C_n -1.08 %, x_100 +0.0083 and y_100 +0.0019 off the
+    # cell's own window
+    cell = Cell(params, degp, DegradationState(
+        1.5e-7, 2e-8, 0.9 * params.C_p_nom, 0.75 * params.C_n_nom, 0.2))
+    rpt = run_rpt(cell, dt=30.0)
+    assert "esoh_error" not in rpt
+    w = cell.esoh()
+    assert rpt["esoh"]["C_p"] == pytest.approx(w.C_p, rel=0.006)
+    assert rpt["esoh"]["C_n"] == pytest.approx(w.C_n, rel=0.013)
+    assert rpt["esoh"]["x_100"] == pytest.approx(w.x_100, abs=0.01)
+    assert rpt["esoh"]["y_100"] == pytest.approx(w.y_100, abs=0.0025)
 
 
 def test_rpt_reports_a_failed_esoh_fit(cell, monkeypatch):
