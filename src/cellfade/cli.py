@@ -113,11 +113,12 @@ def cmd_identify(args):
     budget = not args.no_lli_budget
     doc = {"measurements": y.as_dict()}
     code = EXIT_OK
+    invert = (invert_with_expansion if args.with_expansion
+              else invert_without_expansion)
     try:
+        with _input(f"measurements file {args.measurements}"):
+            res = invert(params, deg, y, n_li0, lli_budget=budget)
         if args.with_expansion:
-            with _input(f"measurements file {args.measurements}"):
-                res = invert_with_expansion(params, deg, y, n_li0,
-                                            lli_budget=budget)
             doc.update({
                 "kind": "unique",
                 "solution": res.solution.as_dict(),
@@ -128,9 +129,6 @@ def cmd_identify(args):
                   f"delta_sei {res.solution.delta_sei * 1e9:.3f} nm, "
                   f"delta_pl {res.solution.delta_pl * 1e9:.3f} nm")
         else:
-            with _input(f"measurements file {args.measurements}"):
-                res = invert_without_expansion(params, deg, y, n_li0,
-                                               lli_budget=budget)
             members = sample_family(res, y, args.family_samples)
             doc.update({
                 "kind": "family",

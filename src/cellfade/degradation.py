@@ -64,12 +64,21 @@ def plated_lithium_moles(params, plating, delta_pl):
     return params.film_area_neg * delta_pl / plating.Omega_pl
 
 
+BUDGET_TOL = 1e-9   # fracture share below zero that is still round-off
+
+
 def deep_soh(params, deg_params, state, n_li0):
     """deepSOH: the state's LLI split into the fractions of n_li0 held in
     the SEI and plated films and, by difference, stranded by fracture."""
     sei = sei_lithium_moles(params, deg_params.sei, state.delta_sei) / n_li0
     pl = plated_lithium_moles(params, deg_params.plating, state.delta_pl) / n_li0
     return {"sei": sei, "plating": pl, "fracture": state.LLI - sei - pl}
+
+
+def within_lli_budget(fracture):
+    """Whether a deepSOH fracture share keeps the LLI budget: the films
+    hold no more lithium than the state has lost."""
+    return fracture >= -BUDGET_TOL
 
 
 # --- mechanical stress and material loss ---

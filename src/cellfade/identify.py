@@ -16,7 +16,7 @@ import numpy as np
 
 from .cell import Cell
 from .degradation import (DegradationState, deep_soh, plated_lithium_moles,
-                          sei_lithium_moles)
+                          sei_lithium_moles, within_lli_budget)
 from .errors import AmbiguousRootsError, ConfigError, InfeasibleError
 from .measurement import (forward_measure, kinetic_resistance,
                           material_loss_expansion, operating_point,
@@ -58,35 +58,20 @@ def _point_on_family(deg_params, r_areal, s):
 
 
 def _budget_interval(params, deg_params, y, r_areal, n_li0):
-    """Feasible s range once film lithium must fit inside the LLI budget.
-
-    Both film terms are linear in s, so the constraint clips [0,1] to a
-    single subinterval (possibly empty).
-    """
-    budget = y.LLI * n_li0
-    n0 = sei_lithium_moles(params, deg_params.sei,
-                           deg_params.sei.kappa_sei * r_areal)
-    n1 = plated_lithium_moles(params, deg_params.plating,
-                              deg_params.plating.kappa_pl * r_areal)
-    slack = REL_TOL * max(n_li0, 1e-30)
-    ok0 = n0 <= budget + slack
-    ok1 = n1 <= budget + slack
+    """The s range of the family within the LLI budget: the fracture share
+    is linear in s, so the budget clips [0, 1] to one subinterval, which
+    ends where that share is zero."""
+    sei, pl = deg_params.sei, deg_params.plating
+    f0 = y.LLI - sei_lithium_moles(params, sei, sei.kappa_sei * r_areal) / n_li0
+    f1 = y.LLI - plated_lithium_moles(params, pl, pl.kappa_pl * r_areal) / n_li0
+    ok0, ok1 = within_lli_budget(f0), within_lli_budget(f1)
     if ok0 and ok1:
         return 0.0, 1.0
-    if n0 == n1:
-        if ok0:
-            return 0.0, 1.0
-        raise InfeasibleError(
-            f"film lithium {n0:.6g} mol exceeds the LLI budget {budget:.6g} mol "
-            "everywhere on the family")
-    s_star = (budget - n0) / (n1 - n0)   # n(s) is linear
-    if ok0:
-        return 0.0, min(1.0, max(0.0, s_star))
-    if ok1:
-        return max(0.0, min(1.0, s_star)), 1.0
-    raise InfeasibleError(
-        f"film lithium exceeds the LLI budget {budget:.6g} mol "
-        "everywhere on the family")
+    if not (ok0 or ok1):
+        raise InfeasibleError("film lithium exceeds the LLI budget everywhere "
+                              f"on the family (fracture share {max(f0, f1):.6g})")
+    s_star = min(max(f0 / (f0 - f1), 0.0), 1.0)
+    return (0.0, s_star) if ok0 else (s_star, 1.0)
 
 
 def _verify(params, deg_params, state, y, n_li0, check_expansion):
@@ -157,8 +142,8 @@ def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
     """Unique state from [C_p, C_n, LLI, R_s, delta_irr], or infeasible.
 
     Substituting the film-resistance line into the expansion equation
-    leaves a quadratic in delta_pl. Two admissible roots are surfaced as
-    AmbiguousRootsError (carrying both) unless the LLI budget rejects one.
+    leaves a quadratic in delta_pl. With lli_budget, roots over the LLI
+    budget are dropped; two left are AmbiguousRootsError (carrying both).
     """
     if y.delta_irr is None:
         raise ConfigError("no delta_irr (expansion channel) in the measurement")
@@ -206,17 +191,12 @@ def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
             if not any(abs(st.delta_pl - c0.delta_pl) <= slack for c0 in cands):
                 cands.append(st)
 
-    if lli_budget and len(cands) > 1:
-        kept = [st for st in cands if deep_soh(
-            params, deg_params, st, n_li0)["fracture"] >= -REL_TOL]
-        if kept:
-            cands = kept
-
+    if lli_budget:
+        cands = [st for st in cands if within_lli_budget(
+            deep_soh(params, deg_params, st, n_li0)["fracture"])]
     if not cands:
-        best = min((abs(a * r * r + b * r + c) for r in roots), default=None)
-        raise InfeasibleError(
-            "no admissible film pair reproduces the expansion "
-            f"(residual {best if best is not None else 'n/a'})")
+        raise InfeasibleError("no admissible film pair reproduces the expansion"
+                              + (" within the LLI budget" if lli_budget else ""))
     if len(cands) > 1:
         raise AmbiguousRootsError(
             "two admissible film pairs reproduce the measurements", cands)
@@ -300,6 +280,5 @@ def ambiguity_experiment(params, deg_params, y, campaign, n_members=3,
     if len(ruls) > 1 and max(ruls) > 0:
         report["rul_spread_rel"] = (max(ruls) - min(ruls)) / max(ruls)
     exps = [mb["delta_irr_m"] for mb in report["members"]]
-    report["expansion_distinct"] = (
-        len(set(np.round(exps, 15))) == len(exps) if len(exps) > 1 else True)
+    report["expansion_distinct"] = len(set(np.round(exps, 15))) == len(exps)
     return report

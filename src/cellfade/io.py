@@ -7,18 +7,17 @@ identical runs produce byte-identical files on any platform.
 import hashlib
 import json
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .cell import Cell
-from .degradation import DegradationState, deep_soh
+from .degradation import DegradationState, deep_soh, within_lli_budget
 from .errors import ConfigError
-from .identify import REL_TOL
 from .particle import ParticleState
 from .measurement import MeasurementVector
-from .params import _number, from_mapping, read_mapping
+from .params import (_number, field_names, from_mapping, read_mapping,
+                     reject_unknown)
 from .protocol import Campaign, ProtocolStep, Termination, parse_current
 
 STATE_VERSION = 2
@@ -33,15 +32,17 @@ def _parse_steps(raw_steps, c_1c, where):
         raise ConfigError(f"{where}: steps must be a non-empty list")
     steps = []
     for k, s in enumerate(raw_steps):
+        what = f"{where}: step {k + 1}"
+        reject_unknown(s, ("mode", "setpoint", "until"), what)
         try:
             steps.append(_parse_step(s, c_1c))
         except ConfigError as e:
-            raise ConfigError(f"{where}: step {k + 1}: {e}") from None
+            raise ConfigError(f"{what}: {e}") from None
     return steps
 
 
 def _parse_step(s, c_1c):
-    if not isinstance(s, dict) or "mode" not in s:
+    if "mode" not in s:
         raise ConfigError("needs a mode")
     mode = _MODES.get(str(s["mode"]).lower())
     if mode is None:
@@ -59,9 +60,8 @@ def _parse_step(s, c_1c):
         raise ConfigError(f"until must be a list of terminations, got {until!r}")
     terms = []
     for c in until:
-        if not isinstance(c, dict):
-            raise ConfigError("termination must be a mapping")
-        missing = {"quantity", "comparator", "threshold"} - c.keys()
+        reject_unknown(c, field_names(Termination), "termination")
+        missing = field_names(Termination) - c.keys()
         if missing:
             raise ConfigError(f"termination missing {', '.join(sorted(missing))}")
         if c["quantity"] == "current":
@@ -75,14 +75,16 @@ def _parse_step(s, c_1c):
 def load_protocol(path, c_1c):
     """Step list from a protocol YAML ({steps: [...]})."""
     raw = read_mapping(path, "protocol file")
-    if "steps" not in raw:
-        raise ConfigError(f"protocol file {path} needs a steps list")
-    return _parse_steps(raw["steps"], c_1c, f"protocol file {path}")
+    where = f"protocol file {path}"
+    reject_unknown(raw, {"steps"}, where)
+    return _parse_steps(raw.get("steps"), c_1c, where)
 
 
-def _campaign(raw, path, c_1c, where):
-    """Campaign from a config mapping: steps inline or a protocol file
-    named relative to path, plus the cycling settings."""
+def _campaign(raw, path, c_1c, where, *other_keys):
+    """Campaign from a config mapping that may also hold other_keys: steps
+    inline or a protocol file named relative to path, plus its settings."""
+    reject_unknown(raw, field_names(Campaign) - {"cycle_protocol"}
+                   | {"steps", "protocol", *other_keys}, where)
     if "steps" in raw:
         steps = _parse_steps(raw["steps"], c_1c, where)
     elif isinstance(raw.get("protocol"), str):
@@ -100,9 +102,10 @@ def load_campaign(path, c_1c):
 
 def load_measurements(path):
     """MeasurementVector from a JSON file."""
-    return from_mapping(MeasurementVector,
-                        read_mapping(path, "measurements file", json.load),
-                        f"measurements file {path}")
+    raw = read_mapping(path, "measurements file", json.load)
+    where = f"measurements file {path}"
+    reject_unknown(raw, field_names(MeasurementVector), where)
+    return from_mapping(MeasurementVector, raw, where)
 
 
 def load_ambiguity_config(path, c_1c):
@@ -110,14 +113,19 @@ def load_ambiguity_config(path, c_1c):
     the campaign and whether the LLI budget filters the family."""
     raw = read_mapping(path, "demo config")
     where = f"demo config {path}"
-    y = from_mapping(MeasurementVector, raw.get("measurement"),
-                     f"{where}: measurement", delta_irr=None)
+    campaign = _campaign(raw, path, c_1c, where, "measurement", "n_members",
+                         "lli_budget")
+    m = f"{where}: measurement"
+    # no delta_irr: the demo is the case without an expansion reading
+    reject_unknown(raw.get("measurement"),
+                   field_names(MeasurementVector) - {"delta_irr"}, m)
+    y = from_mapping(MeasurementVector, raw["measurement"], m, delta_irr=None)
     n_members = _number(int, raw.get("n_members", 3), f"{where}: n_members")
     budget = raw.get("lli_budget", True)
     if not isinstance(budget, bool):
         raise ConfigError(f"{where}: lli_budget must be true or false, "
                           f"got {budget!r}")
-    return y, n_members, _campaign(raw, path, c_1c, where), budget
+    return y, n_members, campaign, budget
 
 
 # --- state files ---
@@ -139,9 +147,9 @@ def load_state(path, params, deg_params):
     where = f"state file {path}"
     if doc.get("version") != STATE_VERSION:
         raise ConfigError(f"{where}: version {doc.get('version')!r} unsupported")
+    reject_unknown(doc, ("version", "degradation", "n_li0", "particles"), where)
     particles = doc.get("particles")
-    if not isinstance(particles, dict):
-        raise ConfigError(f"{where}: particles must be a mapping")
+    reject_unknown(particles, ("c_pos", "c_neg"), f"{where}: particles")
     profiles = []
     for name, c_smax in (("c_pos", params.c_smax_pos),
                          ("c_neg", params.c_smax_neg)):
@@ -156,16 +164,13 @@ def load_state(path, params, deg_params):
                               f"got [{c.min():.6g}, {c.max():.6g}]")
         profiles.append(c)
     deg = doc.get("degradation")
-    unknown = (set(deg) - {f.name for f in fields(DegradationState)}
-               if isinstance(deg, dict) else ())
-    if unknown:
-        raise ConfigError(f"{where}: degradation has unknown keys "
-                          f"{sorted(unknown, key=str)}")
+    reject_unknown(deg, field_names(DegradationState), f"{where}: degradation")
     degradation = from_mapping(DegradationState, deg, f"{where}: degradation")
     n_li0 = _number(float, doc.get("n_li0"), f"{where}: n_li0")
     if not n_li0 > 0.0:
         raise ConfigError(f"{where}: n_li0 must be > 0, got {n_li0!r}")
-    if deep_soh(params, deg_params, degradation, n_li0)["fracture"] < -REL_TOL:
+    if not within_lli_budget(
+            deep_soh(params, deg_params, degradation, n_li0)["fracture"]):
         raise ConfigError(f"{where}: degradation films hold more lithium "
                           f"than its LLI {degradation.LLI!r} of n_li0")
     return Cell(params, deg_params, degradation=degradation, n_li0=n_li0,

@@ -181,8 +181,8 @@ def extract_esoh(curve, params, capacity=None):
     if not (np.isfinite(q).all() and np.isfinite(v).all()):
         raise ConfigError("pseudo-OCV curve holds a non-finite value")
     C_meas = capacity if capacity is not None else float(q[-1] - q[0])
-    if not C_meas > 0.0:
-        raise ConfigError("curve spans no capacity")
+    if not 0.0 < C_meas < math.inf:
+        raise ConfigError(f"curve capacity must be finite and > 0, got {C_meas!r}")
     # a sweep under load stops short of the quasi-static window edges
     # (about 0.1 V at end of life); reject only curves missing a knee
     span = 0.15

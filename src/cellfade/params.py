@@ -37,6 +37,20 @@ def read_mapping(path, what, parse=yaml.safe_load):
     return raw
 
 
+def reject_unknown(raw, known, where):
+    """ConfigError unless raw is a mapping whose keys all lie in known: a
+    misspelled key would otherwise be ignored without a word."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+
+
+def field_names(*classes):
+    return {f.name for cls in classes for f in fields(cls)}
+
+
 def _number(kind, value, what):
     """value as a finite int or float (kind). Numeric strings count (YAML
     1.1 reads an unquoted 1e8 as one); a bool, a non-number, a non-finite
@@ -58,8 +72,6 @@ def from_mapping(cls, raw, where, **given):
     by name through _number as its annotated type. An absent field (or a
     null one whose default is None) keeps its default; an absent required
     one is a ConfigError, as is a value that cls rejects."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a mapping")
     for f in fields(cls):
         if f.name in given:
             continue
@@ -119,8 +131,8 @@ class CellParameters:
     C_n_nom: float
     x100_init: float = 0.84  # fresh negative stoichiometry at top of charge
     n_shells: int = 20       # radial finite volumes per particle
-    F: float = FARADAY
-    R_gas: float = GAS_CONSTANT
+    F = FARADAY              # constants: class attributes, not cell-file keys
+    R_gas = GAS_CONSTANT
 
     def __post_init__(self):
         _require_positive(self, [
@@ -270,11 +282,7 @@ def load_cell_config(path):
     """
     raw = read_mapping(path, "cell config")
     where = f"cell config {path}"
-    known = {f.name for cls in (CellParameters,) + _PARAMETER_CLASSES
-             for f in fields(cls)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    reject_unknown(raw, field_names(CellParameters, *_PARAMETER_CLASSES), where)
     cell = from_mapping(CellParameters, raw, where,
                         ocp_pos=_load_ocp(raw, "ocp_pos", path, where),
                         ocp_neg=_load_ocp(raw, "ocp_neg", path, where))

@@ -12,7 +12,8 @@ from cellfade import io as cio
 from cellfade.degradation import (DegradationState, StepIncrements,
                                   plated_lithium_moles, sei_lithium_moles)
 from cellfade.electrochem import solve_window
-from cellfade.errors import CellDeadError, KineticsSingularError, SaturationError
+from cellfade.errors import (CellDeadError, InfeasibleError,
+                             KineticsSingularError, SaturationError)
 from cellfade.identify import invert_without_expansion, sample_family
 from cellfade.measurement import forward_measure
 from cellfade.protocol import reference_capacity
@@ -46,6 +47,32 @@ def demo_members(params, degp, n_li0):
         reference_capacity(params))
     fam = invert_without_expansion(params, degp, y, n_li0, lli_budget=budget)
     return sample_family(fam, y, n)
+
+
+def budget_interval_oracle(params, deg_params, LLI, r_areal, n_li0):
+    """The family's s range within the LLI budget, in mole arithmetic: the
+    film lithium of each end against LLI * n_li0, with a slack of 1e-9 of
+    n_li0, and the zero of the linear film lithium in s."""
+    budget = LLI * n_li0
+    n0 = sei_lithium_moles(params, deg_params.sei,
+                           deg_params.sei.kappa_sei * r_areal)
+    n1 = plated_lithium_moles(params, deg_params.plating,
+                              deg_params.plating.kappa_pl * r_areal)
+    slack = 1e-9 * n_li0
+    ok0 = n0 <= budget + slack
+    ok1 = n1 <= budget + slack
+    if ok0 and ok1:
+        return 0.0, 1.0
+    if n0 == n1:
+        if ok0:
+            return 0.0, 1.0
+        raise InfeasibleError("film lithium exceeds the budget everywhere")
+    s_star = (budget - n0) / (n1 - n0)
+    if ok0:
+        return 0.0, min(1.0, max(0.0, s_star))
+    if ok1:
+        return max(0.0, min(1.0, s_star)), 1.0
+    raise InfeasibleError("film lithium exceeds the budget everywhere")
 
 
 def sample_windows(params, n_li0, rng, count):

@@ -393,6 +393,16 @@ def _simulate_campaign(tmp_path, text):
     return _simulate_flags("--campaign", path), path
 
 
+def _simulate_protocol(tmp_path, step=None, **changes):
+    """simulate with a protocol file of one rest step, step merged into
+    that step's mapping and changes into the file's."""
+    rest = {"mode": "rest", "until": [
+        {"quantity": "time", "comparator": ">=", "threshold": 60}]}
+    path = _write(tmp_path, "protocol.yaml",
+                  {"steps": [{**rest, **(step or {})}], **changes})
+    return _simulate_flags("--protocol", path), path
+
+
 def _identify(tmp_path, route="--without-expansion", **changes):
     doc = {"C_p": 6.6, "C_n": 5.7, "LLI": 0.11, "R_s": 0.017, **changes}
     path = _write(tmp_path, "m.json", doc)
@@ -404,6 +414,11 @@ def _ambiguity(tmp_path, jobs=1, **changes):
     path = _write(tmp_path, "demo.yaml", {**demo, "max_cycles": 1, **changes})
     return ["ambiguity", "--cell", CELL, "--demo", path, "--dt", "60",
             "--dt-rest", "300", "--jobs", str(jobs)], path
+
+
+def _demo_measurement(tmp_path, **changes):
+    demo = yaml.safe_load((DATA / "ambiguity_demo.yaml").read_text())
+    return _ambiguity(tmp_path, measurement={**demo["measurement"], **changes})
 
 
 def _without(key):
@@ -465,6 +480,35 @@ MALFORMED = [
         id="max-cycles-bool"),
     pytest.param(lambda t: _ambiguity(t, lli_budget="false"), "lli_budget",
                  id="lli-budget-string"),
+    # a key that no loader reads (a misspelling, or a constant that is not
+    # a parameter) is an error naming it in every input file
+    pytest.param(lambda t: _rpt_cell(t, kappa_se=5e-6), "'kappa_se'",
+                 id="unknown-key-cell"),
+    pytest.param(lambda t: _rpt_cell(t, F=96485.0, R_gas=8.3),
+                 "unknown keys ['F', 'R_gas']", id="unknown-key-cell-constants"),
+    pytest.param(lambda t: _rpt_state(t, lambda doc: {**doc, "lam_lithium": 0.0}),
+                 "'lam_lithium'", id="unknown-key-state"),
+    pytest.param(lambda t: _rpt_state(t, lambda doc: {**doc, "particles": {
+        **doc["particles"], "c_mid": []}}), "particles: unknown keys ['c_mid']",
+        id="unknown-key-state-particles"),
+    pytest.param(lambda t: _simulate_campaign(
+        t, f"protocol: {PROTOCOL}\nmax_cycle: 2\nrpt_evry: 10\n"),
+        "unknown keys ['max_cycle', 'rpt_evry']", id="unknown-key-campaign"),
+    pytest.param(lambda t: _simulate_protocol(t, repeat=2), "'repeat'",
+                 id="unknown-key-protocol"),
+    pytest.param(lambda t: _simulate_protocol(t, {"setpiont": 1.0}),
+                 "step 1: unknown keys ['setpiont']", id="unknown-key-step"),
+    pytest.param(lambda t: _simulate_protocol(t, {"until": [
+        {"quantity": "time", "comparator": ">=", "threshold": 60, "unit": "s"}]}),
+        "termination: unknown keys ['unit']", id="unknown-key-termination"),
+    pytest.param(lambda t: _ambiguity(t, n_member=2), "'n_member'",
+                 id="unknown-key-demo"),
+    # the demo is the case without an expansion reading
+    pytest.param(lambda t: _demo_measurement(t, delta_irr=3e-6),
+                 "measurement: unknown keys ['delta_irr']",
+                 id="unknown-key-demo-measurement"),
+    pytest.param(lambda t: _identify(t, delta_ir=3e-6), "'delta_ir'",
+                 id="unknown-key-measurement"),
     pytest.param(lambda t: _identify(t, LLI=1.5), "LLI", id="measurement-LLI"),
     pytest.param(lambda t: _identify(t, C_p=-6.6), "C_p", id="measurement-C_p"),
     pytest.param(lambda t: _identify(t, R_s=True), "R_s", id="measurement-bool"),

@@ -1,12 +1,16 @@
 """Measurement inversion: the family, the unique root, RUL prediction."""
 
 import dataclasses
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from cellfade import io as cio
 from cellfade.cell import Cell
+from cellfade.cli import main
 from cellfade.degradation import (DegradationState, deep_soh,
                                   plated_lithium_moles, sei_lithium_moles)
 from cellfade.electrochem import solve_window
@@ -14,6 +18,7 @@ from cellfade.errors import (AmbiguousRootsError, CellDeadError, ConfigError,
                              InfeasibleError)
 from cellfade.identify import (
     VERIFY_TOL,
+    _budget_interval,
     ambiguity_experiment,
     invert_with_expansion,
     invert_without_expansion,
@@ -24,7 +29,7 @@ from cellfade.measurement import (MeasurementVector, forward_measure,
                                   instantaneous_resistance)
 from cellfade.protocol import (Campaign, ProtocolStep, Termination,
                                reference_capacity, run_campaign, run_step)
-from helpers import demo_members, random_truths
+from helpers import budget_interval_oracle, demo_members, random_truths
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +222,98 @@ class TestUniqueInversion:
         cand_pl = sorted(c.delta_pl for c in exc.value.candidates)
         assert cand_pl[0] == pytest.approx(d_pl_a, rel=1e-6)
         assert cand_pl[1] == pytest.approx(d_pl_b, rel=1e-6)
+
+    def test_budget_admits_one_of_two_roots(self, params, degp, n_li0):
+        # the two-root construction above with b_pl 100x larger, so both
+        # roots' films fit in a plausible LLI: the SEI-heavier root holds
+        # 0.282 of n_li0, the other 0.234, and an LLI between the two
+        # admits only the second
+        e = dataclasses.replace(degp.expansion, b_pl=100.0 * degp.expansion.b_pl)
+        d = dataclasses.replace(degp, expansion=e)
+        sei, pl = d.sei, d.plating
+        root_sum = e.b_sei * sei.kappa_sei / (pl.kappa_pl * e.b_pl)
+        r_areal = 2.0 * root_sum / pl.kappa_pl
+        mk = lambda d_pl, lli: DegradationState(
+            sei.kappa_sei * (r_areal - d_pl / pl.kappa_pl), d_pl,
+            params.C_p_nom, params.C_n_nom, lli)
+        film = [sum(deep_soh(params, d, mk(f * root_sum, 0.0), n_li0)[k]
+                    for k in ("sei", "plating")) for f in (0.25, 0.75)]
+        assert film[0] > film[1]
+        lli = 0.5 * sum(film)
+        sa, sb = mk(0.25 * root_sum, lli), mk(0.75 * root_sum, lli)
+        ma = forward_measure(params, d, sa, n_li0)
+        mb = forward_measure(params, d, sb, n_li0)
+        assert ma.R_s == pytest.approx(mb.R_s, rel=1e-12)
+        assert ma.delta_irr == pytest.approx(mb.delta_irr, rel=1e-12)
+        with pytest.raises(AmbiguousRootsError):
+            invert_with_expansion(params, d, ma, n_li0, lli_budget=False)
+        res = invert_with_expansion(params, d, ma, n_li0)
+        assert res.solution.delta_pl == pytest.approx(sb.delta_pl, rel=1e-6)
+        assert res.solution.delta_sei == pytest.approx(sb.delta_sei, rel=1e-6)
+        assert res.residual["ok"]
+
+
+def test_budget_interval_matches_the_mole_oracle(params, degp, n_li0):
+    # the interval read off the fracture share gives the verdict and the
+    # span of the mole arithmetic it replaced: LLI up to 0.3 and films up
+    # to 0.45 of n_li0 at the all-SEI end, so about 40 % are clipped, a
+    # third infeasible, and some LLIs sit exactly on an end's share
+    rng = np.random.default_rng(1919)
+    per_r = sei_lithium_moles(params, degp.sei, degp.sei.kappa_sei) / n_li0
+    verdicts = {"full": 0, "clipped": 0, "infeasible": 0}
+    for k in range(2000):
+        r_areal = rng.uniform(0.0, 0.45) / per_r
+        lli = per_r * r_areal if k % 50 == 0 else rng.uniform(0.0, 0.3)
+        y = MeasurementVector(params.C_p_nom, params.C_n_nom, lli, 0.02)
+        try:
+            want = budget_interval_oracle(params, degp, lli, r_areal, n_li0)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                _budget_interval(params, degp, y, r_areal, n_li0)
+            verdicts["infeasible"] += 1
+            continue
+        got = _budget_interval(params, degp, y, r_areal, n_li0)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-15)
+        verdicts["full" if got == (0.0, 1.0) else "clipped"] += 1
+    assert 0.35 <= verdicts["clipped"] / 2000 <= 0.45, verdicts
+    assert verdicts["infeasible"] >= 500, verdicts
+
+
+def test_over_budget_vector_is_refused_on_every_path(params, degp, n_li0,
+                                                     tmp_path):
+    # films of 100 nm SEI and 20 nm plated lithium hold 6.7 % of n_li0
+    # against an LLI of 0.001: a fracture share of -0.066, which no aging
+    # history reaches
+    st = DegradationState(1e-7, 2e-8, 0.95 * params.C_p_nom,
+                          0.95 * params.C_n_nom, 0.001)
+    assert deep_soh(params, degp, st, n_li0)["fracture"] < -0.06
+    y = forward_measure(params, degp, st, n_li0)
+    with pytest.raises(InfeasibleError, match="LLI budget"):
+        invert_with_expansion(params, degp, y, n_li0)
+    with pytest.raises(InfeasibleError, match="LLI budget"):
+        invert_without_expansion(params, degp, y, n_li0)
+
+    cell = resources.files("cellfade.data") / "cell_default.yaml"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(y.as_dict()))
+    argv = ["identify", "--cell", str(cell), "--measurements", str(path)]
+    for route in ("--with-expansion", "--without-expansion"):
+        out = tmp_path / route
+        assert main(argv + [route, "--out", str(out)]) == 3
+        doc = json.loads((out / "identification.json").read_text())
+        assert doc["kind"] == "infeasible" and "LLI budget" in doc["error"]
+    # without the budget the expansion route gives the state back
+    out = tmp_path / "no-budget"
+    assert main(argv + ["--with-expansion", "--no-lli-budget",
+                        "--out", str(out)]) == 0
+    sol = json.loads((out / "identification.json").read_text())["solution"]
+    for attr, want in st.as_dict().items():
+        assert sol[attr] == pytest.approx(want, rel=1e-9), attr
+
+    state = tmp_path / "state.json"
+    cio.save_state(state, Cell(params, degp, degradation=st, n_li0=n_li0))
+    with pytest.raises(ConfigError, match="more lithium than its LLI"):
+        cio.load_state(state, params, degp)
 
 
 def test_round_trip_100_random_states(params, degp, n_li0, rng):

@@ -1,6 +1,7 @@
 """Health readouts: resistance, expansion, eSOH extraction."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ class TestESOH:
         curve = synthesize_pseudo_ocv(params, truth)
         with pytest.raises(ConfigError):
             extract_esoh(curve, params, capacity=0.0)
+
+    @pytest.mark.parametrize("capacity", [math.inf, -math.inf])
+    def test_rejects_infinite_capacity(self, params, n_li0, capacity):
+        # inf passed the positive-capacity check and ended in scipy's
+        # bare ValueError on non-finite residuals
+        truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
+        curve = synthesize_pseudo_ocv(params, truth)
+        with pytest.raises(ConfigError, match="finite"):
+            extract_esoh(curve, params, capacity=capacity)
 
     @pytest.mark.parametrize("column", ["capacity_Ah", "voltage"])
     def test_rejects_nan(self, params, n_li0, column):
