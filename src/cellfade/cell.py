@@ -6,9 +6,10 @@ particles advance under the remaining intercalation current, and the
 degradation state integrates alongside. Fatigue capacity loss is applied
 from outside at cycle boundaries (see protocol.run_campaign).
 
-Kinetics, OCP and areas come from the parameter set's two
+Particles, kinetics, OCP and areas come from the parameter set's two
 electrochem.Electrode objects (params.pos and params.neg), built once, so
-no step branches on an electrode name or rebuilds a kinetic constant.
+no step branches on an electrode name, rebuilds a kinetic constant or
+inverts a propagator another cell of the set has inverted.
 Each value is computed once over the span in which it can change:
 the active areas once per pair of electrode capacities (they move only
 when fatigue closes a cycle), the particle averages once per particle
@@ -21,7 +22,7 @@ from .degradation import (DegradationState, StepIncrements, StressExtrema,
                           hydrostatic_stress, lam_cycle_update,
                           step_degradation)
 from .errors import CellDeadError
-from .particle import ParticlePair, step_particle_diffusion
+from .particle import at_stoichiometry, averages, step_particle_diffusion
 
 
 class Cell:
@@ -37,7 +38,6 @@ class Cell:
                  particles=None):
         self.params = params
         self.deg_params = deg_params
-        self.pair = ParticlePair(params)
         self.n_li0 = float(ec.pristine_inventory(params) if n_li0 is None
                            else n_li0)
         if degradation is None:
@@ -51,7 +51,7 @@ class Cell:
         self._trial = None       # last voltage_after: its key and result
         if particles is None:
             w = self.esoh()
-            particles = self.pair.at_stoichiometry(w.x_100, w.y_100)
+            particles = at_stoichiometry(params, w.x_100, w.y_100)
         self.particles = particles
 
     # --- derived views ---
@@ -66,7 +66,7 @@ class Cell:
         return ec.solve_window(self.params, d.C_p, d.C_n, self.n_li)
 
     def mean_stoichiometry(self):
-        _, _, y, x = self.pair.averages(self.particles)
+        _, _, y, x = averages(self.params, self.particles)
         return x, y
 
     def particle_lithium(self):
@@ -89,7 +89,7 @@ class Cell:
         x = w.x_0 + soc * w.C / w.C_n
         N_Ah = self.n_li * self.params.F / 3600.0
         y = (N_Ah - x * w.C_n) / w.C_p
-        self.particles = self.pair.at_stoichiometry(x, y)
+        self.particles = at_stoichiometry(self.params, x, y)
         return self
 
     def clone(self):
@@ -127,22 +127,20 @@ class Cell:
         p = self.params
         d = self.degradation
         particles = self.particles
-        sp_neg, sp_pos = self.pair.neg, self.pair.pos
+        pos, neg = p.pos, p.neg
         area_p, area_n, f_area_p, f_area_n = self._context()
 
         # surface concentrations: the outer shell corrected by the flux
         # boundary condition across its half width
         j_neg0 = I / f_area_n
-        c_ss_n = (float(particles.c_neg[-1])
-                  - sp_neg.half_dr * j_neg0 / sp_neg.D)
+        c_ss_n = float(particles.c_neg[-1]) - neg.half_dr * j_neg0 / neg.D
         if self.freeze_degradation:
             deg_new = d
             inc = StepIncrements(0.0, 0.0, 0.0)
         else:
-            neg = p.neg
             eta_neg = neg.overpotential(I / area_n, c_ss_n)
             u_neg = neg.ocp(c_ss_n / neg.c_smax)
-            c_avg_n = self.pair.averages(particles)[1]
+            c_avg_n = averages(p, particles)[1]
             deg_new, inc = step_degradation(
                 p, self.deg_params, d, eta_neg, u_neg, c_ss_n, c_avg_n,
                 self.n_li0, dt)
@@ -150,11 +148,10 @@ class Cell:
         # side reactions take their share of the negative-electrode current
         j_neg = (I - inc.i_side) / f_area_n
         j_pos = -I / f_area_p
-        parts = step_particle_diffusion(self.pair, particles,
-                                        j_pos, j_neg, dt)
+        parts = step_particle_diffusion(p, particles, j_pos, j_neg, dt)
 
-        c_ss_p2 = float(parts.c_pos[-1]) - sp_pos.half_dr * j_pos / sp_pos.D
-        c_ss_n2 = float(parts.c_neg[-1]) - sp_neg.half_dr * j_neg / sp_neg.D
+        c_ss_p2 = float(parts.c_pos[-1]) - pos.half_dr * j_pos / pos.D
+        c_ss_n2 = float(parts.c_neg[-1]) - neg.half_dr * j_neg / neg.D
         # measurement.r_film's cell value, inlined like the surface reads
         dp = self.deg_params
         r_film_cell = ((deg_new.delta_sei / dp.sei.kappa_sei
@@ -192,7 +189,7 @@ class Cell:
         parts, deg_new, inc, c_ss_p, c_ss_n, v_t = result
         self.particles = parts
         self.degradation = deg_new
-        c_avg_p, c_avg_n, y, x = self.pair.averages(parts)
+        c_avg_p, c_avg_n, y, x = averages(self.params, parts)
         lam = self.deg_params.lam
         sig_p = hydrostatic_stress(lam.stress_gain_pos, self.params.pos,
                                    c_ss_p, c_avg_p)

@@ -107,6 +107,9 @@ def cmd_rpt(args):
 
 
 def cmd_identify(args):
+    if args.with_expansion and args.family_samples is not None:
+        raise ConfigError("--family-samples applies only with "
+                          "--without-expansion")
     params, deg = load_cell_config(args.cell)
     y = cio.load_measurements(args.measurements)
     n_li0 = pristine_inventory(params)
@@ -129,7 +132,7 @@ def cmd_identify(args):
                   f"delta_sei {res.solution.delta_sei * 1e9:.3f} nm, "
                   f"delta_pl {res.solution.delta_pl * 1e9:.3f} nm")
         else:
-            members = sample_family(res, y, args.family_samples)
+            members = sample_family(res, y, args.family_samples or 3)
             doc.update({
                 "kind": "family",
                 "family_endpoints": res.family_endpoints,
@@ -231,7 +234,9 @@ def build_parser():
     g.add_argument("--without-expansion", action="store_true")
     p.add_argument("--no-lli-budget", action="store_true",
                    help="disable the lithium-budget feasibility filter")
-    p.add_argument("--family-samples", type=_positive(int), default=3)
+    p.add_argument("--family-samples", type=_positive(int),
+                   help="family members to report (default 3); "
+                   "--without-expansion only")
     p.set_defaults(fn=cmd_identify)
 
     p = sub.add_parser("ambiguity", help="same-measurement divergence demo")

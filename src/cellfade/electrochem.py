@@ -2,11 +2,13 @@
 stoichiometric operating window.
 
 Each side of the cell is one Electrode, built once per parameter set
-(CellParameters.pos and .neg). It holds the OCP table, c_smax, the
-capacity to active-area formula, and the kinetic constants: the
-exchange-current prefix k0*c_e**(1-alpha), alpha, 1-alpha and 2RT/F.
-Each prefix is the leading, left-to-right part of the expression it
-starts, so a value rounds as the expression written out in full does.
+(CellParameters.pos and .neg). It is the side's representative particle
+(a particle.SphereFV: r_p, D, c_smax, the mesh and its propagator cache)
+and holds the OCP table, the capacity to active-area formula, and the
+kinetic constants: the exchange-current prefix k0*c_e**(1-alpha), alpha,
+1-alpha and 2RT/F. Each prefix is the leading, left-to-right part of the
+expression it starts, so a value rounds as the expression written out in
+full does.
 
 Overpotentials use the inverse symmetric Butler-Volmer form
 eta = (2*R*T/F) * asinh(j / (2*i0)); alpha only shapes the exchange current.
@@ -20,17 +22,19 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import CellDeadError, KineticsSingularError, SaturationError
+from .particle import SphereFV
 
 
-class Electrode:
-    """One electrode's OCP, area and Butler-Volmer kinetics."""
+class Electrode(SphereFV):
+    """One electrode: its particle, OCP, area and Butler-Volmer kinetics."""
 
     def __init__(self, params, name):
         pos = name == "pos"
-        self.name = name
+        super().__init__(params.r_p_pos if pos else params.r_p_neg,
+                         params.D_s_pos if pos else params.D_s_neg,
+                         params.c_smax_pos if pos else params.c_smax_neg,
+                         params.n_shells, name)
         self.ocp = params.ocp_pos if pos else params.ocp_neg
-        self.c_smax = params.c_smax_pos if pos else params.c_smax_neg
-        self.r_p = params.r_p_pos if pos else params.r_p_neg
         thickness = params.l_pos if pos else params.l_neg
         k0 = params.k0_pos if pos else params.k0_neg
         self.alpha = params.alpha

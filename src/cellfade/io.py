@@ -21,6 +21,9 @@ from .params import (_number, field_names, from_mapping, read_mapping,
 from .protocol import Campaign, ProtocolStep, Termination, parse_current
 
 STATE_VERSION = 2
+# a state's particle lithium against 1 - LLI, as a share of n_li0: a full
+# life drifts about 1e-10 (ROADMAP item 4), so only an edit reaches this
+BOOKS_TOL = 1e-6
 
 _MODES = {"cc": "cc", "constant-current": "cc",
           "cv": "cv", "constant-voltage": "cv",
@@ -48,6 +51,8 @@ def _parse_step(s, c_1c):
     if mode is None:
         raise ConfigError(f"unknown mode {s['mode']!r}")
     if mode == "rest":
+        if "setpoint" in s:
+            raise ConfigError("(rest) takes no setpoint")
         setpoint = 0.0
     elif "setpoint" not in s:
         raise ConfigError(f"({mode}) needs a setpoint")
@@ -85,6 +90,9 @@ def _campaign(raw, path, c_1c, where, *other_keys):
     inline or a protocol file named relative to path, plus its settings."""
     reject_unknown(raw, field_names(Campaign) - {"cycle_protocol"}
                    | {"steps", "protocol", *other_keys}, where)
+    if "steps" in raw and "protocol" in raw:
+        raise ConfigError(f"{where} takes steps or a protocol file "
+                          f"reference, not both")
     if "steps" in raw:
         steps = _parse_steps(raw["steps"], c_1c, where)
     elif isinstance(raw.get("protocol"), str):
@@ -151,16 +159,16 @@ def load_state(path, params, deg_params):
     particles = doc.get("particles")
     reject_unknown(particles, ("c_pos", "c_neg"), f"{where}: particles")
     profiles = []
-    for name, c_smax in (("c_pos", params.c_smax_pos),
-                         ("c_neg", params.c_smax_neg)):
+    for name, side in (("c_pos", params.pos), ("c_neg", params.neg)):
         values = particles.get(name)
         what = f"{where}: particles {name}"
-        if not isinstance(values, list) or len(values) != params.n_shells:
+        if not isinstance(values, list) or len(values) != side.n:
             raise ConfigError(f"{what} must be a list of n_shells "
-                              f"({params.n_shells}) numbers")
+                              f"({side.n}) numbers")
         c = np.array([_number(float, v, what) for v in values])
-        if c.min() < 0.0 or c.max() > c_smax:
-            raise ConfigError(f"{what} must lie in [0, c_smax {c_smax:g}], "
+        if c.min() < 0.0 or c.max() > side.c_smax:
+            raise ConfigError(f"{what} must lie in [0, c_smax "
+                              f"{side.c_smax:g}], "
                               f"got [{c.min():.6g}, {c.max():.6g}]")
         profiles.append(c)
     deg = doc.get("degradation")
@@ -173,8 +181,13 @@ def load_state(path, params, deg_params):
             deep_soh(params, deg_params, degradation, n_li0)["fracture"]):
         raise ConfigError(f"{where}: degradation films hold more lithium "
                           f"than its LLI {degradation.LLI!r} of n_li0")
-    return Cell(params, deg_params, degradation=degradation, n_li0=n_li0,
+    cell = Cell(params, deg_params, degradation=degradation, n_li0=n_li0,
                 particles=ParticleState(*profiles))
+    held = cell.particle_lithium() / n_li0
+    if not abs(held - (1.0 - degradation.LLI)) <= BOOKS_TOL:
+        raise ConfigError(f"{where}: particles hold {held:.6g} of n_li0, "
+                          f"but 1 - LLI leaves {1.0 - degradation.LLI:.6g}")
+    return cell
 
 
 # --- result writers ---

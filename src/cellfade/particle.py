@@ -14,6 +14,11 @@ P has no negative entry and rows summing to 1, so min(P c) >= min(c) and
 max(P c) <= max(c). A step moves an enclosure (lo, hi) of the profile in
 closed form and takes the exact min and max only when it leaves [0, c_smax];
 inside, the exact check cannot fail, so no step's outcome changes.
+
+Each side of a cell is one SphereFV, the electrochem.Electrode that its
+parameter set builds once (CellParameters.pos and .neg), so every cell of
+that set shares the side's propagator cache. The functions below take
+that pair: anything with .pos and .neg particles.
 """
 
 from dataclasses import dataclass, field
@@ -113,37 +118,29 @@ class ParticleState:
     c_pos: np.ndarray
     c_neg: np.ndarray
     enclosure: tuple = field(default=None, repr=False, compare=False)
-    # (c_avg_pos, c_avg_neg, y, x), filled on first use by ParticlePair.averages
+    # (c_avg_pos, c_avg_neg, y, x), filled on first use by averages()
     averages: tuple = field(default=None, init=False, repr=False,
                             compare=False)
 
 
-class ParticlePair:
-    """The two representative particles of a cell."""
+def at_stoichiometry(pair, x, y):
+    """Equilibrated state: uniform profiles at (x negative, y positive)."""
+    return ParticleState(pair.pos.uniform(y), pair.neg.uniform(x), tuple(
+        (float(v * sp.c_smax),) * 2 if 0.0 <= v <= 1.0 else None
+        for sp, v in ((pair.pos, y), (pair.neg, x))))
 
-    def __init__(self, params):
-        self.pos = SphereFV(params.r_p_pos, params.D_s_pos, params.c_smax_pos,
-                            params.n_shells, "positive")
-        self.neg = SphereFV(params.r_p_neg, params.D_s_neg, params.c_smax_neg,
-                            params.n_shells, "negative")
 
-    def at_stoichiometry(self, x, y):
-        """Equilibrated state: uniform profiles at (x negative, y positive)."""
-        return ParticleState(self.pos.uniform(y), self.neg.uniform(x), tuple(
-            (float(v * sp.c_smax),) * 2 if 0.0 <= v <= 1.0 else None
-            for sp, v in ((self.pos, y), (self.neg, x))))
-
-    def averages(self, state):
-        """(c_avg_pos, c_avg_neg, y, x) of a state: volume-averaged
-        concentrations and the mean stoichiometries they imply. Computed
-        once per state."""
-        got = state.averages
-        if got is None:
-            c_p = self.pos.c_avg(state.c_pos)
-            c_n = self.neg.c_avg(state.c_neg)
-            got = state.averages = (c_p, c_n, c_p / self.pos.c_smax,
-                                    c_n / self.neg.c_smax)
-        return got
+def averages(pair, state):
+    """(c_avg_pos, c_avg_neg, y, x) of a state: volume-averaged
+    concentrations and the mean stoichiometries they imply. Computed
+    once per state."""
+    got = state.averages
+    if got is None:
+        c_p = pair.pos.c_avg(state.c_pos)
+        c_n = pair.neg.c_avg(state.c_neg)
+        got = state.averages = (c_p, c_n, c_p / pair.pos.c_smax,
+                                c_n / pair.neg.c_smax)
+    return got
 
 
 def step_particle_diffusion(pair, state, j_pos, j_neg, dt):

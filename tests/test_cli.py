@@ -362,6 +362,15 @@ def _simulate_films_over_lli(tmp_path):
     return _simulate_flags("--protocol", PROTOCOL, "--state", path), path
 
 
+def _simulate_books_open(tmp_path):
+    """simulate from the fresh default cell's state file with its negative
+    profile halved, so its particles hold less lithium than 1 - LLI."""
+    _, path = _rpt_state(tmp_path, lambda doc: {**doc, "particles": {
+        **doc["particles"],
+        "c_neg": [v / 2.0 for v in doc["particles"]["c_neg"]]}})
+    return _simulate_flags("--protocol", PROTOCOL, "--state", path), path
+
+
 def _state_n_li0(tmp_path, command, value):
     """rpt or simulate from the fresh default cell's state file with its
     n_li0 set to value."""
@@ -455,6 +464,8 @@ MALFORMED = [
     # film lithium beyond the LLI would read as a negative fracture share
     pytest.param(_simulate_films_over_lli, "more lithium than its LLI",
                  id="state-films-over-lli"),
+    # particle lithium must close the books against 1 - LLI
+    pytest.param(_simulate_books_open, "1 - LLI", id="state-books-open"),
     pytest.param(lambda t: _rpt_cell(t, ocp_pos=5), "ocp_pos", id="ocp-number"),
     pytest.param(lambda t: _rpt_cell(t, ocp_pos=str(t / "absent.csv")),
                  "absent.csv", id="ocp-missing-csv"),
@@ -472,6 +483,16 @@ MALFORMED = [
         "comparator: '>=', threshold: 60}]}\n"), "C/0", id="c-rate-over-zero"),
     pytest.param(lambda t: _simulate_campaign(t, "protocol: [1, 2]\n"),
                  "protocol", id="protocol-list"),
+    # exactly one of steps and protocol: both once ran the inline steps
+    pytest.param(lambda t: _simulate_campaign(
+        t, "protocol: does_not_exist.yaml\nsteps:\n  - {mode: rest, until: "
+        "[{quantity: time, comparator: '>=', threshold: 60}]}\n"),
+        "not both", id="campaign-steps-and-protocol"),
+    pytest.param(lambda t: _ambiguity(t, protocol=PROTOCOL), "not both",
+                 id="demo-steps-and-protocol"),
+    # a rest step runs at 0 A, so a setpoint there would be dropped
+    pytest.param(lambda t: _simulate_protocol(t, {"setpoint": "C/2"}),
+                 "step 1: (rest) takes no setpoint", id="rest-setpoint"),
     pytest.param(lambda t: _simulate_campaign(
         t, f"protocol: {PROTOCOL}\nmax_cycles: .inf\n"), "max_cycles",
         id="max-cycles-inf"),
@@ -542,6 +563,10 @@ MALFORMED = [
     pytest.param(lambda t: (_identify(t)[0] + ["--family-samples", "0"],
                             "--family-samples"), "> 0",
                  id="family-samples-zero"),
+    # the expansion route reports one state, not family samples
+    pytest.param(lambda t: (_identify(t, "--with-expansion", delta_irr=3e-6)[0]
+                            + ["--family-samples", "7"], "--family-samples"),
+                 "--without-expansion", id="family-samples-with-expansion"),
     pytest.param(lambda t: (_ambiguity(t)[0] + ["--dt-rest", "0"],
                             "--dt-rest"), "> 0", id="ambiguity-dt-rest-zero"),
     # identify never steps the cell, so it takes no timestep

@@ -1,5 +1,6 @@
 """Radial diffusion: conservation, refinement oracles, saturation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from cellfade.cell import Cell
 from cellfade.errors import SaturationError
 from cellfade.particle import SphereFV, step_particle_diffusion
 from cellfade.protocol import (MIN_DT, ProtocolStep, Termination,
-                               reference_capacity, run_step)
+                               reference_capacity, run_rpt, run_step)
 from helpers import c_ss, moles
 
 
@@ -116,10 +117,9 @@ def test_c_avg_is_volume_weighted_mean():
 
 
 def test_pair_step_moves_both_particles(params):
-    from cellfade.particle import ParticlePair
-    pair = ParticlePair(params)
-    st = pair.at_stoichiometry(x=0.5, y=0.5)
-    st2 = step_particle_diffusion(pair, st, j_pos=-1e-6, j_neg=1e-6, dt=10.0)
+    from cellfade.particle import at_stoichiometry
+    st = at_stoichiometry(params, x=0.5, y=0.5)
+    st2 = step_particle_diffusion(params, st, j_pos=-1e-6, j_neg=1e-6, dt=10.0)
     assert st2.c_neg[-1] != st.c_neg[-1]
     assert st2.c_pos[-1] != st.c_pos[-1]
     # original untouched
@@ -203,11 +203,9 @@ def test_carried_enclosure_decides_as_the_exact_check(params):
     # stepping with the carried enclosure and with the exact check alone
     # gives the same profiles and raises at the same step with the same
     # message, and the enclosure always holds the profile's min and max
-    from cellfade.particle import ParticlePair
-    pair = ParticlePair(params)
     rng = np.random.default_rng(17)
     fast = exact = 0
-    for sp in (pair.pos, pair.neg):
+    for sp in (params.pos, params.neg):
         saturated = set()   # which end, as the sign of the flux
         for _ in range(20):
             c = sp.uniform(rng.uniform(0.02, 0.98))
@@ -280,3 +278,29 @@ def test_propagator_cache_under_clamped_time_terminations(params, degp,
     assert np.array_equal(cached.particles.c_neg, fresh.particles.c_neg)
     assert cached.degradation == fresh.degradation
     assert cached.extrema == fresh.extrema
+
+
+def test_cells_of_one_parameter_set_share_propagators(params, degp,
+                                                      monkeypatch):
+    # each side's particle is built once per parameter set, so neither a
+    # second RPT on a cell nor a second cell stepping at a timestep the
+    # first one used inverts a propagator again
+    p = dataclasses.replace(params)   # a copy starts with empty caches
+    inv = np.linalg.inv
+    calls = [0]
+
+    def counted(a):
+        calls[0] += 1
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    cell = Cell(p, degp)
+    run_rpt(cell, dt=30.0)
+    after_first = calls[0]
+    assert after_first > 0
+    run_rpt(cell, dt=30.0)
+    assert calls[0] == after_first
+    Cell(p, degp).step(1.0, 7.0)
+    assert calls[0] == after_first + 2   # one propagator per side
+    Cell(p, degp).step(-1.0, 7.0)
+    assert calls[0] == after_first + 2
