@@ -12,9 +12,9 @@ no step branches on an electrode name, rebuilds a kinetic constant or
 inverts a propagator another cell of the set has inverted.
 Each value is computed once over the span in which it can change:
 the active areas once per pair of electrode capacities (they move only
-when fatigue closes a cycle), the particle averages once per particle
-state, and the step that a CV solve's last trial evaluated is committed
-as it stands instead of being evaluated again.
+when fatigue closes a cycle), the particle averages when the particle
+state is made, and the step that a CV solve's last trial evaluated is
+committed as it stands instead of being evaluated again.
 """
 
 from . import electrochem as ec
@@ -22,7 +22,7 @@ from .degradation import (DegradationState, StepIncrements, StressExtrema,
                           hydrostatic_stress, lam_cycle_update,
                           step_degradation)
 from .errors import CellDeadError
-from .particle import at_stoichiometry, averages, step_particle_diffusion
+from .particle import at_stoichiometry, step_particle_diffusion
 
 
 class Cell:
@@ -66,7 +66,7 @@ class Cell:
         return ec.solve_window(self.params, d.C_p, d.C_n, self.n_li)
 
     def mean_stoichiometry(self):
-        _, _, y, x = averages(self.params, self.particles)
+        _, _, y, x = self.particles.averages
         return x, y
 
     def particle_lithium(self):
@@ -140,7 +140,7 @@ class Cell:
         else:
             eta_neg = neg.overpotential(I / area_n, c_ss_n)
             u_neg = neg.ocp(c_ss_n / neg.c_smax)
-            c_avg_n = averages(p, particles)[1]
+            c_avg_n = particles.averages[1]
             deg_new, inc = step_degradation(
                 p, self.deg_params, d, eta_neg, u_neg, c_ss_n, c_avg_n,
                 self.n_li0, dt)
@@ -189,7 +189,7 @@ class Cell:
         parts, deg_new, inc, c_ss_p, c_ss_n, v_t = result
         self.particles = parts
         self.degradation = deg_new
-        c_avg_p, c_avg_n, y, x = averages(self.params, parts)
+        c_avg_p, c_avg_n, y, x = parts.averages
         lam = self.deg_params.lam
         sig_p = hydrostatic_stress(lam.stress_gain_pos, self.params.pos,
                                    c_ss_p, c_avg_p)
@@ -203,15 +203,16 @@ class Cell:
     def apply_cycle_fatigue(self):
         """Close out a cycle: apply fatigue loss, book the lithium it
         strands as LLI, so the state's deepSOH fracture share grows by
-        dn/n_li0, and reset the stress envelope."""
+        dn/n_li0, and reset the stress envelope. A capacity lost to zero
+        or below ends the cell: the new DegradationState refuses it."""
         p = self.params
+        d = self.degradation
         x, y = self.mean_stoichiometry()
-        new, dC_p, dC_n = lam_cycle_update(self.degradation, self.extrema,
-                                           self.deg_params.lam, p)
+        dC_p, dC_n = lam_cycle_update(self.extrema, self.deg_params.lam, p)
         dn = 3600.0 / p.F * (y * dC_p + x * dC_n)
-        lli = new.LLI + dn / self.n_li0
+        lli = d.LLI + dn / self.n_li0
         if lli >= 1.0:
             raise CellDeadError("lithium inventory exhausted")
-        self.degradation = DegradationState(new.delta_sei, new.delta_pl,
-                                            new.C_p, new.C_n, lli)
+        self.degradation = DegradationState(d.delta_sei, d.delta_pl,
+                                            d.C_p - dC_p, d.C_n - dC_n, lli)
         self.extrema = StressExtrema()

@@ -11,6 +11,7 @@ for exit 0 or 3.
 """
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -170,7 +171,7 @@ def cmd_ambiguity_demo(args):
 
     with ExitStack() as stack:
         members_map = map
-        workers = min(args.jobs, n_members)
+        workers = min(args.jobs, n_members, os.cpu_count() or 1)
         if workers > 1:
             members_map = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers)).map

@@ -113,11 +113,12 @@ class StressExtrema:
                              min(self.sigma_min_neg, sigma_neg))
 
 
-def lam_cycle_update(state, extrema, lam, params):
-    """Apply one cycle's fatigue loss to the electrode capacities.
+def lam_cycle_update(extrema, lam, params):
+    """One cycle's fatigue loss of the electrode capacities.
 
-    Returns (new_state, dC_p_loss, dC_n_loss) with losses >= 0 in Ah.
-    The within-cycle capacities are frozen; this runs once per cycle.
+    Returns (dC_p_loss, dC_n_loss), >= 0 in Ah: the active-material
+    fraction each side loses times its capacity at fraction 1. The
+    within-cycle capacities are frozen; this runs once per cycle.
     """
     def frac(beta1, beta2, smax, smin, scrit):
         return (beta1 * (abs(smax) / scrit) ** lam.m_lam
@@ -129,15 +130,8 @@ def lam_cycle_update(state, extrema, lam, params):
     deps_neg = frac(lam.beta1_neg, lam.beta2_neg,
                     extrema.sigma_max_neg, extrema.sigma_min_neg,
                     lam.sigma_crit_neg)
-    dC_p = deps_pos * params.A * params.F * params.l_pos * params.c_smax_pos / 3600.0
-    dC_n = deps_neg * params.A * params.F * params.l_neg * params.c_smax_neg / 3600.0
-    C_p_new = state.C_p - dC_p
-    C_n_new = state.C_n - dC_n
-    if C_p_new <= 0.0 or C_n_new <= 0.0:
-        raise CellDeadError("fatigue loss drove an electrode capacity to zero")
-    new = DegradationState(state.delta_sei, state.delta_pl,
-                           C_p_new, C_n_new, state.LLI)
-    return new, dC_p, dC_n
+    return (deps_pos * params.pos.full_capacity,
+            deps_neg * params.neg.full_capacity)
 
 
 @dataclass
@@ -187,7 +181,7 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     if pl.k_pl == 0.0:
         j_pl = 0.0
     else:
-        drive = (c_ss_neg - c_avg_neg) / params.c_smax_neg
+        drive = (c_ss_neg - c_avg_neg) / params.neg.c_smax
         j_pl = -pl.k_pl * params.c_e * drive * math.exp(
             -pl.alpha_pl * F * eta_pl / RT)
     d_pl_new = delta_pl + dt * (pl.Omega_pl * (-j_pl if j_pl < 0.0 else 0.0))

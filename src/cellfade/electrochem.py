@@ -43,6 +43,7 @@ class Electrode(SphereFV):
         self.rt2f = 2.0 * params.R_gas * params.T / params.F
         self._volume = params.A * thickness
         self._full_charge = params.A * params.F * thickness * self.c_smax
+        self.full_capacity = self._full_charge / 3600.0   # Ah at eps_s = 1
 
     def area(self, capacity_Ah):
         """Total interfacial area A*l*a_s, m^2, at a given capacity: the

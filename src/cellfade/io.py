@@ -14,7 +14,7 @@ import numpy as np
 from .cell import Cell
 from .degradation import DegradationState, deep_soh, within_lli_budget
 from .errors import ConfigError
-from .particle import ParticleState
+from .particle import particle_state
 from .measurement import MeasurementVector
 from .params import (_number, field_names, from_mapping, read_mapping,
                      reject_unknown)
@@ -22,7 +22,7 @@ from .protocol import Campaign, ProtocolStep, Termination, parse_current
 
 STATE_VERSION = 2
 # a state's particle lithium against 1 - LLI, as a share of n_li0: a full
-# life drifts about 1e-10 (ROADMAP item 4), so only an edit reaches this
+# life drifts about 1e-10 (ROADMAP item 14), so only an edit reaches this
 BOOKS_TOL = 1e-6
 
 _MODES = {"cc": "cc", "constant-current": "cc",
@@ -182,7 +182,7 @@ def load_state(path, params, deg_params):
         raise ConfigError(f"{where}: degradation films hold more lithium "
                           f"than its LLI {degradation.LLI!r} of n_li0")
     cell = Cell(params, deg_params, degradation=degradation, n_li0=n_li0,
-                particles=ParticleState(*profiles))
+                particles=particle_state(params, *profiles))
     held = cell.particle_lithium() / n_li0
     if not abs(held - (1.0 - degradation.LLI)) <= BOOKS_TOL:
         raise ConfigError(f"{where}: particles hold {held:.6g} of n_li0, "

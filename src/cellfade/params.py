@@ -146,8 +146,8 @@ class CellParameters:
             raise ConfigError("V_min must be below V_max")
         if not (0.0 < self.x100_init < 1.0):
             raise ConfigError("x100_init must be in (0,1)")
-        if self.n_shells < 4:
-            raise ConfigError("n_shells must be at least 4")
+        if not 4 <= self.n_shells <= 1000:   # 1000: an 8 MB propagator
+            raise ConfigError("n_shells must be in [4, 1000]")
         for name, tab in (("ocp_pos", self.ocp_pos), ("ocp_neg", self.ocp_neg)):
             if not isinstance(tab, MonotoneOCPTable):
                 raise ConfigError(f"{name} must be an OCP table")

@@ -109,38 +109,31 @@ class SphereFV:
 class ParticleState:
     """Radial concentration profiles for the electrode pair, mol/m^3.
 
-    A value: stepping returns a new state and never writes into the
-    profiles, so derived quantities can be kept alongside them. enclosure
+    A value, made by particle_state with its averages (c_avg_pos,
+    c_avg_neg, y, x: the volume-averaged concentrations and the mean
+    stoichiometries); a step makes a new state and never writes. enclosure
     pairs a (lo, hi) in [0, c_smax] around each profile's min and max, or
     None where unknown (read from a file); it only lets a step skip a range
     check that cannot fail, so it changes no result.
     """
     c_pos: np.ndarray
     c_neg: np.ndarray
+    averages: tuple = field(repr=False, compare=False)
     enclosure: tuple = field(default=None, repr=False, compare=False)
-    # (c_avg_pos, c_avg_neg, y, x), filled on first use by averages()
-    averages: tuple = field(default=None, init=False, repr=False,
-                            compare=False)
+
+
+def particle_state(pair, c_pos, c_neg, enclosure=None):
+    """The ParticleState of two profiles, with their averages."""
+    c_p, c_n = pair.pos.c_avg(c_pos), pair.neg.c_avg(c_neg)
+    return ParticleState(c_pos, c_neg, (c_p, c_n, c_p / pair.pos.c_smax,
+                                        c_n / pair.neg.c_smax), enclosure)
 
 
 def at_stoichiometry(pair, x, y):
     """Equilibrated state: uniform profiles at (x negative, y positive)."""
-    return ParticleState(pair.pos.uniform(y), pair.neg.uniform(x), tuple(
+    return particle_state(pair, pair.pos.uniform(y), pair.neg.uniform(x), tuple(
         (float(v * sp.c_smax),) * 2 if 0.0 <= v <= 1.0 else None
         for sp, v in ((pair.pos, y), (pair.neg, x))))
-
-
-def averages(pair, state):
-    """(c_avg_pos, c_avg_neg, y, x) of a state: volume-averaged
-    concentrations and the mean stoichiometries they imply. Computed
-    once per state."""
-    got = state.averages
-    if got is None:
-        c_p = pair.pos.c_avg(state.c_pos)
-        c_n = pair.neg.c_avg(state.c_neg)
-        got = state.averages = (c_p, c_n, c_p / pair.pos.c_smax,
-                                c_n / pair.neg.c_smax)
-    return got
 
 
 def step_particle_diffusion(pair, state, j_pos, j_neg, dt):
@@ -150,4 +143,4 @@ def step_particle_diffusion(pair, state, j_pos, j_neg, dt):
     enc_pos, enc_neg = state.enclosure or (None, None)
     c_pos, enc_pos = pair.pos.step(state.c_pos, j_pos, dt, enc_pos)
     c_neg, enc_neg = pair.neg.step(state.c_neg, j_neg, dt, enc_neg)
-    return ParticleState(c_pos, c_neg, (enc_pos, enc_neg))
+    return particle_state(pair, c_pos, c_neg, (enc_pos, enc_neg))

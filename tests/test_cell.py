@@ -283,7 +283,7 @@ def test_fracture_share_moves_only_at_the_fatigue_booking(params, degp,
         assert abs(before["fracture"] - start_split["fracture"]) <= 1e-15
 
         x, y = cell.mean_stoichiometry()
-        _, dC_p, dC_n = lam_cycle_update(d, cell.extrema, degp.lam, params)
+        dC_p, dC_n = lam_cycle_update(cell.extrema, degp.lam, params)
         dn = 3600.0 / params.F * (y * dC_p + x * dC_n)
         assert dn > 0.0
         cell.apply_cycle_fatigue()

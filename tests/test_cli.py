@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from cellfade import cli
 from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.cli import build_parser, main
@@ -284,6 +285,30 @@ def test_ambiguity_jobs_below_one_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ambiguity_jobs_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    # a fork pool starts every worker at its first submit, so --jobs past
+    # the CPU count would fork that many interpreters at once
+    asked = []
+
+    class Pool:
+        map = staticmethod(map)
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv, _ = _ambiguity(tmp_path, jobs=3, n_members=3)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert asked == [2]
+
+
 @pytest.mark.parametrize("field", ["max_cycles", "n_members", "C_p"])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, field):
     if field == "max_cycles":
@@ -476,6 +501,9 @@ MALFORMED = [
                  "ocp_pos: potential column must be strictly decreasing",
                  id="ocp-increasing"),
     pytest.param(lambda t: _rpt_cell(t, T=True), "T", id="cell-bool"),
+    # a huge mesh would ask numpy for gigabytes before any step
+    pytest.param(lambda t: _rpt_cell(t, n_shells=100000), "n_shells",
+                 id="cell-n_shells-huge"),
     pytest.param(lambda t: _simulate_campaign(
         t, "steps:\n  - {mode: rest, until: 5}\n"), "until", id="until-number"),
     pytest.param(lambda t: _simulate_campaign(

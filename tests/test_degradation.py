@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cellfade.cell import Cell
 from cellfade.degradation import (
     DegradationState,
     StressExtrema,
@@ -17,6 +18,7 @@ from cellfade.degradation import (
     step_degradation,
 )
 from cellfade.errors import CellDeadError, ConfigError
+from cellfade.particle import at_stoichiometry
 from helpers import (
     lli_rate,
     plating_flux,
@@ -244,25 +246,30 @@ class TestStressAndLAM:
             ex.sigma_max_pos = 9.0
 
     def test_cycle_update_reduces_capacities(self, params, degp):
-        state = DegradationState(0.0, 0.0, params.C_p_nom, params.C_n_nom, 0.0)
+        # each side loses its fatigue fraction of its capacity at active
+        # fraction 1, so a thicker positive electrode loses more, alone
         ex = StressExtrema(2e7, -1e7, 3e7, -2e7)
-        new, dC_p, dC_n = lam_cycle_update(state, ex, degp.lam, params)
+        dC_p, dC_n = lam_cycle_update(ex, degp.lam, params)
         assert dC_p > 0.0 and dC_n > 0.0
-        assert new.C_p == pytest.approx(state.C_p - dC_p)
-        assert new.C_n == pytest.approx(state.C_n - dC_n)
-        assert new.delta_sei == state.delta_sei and new.LLI == state.LLI
+        thick = dataclasses.replace(params, l_pos=2.0 * params.l_pos)
+        dC_p2, dC_n2 = lam_cycle_update(ex, degp.lam, thick)
+        assert dC_p2 == pytest.approx(2.0 * dC_p, rel=1e-14)
+        assert dC_n2 == dC_n
 
     def test_cycle_update_zero_stress_zero_loss(self, params, degp):
-        state = DegradationState(0.0, 0.0, params.C_p_nom, params.C_n_nom, 0.0)
-        new, dC_p, dC_n = lam_cycle_update(state, StressExtrema(), degp.lam, params)
-        assert dC_p == 0.0 and dC_n == 0.0
-        assert new.C_p == state.C_p and new.C_n == state.C_n
+        assert lam_cycle_update(StressExtrema(), degp.lam, params) == (0.0, 0.0)
 
     def test_cycle_update_dead_cell(self, params, degp):
+        # a huge or a moderate envelope drives a nearly empty positive
+        # electrode below zero; the new DegradationState refuses it
         state = DegradationState(0.0, 0.0, 1e-12, params.C_n_nom, 0.0)
-        huge = StressExtrema(1e10, -1e10, 1e10, -1e10)
-        with pytest.raises(CellDeadError):
-            lam_cycle_update(state, huge, degp.lam, params)
+        for ex in (StressExtrema(1e10, -1e10, 1e10, -1e10),
+                   StressExtrema(2e7, -1e7, 3e7, -2e7)):
+            cell = Cell(params, degp, degradation=state,
+                        particles=at_stoichiometry(params, 0.5, 0.5))
+            cell.extrema = ex
+            with pytest.raises(CellDeadError):
+                cell.apply_cycle_fatigue()
 
 
 class TestInventory:

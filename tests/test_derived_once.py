@@ -1,0 +1,91 @@
+"""Each derived quantity is computed once, by the module that owns it.
+
+A particle state carries its averages from the moment it is made, and
+each electrode side's constants are read from its Electrode, which only
+electrochem.py builds from the raw cell fields.
+"""
+
+import ast
+import random
+import re
+from pathlib import Path
+
+from cellfade import io as cio
+from cellfade.cell import Cell
+from cellfade.particle import at_stoichiometry
+from cellfade.protocol import (ProtocolStep, Termination, reference_capacity,
+                               run_step)
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cellfade"
+# per-side cell fields, read into each side's Electrode by electrochem.py
+RAW_SIDE_FIELD = re.compile(r"(c_smax|r_p|D_s|k0)_(pos|neg)|l_(pos|neg)")
+SIDE_READERS = {"electrochem.py", "params.py"}
+
+
+def _assert_own_averages(params, state):
+    pos, neg = params.pos, params.neg
+    c_p, c_n = pos.c_avg(state.c_pos), neg.c_avg(state.c_neg)
+    assert state.averages == (c_p, c_n, c_p / pos.c_smax, c_n / neg.c_smax)
+
+
+def test_particle_states_carry_their_own_averages(params, degp, tmp_path):
+    rng = random.Random(21)
+    c1 = reference_capacity(params)
+    for x, y in [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.83, 0.27)]:
+        _assert_own_averages(params, at_stoichiometry(params, x, y))
+
+    cell = Cell(params, degp)
+    _assert_own_averages(params, cell.particles)
+    cell.equilibrate_at(rng.uniform(0.6, 0.9))
+    _assert_own_averages(params, cell.particles)
+    calls = []
+    step = cell.step
+
+    def checked(I, dt):
+        record = step(I, dt)
+        calls.append(I)
+        _assert_own_averages(params, cell.particles)
+        return record
+
+    cell.step = checked
+    for _ in range(3):
+        rate = rng.uniform(0.3, 1.0)
+        for mode, setpoint, until in [
+                ("cc", c1 * rate, Termination("voltage", "<=", 3.3)),
+                ("rest", 0.0, Termination("time", ">=", 600.0)),
+                ("cc", -c1 * rate, Termination("voltage", ">=", 4.1)),
+                ("cv", 4.1, Termination("current", "abs<=", c1 / 10.0))]:
+            limit = Termination("time", ">=", rng.uniform(1800.0, 3600.0))
+            run_step(cell, ProtocolStep(mode, setpoint, [until, limit]),
+                     dt=60.0, dt_rest=120.0)
+    assert len(calls) >= 200 and min(calls) < 0.0 < max(calls)
+    assert 0.0 in calls
+
+    path = tmp_path / "state.json"
+    cio.save_state(path, cell)
+    loaded = cio.load_state(path, params, degp)
+    assert loaded.particles.enclosure is None
+    _assert_own_averages(params, loaded.particles)
+
+
+def _modules():
+    return [(path.name, ast.parse(path.read_text()))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_only_the_side_owners_read_raw_side_fields():
+    reads = [f"{name}:{node.lineno} .{node.attr}"
+             for name, tree in _modules() if name not in SIDE_READERS
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and RAW_SIDE_FIELD.fullmatch(node.attr)]
+    assert not reads, "read these from params.pos / params.neg: " + \
+        ", ".join(reads)
+
+
+def test_no_module_writes_averages_into_a_state():
+    writes = [f"{name}:{node.lineno}"
+              for name, tree in _modules() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "averages"
+              and isinstance(node.ctx, ast.Store)]
+    assert not writes, writes

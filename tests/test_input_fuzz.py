@@ -5,8 +5,9 @@ measurement JSON and of a saved state JSON is deleted, or its value is
 replaced by a string, a list, null or a mapping, and a number also by an
 infinity or a NaN. The CLI must answer every case with an exit code, never
 a traceback, and a non-number in a numeric field must exit 2. Only types
-are mutated, never magnitudes: a large n_shells alone asks numpy for tens
-of GB. A case that stays valid runs one coarse cycle.
+are mutated, never magnitudes: n_shells is capped at 1000 (an 8 MB
+propagator), but nothing bounds the run time that a large max_cycles
+asks for. A case that stays valid runs one coarse cycle.
 """
 
 import contextlib
