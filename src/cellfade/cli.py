@@ -133,7 +133,8 @@ def cmd_identify(args):
                   f"delta_sei {res.solution.delta_sei * 1e9:.3f} nm, "
                   f"delta_pl {res.solution.delta_pl * 1e9:.3f} nm")
         else:
-            members = sample_family(res, y, args.family_samples or 3)
+            with _input("--family-samples"):
+                members = sample_family(res, y, args.family_samples or 3)
             doc.update({
                 "kind": "family",
                 "family_endpoints": res.family_endpoints,

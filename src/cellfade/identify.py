@@ -2,10 +2,10 @@
 
 Without expansion the film pair (delta_sei, delta_pl) is pinned only to an
 iso-resistance line segment: infinitely many states share one measurement
-vector. Adding irreversible expansion closes the system; substitution gives
-a quadratic whose admissible root is the state. Every inversion is checked
-by running the forward measurement model on the answer, never trusted from
-algebra alone.
+vector. Adding irreversible expansion closes the system: along the segment
+the expansion is a quadratic in the segment coordinate s, whose admissible
+root is the state. Every inversion is checked by running the forward
+measurement model on the answer, never trusted from algebra alone.
 """
 
 import math
@@ -26,6 +26,7 @@ from .protocol import run_campaign
 
 REL_TOL = 1e-9          # slack for float cancellation in feasibility checks
 VERIFY_TOL = 1e-7       # forward-model residual accepted for a verdict
+MAX_FAMILY_SAMPLES = 1000
 
 
 @dataclass
@@ -61,9 +62,10 @@ def _budget_interval(params, deg_params, y, r_areal, n_li0):
     """The s range of the family within the LLI budget: the fracture share
     is linear in s, so the budget clips [0, 1] to one subinterval, which
     ends where that share is zero."""
-    sei, pl = deg_params.sei, deg_params.plating
-    f0 = y.LLI - sei_lithium_moles(params, sei, sei.kappa_sei * r_areal) / n_li0
-    f1 = y.LLI - plated_lithium_moles(params, pl, pl.kappa_pl * r_areal) / n_li0
+    d_sei = _point_on_family(deg_params, r_areal, 0.0)[0]
+    d_pl = _point_on_family(deg_params, r_areal, 1.0)[1]
+    f0 = y.LLI - sei_lithium_moles(params, deg_params.sei, d_sei) / n_li0
+    f1 = y.LLI - plated_lithium_moles(params, deg_params.plating, d_pl) / n_li0
     ok0, ok1 = within_lli_budget(f0), within_lli_budget(f1)
     if ok0 and ok1:
         return 0.0, 1.0
@@ -96,10 +98,8 @@ def invert_without_expansion(params, deg_params, y, n_li0, lli_budget=True):
     (0, 0).
     """
     r_areal, h4 = _film_target(params, deg_params, y, n_li0)
-    if lli_budget and r_areal > 0.0:
-        s_lo, s_hi = _budget_interval(params, deg_params, y, r_areal, n_li0)
-    else:
-        s_lo, s_hi = 0.0, 1.0
+    s_lo, s_hi = (_budget_interval(params, deg_params, y, r_areal, n_li0)
+                  if lli_budget else (0.0, 1.0))
     p_lo = _point_on_family(deg_params, r_areal, s_lo)
     p_hi = _point_on_family(deg_params, r_areal, s_hi)
     probe = DegradationState(*p_lo, y.C_p, y.C_n, y.LLI)
@@ -121,8 +121,8 @@ def sample_family(result, y, n):
     """
     if result.kind != "family":
         raise ConfigError("can only sample a family result")
-    if n < 1:
-        raise ConfigError("need at least one sample")
+    if not 1 <= n <= MAX_FAMILY_SAMPLES:
+        raise ConfigError(f"need 1 to {MAX_FAMILY_SAMPLES} samples, got {n}")
     (a_sei, a_pl), (b_sei, b_pl) = result.family_endpoints
     ts = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.5])
     ra, rb = math.sqrt(a_sei), math.sqrt(b_sei)
@@ -141,31 +141,31 @@ def sample_family(result, y, n):
 def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
     """Unique state from [C_p, C_n, LLI, R_s, delta_irr], or infeasible.
 
-    Substituting the film-resistance line into the expansion equation
-    leaves a quadratic in delta_pl. With lli_budget, roots over the LLI
-    budget are dropped; two left are AmbiguousRootsError (carrying both).
+    Along the family of invert_without_expansion the film expansion is
+    E(s) = b_sei*delta_sei(0)*(1 - s) + b_pl*(delta_pl(1)*s)^2, a quadratic
+    in s. Its roots on the family's span (the LLI budget's, with
+    lli_budget; else [0, 1]) are the admissible states; two are
+    AmbiguousRootsError (carrying both).
     """
     if y.delta_irr is None:
         raise ConfigError("no delta_irr (expansion channel) in the measurement")
     ex = deg_params.expansion
-    kap_s = deg_params.sei.kappa_sei
-    kap_p = deg_params.plating.kappa_pl
     r_areal, h4 = _film_target(params, deg_params, y, n_li0)
+    e_sei = ex.b_sei * _point_on_family(deg_params, r_areal, 0.0)[0]  # E(0)
     E = y.delta_irr - material_loss_expansion(ex, y.C_p, y.C_n,
                                               params.C_p_nom, params.C_n_nom)
-    scale_E = max(abs(y.delta_irr), ex.b_sei * kap_s * r_areal, 1e-15)
+    scale_E = max(abs(y.delta_irr), e_sei, 1e-15)
     if E < -REL_TOL * scale_E:
         raise InfeasibleError(
             f"expansion {y.delta_irr:.6g} m is below the material-loss floor; "
             f"film excess {E:.6g} m cannot be negative")
     E = max(E, 0.0)
+    s_lo, s_hi = (_budget_interval(params, deg_params, y, r_areal, n_li0)
+                  if lli_budget else (0.0, 1.0))
 
-    d_pl_max = kap_p * r_areal
-    # delta_sei = kap_s*(r_areal - delta_pl/kap_p) substituted into
-    # b_sei*delta_sei + b_pl*delta_pl^2 = E
-    a = ex.b_pl
-    b = -ex.b_sei * kap_s / kap_p
-    c = ex.b_sei * kap_s * r_areal - E
+    a = ex.b_pl * _point_on_family(deg_params, r_areal, 1.0)[1] ** 2
+    b = -e_sei
+    c = e_sei - E
     roots = []
     if a == 0.0:
         if b != 0.0:
@@ -181,19 +181,13 @@ def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
             if q != 0.0:
                 roots.append(c / q)
 
-    slack = REL_TOL * max(d_pl_max, 1e-15) + 1e-18
-    cands = []
-    for r in roots:
-        if -slack <= r <= d_pl_max + slack:
-            d_pl = min(max(r, 0.0), d_pl_max)
-            d_sei = kap_s * (r_areal - d_pl / kap_p)
-            st = DegradationState(d_sei, max(d_pl, 0.0), y.C_p, y.C_n, y.LLI)
-            if not any(abs(st.delta_pl - c0.delta_pl) <= slack for c0 in cands):
-                cands.append(st)
-
-    if lli_budget:
-        cands = [st for st in cands if within_lli_budget(
-            deep_soh(params, deg_params, st, n_li0)["fracture"])]
+    # a root within REL_TOL of the span is on it; two within REL_TOL are one
+    ss = [min(max(s, s_lo), s_hi) for s in roots
+          if s_lo - REL_TOL <= s <= s_hi + REL_TOL]
+    if len(ss) == 2 and abs(ss[0] - ss[1]) <= REL_TOL:
+        del ss[1]
+    cands = [DegradationState(*_point_on_family(deg_params, r_areal, s),
+                              y.C_p, y.C_n, y.LLI) for s in ss]
     if not cands:
         raise InfeasibleError("no admissible film pair reproduces the expansion"
                               + (" within the LLI budget" if lli_budget else ""))
@@ -235,8 +229,9 @@ def ambiguity_experiment(params, deg_params, y, campaign, n_members=3,
     runs each to end of life through map (the builtin, or a process
     pool's map: the results are the same). Returns a report dict.
     """
-    if n_members < 1:
-        raise ConfigError("n_members must be >= 1")
+    if not 1 <= n_members <= MAX_FAMILY_SAMPLES:
+        raise ConfigError(f"n_members must be in [1, {MAX_FAMILY_SAMPLES}], "
+                          f"got {n_members}")
     if n_li0 is None:
         n_li0 = pristine_inventory(params)
     fam = invert_without_expansion(params, deg_params, y, n_li0,

@@ -30,15 +30,16 @@ class MeasurementVector:
     delta_irr: float = None   # m; None in the under-determined case
 
     def __post_init__(self):
-        if not (self.C_p > 0.0 and self.C_n > 0.0):
-            raise ConfigError(f"C_p and C_n must be positive, got "
+        if not (0.0 < self.C_p < math.inf and 0.0 < self.C_n < math.inf):
+            raise ConfigError(f"C_p and C_n must be positive and finite, got "
                               f"{self.C_p}, {self.C_n}")
         if not (0.0 <= self.LLI < 1.0):
             raise ConfigError(f"LLI must be in [0,1), got {self.LLI}")
-        if not self.R_s > 0.0:
-            raise ConfigError(f"R_s must be positive, got {self.R_s}")
-        if self.delta_irr is not None and self.delta_irr < 0.0:
-            raise ConfigError("delta_irr cannot be negative")
+        if not 0.0 < self.R_s < math.inf:
+            raise ConfigError(f"R_s must be positive and finite, got {self.R_s}")
+        if self.delta_irr is not None and not 0.0 <= self.delta_irr < math.inf:
+            raise ConfigError(f"delta_irr must be finite and >= 0, got "
+                              f"{self.delta_irr}")
 
     def as_dict(self):
         d = {"C_p": self.C_p, "C_n": self.C_n, "LLI": self.LLI, "R_s": self.R_s}

@@ -567,6 +567,9 @@ MALFORMED = [
                  id="demo-no-members"),
     pytest.param(lambda t: _ambiguity(t, jobs=2, n_members=0), "n_members",
                  id="demo-no-members-jobs-2"),
+    # a huge member count once asked numpy for petabytes of samples
+    pytest.param(lambda t: _ambiguity(t, n_members=10**15), "n_members",
+                 id="demo-members-huge"),
     # numeric flags: finite and above zero, or exit 2 naming the flag
     pytest.param(lambda t: (_simulate_flags("--protocol", PROTOCOL, "--dt", "0"),
                             "--dt"), "> 0", id="dt-zero"),
@@ -591,6 +594,10 @@ MALFORMED = [
     pytest.param(lambda t: (_identify(t)[0] + ["--family-samples", "0"],
                             "--family-samples"), "> 0",
                  id="family-samples-zero"),
+    pytest.param(lambda t: (_identify(t)[0] + ["--family-samples",
+                                               str(10**15)],
+                            "--family-samples"), "1000",
+                 id="family-samples-huge"),
     # the expansion route reports one state, not family samples
     pytest.param(lambda t: (_identify(t, "--with-expansion", delta_irr=3e-6)[0]
                             + ["--family-samples", "7"], "--family-samples"),

@@ -2,7 +2,8 @@
 
 A particle state carries its averages from the moment it is made, and
 each electrode side's constants are read from its Electrode, which only
-electrochem.py builds from the raw cell fields.
+electrochem.py builds from the raw cell fields. Both inversions work on
+one film family, and only identify._point_on_family knows its line.
 """
 
 import ast
@@ -89,3 +90,16 @@ def test_no_module_writes_averages_into_a_state():
               if isinstance(node, ast.Attribute) and node.attr == "averages"
               and isinstance(node.ctx, ast.Store)]
     assert not writes, writes
+
+
+def test_only_point_on_family_knows_the_family_line():
+    tree = ast.parse((PACKAGE / "identify.py").read_text())
+    owner = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 and fn.name == "_point_on_family")
+    owned = set(ast.walk(owner))
+    reads = [f"identify.py:{node.lineno} .{node.attr}"
+             for node in ast.walk(tree) if node not in owned
+             and isinstance(node, ast.Attribute)
+             and node.attr in ("kappa_sei", "kappa_pl")]
+    assert not reads, "read the family line through _point_on_family: " + \
+        ", ".join(reads)

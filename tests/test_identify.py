@@ -12,11 +12,13 @@ from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.cli import main
 from cellfade.degradation import (DegradationState, deep_soh,
-                                  plated_lithium_moles, sei_lithium_moles)
+                                  plated_lithium_moles, sei_lithium_moles,
+                                  within_lli_budget)
 from cellfade.electrochem import solve_window
 from cellfade.errors import (AmbiguousRootsError, CellDeadError, ConfigError,
                              InfeasibleError)
 from cellfade.identify import (
+    MAX_FAMILY_SAMPLES,
     VERIFY_TOL,
     _budget_interval,
     ambiguity_experiment,
@@ -26,7 +28,8 @@ from cellfade.identify import (
     sample_family,
 )
 from cellfade.measurement import (MeasurementVector, forward_measure,
-                                  instantaneous_resistance)
+                                  instantaneous_resistance,
+                                  material_loss_expansion)
 from cellfade.protocol import (Campaign, ProtocolStep, Termination,
                                reference_capacity, run_campaign, run_step)
 from helpers import budget_interval_oracle, demo_members, random_truths
@@ -155,8 +158,11 @@ class TestFamily:
     def test_sample_family_arguments(self, params, degp, y_no_exp, n_li0):
         fam = invert_without_expansion(params, degp, y_no_exp, n_li0)
         assert len(sample_family(fam, y_no_exp, 1)) == 1
-        with pytest.raises(ConfigError):
-            sample_family(fam, y_no_exp, 0)
+        assert len(sample_family(fam, y_no_exp, MAX_FAMILY_SAMPLES)) == \
+            MAX_FAMILY_SAMPLES
+        for n in (0, MAX_FAMILY_SAMPLES + 1):
+            with pytest.raises(ConfigError):
+                sample_family(fam, y_no_exp, n)
 
 
 class TestUniqueInversion:
@@ -190,6 +196,20 @@ class TestUniqueInversion:
         res = invert_with_expansion(params, degp, m, n_li0)
         assert res.solution.delta_sei == 0.0
         assert res.solution.delta_pl == 0.0
+
+    def test_pure_film_states_round_trip(self, params, degp, n_li0):
+        # a root at an end of the family is clipped onto it in s, so the
+        # other film is never an ulp below zero (it once raised ConfigError
+        # for 15.4 nm of plated lithium)
+        for k in range(1, 201):
+            for st in (DegradationState(0.0, k * 1e-10, params.C_p_nom,
+                                        params.C_n_nom, 0.1),
+                       DegradationState(k * 1e-9, 0.0, params.C_p_nom,
+                                        params.C_n_nom, 0.1)):
+                y = forward_measure(params, degp, st, n_li0)
+                sol = invert_with_expansion(params, degp, y, n_li0).solution
+                assert sol.delta_sei == pytest.approx(st.delta_sei, abs=1e-18)
+                assert sol.delta_pl == pytest.approx(st.delta_pl, abs=1e-18)
 
     def test_expansion_below_material_floor_infeasible(self, params, degp,
                                                        y_full, n_li0):
@@ -251,6 +271,69 @@ class TestUniqueInversion:
         assert res.solution.delta_pl == pytest.approx(sb.delta_pl, rel=1e-6)
         assert res.solution.delta_sei == pytest.approx(sb.delta_sei, rel=1e-6)
         assert res.residual["ok"]
+
+
+def r_star(d):
+    """Areal film resistance up to which the film expansion is monotone
+    along the family: E(s) = B(1 - s) + A s^2 with B = b_sei*kappa_sei*r
+    and A = b_pl*(kappa_pl*r)^2 falls on [0, 1] exactly when 2A <= B."""
+    e = d.expansion
+    return e.b_sei * d.sei.kappa_sei / (2.0 * e.b_pl * d.plating.kappa_pl ** 2)
+
+
+def test_expansion_root_is_unique_up_to_the_closed_form_bound(params, degp,
+                                                              n_li0):
+    # each pair scales kappa_sei, kappa_pl, b_sei and b_pl within x[1/3, 3]
+    # (r* then spans 0.016 to 970 ohm*m^2) and puts a random state on a
+    # family with r log-uniform in [0.01, 1000]: at or below r* its own
+    # reading gives it back; past r* a reading between the interior
+    # minimum of E and the lower end value has two roots on the family
+    rng = np.random.default_rng(2216)
+    windows = random_truths(params, degp, n_li0, rng, 20)
+    sides = {"monotone": 0, "two-root": 0}
+    for k in range(2000):
+        f = np.exp(rng.uniform(-math.log(3.0), math.log(3.0), 4))
+        sei = dataclasses.replace(degp.sei, kappa_sei=degp.sei.kappa_sei * f[0])
+        pl = dataclasses.replace(degp.plating,
+                                 kappa_pl=degp.plating.kappa_pl * f[1])
+        ex = dataclasses.replace(degp.expansion, b_sei=degp.expansion.b_sei
+                                 * f[2], b_pl=degp.expansion.b_pl * f[3])
+        d = dataclasses.replace(degp, sei=sei, plating=pl, expansion=ex)
+        w, r, s = windows[k % 20], 10.0 ** rng.uniform(-2.0, 3.0), rng.random()
+        st = DegradationState((1.0 - s) * sei.kappa_sei * r,
+                              s * pl.kappa_pl * r, w.C_p, w.C_n, w.LLI)
+        y = forward_measure(params, d, st, n_li0)
+        if r <= r_star(d):
+            sides["monotone"] += 1
+            res = invert_with_expansion(params, d, y, n_li0, lli_budget=False)
+            assert res.kind == "unique"
+            continue
+        sides["two-root"] += 1
+        B, A = ex.b_sei * sei.kappa_sei * r, ex.b_pl * (pl.kappa_pl * r) ** 2
+        e_min = B - B * B / (4.0 * A)
+        E = e_min + rng.uniform(0.05, 0.95) * (min(B, A) - e_min)
+        y = dataclasses.replace(y, delta_irr=E + material_loss_expansion(
+            ex, w.C_p, w.C_n, params.C_p_nom, params.C_n_nom))
+        with pytest.raises(AmbiguousRootsError) as exc:
+            invert_with_expansion(params, d, y, n_li0, lli_budget=False)
+        a, b = exc.value.candidates
+        assert a.delta_pl != b.delta_pl
+        for c in (a, b):
+            on_line = c.delta_sei / sei.kappa_sei + c.delta_pl / pl.kappa_pl
+            assert on_line == pytest.approx(r, rel=1e-9)
+            m = forward_measure(params, d, c, n_li0)
+            assert m.R_s == pytest.approx(y.R_s, rel=1e-9)
+            assert m.delta_irr == pytest.approx(y.delta_irr, rel=1e-9)
+    assert min(sides.values()) >= 500, sides
+
+    # the packaged demo's family sits far below the default cell's bound
+    y, _, _, budget = cio.load_ambiguity_config(
+        resources.files("cellfade.data") / "ambiguity_demo.yaml",
+        reference_capacity(params))
+    fam = invert_without_expansion(params, degp, y, n_li0, lli_budget=budget)
+    assert r_star(degp) == pytest.approx(4.0)
+    assert fam.r_film_areal == pytest.approx(0.0516, abs=5e-5)
+    assert fam.r_film_areal < r_star(degp)
 
 
 def test_budget_interval_matches_the_mole_oracle(params, degp, n_li0):
@@ -329,6 +412,14 @@ def test_round_trip_100_random_states(params, degp, n_li0, rng):
         for attr in ("delta_sei", "delta_pl", "C_p", "C_n", "LLI"):
             got, want = getattr(res.solution, attr), getattr(st, attr)
             assert got == pytest.approx(want, rel=5e-3, abs=1e-12), attr
+        # one family, one budget: the answer sits on the family route's span
+        fam = invert_without_expansion(
+            params, degp, dataclasses.replace(y, delta_irr=None), n_li0)
+        s = res.solution.delta_pl / (degp.plating.kappa_pl * res.r_film_areal)
+        s_lo, s_hi = fam.family_span
+        assert s_lo - 1e-9 <= s <= s_hi + 1e-9
+        assert within_lli_budget(
+            deep_soh(params, degp, res.solution, n_li0)["fracture"])
     assert false_infeasible == 0
 
 

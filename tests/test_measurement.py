@@ -36,6 +36,12 @@ def test_measurement_vector_validation():
         MeasurementVector(6.0, 5.0, 0.1, 0.0)
     with pytest.raises(ConfigError):
         MeasurementVector(6.0, 5.0, 0.1, 0.01, delta_irr=-1e-9)
+    # a non-finite reading is bad input, not an infeasible vector
+    for bad in ({"delta_irr": math.nan}, {"delta_irr": math.inf},
+                {"R_s": math.inf}, {"C_p": math.inf}, {"C_n": math.inf}):
+        with pytest.raises(ConfigError):
+            MeasurementVector(**{"C_p": 6.0, "C_n": 5.0, "LLI": 0.1,
+                                 "R_s": 0.01, "delta_irr": 2e-6, **bad})
     m = MeasurementVector(6.0, 5.0, 0.1, 0.01)
     assert "delta_irr" not in m.as_dict()
     m2 = MeasurementVector(6.0, 5.0, 0.1, 0.01, delta_irr=2e-6)
