@@ -19,7 +19,7 @@ committed as it stands instead of being evaluated again.
 
 from . import electrochem as ec
 from .degradation import (DegradationState, StepIncrements, StressExtrema,
-                          hydrostatic_stress, lam_cycle_update,
+                          hydrostatic_stress, lam_cycle_update, r_film,
                           step_degradation)
 from .errors import CellDeadError
 from .particle import at_stoichiometry, step_particle_diffusion
@@ -152,11 +152,7 @@ class Cell:
 
         c_ss_p2 = float(parts.c_pos[-1]) - pos.half_dr * j_pos / pos.D
         c_ss_n2 = float(parts.c_neg[-1]) - neg.half_dr * j_neg / neg.D
-        # measurement.r_film's cell value, inlined like the surface reads
-        dp = self.deg_params
-        r_film_cell = ((deg_new.delta_sei / dp.sei.kappa_sei
-                        + deg_new.delta_pl / dp.plating.kappa_pl)
-                       / p.film_area_neg)
+        r_film_cell = r_film(p, self.deg_params, deg_new)[1]
         v_t = ec.voltage_at_densities(p, c_ss_p2, c_ss_n2, I, r_film_cell,
                                       -I / area_p, I / area_n)
         return parts, deg_new, inc, c_ss_p2, c_ss_n2, v_t

@@ -8,6 +8,9 @@ consumed moles, and the LLI integral stay algebraically identical.
 
 Sign conventions: side-reaction molar fluxes are <= 0 (lithium leaving the
 cyclable pool); every physically lossy process increases LLI.
+
+The film model lives here whole, and no other module reads its coefficients:
+film lithium, resistance and expansion, and the iso-resistance family.
 """
 
 import math
@@ -79,6 +82,39 @@ def within_lli_budget(fracture):
     """Whether a deepSOH fracture share keeps the LLI budget: the films
     hold no more lithium than the state has lost."""
     return fracture >= -BUDGET_TOL
+
+
+# --- film resistance and expansion ---
+
+def r_film(params, deg_params, state):
+    """Film resistance from the two layer thicknesses.
+
+    Returns (area_specific ohm*m^2, cell ohm). The cell value spreads the
+    areal film over the pristine negative interfacial area.
+    """
+    areal = (state.delta_sei / deg_params.sei.kappa_sei
+             + state.delta_pl / deg_params.plating.kappa_pl)
+    return areal, areal / params.film_area_neg
+
+
+def point_on_family(deg_params, r_areal, s):
+    """(delta_sei, delta_pl) at s on the films of areal resistance r_areal.
+    s=0: all SEI; s=1: all plated lithium."""
+    d_sei = (1.0 - s) * deg_params.sei.kappa_sei * r_areal
+    d_pl = s * deg_params.plating.kappa_pl * r_areal
+    return d_sei, d_pl
+
+
+def film_expansion(exp_params, delta_sei, delta_pl):
+    """Expansion due to the films, m: linear in SEI, quadratic in plating."""
+    return exp_params.b_sei * delta_sei + exp_params.b_pl * delta_pl ** 2
+
+
+def material_loss_expansion(exp_params, C_p, C_n, C_p_nom, C_n_nom):
+    """Expansion due to lost active material alone, m."""
+    lam_pos = 1.0 - C_p / C_p_nom
+    lam_neg = 1.0 - C_n / C_n_nom
+    return exp_params.b_in_pos * lam_pos + exp_params.b_in_neg * lam_neg
 
 
 # --- mechanical stress and material loss ---

@@ -67,14 +67,7 @@ class Electrode(SphereFV):
         (A/m^2, positive delithiating). Odd in j, dissipative both ways."""
         if j == 0.0:
             return 0.0
-        # exchange_current, inlined: a cell step evaluates this three times
-        cmax = self.c_smax
-        if c_ss < 0.0 or c_ss > cmax:
-            raise SaturationError(
-                f"{self.name} surface concentration {c_ss:.6g} outside "
-                f"[0, {cmax:g}]")
-        i0 = (self.i0_prefix * (cmax - c_ss) ** self.one_minus_alpha
-              * c_ss ** self.alpha)
+        i0 = self.exchange_current(c_ss)
         if i0 == 0.0:
             raise KineticsSingularError(
                 f"{self.name} exchange current is zero with nonzero current "

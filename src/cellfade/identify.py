@@ -4,7 +4,8 @@ Without expansion the film pair (delta_sei, delta_pl) is pinned only to an
 iso-resistance line segment: infinitely many states share one measurement
 vector. Adding irreversible expansion closes the system: along the segment
 the expansion is a quadratic in the segment coordinate s, whose admissible
-root is the state. Every inversion is checked by running the forward
+root is the state. The family line and the expansion law are
+degradation.py's. Every inversion is checked by running the forward
 measurement model on the answer, never trusted from algebra alone.
 """
 
@@ -15,12 +16,13 @@ from functools import partial
 import numpy as np
 
 from .cell import Cell
-from .degradation import (DegradationState, deep_soh, plated_lithium_moles,
-                          sei_lithium_moles, within_lli_budget)
-from .errors import AmbiguousRootsError, ConfigError, InfeasibleError
+from .degradation import (DegradationState, deep_soh, film_expansion,
+                          material_loss_expansion, plated_lithium_moles,
+                          point_on_family, sei_lithium_moles, within_lli_budget)
+from .errors import (AmbiguousRootsError, CellDeadError, ConfigError,
+                     InfeasibleError)
 from .measurement import (forward_measure, kinetic_resistance,
-                          material_loss_expansion, operating_point,
-                          synthesize_pseudo_ocv)
+                          operating_point, synthesize_pseudo_ocv)
 from .electrochem import pristine_inventory, solve_window
 from .protocol import run_campaign
 
@@ -41,7 +43,12 @@ class IdentificationResult:
 
 def _film_target(params, deg_params, y, n_li0):
     """Areal film resistance the measurement demands, ohm*m^2."""
-    x_mid, y_mid = operating_point(params, y.C_p, y.C_n, y.LLI, n_li0)
+    try:
+        x_mid, y_mid = operating_point(params, y.C_p, y.C_n, y.LLI, n_li0)
+    except CellDeadError as e:
+        raise InfeasibleError(
+            f"no stoichiometric window fits C_p {y.C_p:.6g} Ah, C_n "
+            f"{y.C_n:.6g} Ah and LLI {y.LLI:.6g} ({e})") from None
     h4 = kinetic_resistance(params, y.C_p, y.C_n, x_mid, y_mid)
     gap = y.R_s - h4
     if gap < -REL_TOL * max(y.R_s, h4):
@@ -51,19 +58,12 @@ def _film_target(params, deg_params, y, n_li0):
     return max(gap, 0.0) * params.film_area_neg, h4
 
 
-def _point_on_family(deg_params, r_areal, s):
-    """s=0: all SEI; s=1: all plated lithium."""
-    d_sei = (1.0 - s) * deg_params.sei.kappa_sei * r_areal
-    d_pl = s * deg_params.plating.kappa_pl * r_areal
-    return d_sei, d_pl
-
-
 def _budget_interval(params, deg_params, y, r_areal, n_li0):
     """The s range of the family within the LLI budget: the fracture share
     is linear in s, so the budget clips [0, 1] to one subinterval, which
     ends where that share is zero."""
-    d_sei = _point_on_family(deg_params, r_areal, 0.0)[0]
-    d_pl = _point_on_family(deg_params, r_areal, 1.0)[1]
+    d_sei = point_on_family(deg_params, r_areal, 0.0)[0]
+    d_pl = point_on_family(deg_params, r_areal, 1.0)[1]
     f0 = y.LLI - sei_lithium_moles(params, deg_params.sei, d_sei) / n_li0
     f1 = y.LLI - plated_lithium_moles(params, deg_params.plating, d_pl) / n_li0
     ok0, ok1 = within_lli_budget(f0), within_lli_budget(f1)
@@ -100,8 +100,8 @@ def invert_without_expansion(params, deg_params, y, n_li0, lli_budget=True):
     r_areal, h4 = _film_target(params, deg_params, y, n_li0)
     s_lo, s_hi = (_budget_interval(params, deg_params, y, r_areal, n_li0)
                   if lli_budget else (0.0, 1.0))
-    p_lo = _point_on_family(deg_params, r_areal, s_lo)
-    p_hi = _point_on_family(deg_params, r_areal, s_hi)
+    p_lo = point_on_family(deg_params, r_areal, s_lo)
+    p_hi = point_on_family(deg_params, r_areal, s_hi)
     probe = DegradationState(*p_lo, y.C_p, y.C_n, y.LLI)
     res = _verify(params, deg_params, probe, y, n_li0, check_expansion=False)
     res["h4_ohm"] = h4
@@ -142,16 +142,17 @@ def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
     """Unique state from [C_p, C_n, LLI, R_s, delta_irr], or infeasible.
 
     Along the family of invert_without_expansion the film expansion is
-    E(s) = b_sei*delta_sei(0)*(1 - s) + b_pl*(delta_pl(1)*s)^2, a quadratic
-    in s. Its roots on the family's span (the LLI budget's, with
-    lli_budget; else [0, 1]) are the admissible states; two are
-    AmbiguousRootsError (carrying both).
+    E(s) = E(0)*(1 - s) + E(1)*s^2, a quadratic in s. Its roots on the
+    family's span (the LLI budget's, with lli_budget; else [0, 1]) are
+    the admissible states; two are AmbiguousRootsError (carrying both).
+    A root is on the span within its own rounding, REL_TOL at least: near
+    a double root, rounding moves it by about sqrt(eps), not eps.
     """
     if y.delta_irr is None:
         raise ConfigError("no delta_irr (expansion channel) in the measurement")
     ex = deg_params.expansion
     r_areal, h4 = _film_target(params, deg_params, y, n_li0)
-    e_sei = ex.b_sei * _point_on_family(deg_params, r_areal, 0.0)[0]  # E(0)
+    e_sei = film_expansion(ex, *point_on_family(deg_params, r_areal, 0.0))
     E = y.delta_irr - material_loss_expansion(ex, y.C_p, y.C_n,
                                               params.C_p_nom, params.C_n_nom)
     scale_E = max(abs(y.delta_irr), e_sei, 1e-15)
@@ -163,10 +164,10 @@ def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
     s_lo, s_hi = (_budget_interval(params, deg_params, y, r_areal, n_li0)
                   if lli_budget else (0.0, 1.0))
 
-    a = ex.b_pl * _point_on_family(deg_params, r_areal, 1.0)[1] ** 2
+    a = film_expansion(ex, *point_on_family(deg_params, r_areal, 1.0))
     b = -e_sei
     c = e_sei - E
-    roots = []
+    roots, slack = [], REL_TOL
     if a == 0.0:
         if b != 0.0:
             roots = [-c / b]
@@ -174,19 +175,26 @@ def invert_with_expansion(params, deg_params, y, n_li0, lli_budget=True):
             roots = [0.0]
     else:
         disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
+        # what rounding can move disc by, the cancellation in c included
+        noise = 8.0 * math.ulp(1.0) * (b * b + 4.0 * a * (E - b))
+        if disc > noise:
             # b <= 0 here, so q is the numerically safe large root pair
             q = -(b - math.sqrt(disc)) / 2.0
-            roots = [q / a]
-            if q != 0.0:
-                roots.append(c / q)
+            roots = [q / a, c / q]
+            slack = max(slack, noise / (math.sqrt(disc) + math.sqrt(noise))
+                        / (2.0 * a))
+        elif disc >= -noise:
+            # zero within its rounding: one double root, at the vertex
+            roots = [-b / (2.0 * a)]
+            slack = max(slack, (math.sqrt(max(disc, 0.0)) + math.sqrt(noise))
+                        / (2.0 * a))
 
-    # a root within REL_TOL of the span is on it; two within REL_TOL are one
+    # a root within slack of the span is on it; two within REL_TOL are one
     ss = [min(max(s, s_lo), s_hi) for s in roots
-          if s_lo - REL_TOL <= s <= s_hi + REL_TOL]
+          if s_lo - slack <= s <= s_hi + slack]
     if len(ss) == 2 and abs(ss[0] - ss[1]) <= REL_TOL:
         del ss[1]
-    cands = [DegradationState(*_point_on_family(deg_params, r_areal, s),
+    cands = [DegradationState(*point_on_family(deg_params, r_areal, s),
                               y.C_p, y.C_n, y.LLI) for s in ss]
     if not cands:
         raise InfeasibleError("no admissible film pair reproduces the expansion"

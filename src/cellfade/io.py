@@ -18,17 +18,13 @@ from .particle import particle_state
 from .measurement import MeasurementVector
 from .params import (_number, field_names, from_mapping, read_mapping,
                      reject_unknown)
-from .protocol import Campaign, ProtocolStep, Termination, parse_current
+from .protocol import (STEP_MODES, Campaign, ProtocolStep, Termination,
+                       parse_current)
 
 STATE_VERSION = 2
 # a state's particle lithium against 1 - LLI, as a share of n_li0: a full
 # life drifts about 1e-10 (ROADMAP item 14), so only an edit reaches this
 BOOKS_TOL = 1e-6
-
-_MODES = {"cc": "cc", "constant-current": "cc",
-          "cv": "cv", "constant-voltage": "cv",
-          "rest": "rest"}
-
 
 def _parse_steps(raw_steps, c_1c, where):
     if not isinstance(raw_steps, list) or not raw_steps:
@@ -47,9 +43,9 @@ def _parse_steps(raw_steps, c_1c, where):
 def _parse_step(s, c_1c):
     if "mode" not in s:
         raise ConfigError("needs a mode")
-    mode = _MODES.get(str(s["mode"]).lower())
-    if mode is None:
-        raise ConfigError(f"unknown mode {s['mode']!r}")
+    mode = s["mode"]
+    if mode not in STEP_MODES:
+        raise ConfigError(f"unknown mode {mode!r}: use cc, cv or rest")
     if mode == "rest":
         if "setpoint" in s:
             raise ConfigError("(rest) takes no setpoint")

@@ -1,5 +1,6 @@
-"""The three health readouts: eSOH from pseudo-OCV, instantaneous
-resistance, and irreversible expansion.
+"""The bench's readouts: the measurement vector, the forward map from a
+degradation state (composing degradation.py's film laws), pseudo-OCV
+synthesis and the eSOH fit.
 
 All functions here are pure (operating_point's memo on the never-mutated
 CellParameters cannot go stale); the simulated-pulse and RPT routes that
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from .degradation import film_expansion, material_loss_expansion, r_film
 from .electrochem import ESOHRecord, solve_window
 from .errors import ConfigError, EstimationFailedError, KineticsSingularError
 
@@ -48,18 +50,7 @@ class MeasurementVector:
         return d
 
 
-# --- resistance ---
-
-def r_film(params, deg_params, state):
-    """Film resistance from the two layer thicknesses.
-
-    Returns (area_specific ohm*m^2, cell ohm). The cell value spreads the
-    areal film over the pristine negative interfacial area.
-    """
-    areal = (state.delta_sei / deg_params.sei.kappa_sei
-             + state.delta_pl / deg_params.plating.kappa_pl)
-    return areal, areal / params.film_area_neg
-
+# --- the readouts of a state: resistance and expansion ---
 
 def kinetic_resistance(params, C_p, C_n, x, y, I=0.0):
     """Film-independent charge-transfer resistance, ohm.
@@ -86,20 +77,10 @@ def instantaneous_resistance(params, deg_params, state, x, y, I=0.0):
             + kinetic_resistance(params, state.C_p, state.C_n, x, y, I))
 
 
-# --- expansion ---
-
-def material_loss_expansion(exp_params, C_p, C_n, C_p_nom, C_n_nom):
-    """Expansion due to lost active material alone, m."""
-    lam_pos = 1.0 - C_p / C_p_nom
-    lam_neg = 1.0 - C_n / C_n_nom
-    return exp_params.b_in_pos * lam_pos + exp_params.b_in_neg * lam_neg
-
-
 def irreversible_expansion(exp_params, state, params):
-    """Permanent thickness growth, m: SEI, plated lithium (quadratic),
-    and material-loss contributions."""
-    return (exp_params.b_sei * state.delta_sei
-            + exp_params.b_pl * state.delta_pl ** 2
+    """Permanent thickness growth, m: the films' and the material-loss
+    contributions."""
+    return (film_expansion(exp_params, state.delta_sei, state.delta_pl)
             + material_loss_expansion(exp_params, state.C_p, state.C_n,
                                       params.C_p_nom, params.C_n_nom))
 

@@ -29,6 +29,7 @@ CV_TOL = 1e-4           # CV voltage solve tolerance, V
 MIN_DT = 0.05           # s; refinement floor
 STEP_TIME_CAP = 7.2e5   # s; a single step exceeding this has stalled
 PULSE_C_RATE = 0.1      # RPT resistance pulse, in units of the reference capacity
+STEP_MODES = ("cc", "cv", "rest")
 
 
 @dataclass
@@ -53,12 +54,12 @@ class Termination:
 
 @dataclass
 class ProtocolStep:
-    mode: str                      # cc | cv | rest
+    mode: str                      # one of STEP_MODES
     setpoint: float = 0.0          # A for cc, V for cv, ignored for rest
     terminations: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.mode not in ("cc", "cv", "rest"):
+        if self.mode not in STEP_MODES:
             raise ConfigError(f"unknown step mode {self.mode!r}")
         if not self.terminations:
             raise ConfigError(f"{self.mode} step has no termination")

@@ -234,6 +234,18 @@ def sei_implicit_step(sei, delta, kin, dt):
     return max(d_new, delta)
 
 
+def sei_exact_step_residual(sei, delta, delta_new, kin, dt):
+    """Residual of the exact one-step SEI law at a fixed rate constant:
+    (K + d/D) dd = (Omega*c_ec0/2) dt integrated over the step gives
+    K(d' - d) + (d'^2 - d^2)/(2D) = G, with K = 1/kin and
+    G = dt*Omega*c_ec0/2. The backward-Euler step (d' - d)(K + d'/D) = G
+    leaves -(d' - d)^2/(2D) here."""
+    K = 1.0 / kin
+    G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
+    D = sei.D_sei
+    return K * (delta_new - delta) + (delta_new ** 2 - delta ** 2) / (2.0 * D) - G
+
+
 def plating_overpotential(eta_neg, u_neg_surface):
     return eta_neg + u_neg_surface
 

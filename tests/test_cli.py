@@ -166,6 +166,23 @@ def test_identify_infeasible_exits_3(tmp_path, params):
     assert read_json(out / "identification.json")["kind"] == "infeasible"
 
 
+@pytest.mark.parametrize("C_p, LLI", [(6.6, 0.99), (1e-9, 0.11)])
+def test_identify_windowless_vector_exits_3(tmp_path, C_p, LLI):
+    # no stoichiometric window fits the vector: an infeasible inversion,
+    # not a numerical failure (exit 4)
+    meas = tmp_path / "m.json"
+    meas.write_text(json.dumps({"C_p": C_p, "C_n": 5.6, "LLI": LLI,
+                                "R_s": 0.02, "delta_irr": 5e-6}))
+    for route in ("--with-expansion", "--without-expansion"):
+        out = tmp_path / route
+        rc = main(["identify", "--cell", CELL, "--measurements", str(meas),
+                   route, "--out", str(out)])
+        assert rc == 3
+        doc = read_json(out / "identification.json")
+        assert doc["kind"] == "infeasible"
+        assert "no stoichiometric window" in doc["error"]
+
+
 def test_identify_ambiguous_exits_3(tmp_path, params, degp, n_li0):
     # two states sharing R_film and expansion exactly (see test_identify)
     e, sei, pl = degp.expansion, degp.sei, degp.plating
@@ -518,6 +535,11 @@ MALFORMED = [
         "not both", id="campaign-steps-and-protocol"),
     pytest.param(lambda t: _ambiguity(t, protocol=PROTOCOL), "not both",
                  id="demo-steps-and-protocol"),
+    # a step's mode is one of the three spellings the README documents
+    *[pytest.param(lambda t, m=mode: _simulate_protocol(
+        t, {"mode": m, "setpoint": "C/2"}), f"step 1: unknown mode '{mode}'",
+        id=f"mode-{mode}")
+      for mode in ("constant-current", "CC")],
     # a rest step runs at 0 A, so a setpoint there would be dropped
     pytest.param(lambda t: _simulate_protocol(t, {"setpoint": "C/2"}),
                  "step 1: (rest) takes no setpoint", id="rest-setpoint"),

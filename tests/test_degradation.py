@@ -25,6 +25,7 @@ from helpers import (
     plating_growth_rate,
     plating_overpotential,
     sei_flux,
+    sei_exact_step_residual,
     sei_flux_ddelta,
     sei_growth_rate,
     sei_implicit_step,
@@ -383,6 +384,38 @@ def test_step_degradation_equals_the_composed_helpers_bitwise(
         d_new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
         clamped += d_new < state.delta_sei
     assert clamped > 0   # the clamp branch was taken and matched
+
+
+def test_sei_step_misses_the_exact_law_by_its_closed_form(params, degp, n_li0):
+    # at the step's rate constant the exact law K(d' - d) + (d'^2 - d^2)/(2D)
+    # = G and backward Euler (d' - d)(K + d'/D) = G differ by (d' - d)^2/(2D)
+    sei = degp.sei
+    D = sei.D_sei
+    c = 0.5 * params.neg.c_smax
+    rng = np.random.default_rng(15)
+    for _ in range(2000):
+        delta = (0.0 if rng.random() < 0.05
+                 else 10.0 ** rng.uniform(-10.0, math.log10(3e-7)))
+        dt = 10.0 ** rng.uniform(-1.0, math.log10(3000.0))
+        eta, u = rng.uniform(-0.3, 0.3), rng.uniform(0.05, 1.0)
+        state = DegradationState(delta, 0.0, params.C_p_nom, params.C_n_nom,
+                                 0.1)
+        new, _ = step_degradation(params, degp, state, eta_neg=eta,
+                                  u_neg_surface=u, c_ss_neg=c, c_avg_neg=c,
+                                  n_li0=n_li0, dt=dt)
+        d1 = new.delta_sei
+        kin = sei_rate_constant(sei, sei_overpotential(eta, u, sei.U_sei),
+                                params.T, params.R_gas, params.F)
+        K, G = 1.0 / kin, dt * sei.Omega_sei * sei.c_ec0 / 2.0
+        # a few ulps of the law's terms and of the root's own rounding:
+        # (-b + sqrt(disc))/(2a) cancels while b = K - d/D > 0, which
+        # moves d' by up to eps*D*(|b| + sqrt(disc))/2
+        b = K - delta / D
+        root = D * (abs(b) + math.sqrt(b * b + 4.0 * (K * delta + G) / D)) / 2.0
+        tol = 4.0 * math.ulp(1.0) * (K * d1 + d1 * d1 / D + G
+                                     + (K + d1 / D) * root)
+        got = sei_exact_step_residual(sei, delta, d1, kin, dt)
+        assert abs(got + (d1 - delta) ** 2 / (2.0 * D)) <= tol
 
 
 def test_deep_soh_shares_sum_to_lli(params, degp, n_li0):

@@ -2,8 +2,10 @@
 
 A particle state carries its averages from the moment it is made, and
 each electrode side's constants are read from its Electrode, which only
-electrochem.py builds from the raw cell fields. Both inversions work on
-one film family, and only identify._point_on_family knows its line.
+electrochem.py builds from the raw cell fields. Each physical law is
+written once: only degradation.py reads the film model's coefficients
+(film lithium, resistance, expansion and the family line), and only
+Electrode.exchange_current evaluates the exchange-current law.
 """
 
 import ast
@@ -21,6 +23,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cellfade"
 # per-side cell fields, read into each side's Electrode by electrochem.py
 RAW_SIDE_FIELD = re.compile(r"(c_smax|r_p|D_s|k0)_(pos|neg)|l_(pos|neg)")
 SIDE_READERS = {"electrochem.py", "params.py"}
+# the film model's coefficients, read by its laws in degradation.py
+FILM_COEFFICIENTS = {"kappa_sei", "kappa_pl", "Omega_sei", "Omega_pl",
+                     "b_sei", "b_pl", "b_in_pos", "b_in_neg"}
+FILM_READERS = {"degradation.py", "params.py"}
+# the exchange-current law's constants, made and read by two methods
+KINETIC_CONSTANTS = {"i0_prefix", "one_minus_alpha"}
+KINETIC_READERS = {"__init__", "exchange_current"}
 
 
 def _assert_own_averages(params, state):
@@ -92,14 +101,26 @@ def test_no_module_writes_averages_into_a_state():
     assert not writes, writes
 
 
-def test_only_point_on_family_knows_the_family_line():
-    tree = ast.parse((PACKAGE / "identify.py").read_text())
-    owner = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                 and fn.name == "_point_on_family")
-    owned = set(ast.walk(owner))
-    reads = [f"identify.py:{node.lineno} .{node.attr}"
-             for node in ast.walk(tree) if node not in owned
-             and isinstance(node, ast.Attribute)
-             and node.attr in ("kappa_sei", "kappa_pl")]
-    assert not reads, "read the family line through _point_on_family: " + \
-        ", ".join(reads)
+def test_each_law_is_written_once():
+    modules = _modules()
+    film = [f"{name}:{node.lineno} .{node.attr}"
+            for name, tree in modules if name not in FILM_READERS
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in FILM_COEFFICIENTS]
+    assert not film, "use the film laws of degradation.py: " + \
+        ", ".join(film)
+
+    electrode = next(
+        node for name, tree in modules if name == "electrochem.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "Electrode")
+    owned = {node for fn in electrode.body
+             if isinstance(fn, ast.FunctionDef) and fn.name in KINETIC_READERS
+             for node in ast.walk(fn)}
+    kinetic = [f"{name}:{node.lineno} .{node.attr}"
+               for name, tree in modules for node in ast.walk(tree)
+               if node not in owned and isinstance(node, ast.Attribute)
+               and node.attr in KINETIC_CONSTANTS]
+    assert not kinetic, "call Electrode.exchange_current: " + \
+        ", ".join(kinetic)

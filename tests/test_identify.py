@@ -336,6 +336,36 @@ def test_expansion_root_is_unique_up_to_the_closed_form_bound(params, degp,
     assert fam.r_film_areal < r_star(degp)
 
 
+def test_states_near_the_double_root_come_back(params, degp, n_li0):
+    # states on their own family within 1e-6 of r* at the all-plating end:
+    # there rounding moves the roots by about sqrt(eps), and the
+    # discriminant can round below zero, yet no reading of such a state is
+    # infeasible; below r* E(s) is monotone on [0, 1] and the root unique
+    rng = np.random.default_rng(43)
+    r0 = r_star(degp)
+    C_p, C_n = 0.95 * params.C_p_nom, 0.95 * params.C_n_nom
+    below = 0
+    for _ in range(2000):
+        r = r0 * (1.0 + rng.uniform(-1e-6, 1e-6))
+        s = 1.0 if rng.random() < 0.5 else 1.0 - rng.uniform(0.0, 1e-6)
+        st = DegradationState((1.0 - s) * degp.sei.kappa_sei * r,
+                              s * degp.plating.kappa_pl * r, C_p, C_n, 0.1)
+        y = forward_measure(params, degp, st, n_li0)
+        try:
+            res = invert_with_expansion(params, degp, y, n_li0,
+                                        lli_budget=False)
+        except AmbiguousRootsError:
+            assert r >= r0
+            continue
+        if r < r0:
+            below += 1
+            got = res.solution
+            film = max(st.delta_sei, st.delta_pl)
+            assert abs(got.delta_sei - st.delta_sei) <= 1e-6 * film
+            assert abs(got.delta_pl - st.delta_pl) <= 1e-6 * film
+    assert below >= 900
+
+
 def test_budget_interval_matches_the_mole_oracle(params, degp, n_li0):
     # the interval read off the fracture share gives the verdict and the
     # span of the mole arithmetic it replaced: LLI up to 0.3 and films up
@@ -397,6 +427,30 @@ def test_over_budget_vector_is_refused_on_every_path(params, degp, n_li0,
     cio.save_state(state, Cell(params, degp, degradation=st, n_li0=n_li0))
     with pytest.raises(ConfigError, match="more lithium than its LLI"):
         cio.load_state(state, params, degp)
+
+
+# vectors that no stoichiometric window fits: the window's top cannot
+# reach V_max, and no stoichiometry range holds the inventory at all
+WINDOWLESS = [
+    pytest.param(dict(C_p=6.6, C_n=5.6, LLI=0.99), "OCV cannot reach up",
+                 id="top-of-charge"),
+    pytest.param(dict(C_p=1e-9, C_n=5.6, LLI=0.11), "no stoichiometry range",
+                 id="no-range"),
+]
+
+
+@pytest.mark.parametrize("health, cause", WINDOWLESS)
+def test_windowless_vector_is_infeasible(params, degp, n_li0, health, cause):
+    y = MeasurementVector(**health, R_s=0.02, delta_irr=5e-6)
+    with pytest.raises(CellDeadError, match=cause):
+        forward_measure(params, degp, DegradationState(
+            0.0, 0.0, y.C_p, y.C_n, y.LLI), n_li0)
+    for invert in (invert_with_expansion, invert_without_expansion):
+        with pytest.raises(InfeasibleError) as exc:
+            invert(params, degp, y, n_li0)
+        msg = str(exc.value)
+        assert "no stoichiometric window" in msg and cause in msg
+        assert f"C_p {y.C_p:.6g}" in msg and f"LLI {y.LLI:.6g}" in msg
 
 
 def test_round_trip_100_random_states(params, degp, n_li0, rng):

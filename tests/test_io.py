@@ -65,12 +65,19 @@ def test_packaged_demo_config_loads():
 
 
 class TestStepParsing:
-    def test_mode_aliases(self):
+    def test_modes_are_spelled_exactly(self):
+        # cc, cv and rest as the README gives them: no alias, no case fold
+        until = [{"quantity": "time", "comparator": ">=", "threshold": 10}]
         steps = cio._parse_steps(
-            [{"mode": "Constant-Current", "setpoint": 1.0,
-              "until": [{"quantity": "time", "comparator": ">=",
-                         "threshold": 10}]}], 4.0, "t")
-        assert steps[0].mode == "cc"
+            [{"mode": "cc", "setpoint": 1.0, "until": until},
+             {"mode": "cv", "setpoint": 4.0, "until": until},
+             {"mode": "rest", "until": until}], 4.0, "t")
+        assert [s.mode for s in steps] == ["cc", "cv", "rest"]
+        for mode in ("Constant-Current", "constant-voltage", "CC", "Rest"):
+            with pytest.raises(ConfigError,
+                               match=f"t: step 1: unknown mode '{mode}'"):
+                cio._parse_steps([{"mode": mode, "setpoint": 1.0,
+                                   "until": until}], 4.0, "t")
 
     def test_missing_pieces(self):
         with pytest.raises(ConfigError):
