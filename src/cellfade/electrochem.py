@@ -19,9 +19,8 @@ pulls the terminal voltage below the OCV.
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import CellDeadError, KineticsSingularError, SaturationError
+from .ocp import brent
 from .particle import SphereFV
 
 
@@ -149,17 +148,17 @@ def solve_window(params, C_p, C_n, n_li):
     if not lo < hi:
         raise CellDeadError("no stoichiometry range is consistent with the inventory")
 
-    def ocv(x):
-        return tp(y_of(x)) - tn(x)
+    ocv_lo = tp(y_of(lo)) - tn(lo)
+    ocv_hi = tp(y_of(hi)) - tn(hi)
 
     def endpoint(V, label):
-        f = lambda x: ocv(x) - V
-        flo, fhi = f(lo), f(hi)
-        if flo >= 0.0 and fhi >= 0.0:
+        f_lo, f_hi = ocv_lo - V, ocv_hi - V
+        if f_lo >= 0.0 and f_hi >= 0.0:
             raise CellDeadError(f"{label}: OCV cannot reach down to {V:g} V")
-        if flo <= 0.0 and fhi <= 0.0:
+        if f_lo <= 0.0 and f_hi <= 0.0:
             raise CellDeadError(f"{label}: OCV cannot reach up to {V:g} V")
-        return brentq(f, lo, hi, xtol=1e-13)
+        return brent(lambda x: tp((N_Ah - x * C_n) / C_p) - tn(x) - V,
+                     lo, hi, f_lo, f_hi, 1e-13)
 
     x_100 = endpoint(params.V_max, "top of charge")
     x_0 = endpoint(params.V_min, "bottom of discharge")

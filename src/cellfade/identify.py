@@ -124,7 +124,12 @@ def sample_family(result, y, n):
     if not 1 <= n <= MAX_FAMILY_SAMPLES:
         raise ConfigError(f"need 1 to {MAX_FAMILY_SAMPLES} samples, got {n}")
     (a_sei, a_pl), (b_sei, b_pl) = result.family_endpoints
-    ts = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.5])
+    if n > 1:
+        # np.linspace(0, 1, n) on Python floats: i*step, the last exactly 1
+        step = 1.0 / (n - 1)
+        ts = [i * step for i in range(n - 1)] + [1.0]
+    else:
+        ts = [0.5]
     ra, rb = math.sqrt(a_sei), math.sqrt(b_sei)
     out = []
     for t in ts:

@@ -15,7 +15,7 @@ import yaml
 
 from . import electrochem as ec
 from .constants import FARADAY, GAS_CONSTANT
-from .errors import CellDeadError, ConfigError
+from .errors import CellDeadError, ConfigError, SaturationError
 from .ocp import MonotoneOCPTable, load_builtin
 
 
@@ -278,7 +278,8 @@ def load_cell_config(path):
 
     Returns (CellParameters, DegradationParameters). OCP tables are given
     as "builtin:graphite" / "builtin:nmc" or as CSV paths relative to the
-    cell file.
+    cell file. A cell whose fresh state (x100_init at V_max, then the
+    window down to V_min) does not fit its tables is a ConfigError.
     """
     raw = read_mapping(path, "cell config")
     where = f"cell config {path}"
@@ -288,6 +289,11 @@ def load_cell_config(path):
                         ocp_neg=_load_ocp(raw, "ocp_neg", path, where))
     deg = DegradationParameters(*(from_mapping(cls, raw, where)
                                   for cls in _PARAMETER_CLASSES))
+    try:
+        cell.fresh_window   # places the fresh cell: pristine_inventory too
+    except (SaturationError, CellDeadError) as e:
+        raise ConfigError(f"{where}: x100_init, V_max and V_min do not place "
+                          f"the fresh cell on its OCP tables ({e})") from None
     return cell, deg
 
 

@@ -6,12 +6,12 @@ import math
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from cellfade import io as cio
 from cellfade.degradation import (DegradationState, StepIncrements,
                                   plated_lithium_moles, sei_lithium_moles)
-from cellfade.electrochem import solve_window
+from cellfade.electrochem import ESOHRecord, solve_window
 from cellfade.errors import (CellDeadError, InfeasibleError,
                              KineticsSingularError, SaturationError)
 from cellfade.identify import invert_without_expansion, sample_family
@@ -318,3 +318,90 @@ def lli_rate(params, sei, plating, ddelta_sei_dt, ddelta_pl_dt,
                                    + ddelta_pl_dt / plating.Omega_pl)
     trapped = -(3600.0 / params.F) * (y * dC_p_dt + x * dC_n_dt)
     return (film + trapped) / n_li0
+
+
+# --- scipy's brentq and numpy's linspace: the oracles of the root and
+# sampling arithmetic the package does on Python floats ---
+
+def solve_window_oracle(params, C_p, C_n, n_li):
+    """electrochem.solve_window as it was written on scipy.optimize.brentq,
+    re-evaluating the OCV at the bracket ends for each window end."""
+    if C_p <= 0.0 or C_n <= 0.0 or n_li <= 0.0:
+        raise CellDeadError("capacities and lithium inventory must be positive")
+    N_Ah = n_li * params.F / 3600.0
+    tp, tn = params.ocp_pos, params.ocp_neg
+
+    def y_of(x):
+        return (N_Ah - x * C_n) / C_p
+
+    lo = max(tn.s_min, (N_Ah - C_p * tp.s_max) / C_n)
+    hi = min(tn.s_max, (N_Ah - C_p * tp.s_min) / C_n)
+    if not lo < hi:
+        raise CellDeadError("no stoichiometry range is consistent with the inventory")
+
+    def ocv(x):
+        return tp(y_of(x)) - tn(x)
+
+    def endpoint(V, label):
+        f = lambda x: ocv(x) - V
+        flo, fhi = f(lo), f(hi)
+        if flo >= 0.0 and fhi >= 0.0:
+            raise CellDeadError(f"{label}: OCV cannot reach down to {V:g} V")
+        if flo <= 0.0 and fhi <= 0.0:
+            raise CellDeadError(f"{label}: OCV cannot reach up to {V:g} V")
+        return brentq(f, lo, hi, xtol=1e-13)
+
+    x_100 = endpoint(params.V_max, "top of charge")
+    x_0 = endpoint(params.V_min, "bottom of discharge")
+    if not x_0 < x_100:
+        raise CellDeadError("voltage window collapsed")
+    return ESOHRecord(
+        C=C_n * (x_100 - x_0),
+        C_p=C_p, C_n=C_n,
+        x_0=x_0, x_100=x_100,
+        y_0=y_of(x_0), y_100=y_of(x_100),
+        n_li=n_li,
+    )
+
+
+def inverse_oracle(table, v):
+    """MonotoneOCPTable.inverse as it was written on scipy.optimize.brentq."""
+    lo, hi = table.potential[-1], table.potential[0]
+    if not (lo <= v <= hi):
+        raise SaturationError(
+            f"{table.name}: potential {v:.6g} outside table range "
+            f"[{lo:.6g}, {hi:.6g}]")
+    pv, ps = table.potential[::-1], table.stoich[::-1]
+    j = int(np.searchsorted(pv, v))
+    j = min(max(j, 1), len(pv) - 1)
+    a, b = ps[j], ps[j - 1]
+    if table(a) == v:
+        return float(a)
+    if table(b) == v:
+        return float(b)
+    return float(brentq(lambda s: table(s) - v, a, b, xtol=1e-14))
+
+
+def sample_family_oracle(result, y, n):
+    """identify.sample_family with its parameters drawn by np.linspace."""
+    (a_sei, a_pl), (b_sei, b_pl) = result.family_endpoints
+    ts = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.5])
+    ra, rb = math.sqrt(a_sei), math.sqrt(b_sei)
+    out = []
+    for t in ts:
+        d_sei = (ra + (rb - ra) * t) ** 2
+        frac = (d_sei - a_sei) / (b_sei - a_sei) if b_sei != a_sei else t
+        frac = min(max(frac, 0.0), 1.0)
+        d_pl = a_pl + (b_pl - a_pl) * frac
+        out.append(DegradationState(d_sei, d_pl, y.C_p, y.C_n, y.LLI))
+    return out
+
+
+def outcome(fn, *args):
+    """fn(*args) as ("ok", value) or ("raised", type name, message): a
+    result to compare with an oracle's, exceptions included."""
+    try:
+        return ("ok", fn(*args))
+    except (ArithmeticError, CellDeadError, RuntimeError, SaturationError,
+            ValueError) as e:
+        return ("raised", type(e).__name__, str(e))

@@ -434,6 +434,16 @@ def _rpt_cell(tmp_path, **changes):
     return ["rpt", "--cell", path], path
 
 
+def _unplaced_cell(tmp_path, command, **changes):
+    """command on the default cell with changes under which the fresh
+    cell has no place on its OCP tables."""
+    _, path = _rpt_cell(tmp_path, **changes)
+    argv = {"rpt": ["rpt", "--cell", CELL],
+            "simulate": _simulate_flags("--protocol", PROTOCOL),
+            "identify": _identify(tmp_path)[0]}[command]
+    return [path if a == CELL else a for a in argv], path
+
+
 def _simulate_flags(*flags):
     return ["simulate", "--cell", CELL, "--max-cycles", "1", "--dt", "60",
             "--dt-rest", "300", *flags]
@@ -521,6 +531,14 @@ MALFORMED = [
     # a huge mesh would ask numpy for gigabytes before any step
     pytest.param(lambda t: _rpt_cell(t, n_shells=100000), "n_shells",
                  id="cell-n_shells-huge"),
+    # a fresh cell off its tables ended as a numerical failure (exit 4),
+    # or for identify at V_min 0.5 as an infeasible vector (exit 3)
+    *[pytest.param(lambda t, c=command, k=key, v=value: _unplaced_cell(
+        t, c, **{k: v}), "x100_init, V_max and V_min",
+        id=f"cell-unplaced-{key}-{value}-{command}")
+      for key, value in (("x100_init", 0.999), ("x100_init", 0.01),
+                         ("V_max", 3.1), ("V_min", 0.5))
+      for command in ("rpt", "simulate", "identify")],
     pytest.param(lambda t: _simulate_campaign(
         t, "steps:\n  - {mode: rest, until: 5}\n"), "until", id="until-number"),
     pytest.param(lambda t: _simulate_campaign(
@@ -649,6 +667,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, build, field):
     assert "error:" in err and path in err and field in err, err
     assert not (tmp_path / "o").exists()
 
+
+
+def test_narrow_window_cell_runs(tmp_path):
+    # V_min 0.01 V below V_max is a narrow window, not a misplaced cell
+    argv, _ = _rpt_cell(tmp_path, V_min=4.19)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
 
 
 def test_out_naming_a_file_exits_2(tmp_path, capsys):

@@ -5,7 +5,8 @@ each electrode side's constants are read from its Electrode, which only
 electrochem.py builds from the raw cell fields. Each physical law is
 written once: only degradation.py reads the film model's coefficients
 (film lithium, resistance, expansion and the family line), and only
-Electrode.exchange_current evaluates the exchange-current law.
+Electrode.exchange_current evaluates the exchange-current law. The
+package has one root finder, ocp.brent.
 """
 
 import ast
@@ -30,6 +31,8 @@ FILM_READERS = {"degradation.py", "params.py"}
 # the exchange-current law's constants, made and read by two methods
 KINETIC_CONSTANTS = {"i0_prefix", "one_minus_alpha"}
 KINETIC_READERS = {"__init__", "exchange_current"}
+# scipy.optimize is the eSOH fit's, and no module solves roots through it
+OPTIMIZE_IMPORTERS = {"measurement.py"}
 
 
 def _assert_own_averages(params, state):
@@ -124,3 +127,22 @@ def test_each_law_is_written_once():
                and node.attr in KINETIC_CONSTANTS]
     assert not kinetic, "call Electrode.exchange_current: " + \
         ", ".join(kinetic)
+
+
+def test_one_root_finder():
+    modules = _modules()
+    brentq = [f"{name}:{node.lineno}"
+              for name, tree in modules for node in ast.walk(tree)
+              if (isinstance(node, ast.Name) and node.id == "brentq")
+              or (isinstance(node, ast.Attribute) and node.attr == "brentq")
+              or (isinstance(node, ast.alias) and node.name == "brentq")]
+    assert not brentq, "solve roots with ocp.brent: " + ", ".join(brentq)
+
+    importers = {name for name, tree in modules for node in ast.walk(tree)
+                 if (isinstance(node, ast.Import) and any(
+                     a.name.startswith("scipy.optimize") for a in node.names))
+                 or (isinstance(node, ast.ImportFrom) and (
+                     (node.module or "").startswith("scipy.optimize")
+                     or node.module == "scipy"
+                     and any(a.name == "optimize" for a in node.names)))}
+    assert importers == OPTIMIZE_IMPORTERS, importers

@@ -1,7 +1,9 @@
 """Kinetics, terminal voltage, and stoichiometric-window algebra."""
 
+import collections
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from helpers import (
     interfacial_current_density,
     molar_flux,
     ocp,
+    outcome,
     overpotential,
+    solve_window_oracle,
 )
 
 
@@ -236,6 +240,37 @@ class TestSolveWindow:
     def test_starved_inventory_raises(self, params, n_li0):
         with pytest.raises(CellDeadError):
             solve_window(params, params.C_p_nom, params.C_n_nom, 0.05 * n_li0)
+
+    def test_matches_its_brentq_oracle_to_the_bit(self, params, n_li0):
+        # seeded capacities and inventories wide enough to reach every
+        # refusal: each record field by float.hex (and type), each
+        # exception by type and message
+        rng = random.Random(24)
+        narrow = dataclasses.replace(params, V_min=3.9, V_max=4.0)
+        seen = collections.Counter()
+        for p in (params, narrow):
+            draws = [(p.C_p_nom * rng.uniform(0.1, 1.6),
+                      p.C_n_nom * rng.uniform(0.1, 1.6),
+                      n_li0 * rng.uniform(0.05, 1.5)) for _ in range(2000)]
+            draws += [(0.0, p.C_n_nom, n_li0), (p.C_p_nom, -1.0, n_li0),
+                      (p.C_p_nom, p.C_n_nom, 0.0)]
+            for args in draws:
+                got = outcome(solve_window, p, *args)
+                want = outcome(solve_window_oracle, p, *args)
+                if got[0] == want[0] == "ok":
+                    got, want = ([(type(v), v if v is None else float.hex(v))
+                                  for v in dataclasses.astuple(rec)]
+                                 for rec in (got[1], want[1]))
+                    seen["ok"] += 1
+                else:
+                    seen[got[-1].split(" to ")[0]] += 1
+                assert got == want, args
+        assert set(seen) == {
+            "ok", "top of charge: OCV cannot reach up",
+            "bottom of discharge: OCV cannot reach down",
+            "no stoichiometry range is consistent with the inventory",
+            "capacities and lithium inventory must be positive"}, seen
+        assert min(seen.values()) >= 6, seen
 
 
 def test_pristine_inventory_matches_configured_top(params, n_li0):

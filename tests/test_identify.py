@@ -20,6 +20,7 @@ from cellfade.errors import (AmbiguousRootsError, CellDeadError, ConfigError,
 from cellfade.identify import (
     MAX_FAMILY_SAMPLES,
     VERIFY_TOL,
+    IdentificationResult,
     _budget_interval,
     ambiguity_experiment,
     invert_with_expansion,
@@ -32,7 +33,8 @@ from cellfade.measurement import (MeasurementVector, forward_measure,
                                   material_loss_expansion)
 from cellfade.protocol import (Campaign, ProtocolStep, Termination,
                                reference_capacity, run_campaign, run_step)
-from helpers import budget_interval_oracle, demo_members, random_truths
+from helpers import (budget_interval_oracle, demo_members, random_truths,
+                     sample_family_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +156,38 @@ class TestFamily:
         assert all(mb.delta_pl >= 0.0 for mb in members)
         pl = [mb.delta_pl for mb in members]
         assert pl == sorted(pl)
+
+    def test_sample_family_matches_its_linspace_oracle(self, params, degp,
+                                                       n_li0):
+        # families of seeded states, clipped and not (the unclipped ones
+        # start at an end without plating), a zero-width one and r = 0
+        rng = np.random.default_rng(24)
+        cases = []
+        for st in random_truths(params, degp, n_li0, rng, 6):
+            y = MeasurementVector(*dataclasses.astuple(
+                forward_measure(params, degp, st, n_li0))[:4])
+            for budget in (True, False):
+                try:
+                    cases.append((invert_without_expansion(
+                        params, degp, y, n_li0, lli_budget=budget), y))
+                except InfeasibleError:
+                    continue
+        y = cases[0][1]
+        for ends in [((1e-7, 0.0), (1e-7, 2e-8)), ((0.0, 0.0), (0.0, 0.0))]:
+            cases.append((IdentificationResult("family", family_endpoints=ends),
+                          y))
+        assert len(cases) >= 10
+        assert any(fam.family_endpoints[0][1] == 0.0 for fam, _ in cases[:-2])
+        # at n = 50, 49 * (1 / 49) is an ulp short of the last t, 1.0
+        for fam, y in cases:
+            for n in (1, 2, 3, 7, 50, 1000):
+                got, want = (
+                    [[(type(v), float.hex(v)) for v in dataclasses.astuple(m)]
+                     for m in members]
+                    for members in (sample_family(fam, y, n),
+                                    sample_family_oracle(fam, y, n)))
+                assert got == want, (fam.family_endpoints, n)
+                assert {t for m in got for t, _ in m} == {float}
 
     def test_sample_family_arguments(self, params, degp, y_no_exp, n_li0):
         fam = invert_without_expansion(params, degp, y_no_exp, n_li0)

@@ -1,11 +1,15 @@
 """Monotone table interpolation: validation, evaluation, inversion."""
 
+import math
+import random
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from cellfade.errors import ConfigError, SaturationError
-from cellfade.ocp import MonotoneOCPTable, load_builtin
-from helpers import ocp_oracle
+from cellfade.ocp import MonotoneOCPTable, brent, load_builtin
+from helpers import inverse_oracle, ocp_oracle, outcome
 
 
 def make_table(n=25, direction=-1):
@@ -144,6 +148,88 @@ def test_inverse_out_of_range_raises():
     t = make_table()
     with pytest.raises(SaturationError):
         t.inverse(10.0)
+
+
+def test_inverse_matches_its_brentq_oracle_to_the_bit():
+    # every knot potential (where the bracket ends are the answer, or one
+    # end misses it by the rounding of the last segment's Horner sum) and
+    # 1000 seeded potentials, a few of them off the table
+    rng = random.Random(24)
+    for t in (load_builtin("graphite"), load_builtin("nmc"), make_table()):
+        lo, hi = float(t.potential[-1]), float(t.potential[0])
+        vs = list(t.potential) + [float(v) for v in t.potential]
+        vs += [rng.uniform(lo - 0.01, hi + 0.01) for _ in range(1000)]
+        for v in vs:
+            got, want = outcome(t.inverse, v), outcome(inverse_oracle, t, v)
+            if got[0] == want[0] == "ok":
+                assert type(got[1]) is float
+                got, want = float.hex(got[1]), float.hex(want[1])
+            assert got == want, (t.name, v)
+
+
+def _brent_case(rng, tables):
+    """A seeded (f, a, b, xtol) in one of several shapes: smooth and
+    monotone, flat near the root, steep, oscillating with several roots,
+    values near the underflow threshold, a root at a bracket end, an OCP
+    table, or ends of one sign."""
+    r = rng.uniform(-2.0, 2.0)
+    a, b = r - rng.uniform(1e-9, 3.0), r + rng.uniform(1e-9, 3.0)
+    kind = rng.randrange(9)
+    if kind == 0:
+        c3, c1 = rng.uniform(0.0, 5.0), rng.uniform(0.0, 2.0)
+        f = lambda x: c3 * (x - r) ** 3 + c1 * (x - r) + 1e-3
+    elif kind == 1:
+        p = rng.choice((5, 7, 9, 11))
+        f = lambda x: (x - r) ** p
+    elif kind == 2:
+        k = 10.0 ** rng.uniform(0.0, 4.0)
+        f = lambda x: math.tanh(k * (x - r))
+    elif kind == 3:
+        w, c = rng.uniform(0.5, 8.0), rng.uniform(-0.9, 0.9)
+        f = lambda x: math.sin(w * x) + c
+        a, b = sorted((rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)))
+    elif kind == 4:
+        k = rng.uniform(0.1, 3.0)
+        f = lambda x: 1e-150 * ((x - r) ** 3 + k * (x - r))
+    elif kind == 5:
+        f = lambda x: math.exp(x) - math.exp(r)
+    elif kind == 6:
+        a = round(a, 3)
+        f = lambda x: (x - a) * (x + 7.0)
+    else:
+        t = tables[kind - 7]
+        a, b = t.s_min, t.s_max
+        v = rng.uniform(float(t.potential[-1]), float(t.potential[0]))
+        f = lambda s: t(s) - v
+    if rng.random() < 0.5:
+        a, b = b, a
+    xtol = rng.choice((1e-13, 1e-14, 10.0 ** rng.uniform(-16.0, -2.0)))
+    return f, a, b, xtol
+
+
+def test_brent_is_brentq_to_the_bit():
+    # each result, or each refusal with its message, and brent evaluates
+    # f two times fewer than brentq, which recomputes the end values
+    rng = random.Random(24)
+    tables = (load_builtin("graphite"), load_builtin("nmc"))
+    kinds = {"ok": 0, "raised": 0}
+    for _ in range(6000):
+        f, a, b, xtol = _brent_case(rng, tables)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        got = outcome(brent, counted, a, b, f(a), f(b), xtol)
+        want = outcome(lambda: brentq(f, a, b, xtol=xtol, full_output=True))
+        kinds[got[0]] += 1
+        if got[0] == want[0] == "ok":
+            assert type(got[1]) is float
+            assert len(calls) == want[1][1].function_calls - 2
+            got, want = float.hex(got[1]), float.hex(want[1][0])
+        assert got == want, (a, b, xtol)
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_from_file_comma_and_whitespace(tmp_path):
