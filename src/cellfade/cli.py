@@ -267,9 +267,6 @@ def main(argv=None):
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except AmbiguousRootsError as e:
-        print(f"ambiguous: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except CellfadeError as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -189,8 +189,11 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     SEI: solvent reduction at eta_neg + U-(c_ss) - U_sei, rate constant
     kin (m/s) in series with film transport, so growth self-limits. The
     thickness takes the backward-Euler step d' = d + dt*(Omega*c_ec0/2) /
-    (1/kin + d'/D), exact via its quadratic: growth at the new thickness
-    keeps the diffusion-limited tail stable at long strides.
+    (1/kin + d'/D): growth at the new thickness keeps the diffusion-limited
+    tail stable at long strides. It is solved for the growth u = d' - d,
+    the positive root of u^2/D + B u - G = 0 with B = 1/kin + d/D and
+    G = dt*Omega*c_ec0/2, as u = 2G / (B + sqrt(B^2 + 4G/D)): every term
+    is positive, so nothing cancels, u >= 0 and films never shrink.
 
     Plating: flux -k_pl*c_e*drive*exp(...) at eta_neg + U-(c_ss), < 0 when
     depositing; the surface enrichment drive (c_ss - c_avg)/c_smax keeps it
@@ -203,16 +206,9 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     delta, delta_pl = state.delta_sei, state.delta_pl
     eta_pl = eta_neg + u_neg_surface    # plating's; the SEI's less U_sei
     kin = sei.k_sei * math.exp(-sei.alpha_sei * F * (eta_pl - sei.U_sei) / RT)
-    # (1/D) d'^2 + (K - d/D) d' - (K d + G) = 0, take the positive root
-    K = 1.0 / kin
     G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
-    D = sei.D_sei
-    a = 1.0 / D
-    b = K - delta / D
-    c = -(K * delta + G)
-    d_sei_new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-    if d_sei_new < delta:   # a root rounded below d: films never shrink
-        d_sei_new = delta
+    B = 1.0 / kin + delta / sei.D_sei
+    d_sei_new = delta + 2.0 * G / (B + math.sqrt(B * B + 4.0 * G / sei.D_sei))
 
     if pl.k_pl == 0.0:
         j_pl = 0.0

@@ -23,7 +23,7 @@ from .protocol import (STEP_MODES, Campaign, ProtocolStep, Termination,
 
 STATE_VERSION = 2
 # a state's particle lithium against 1 - LLI, as a share of n_li0: a full
-# life drifts about 1e-10 (ROADMAP item 14), so only an edit reaches this
+# life closes to about 4e-12, so only an edit reaches this
 BOOKS_TOL = 1e-6
 
 def _parse_steps(raw_steps, c_1c, where):

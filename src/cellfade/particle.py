@@ -65,7 +65,12 @@ class SphereFV:
         got = self._props.get(dt)
         if got is None:
             P = np.linalg.inv(np.eye(self.n) - dt * self._M)
+            # Volume-weighted column sums rescaled to the volumes: the error
+            # the inverse leaves there would repeat at every step, drifting
+            # the books linearly. The factors are positive, so P stays >= 0.
+            P *= self.volumes / (self.volumes @ P)
             Pe = P @ self._e
+            Pe *= self.area_surf / (self.volumes @ Pe)
             # Rounding of a step and its enclosure per c_smax: the row sums'
             # measured distance from 1, the n-term sums of the step and of
             # that measurement, eight single operations. P < 0 voids it.

@@ -154,6 +154,21 @@ def moles(sp, c):
     return float(sp.volumes @ c)
 
 
+def sphere_surface_under_constant_flux(r_p, D, c0, j, t, terms=200):
+    """Exact surface concentration of a sphere at c0 whose surface loses
+    the molar flux j from t = 0 (Carslaw & Jaeger, "Conduction of Heat in
+    Solids", 2nd ed., 1959, the sphere under constant surface flux):
+    c0 - (j r_p/D) (3Dt/r_p^2 + 1/5 - 2 sum exp(-D l^2 t/r_p^2) / l^2)
+    over the positive roots l of tan l = l, one in each (n pi, n pi + pi/2).
+    The default 200 terms hold it to round-off once D t/r_p^2 > 1e-4."""
+    tail = 0.0
+    for n in range(1, terms + 1):
+        lam = brentq(lambda x: math.sin(x) - x * math.cos(x),
+                     n * math.pi, (n + 0.5) * math.pi, xtol=1e-15)
+        tail += math.exp(-D * lam * lam * t / r_p ** 2) / (lam * lam)
+    return c0 - j * r_p / D * (3.0 * D * t / r_p ** 2 + 0.2 - 2.0 * tail)
+
+
 def ocp(params, electrode, stoichiometry):
     """Open-circuit potential of one electrode at a stoichiometry."""
     table = params.ocp_pos if electrode == "pos" else params.ocp_neg
@@ -221,17 +236,15 @@ def sei_rate_constant(sei, eta_sei, T, R_gas, F):
 
 
 def sei_implicit_step(sei, delta, kin, dt):
-    """Backward-Euler thickness update, exact via the quadratic it implies:
-    d' = d + dt*(Omega*c_ec0/2)/(K + d'/D) with K = 1/kin."""
-    K = 1.0 / kin
+    """Backward-Euler thickness update d' = d + dt*(Omega*c_ec0/2)/(K + d'/D)
+    with K = 1/kin, solved for the growth u = d' - d: the positive root of
+    u^2/D + (K + d/D) u - G = 0, G = dt*Omega*c_ec0/2, in the form that
+    adds only positive terms."""
     G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
     D = sei.D_sei
-    a = 1.0 / D
-    b = K - delta / D
-    c = -(K * delta + G)
-    disc = b * b - 4.0 * a * c
-    d_new = (-b + math.sqrt(disc)) / (2.0 * a)
-    return max(d_new, delta)
+    B = 1.0 / kin + delta / D
+    u = 2.0 * G / (B + math.sqrt(B * B + 4.0 * G / D))
+    return delta + u
 
 
 def sei_exact_step_residual(sei, delta, delta_new, kin, dt):

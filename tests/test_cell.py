@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.degradation import (DegradationState, deep_soh,
                                   lam_cycle_update)
@@ -90,6 +92,27 @@ def test_lithium_audit_under_random_protocols(params, degp, n_li0):
             total = cell.particle_lithium() + n_li0 * cell.degradation.LLI
             assert total == pytest.approx(n_li0, rel=1e-10)
         assert fracture(cell) > stranded0
+
+
+@pytest.mark.parametrize("dt, dt_rest", [(60.0, 300.0), (30.0, 150.0)])
+def test_lithium_books_close_over_a_full_life(params, degp, dt, dt_rest):
+    # particle lithium against 1 - LLI after every cycle of the packaged
+    # campaign to end of life: a propagator whose columns miss the shell
+    # volumes by a few ulps would drift linearly, to 1.5e-10 at dt 60
+    campaign = cio.load_campaign(
+        resources.files("cellfade.data") / "campaign_default.yaml",
+        reference_capacity(params))
+    cell = Cell(params, degp)
+    residuals = []
+
+    def audit(cycle, discharged):
+        residuals.append(abs(cell.particle_lithium() / cell.n_li0
+                         - (1.0 - cell.degradation.LLI)))
+
+    _, rul, eol = run_campaign(cell, campaign, dt=dt, dt_rest=dt_rest,
+                               keep_series=False, progress=audit)
+    assert eol and rul >= 400 and len(residuals) >= rul
+    assert max(residuals) <= 1e-11
 
 
 def test_step_record_fields(cell):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -354,9 +355,7 @@ def test_step_degradation_equals_the_composed_helpers_bitwise(
         degp = dataclasses.replace(
             degp, sei=dataclasses.replace(degp.sei, alpha_sei=0.37),
             plating=dataclasses.replace(degp.plating, alpha_pl=0.61))
-    sei = degp.sei
     rng = np.random.default_rng(16)
-    clamped = 0
     for k in range(400):
         # every fourth state is fresh, so that no film thickness swallows
         # the low bits of a growth increment
@@ -375,22 +374,13 @@ def test_step_degradation_equals_the_composed_helpers_bitwise(
         want = _outcome(step_degradation_oracle, params, degp, state, eta,
                         u, c_ss, c_avg, n_li0, dt)
         assert got == want
-        # the quadratic's root before max(d_new, delta)
-        kin = sei_rate_constant(sei, sei_overpotential(eta, u, sei.U_sei),
-                                params.T, params.R_gas, params.F)
-        K, a = 1.0 / kin, 1.0 / sei.D_sei
-        b = K - state.delta_sei / sei.D_sei
-        c = -(K * state.delta_sei + dt * sei.Omega_sei * sei.c_ec0 / 2.0)
-        d_new = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-        clamped += d_new < state.delta_sei
-    assert clamped > 0   # the clamp branch was taken and matched
 
 
-def test_sei_step_misses_the_exact_law_by_its_closed_form(params, degp, n_li0):
-    # at the step's rate constant the exact law K(d' - d) + (d'^2 - d^2)/(2D)
-    # = G and backward Euler (d' - d)(K + d'/D) = G differ by (d' - d)^2/(2D)
+def _sei_draws(params, degp, n_li0):
+    """(delta, kin, dt, d') of 2000 seeded steps of the flat step: films
+    of 0 or 0.1 nm to 300 nm, dt from 0.1 s to 3000 s, and overpotentials
+    from kinetically to transport-limited growth."""
     sei = degp.sei
-    D = sei.D_sei
     c = 0.5 * params.neg.c_smax
     rng = np.random.default_rng(15)
     for _ in range(2000):
@@ -403,19 +393,44 @@ def test_sei_step_misses_the_exact_law_by_its_closed_form(params, degp, n_li0):
         new, _ = step_degradation(params, degp, state, eta_neg=eta,
                                   u_neg_surface=u, c_ss_neg=c, c_avg_neg=c,
                                   n_li0=n_li0, dt=dt)
-        d1 = new.delta_sei
         kin = sei_rate_constant(sei, sei_overpotential(eta, u, sei.U_sei),
                                 params.T, params.R_gas, params.F)
+        yield delta, kin, dt, new.delta_sei
+
+
+def test_sei_step_misses_the_exact_law_by_its_closed_form(params, degp, n_li0):
+    # at the step's rate constant the exact law K(d' - d) + (d'^2 - d^2)/(2D)
+    # = G and backward Euler (d' - d)(K + d'/D) = G differ by (d' - d)^2/(2D)
+    sei = degp.sei
+    D = sei.D_sei
+    for delta, kin, dt, d1 in _sei_draws(params, degp, n_li0):
         K, G = 1.0 / kin, dt * sei.Omega_sei * sei.c_ec0 / 2.0
-        # a few ulps of the law's terms and of the root's own rounding:
-        # (-b + sqrt(disc))/(2a) cancels while b = K - d/D > 0, which
-        # moves d' by up to eps*D*(|b| + sqrt(disc))/2
-        b = K - delta / D
-        root = D * (abs(b) + math.sqrt(b * b + 4.0 * (K * delta + G) / D)) / 2.0
-        tol = 4.0 * math.ulp(1.0) * (K * d1 + d1 * d1 / D + G
-                                     + (K + d1 / D) * root)
+        # a few ulps of the law's own terms: the growth's root adds only
+        # positive terms, so it carries no cancellation of its own
+        tol = 4.0 * math.ulp(1.0) * (K * d1 + d1 * d1 / D + G)
         got = sei_exact_step_residual(sei, delta, d1, kin, dt)
         assert abs(got + (d1 - delta) ** 2 / (2.0 * D)) <= tol
+
+
+def test_sei_step_lands_within_two_ulps_of_the_exact_root(params, degp,
+                                                          n_li0):
+    # the root of the backward-Euler step (d' - d)(1/kin + d'/D) = G in
+    # 60-digit decimal from the floats d, kin and G = dt*Omega*c_ec0/2 the
+    # step forms: the float step lands within 2 ulps of it, and a step
+    # whose growth is above ulp(d) never stalls at d
+    sei = degp.sei
+    D = Decimal(sei.D_sei)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for delta, kin, dt, d1 in _sei_draws(params, degp, n_li0):
+            d = Decimal(delta)
+            G = Decimal(dt * sei.Omega_sei * sei.c_ec0 / 2.0)
+            B = 1 / Decimal(kin) + d / D
+            u = 2 * G / (B + (B * B + 4 * G / D).sqrt())
+            ulp = Decimal(math.ulp(float(d + u)))
+            assert abs(Decimal(d1) - d - u) <= 2 * ulp
+            if u > Decimal(math.ulp(delta)):
+                assert d1 > delta
 
 
 def test_deep_soh_shares_sum_to_lli(params, degp, n_li0):

@@ -11,11 +11,47 @@ from cellfade.errors import SaturationError
 from cellfade.particle import SphereFV, step_particle_diffusion
 from cellfade.protocol import (MIN_DT, ProtocolStep, Termination,
                                reference_capacity, run_rpt, run_step)
-from helpers import c_ss, moles
+from helpers import c_ss, moles, sphere_surface_under_constant_flux
 
 
 def make_sphere(n=20, r=5e-6, D=3.9e-14, cmax=30000.0):
     return SphereFV(r, D, cmax, n, "toy")
+
+
+def _surface_after(n, dt, t, j):
+    """c_ss of a make_sphere particle drained at j from x = 0.8 for t."""
+    sp = make_sphere(n)
+    c = sp.uniform(0.8)
+    for _ in range(round(t / dt)):
+        c, _ = sp.step(c, j, dt)
+    return c_ss(sp, c, j)
+
+
+def test_surface_meets_the_constant_flux_sphere():
+    # Carslaw & Jaeger's series, which shares no code with the propagator,
+    # for the negative particle drained at j from x = 0.8
+    cmax, j = 30000.0, 2e-6
+    c0 = 0.8 * cmax
+
+    def exact(t):
+        return sphere_surface_under_constant_flux(5e-6, 3.9e-14, c0, j, t)
+
+    # at 1200 s the start-up transient has decayed: the space error is
+    # left, second order in the shell count
+    errs = [(_surface_after(n, 60.0, 1200.0, j) - exact(1200.0)) / cmax
+            for n in (10, 20, 40, 80)]
+    assert 2e-5 < -errs[0] < 4e-5
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse / fine == pytest.approx(4.0, abs=0.1)
+    assert abs(_surface_after(20, 1.0, 1200.0, j)
+               - _surface_after(20, 60.0, 1200.0, j)) <= 1e-11 * cmax
+    # just after the flux switches on, backward Euler lags the depletion
+    # c0 - c_ss by a share first order in dt
+    c60 = exact(60.0)
+    miss = [(_surface_after(80, dt, 60.0, j) - c60) / (c0 - c60)
+            for dt in (60.0, 15.0)]
+    assert 0.05 < miss[0] < 0.065
+    assert miss[0] / miss[1] == pytest.approx(4.0, abs=0.5)
 
 
 def test_uniform_profile_is_equilibrium():
