@@ -153,8 +153,8 @@ class Cell:
         c_ss_p2 = float(parts.c_pos[-1]) - pos.half_dr * j_pos / pos.D
         c_ss_n2 = float(parts.c_neg[-1]) - neg.half_dr * j_neg / neg.D
         r_film_cell = r_film(p, self.deg_params, deg_new)[1]
-        v_t = ec.voltage_at_densities(p, c_ss_p2, c_ss_n2, I, r_film_cell,
-                                      -I / area_p, I / area_n)
+        v_t = ec.terminal_voltage(p, c_ss_p2, c_ss_n2, I, r_film_cell,
+                                  -I / area_p, I / area_n)
         return parts, deg_new, inc, c_ss_p2, c_ss_n2, v_t
 
     def voltage_after(self, I, dt):

@@ -83,17 +83,11 @@ def intercalation_overpotential(params, electrode, I, c_ss, capacity_Ah):
     return params.neg.overpotential(I / params.neg.area(capacity_Ah), c_ss)
 
 
-def terminal_voltage(params, c_ss_pos, c_ss_neg, I, r_film_cell, C_p, C_n):
-    """V_T = U+ + eta+ - U- - eta- - I*R_film (discharge positive)."""
-    return voltage_at_densities(
-        params, c_ss_pos, c_ss_neg, I, r_film_cell,
-        -I / params.pos.area(C_p), I / params.neg.area(C_n))
-
-
-def voltage_at_densities(params, c_ss_pos, c_ss_neg, I, r_film_cell,
-                         j_pos, j_neg):
-    """terminal_voltage with the interfacial current densities given, for
-    callers that hold the active areas."""
+def terminal_voltage(params, c_ss_pos, c_ss_neg, I, r_film_cell, j_pos, j_neg):
+    """V_T = U+ + eta+ - U- - eta- - I*R_film (discharge positive), V, at
+    surface concentrations c_ss_* (mol/m^3), cell current I (A), film
+    resistance r_film_cell (ohm) and interfacial current densities j_pos =
+    -I/area_pos and j_neg = I/area_neg (A/m^2, positive delithiating)."""
     pos, neg = params.pos, params.neg
     eta_pos = pos.overpotential(j_pos, c_ss_pos)
     eta_neg = neg.overpotential(j_neg, c_ss_neg)

@@ -86,9 +86,14 @@ _RATE = re.compile(r"^\s*(-?)\s*(\d+(?:\.\d+)?)?\s*[Cc]\s*(?:/\s*(\d+(?:\.\d+)?)
 
 
 def parse_current(value, c_1c):
-    """Resolve an ampere number or C-rate string against a 1C current."""
-    if not isinstance(value, str):
+    """Resolve an ampere number or C-rate string against a 1C current. A
+    string that reads as a finite number is amperes, as params._number
+    reads it (YAML 1.1 reads an unquoted 1e-1 as the string '1e-1')."""
+    try:
         return _number(float, value, "current")
+    except ConfigError:
+        if not isinstance(value, str):
+            raise
     m = _RATE.match(value)
     if not m or (m.group(3) and float(m.group(3)) == 0.0):
         raise ConfigError(f"cannot parse current {value!r} (want amps or e.g. 'C/5')")
@@ -185,9 +190,8 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
         for c in time_terms:
             dt_eff = min(dt_eff, max(c.threshold - t, MIN_DT * 1e-3))
 
+        snap = cell.get_state()
         while True:   # refine dt near thresholds
-            snap = cell.get_state()
-            saturated = None
             try:
                 if step.mode == "rest":
                     I = 0.0
@@ -196,8 +200,10 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
                 else:
                     I = _solve_cv_current(cell, step.setpoint, dt_eff, i_cv)
                 rec = cell.step(I, dt_eff)
-            except SaturationError as e:
-                saturated = e
+            except SaturationError:   # in a CV trial too
+                cell.set_state(snap)
+                if dt_eff <= MIN_DT:
+                    raise
             else:
                 now = {"time": t + dt_eff, "voltage": rec["V"],
                        "current": rec["I"]}
@@ -210,11 +216,7 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
                              and abs(rec["V"] - fired.threshold) > VOLTAGE_BAND)
                 if not overshoot or dt_eff <= MIN_DT:
                     break
-            # rejected: saturated (a CV trial included), or a voltage
-            # threshold overshot
-            cell.set_state(snap)
-            if saturated is not None and dt_eff <= MIN_DT:
-                raise saturated
+                cell.set_state(snap)   # a voltage threshold overshot
             dt_eff = max(dt_eff / 2.0, MIN_DT)
 
         if step.mode == "cv":

@@ -99,6 +99,31 @@ def test_particle_calls_per_cell_evaluation(params, degp, monkeypatch):
     assert calls == {"step": 4, "pair": 2}
 
 
+def test_voltage_calls_per_cell_evaluation(params, degp, monkeypatch):
+    # electrochem.voltage.calls reads as one terminal_voltage per evaluated
+    # cell step, an aging one or a frozen (RPT probe) one, and none for
+    # the step that commits a kept trial
+    calls = []
+    terminal_voltage = electrochem.terminal_voltage
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return terminal_voltage(*args, **kwargs)
+
+    # the tracer rebinds the module attribute, which the cell reads
+    monkeypatch.setattr(electrochem, "terminal_voltage", counted)
+    cell = ccell.Cell(params, degp)
+    cell.voltage_after(2.0, 10.0)
+    assert len(calls) == 1
+    cell.step(2.0, 10.0)   # commits the kept trial without evaluating it
+    assert len(calls) == 1
+    cell.step(1.0, 10.0)
+    assert len(calls) == 2
+    cell.freeze_degradation = True
+    cell.step(1.0, 10.0)
+    assert len(calls) == 3
+
+
 def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     # electrochem.window.calls reads as one solve_window per identified
     # vector however often the routes and their checks ask, and

@@ -88,19 +88,29 @@ def test_molar_flux_consistent_with_current(params):
     assert jn * active_area(params, "neg", params.C_n_nom) == pytest.approx(I, rel=1e-12)
 
 
+def _nominal_densities(params, I):
+    """Both sides' interfacial current densities, A/m^2, under cell current
+    I at the nominal capacities."""
+    return (interfacial_current_density(params, "pos", I, params.C_p_nom),
+            interfacial_current_density(params, "neg", I, params.C_n_nom))
+
+
 def test_terminal_voltage_is_ocv_at_rest(params):
     y, x = 0.45, 0.6
     v = terminal_voltage(params, y * params.c_smax_pos, x * params.c_smax_neg,
-                         0.0, 0.0, params.C_p_nom, params.C_n_nom)
+                         0.0, 0.0, *_nominal_densities(params, 0.0))
     assert v == pytest.approx(ocp(params, "pos", y) - ocp(params, "neg", x), abs=1e-12)
 
 
 def test_terminal_voltage_drops_under_load(params):
     y, x = 0.45, 0.6
     args = (y * params.c_smax_pos, x * params.c_smax_neg)
-    v0 = terminal_voltage(params, *args, 0.0, 0.0, params.C_p_nom, params.C_n_nom)
-    v_dis = terminal_voltage(params, *args, 2.0, 0.002, params.C_p_nom, params.C_n_nom)
-    v_chg = terminal_voltage(params, *args, -2.0, 0.002, params.C_p_nom, params.C_n_nom)
+    v0 = terminal_voltage(params, *args, 0.0, 0.0,
+                          *_nominal_densities(params, 0.0))
+    v_dis = terminal_voltage(params, *args, 2.0, 0.002,
+                             *_nominal_densities(params, 2.0))
+    v_chg = terminal_voltage(params, *args, -2.0, 0.002,
+                             *_nominal_densities(params, -2.0))
     assert v_dis < v0 < v_chg
 
 
@@ -108,8 +118,9 @@ def test_film_resistance_term_is_ohmic(params):
     y, x = 0.45, 0.6
     args = (y * params.c_smax_pos, x * params.c_smax_neg)
     I = 1.5
-    v_a = terminal_voltage(params, *args, I, 0.0, params.C_p_nom, params.C_n_nom)
-    v_b = terminal_voltage(params, *args, I, 0.004, params.C_p_nom, params.C_n_nom)
+    j = _nominal_densities(params, I)
+    v_a = terminal_voltage(params, *args, I, 0.0, *j)
+    v_b = terminal_voltage(params, *args, I, 0.004, *j)
     assert v_a - v_b == pytest.approx(I * 0.004, rel=1e-10)
 
 
@@ -177,7 +188,7 @@ def test_voltage_and_resistance_equal_the_oracles_bitwise(params, skew):
                 + overpotential(params, "pos", j_p, c_p)
                 - ocp(params, "neg", c_n / params.c_smax_neg)
                 - overpotential(params, "neg", j_n, c_n) - I * r)
-        got = terminal_voltage(params, c_p, c_n, I, r, C_p, C_n)
+        got = terminal_voltage(params, c_p, c_n, I, r, j_p, j_n)
         assert float.hex(got) == float.hex(want)
         for side, cap, c in (("pos", C_p, c_p), ("neg", C_n, c_n)):
             assert float.hex(intercalation_overpotential(

@@ -32,6 +32,23 @@ def test_packaged_protocol_loads():
     assert cv_term.threshold == pytest.approx(0.2)
 
 
+def test_unquoted_exponents_load_as_amperes(tmp_path):
+    # YAML 1.1 reads an unquoted 1e-1 as a string, as it does 4.2e0
+    path = tmp_path / "protocol.yaml"
+    path.write_text(
+        "steps:\n"
+        "  - mode: cc\n"
+        "    setpoint: 1e-1\n"
+        "    until: [{quantity: voltage, comparator: '<=', threshold: 3.0}]\n"
+        "  - mode: cv\n"
+        "    setpoint: 4.2e0\n"
+        "    until: [{quantity: current, comparator: 'abs<=', threshold: 5e-2}]\n")
+    assert yaml.safe_load(path.read_text())["steps"][0]["setpoint"] == "1e-1"
+    steps = cio.load_protocol(path, c_1c=4.0)
+    assert [s.setpoint for s in steps] == [0.1, 4.2]
+    assert steps[1].terminations[0].threshold == 0.05
+
+
 def test_relative_ocp_path_resolves_against_cell_file(params, tmp_path,
                                                       monkeypatch):
     cell = yaml.safe_load((DATA / "cell_default.yaml").read_text())

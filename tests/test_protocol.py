@@ -2,10 +2,12 @@
 
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cellfade import io as cio
 from cellfade import protocol
 from cellfade.cell import Cell
 from cellfade.degradation import DegradationState
@@ -25,6 +27,9 @@ from cellfade.protocol import (
     run_rpt,
     run_step,
 )
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
 
 
 @pytest.fixture
@@ -53,8 +58,19 @@ class TestParseCurrent:
         assert parse_current(3, 4.0) == 3.0
         assert parse_current(-1.25, 4.0) == -1.25
 
+    def test_numeric_strings_are_amperes(self):
+        # YAML 1.1 reads an unquoted 1e-1 as the string '1e-1'; a bare
+        # number is amperes, never a multiple of 1C
+        assert parse_current("1e-1", 4.0) == 0.1
+        assert parse_current("-2", 4.0) == -2.0
+        assert parse_current("2", 4.0) == 2.0
+        assert parse_current("0.5", 4.0) == 0.5
+        for bad in ("nan", "-inf", "C/0"):
+            with pytest.raises(ConfigError, match="cannot parse current"):
+                parse_current(bad, 4.0)
+
     def test_garbage_raises(self):
-        for bad in ("", "fast", "C/", "2", "C/2C"):
+        for bad in ("", "fast", "C/", "C/2C"):
             with pytest.raises(ConfigError):
                 parse_current(bad, 4.0)
 
@@ -325,6 +341,28 @@ def test_campaign_immediate_eol_at_full_threshold(cell, c1):
     traj, rul, eol = run_campaign(cell, camp, dt=30.0)
     assert rul == 0 and eol is True
     assert len(traj.cycles) == 1
+
+
+@pytest.mark.parametrize("beta1_neg, rul, n_records",
+                         [(0.01, 9, 10), (0.3, 0, 1)])
+def test_campaign_ends_when_the_cell_dies(params, degp, c1, beta1_neg, rul,
+                                          n_records):
+    # fast negative-electrode fatigue kills the cell (CellDeadError) long
+    # before a 1 % capacity threshold retires it: the dying cycle is
+    # recorded at zero capacity and the cell keeps its last valid state
+    camp = dataclasses.replace(
+        cio.load_campaign(DATA / "campaign_default.yaml", c_1c=c1),
+        rpt_every=0, eol_capacity_fraction=0.01)
+    lam = dataclasses.replace(degp.lam, beta1_neg=beta1_neg)
+    cell = Cell(params, dataclasses.replace(degp, lam=lam))
+    traj, got_rul, eol = run_campaign(cell, camp, dt=60.0, dt_rest=300.0)
+    assert (got_rul, eol, len(traj.cycles)) == (rul, True, n_records)
+    assert [r.cycle for r in traj.cycles] == list(range(1, n_records + 1))
+    assert traj.cycles[-1].capacity_Ah == 0.0
+    assert all(r.capacity_Ah > 0.0 for r in traj.cycles[:-1])
+    d = cell.degradation
+    assert DegradationState(**d.as_dict()).as_dict() == d.as_dict()
+    assert traj.cycles[-1].degradation == d.as_dict()
 
 
 def test_campaign_flat_when_mechanisms_off(cell, params, degp, c1):
