@@ -10,9 +10,10 @@ independent of one another.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from .degradation import film_expansion, material_loss_expansion, r_film
 from .electrochem import ESOHRecord, solve_window
@@ -148,13 +149,13 @@ def extract_esoh(curve, params, capacity=None):
     constraints; the endpoint equations alone leave the problem
     under-determined. Initial guess scales the nominal electrode pair by
     the measured capacity ratio. The solver is MINPACK's Levenberg-Marquardt
-    (lmder), whose whole iteration runs in compiled code. The fit is smooth,
-    has four unknowns against a row per curve point, and needs no bounds:
-    penalty rows keep every evaluated point on the OCP tables. A bounded
-    trust-region solver would add Python bookkeeping to every iteration.
-    The solver gets the exact Jacobian of the residual: one derivative
-    call per electrode per iteration in place of four finite-difference
-    residual evaluations.
+    (lmder, through scipy's leastsq), whose whole iteration runs in compiled
+    code. The fit is smooth, has four unknowns against a row per curve
+    point, and needs no bounds: penalty rows keep every evaluated point on
+    the OCP tables. A bounded trust-region solver would add Python
+    bookkeeping to every iteration. The solver gets the exact Jacobian of
+    the residual: one derivative call per electrode per iteration in place
+    of four finite-difference residual evaluations.
     """
     q = np.asarray(curve.capacity_Ah, dtype=float)
     v = np.asarray(curve.voltage, dtype=float)
@@ -182,54 +183,67 @@ def extract_esoh(curve, params, capacity=None):
     # charge left above the bottom of the window: the curve points, then
     # the window ends at 0 % (x_0, y_0) and 100 % (x100, y100) state of charge
     dq = np.append(C_meas - q, (0.0, C_meas))
+    target = np.append(v, (params.V_min, params.V_max))
+    weight = np.append(np.ones(n), (ENDPOINT_WEIGHT, ENDPOINT_WEIGHT))
+    # each takes theta's bytes and remembers its last answer only: the
+    # solver asks for the start three times, and each Jacobian's theta is
+    # the one whose residual was evaluated last. (MINPACK keeps the first
+    # residual array as its own and overwrites it once past the start.)
 
-    def stoichiometries(theta):
-        C_p, C_n, x_0, y_0 = theta
+    @lru_cache(maxsize=1)
+    def stoichiometries(key):
+        C_p, C_n, x_0, y_0 = np.frombuffer(key)
         x = x_0 + dq / C_n
         y = y_0 - dq / C_p
         # keep trial evaluations on-table; penalize the excursion instead
-        return x, y, np.clip(x, tn.s_min, tn.s_max), np.clip(y, tp.s_min, tp.s_max)
+        return (x, y, np.minimum(np.maximum(x, tn.s_min), tn.s_max),
+                np.minimum(np.maximum(y, tp.s_min), tp.s_max))
 
-    def residuals(theta):
-        x, y, x_c, y_c = stoichiometries(theta)
+    @lru_cache(maxsize=1)
+    def residuals(key):
+        x, y, x_c, y_c = stoichiometries(key)
         # one table call per electrode, curve and window ends together
         # (pchip evaluates each point alone, so batching changes no bit)
-        vm = tp(y_c) - tn(x_c)
         return np.concatenate([
-            vm[:n] - v,
-            ENDPOINT_WEIGHT * (vm[n:] - (params.V_min, params.V_max)),
+            (tp(y_c) - tn(x_c) - target) * weight,
             [1e3 * np.abs(x - x_c).max(), 1e3 * np.abs(y - y_c).max()],
         ])
 
-    def jacobian(theta):
-        C_p, C_n, _, _ = theta
-        x, y, x_c, y_c = stoichiometries(theta)
+    @lru_cache(maxsize=1)
+    def jacobian(key):
+        C_p, C_n, _, _ = np.frombuffer(key)
+        x, y, x_c, y_c = stoichiometries(key)
         # a clipped point does not move with theta: the clip's derivative
         # is 1 on the closed table range and 0 outside it
         dp = tp.derivative(y_c) * (y == y_c)
         dn = tn.derivative(x_c) * (x == x_c)
         J = np.zeros((n + 4, 4))
-        J[:n + 2] = np.column_stack(
-            [dp * dq / C_p ** 2, dn * dq / C_n ** 2, -dn, dp])
+        J[:n + 2, 0] = dp * dq / C_p ** 2
+        J[:n + 2, 1] = dn * dq / C_n ** 2
+        J[:n + 2, 2] = -dn
+        J[:n + 2, 3] = dp
         J[n:n + 2] *= ENDPOINT_WEIGHT
         # each penalty's subgradient at the point argmax picks, signed by
         # the excursion; a zero row when that electrode stays on-table
         k = np.argmax(np.abs(x - x_c))
         sign = 1e3 * np.sign(x[k] - x_c[k])
-        J[n + 2, [1, 2]] = -sign * dq[k] / C_n ** 2, sign
+        J[n + 2, 1], J[n + 2, 2] = -sign * dq[k] / C_n ** 2, sign
         k = np.argmax(np.abs(y - y_c))
         sign = 1e3 * np.sign(y[k] - y_c[k])
-        J[n + 3, [0, 3]] = sign * dq[k] / C_p ** 2, sign
+        J[n + 3, 0], J[n + 3, 3] = sign * dq[k] / C_p ** 2, sign
         return J
 
-    res = least_squares(residuals, theta0, jac=jacobian, method="lm",
-                        x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14)
-    rms = math.sqrt(float(np.mean(res.fun[:n] ** 2)))
-    if not res.success or not rms <= 0.05 or not np.isfinite(res.x).all():
+    # MINPACK's lmder, called as least_squares(method="lm") calls it
+    theta, _, info, mesg, ier = leastsq(
+        lambda theta: residuals(theta.tobytes()), theta0,
+        Dfun=lambda theta: jacobian(theta.tobytes()), full_output=True,
+        ftol=1e-14, xtol=1e-14, gtol=1e-14, maxfev=400)
+    rms = math.sqrt(float(np.mean(info["fvec"][:n] ** 2)))
+    if not 1 <= ier <= 4 or not rms <= 0.05 or not np.isfinite(theta).all():
         raise EstimationFailedError(
-            f"eSOH fit did not converge (status {res.status}, "
-            f"rms {rms * 1e3:.2f} mV)")
-    C_p, C_n, x_0, y_0 = (float(t) for t in res.x)
+            f"eSOH fit did not converge (rms {rms * 1e3:.2f} mV, MINPACK "
+            f"info {ier}: {' '.join(mesg.split())})")
+    C_p, C_n, x_0, y_0 = (float(t) for t in theta)
     return ESOHRecord(
         C=C_meas, C_p=C_p, C_n=C_n,
         x_0=x_0, x_100=x_0 + C_meas / C_n,

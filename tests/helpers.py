@@ -12,10 +12,11 @@ from cellfade import io as cio
 from cellfade.degradation import (DegradationState, StepIncrements,
                                   plated_lithium_moles, sei_lithium_moles)
 from cellfade.electrochem import ESOHRecord, solve_window
-from cellfade.errors import (CellDeadError, InfeasibleError,
-                             KineticsSingularError, SaturationError)
+from cellfade.errors import (CellDeadError, ConfigError, EstimationFailedError,
+                             InfeasibleError, KineticsSingularError,
+                             SaturationError)
 from cellfade.identify import invert_without_expansion, sample_family
-from cellfade.measurement import forward_measure
+from cellfade.measurement import ENDPOINT_WEIGHT, forward_measure
 from cellfade.protocol import reference_capacity
 
 
@@ -100,20 +101,118 @@ def curve_gap(a, b, n=200):
     return float(np.max(np.abs(va - vb)))
 
 
+# the MINPACK info code that each least_squares status stands for
+LEASTSQ_INFO = {-1: 0, 0: 5, 1: 4, 2: 1, 3: 2, 4: 3}
+
+
+def as_leastsq(res):
+    """A least_squares result in leastsq's full_output shape,
+    (x, cov_x, infodict, mesg, ier), with least_squares' status mapped
+    back to the MINPACK info code it stands for."""
+    info = {"fvec": res.fun, "nfev": res.nfev, "njev": res.njev}
+    return res.x, None, info, res.message, LEASTSQ_INFO[res.status]
+
+
+def least_squares_lm(func, x0, Dfun, ftol, xtol, gtol, jac=None, **_):
+    """Stand-in for measurement.leastsq: scipy's least_squares with
+    method="lm" on the problem extract_esoh hands leastsq, to the same
+    tolerances, with Dfun as the Jacobian unless jac is given."""
+    return as_leastsq(least_squares(
+        func, x0, jac=Dfun if jac is None else jac, method="lm",
+        x_scale="jac", ftol=ftol, xtol=xtol, gtol=gtol))
+
+
 def bounded_trf(params, C_meas):
-    """Stand-in for measurement.least_squares: the solver the eSOH fit used
+    """Stand-in for measurement.leastsq: the solver the eSOH fit used
     before MINPACK, scipy's bounded trust-region reflective method, in the
     box that kept the window ends x_0 and y_0 on their OCP tables. It fits
-    the residual and Jacobian extract_esoh hands it, to the same
-    tolerances, so only the solver differs."""
+    the residual and Jacobian extract_esoh hands leastsq, to the same
+    tolerances, so only the solver differs; the answer comes back in
+    leastsq's shape."""
     lo = np.array([0.5 * C_meas, 0.5 * C_meas, params.ocp_neg.s_min, 0.4])
     hi = np.array([8.0 * C_meas, 8.0 * C_meas, 0.4, params.ocp_pos.s_max])
 
-    def solve(fun, theta0, jac, **_):
-        return least_squares(fun, np.clip(theta0, lo, hi), jac=jac,
-                             bounds=(lo, hi), method="trf", x_scale="jac",
-                             ftol=1e-14, xtol=1e-14, gtol=1e-14)
+    def solve(func, theta0, Dfun, **_):
+        return as_leastsq(least_squares(
+            func, np.clip(theta0, lo, hi), jac=Dfun, bounds=(lo, hi),
+            method="trf", x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14))
     return solve
+
+
+def esoh_least_squares_oracle(curve, params, capacity=None):
+    """measurement.extract_esoh as it was written on scipy's least_squares
+    (method="lm"): the same residual, Jacobian and checks, the residual
+    and Jacobian evaluated afresh at each call."""
+    q = np.asarray(curve.capacity_Ah, dtype=float)
+    v = np.asarray(curve.voltage, dtype=float)
+    if q.ndim != 1 or q.shape != v.shape or len(q) < 8:
+        raise ConfigError("pseudo-OCV curve needs matching 1-D columns, >= 8 rows")
+    if not (np.isfinite(q).all() and np.isfinite(v).all()):
+        raise ConfigError("pseudo-OCV curve holds a non-finite value")
+    C_meas = capacity if capacity is not None else float(q[-1] - q[0])
+    if not 0.0 < C_meas < math.inf:
+        raise ConfigError(f"curve capacity must be finite and > 0, got {C_meas!r}")
+    span = 0.15
+    if v.min() > params.V_min + span or v.max() < params.V_max - span:
+        raise ConfigError(
+            f"curve [{v.min():.3f}, {v.max():.3f}] V does not span the "
+            f"window [{params.V_min}, {params.V_max}] V")
+
+    tp, tn = params.ocp_pos, params.ocp_neg
+    fresh = params.fresh_window
+    ratio = min(max(C_meas / fresh.C, 0.3), 1.5)
+    theta0 = np.array([params.C_p_nom * ratio, params.C_n_nom * ratio,
+                       fresh.x_0, fresh.y_0])
+    n = len(q)
+    dq = np.append(C_meas - q, (0.0, C_meas))
+
+    def stoichiometries(theta):
+        C_p, C_n, x_0, y_0 = theta
+        x = x_0 + dq / C_n
+        y = y_0 - dq / C_p
+        return x, y, np.clip(x, tn.s_min, tn.s_max), np.clip(y, tp.s_min, tp.s_max)
+
+    def residuals(theta):
+        x, y, x_c, y_c = stoichiometries(theta)
+        vm = tp(y_c) - tn(x_c)
+        return np.concatenate([
+            vm[:n] - v,
+            ENDPOINT_WEIGHT * (vm[n:] - (params.V_min, params.V_max)),
+            [1e3 * np.abs(x - x_c).max(), 1e3 * np.abs(y - y_c).max()],
+        ])
+
+    def jacobian(theta):
+        C_p, C_n, _, _ = theta
+        x, y, x_c, y_c = stoichiometries(theta)
+        dp = tp.derivative(y_c) * (y == y_c)
+        dn = tn.derivative(x_c) * (x == x_c)
+        J = np.zeros((n + 4, 4))
+        J[:n + 2] = np.column_stack(
+            [dp * dq / C_p ** 2, dn * dq / C_n ** 2, -dn, dp])
+        J[n:n + 2] *= ENDPOINT_WEIGHT
+        k = np.argmax(np.abs(x - x_c))
+        sign = 1e3 * np.sign(x[k] - x_c[k])
+        J[n + 2, [1, 2]] = -sign * dq[k] / C_n ** 2, sign
+        k = np.argmax(np.abs(y - y_c))
+        sign = 1e3 * np.sign(y[k] - y_c[k])
+        J[n + 3, [0, 3]] = sign * dq[k] / C_p ** 2, sign
+        return J
+
+    res = least_squares(residuals, theta0, jac=jacobian, method="lm",
+                        x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14)
+    rms = math.sqrt(float(np.mean(res.fun[:n] ** 2)))
+    if not res.success or not rms <= 0.05 or not np.isfinite(res.x).all():
+        raise EstimationFailedError(
+            f"eSOH fit did not converge (status {res.status}, "
+            f"rms {rms * 1e3:.2f} mV)")
+    C_p, C_n, x_0, y_0 = (float(t) for t in res.x)
+    return ESOHRecord(
+        C=C_meas, C_p=C_p, C_n=C_n,
+        x_0=x_0, x_100=x_0 + C_meas / C_n,
+        y_0=y_0, y_100=y_0 - C_meas / C_p,
+        n_li=3600.0 / params.F * (x_0 * C_n + y_0 * C_p),
+        fit_rms_v=rms,
+    )
 
 
 def ocp_oracle(table, s):

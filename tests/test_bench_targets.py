@@ -127,9 +127,9 @@ def test_voltage_calls_per_cell_evaluation(params, degp, monkeypatch):
 def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     # electrochem.window.calls reads as one solve_window per identified
     # vector however often the routes and their checks ask, and
-    # ocp.array.calls as two table calls per eSOH residual evaluation
-    # (the fit's Jacobian makes two array derivative calls per evaluation
-    # and no residual evaluation of its own)
+    # ocp.array.calls as two table calls per distinct theta the eSOH fit
+    # tries (the fit's Jacobian makes two array derivative calls per
+    # distinct theta and no table value call of its own)
     state = DegradationState(1e-7, 2e-8, 0.95 * params.C_p_nom,
                              0.95 * params.C_n_nom, 0.09)
     y = measurement.forward_measure(params, degp, state, n_li0)
@@ -163,44 +163,49 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
 
     calls.update(jacobian=0, derivative=0)
     fits = []
-    scipy_least_squares = measurement.least_squares
+    scipy_leastsq = measurement.leastsq
     table_derivative = ocp.MonotoneOCPTable.derivative
 
     def derivative(self, s):
         calls["derivative"] += isinstance(s, np.ndarray)
         return table_derivative(self, s)
 
-    def recording_least_squares(fun, *args, jac, **kwargs):
-        fits.append(scipy_least_squares(fun, *args,
-                                        jac=counted("jacobian", jac), **kwargs))
+    thetas, jacobian_thetas = set(), set()
+
+    def recording_leastsq(func, x0, Dfun, **kwargs):
+        def residual(theta):
+            thetas.add(theta.tobytes())
+            return func(theta)
+
+        def jacobian(theta):
+            jacobian_thetas.add(theta.tobytes())
+            return Dfun(theta)
+
+        fits.append(scipy_leastsq(counted("residual", residual), x0,
+                                  Dfun=counted("jacobian", jacobian),
+                                  **kwargs))
         return fits[-1]
 
     monkeypatch.setattr(ocp.MonotoneOCPTable, "derivative", derivative)
-    monkeypatch.setattr(measurement, "least_squares", recording_least_squares)
-    least_squares = measurement.least_squares
-    thetas = set()
-
-    def counting_least_squares(fun, *args, **kwargs):
-        def residual(theta):
-            thetas.add(theta.tobytes())
-            return fun(theta)
-        return least_squares(counted("residual", residual), *args, **kwargs)
-
     monkeypatch.setattr(ocp.MonotoneOCPTable, "__call__", table)
-    monkeypatch.setattr(measurement, "least_squares", counting_least_squares)
+    monkeypatch.setattr(measurement, "leastsq", recording_leastsq)
     measurement.extract_esoh(curve, p)
+    info = fits[0][2]
     assert calls["residual"] > 0
-    assert calls["array"] == 2 * calls["residual"]
-    # no theta is evaluated twice. nfev counts each point MINPACK asks
-    # for, the start included; scipy evaluates the start before MINPACK
-    # runs and answers a point equal to the one before it from a one-point
-    # cache. This fit takes one trial step near the answer that rounds to
-    # no change in theta, so one count never reaches the residual.
-    assert len(thetas) == calls["residual"] == fits[0].nfev - 1
-    # MINPACK's first Jacobian is the one scipy took at the start; the
-    # last comes from scipy's closing jac(x) at the answer
-    assert calls["jacobian"] == fits[0].njev + 1 > 1
-    assert calls["derivative"] == 2 * calls["jacobian"]
+    # each distinct theta costs one value call per table however often it
+    # is asked for, so no theta reaches the tables twice: leastsq's shape
+    # check and MINPACK's calls at the start share one evaluation
+    assert calls["array"] == 2 * len(thetas) < 2 * calls["residual"]
+    # nfev counts each point MINPACK asks for, the start included; leastsq
+    # asks for the start once more to check the residual's shape, and
+    # scipy's _lmder once more to size its arrays
+    assert calls["residual"] == info["nfev"] + 2
+    # one derivative call per table for each distinct theta whose Jacobian
+    # is asked for, every one of them a theta the residual was evaluated
+    # at; MINPACK's njev plus leastsq's shape check, and no closing jac(x)
+    assert calls["jacobian"] == info["njev"] + 1 > 1
+    assert calls["derivative"] == 2 * len(jacobian_thetas)
+    assert jacobian_thetas <= thetas
 
 
 def test_degradation_calls_per_cell_evaluation(params, degp, monkeypatch):

@@ -6,7 +6,8 @@ electrochem.py builds from the raw cell fields. Each physical law is
 written once: only degradation.py reads the film model's coefficients
 (film lithium, resistance, expansion and the family line), and only
 Electrode.exchange_current evaluates the exchange-current law. The
-package has one root finder, ocp.brent.
+package has one root finder, ocp.brent, and one least-squares solver,
+scipy's leastsq in the eSOH fit.
 """
 
 import ast
@@ -146,3 +147,19 @@ def test_one_root_finder():
                      or node.module == "scipy"
                      and any(a.name == "optimize" for a in node.names)))}
     assert importers == OPTIMIZE_IMPORTERS, importers
+    # the eSOH fit has one solver: MINPACK through leastsq, with no second
+    # path through least_squares
+    optimize_names = sorted(
+        alias.name for name, tree in modules if name == "measurement.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize"
+        for alias in node.names)
+    assert optimize_names == ["leastsq"], optimize_names
+    second = [f"{name}:{node.lineno}"
+              for name, tree in modules for node in ast.walk(tree)
+              if (isinstance(node, ast.Name) and node.id == "least_squares")
+              or (isinstance(node, ast.Attribute)
+                  and node.attr == "least_squares")
+              or (isinstance(node, ast.alias)
+                  and node.name == "least_squares")]
+    assert not second, "fit eSOH through leastsq: " + ", ".join(second)

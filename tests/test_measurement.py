@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from cellfade.measurement import (
 )
 from cellfade.electrochem import solve_window
 from cellfade.protocol import run_rpt
-from helpers import bounded_trf, sample_windows
+from helpers import (bounded_trf, esoh_least_squares_oracle,
+                     least_squares_lm, sample_windows)
 
 
 def fresh_state(params):
@@ -261,19 +263,19 @@ class TestESOH:
 
 
 class TestESOHJacobian:
-    """extract_esoh hands least_squares the exact Jacobian of its residual;
-    both are captured through the module's least_squares name."""
+    """extract_esoh hands leastsq the exact Jacobian of its residual; both
+    are captured through the module's leastsq name, and a stand-in fits
+    them with scipy's least_squares."""
 
     @staticmethod
     def fit_problem(params, n_li0, monkeypatch):
         seen = {}
-        least_squares = measurement.least_squares
 
-        def capture(fun, x0, **kwargs):
-            seen.update(fun=fun, jac=kwargs["jac"])
-            return least_squares(fun, x0, **kwargs)
+        def capture(func, x0, Dfun, **kwargs):
+            seen.update(fun=func, jac=Dfun)
+            return least_squares_lm(func, x0, Dfun, **kwargs)
 
-        monkeypatch.setattr(measurement, "least_squares", capture)
+        monkeypatch.setattr(measurement, "leastsq", capture)
         truth = solve_window(params, 0.93 * params.C_p_nom,
                              0.9 * params.C_n_nom, 0.92 * n_li0)
         curve = synthesize_pseudo_ocv(params, truth, noise_mv=1.0,
@@ -352,13 +354,12 @@ class TestESOHJacobian:
         # from the measured capacity; with theta unbounded, only the
         # penalty rows keep x_0 and y_0 on their tables
         seen = {}
-        least_squares = measurement.least_squares
 
-        def capture(fun, x0, **kwargs):
-            seen.update(fun=fun, jac=kwargs["jac"])
-            return least_squares(fun, x0, **kwargs)
+        def capture(func, x0, Dfun, **kwargs):
+            seen.update(fun=func, jac=Dfun)
+            return least_squares_lm(func, x0, Dfun, **kwargs)
 
-        monkeypatch.setattr(measurement, "least_squares", capture)
+        monkeypatch.setattr(measurement, "leastsq", capture)
         truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
         full = synthesize_pseudo_ocv(params, truth)
         curve = type(full)(full.capacity_Ah[3:-3], full.voltage[3:-3])
@@ -382,16 +383,14 @@ class TestESOHJacobian:
                                                 monkeypatch):
         # the same residual fitted with scipy's 2-point Jacobian: the
         # exact one changes the iterates, not the answer
-        least_squares = measurement.least_squares
-
-        def two_point(fun, x0, **kwargs):
-            return least_squares(fun, x0, **dict(kwargs, jac="2-point"))
+        def two_point(func, x0, Dfun, **kwargs):
+            return least_squares_lm(func, x0, Dfun, jac="2-point", **kwargs)
 
         curves = [synthesize_pseudo_ocv(params, w, noise_mv=noise, rng=rng)
                   for noise in (0.0, 1.0)
                   for w in sample_windows(params, n_li0, rng, 15)]
         exact = [extract_esoh(c, params) for c in curves]
-        monkeypatch.setattr(measurement, "least_squares", two_point)
+        monkeypatch.setattr(measurement, "leastsq", two_point)
         for curve, a in zip(curves, exact):
             b = extract_esoh(curve, params)
             for k in ("C_p", "C_n", "x_0", "y_0"):
@@ -418,7 +417,7 @@ class TestESOHSolver:
         lm = [extract_esoh(curve, params, capacity=c) for curve, c in fits]
         for (curve, c), a in zip(fits, lm):
             q = curve.capacity_Ah
-            monkeypatch.setattr(measurement, "least_squares", bounded_trf(
+            monkeypatch.setattr(measurement, "leastsq", bounded_trf(
                 params, c if c is not None else q[-1] - q[0]))
             b = extract_esoh(curve, params, capacity=c)
             for k in ("C_p", "C_n", "x_0", "y_0"):
@@ -433,17 +432,94 @@ class TestESOHSolver:
                                                monkeypatch, field):
         # NaN fails every comparison: "rms > 0.05" would accept a NaN
         # misfit, and a NaN answer has no misfit check of its own
-        least_squares = measurement.least_squares
+        def diverged(func, theta0, Dfun, **kwargs):
+            x, cov_x, info, mesg, ier = least_squares_lm(func, theta0, Dfun,
+                                                         **kwargs)
+            if field == "x":
+                x = np.full_like(x, np.nan)
+            else:
+                info["fvec"] = np.full_like(info["fvec"], np.nan)
+            return x, cov_x, info, mesg, ier
 
-        def diverged(fun, theta0, **kwargs):
-            res = least_squares(fun, theta0, **kwargs)
-            res[field] = np.full_like(res[field], np.nan)
-            return res
-
-        monkeypatch.setattr(measurement, "least_squares", diverged)
+        monkeypatch.setattr(measurement, "leastsq", diverged)
         truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
         with pytest.raises(EstimationFailedError):
             extract_esoh(synthesize_pseudo_ocv(params, truth), params)
         rpt = run_rpt(Cell(params, degp), dt=30.0)
         assert rpt["esoh"] is None
         assert "did not converge" in rpt["esoh_error"]
+
+    def test_failed_fit_names_minpack_info(self, params, degp, n_li0,
+                                           monkeypatch):
+        # a failed fit says why in MINPACK's own terms, and run_rpt keeps
+        # that text as the RPT's esoh_error
+        scipy_leastsq = measurement.leastsq
+
+        def capped(func, x0, **kwargs):
+            return scipy_leastsq(func, x0, **dict(kwargs, maxfev=3))
+
+        monkeypatch.setattr(measurement, "leastsq", capped)
+        truth = solve_window(params, 0.93 * params.C_p_nom,
+                             0.88 * params.C_n_nom, 0.92 * n_li0)
+        reason = ("MINPACK info 5: Number of calls to function has reached "
+                  "maxfev = 3.)")
+        with pytest.raises(EstimationFailedError, match=re.escape(reason)):
+            extract_esoh(synthesize_pseudo_ocv(params, truth), params)
+        rpt = run_rpt(Cell(params, degp), dt=30.0)
+        assert rpt["esoh"] is None
+        assert reason in rpt["esoh_error"]
+
+
+class TestESOHOracle:
+    """extract_esoh reproduces the fit it made on scipy's least_squares
+    (tests/helpers.esoh_least_squares_oracle) to the bit: the same MINPACK
+    call sees the same residuals and Jacobians, however often each is
+    asked for."""
+
+    FIELDS = ("C", "C_p", "C_n", "x_0", "x_100", "y_0", "y_100", "n_li",
+              "fit_rms_v")
+
+    def outcome(self, fit, curve, params, capacity):
+        """The fitted record's fields as float.hex, a rejection's message,
+        or a failed fit (whose message names the solver's own code)."""
+        try:
+            r = fit(curve, params, capacity=capacity)
+        except ConfigError as e:
+            return "ConfigError", str(e)
+        except EstimationFailedError:
+            return "EstimationFailedError"
+        return tuple(float.hex(getattr(r, k)) for k in self.FIELDS)
+
+    def test_fits_equal_the_oracle_bitwise(self, params, degp, n_li0, rng):
+        cases = []
+        for noise in (0.0, 0.5, 2.0):
+            for w in sample_windows(params, n_li0, rng, 12):
+                c = synthesize_pseudo_ocv(params, w, noise_mv=noise, rng=rng)
+                # a sweep that stops short of the window ends, fitted with
+                # the window's capacity
+                trimmed = type(c)(c.capacity_Ah[3:-3], c.voltage[3:-3])
+                cases += [(c, None), (trimmed, w.C)]
+        rpt = run_rpt(Cell(params, degp), dt=30.0)
+        cases.append((rpt["pseudo_ocv"], rpt["capacity_Ah"]))
+        fitted = 0
+        for curve, capacity in cases:
+            want = self.outcome(esoh_least_squares_oracle, curve, params,
+                                capacity)
+            assert self.outcome(extract_esoh, curve, params, capacity) == want
+            fitted += isinstance(want, tuple) and len(want) == len(self.FIELDS)
+        # most cases fit; trimmed curves that miss a knee are rejected
+        assert fitted >= 0.7 * len(cases)
+
+    def test_oracle_failures_fail_here(self, params, rng):
+        # random monotone curves across the window: no electrode pair fits
+        fails = 0
+        for _ in range(6):
+            q = np.sort(rng.uniform(0.0, 4.5, 60))
+            q[0] = 0.0
+            v = np.sort(rng.uniform(params.V_min - 0.05, params.V_max + 0.05,
+                                    60))[::-1]
+            curve = measurement.PseudoOCV(q, v)
+            want = self.outcome(esoh_least_squares_oracle, curve, params, None)
+            assert self.outcome(extract_esoh, curve, params, None) == want
+            fails += want == "EstimationFailedError"
+        assert fails >= 4

@@ -189,6 +189,46 @@ def test_stall_raises(cell):
         run_step(cell, step, dt_rest=1e5)
 
 
+class CVLawCell(Cell):
+    """A cell whose CV trial voltage follows law(I); trials leave its
+    state alone, as Cell.voltage_after does."""
+
+    def __init__(self, params, degp, law):
+        super().__init__(params, degp)
+        self.law = law
+        self.trials = 0
+
+    def voltage_after(self, I, dt):
+        self.trials += 1
+        return self.law(I)
+
+
+@pytest.mark.parametrize("law, trials", [
+    # the secant's first two points agree, so it has no slope to follow
+    ("flat", 2),
+    # a cube root about the setpoint: each secant step lands farther out,
+    # and all 60 iterations run
+    ("cube_root", 62),
+])
+def test_cv_solve_stall_raises(params, degp, c1, law, trials):
+    v_set = params.V_max
+    laws = {"flat": lambda I: v_set - 0.3,
+            "cube_root": lambda I: v_set - np.cbrt(I - 0.7)}
+    cell = CVLawCell(params, degp, laws[law])
+    snap = cell.get_state()
+    c_pos, c_neg = snap[0].c_pos.copy(), snap[0].c_neg.copy()
+    step = ProtocolStep("cv", v_set,
+                        [Termination("current", "abs<=", c1 / 100.0)])
+    with pytest.raises(ProtocolStallError,
+                       match=rf"CV solve at {v_set:g} V did not converge"):
+        run_step(cell, step, dt=10.0)
+    assert cell.trials == trials
+    # the stall leaves the state values as they were
+    assert all(a is b for a, b in zip(cell.get_state(), snap))
+    assert np.array_equal(snap[0].c_pos, c_pos)
+    assert np.array_equal(snap[0].c_neg, c_neg)
+
+
 def test_protocol_determinism(cell, params, degp, c1):
     steps = [
         ProtocolStep("cc", c1 / 2.0, [Termination("voltage", "<=", 3.2)]),
