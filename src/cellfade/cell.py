@@ -24,6 +24,8 @@ from .degradation import (DegradationState, StepIncrements, StressExtrema,
 from .errors import CellDeadError
 from .particle import at_stoichiometry, step_particle_diffusion
 
+_FROZEN = StepIncrements(0.0, 0.0, 0.0)   # a frozen probe's step, shared
+
 
 class Cell:
     """A cell whose state is held as values.
@@ -128,7 +130,8 @@ class Cell:
         d = self.degradation
         particles = self.particles
         pos, neg = p.pos, p.neg
-        area_p, area_n, f_area_p, f_area_n = self._context()
+        ctx = self._ctx if (d.C_p, d.C_n) == self._ctx_key else self._context()
+        area_p, area_n, f_area_p, f_area_n = ctx
 
         # surface concentrations: the outer shell corrected by the flux
         # boundary condition across its half width
@@ -136,7 +139,7 @@ class Cell:
         c_ss_n = float(particles.c_neg[-1]) - neg.half_dr * j_neg0 / neg.D
         if self.freeze_degradation:
             deg_new = d
-            inc = StepIncrements(0.0, 0.0, 0.0)
+            inc = _FROZEN
         else:
             eta_neg = neg.overpotential(I / area_n, c_ss_n)
             u_neg = neg.ocp(c_ss_n / neg.c_smax)

@@ -46,6 +46,17 @@ class DegradationState:
         self.__dict__.update(delta_sei=delta_sei, delta_pl=delta_pl,
                              C_p=C_p, C_n=C_n, LLI=LLI)
 
+    def grown(self, delta_sei, delta_pl, LLI):
+        """This state with the films and LLI that step_degradation grew,
+        made without __init__: the step passes floats, grows each film by
+        an amount >= 0 and keeps the capacities, so only LLI is checked."""
+        if not (0.0 <= LLI < 1.0):
+            raise ConfigError(f"LLI must be in [0,1), got {LLI}")
+        new = object.__new__(DegradationState)
+        new.__dict__.update(self.__dict__, delta_sei=delta_sei,
+                            delta_pl=delta_pl, LLI=LLI)
+        return new
+
     def copy(self):
         return DegradationState(self.delta_sei, self.delta_pl,
                                 self.C_p, self.C_n, self.LLI)
@@ -170,7 +181,7 @@ def lam_cycle_update(extrema, lam, params):
             deps_neg * params.neg.full_capacity)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepIncrements:
     """What one coupled step consumed, for flux splitting and audits."""
     i_side: float     # side-reaction current, A, <= 0
@@ -224,6 +235,5 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     dn_sei = 2.0 * area * (d_sei_new - delta) / sei.Omega_sei
     dn_pl = area * (d_pl_new - delta_pl) / pl.Omega_pl
     dn = dn_sei + dn_pl
-    new = DegradationState(d_sei_new, d_pl_new, state.C_p, state.C_n,
-                           state.LLI + dn / n_li0)
-    return new, StepIncrements(-F * dn / dt, dn_sei, dn_pl)
+    return (state.grown(d_sei_new, d_pl_new, state.LLI + dn / n_li0),
+            StepIncrements(-F * dn / dt, dn_sei, dn_pl))

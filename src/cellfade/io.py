@@ -7,6 +7,8 @@ identical runs produce byte-identical files on any platform.
 import hashlib
 import json
 import time
+from array import array
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -188,19 +190,22 @@ def load_state(path, params, deg_params):
 
 # --- result writers ---
 
-_INTEGERS = (int, np.integer)
-
-
 def write_csv(path, columns):
     """CSV with a header row and one row per index. columns maps each
     header to an equal-length sequence (list, array.array or numpy array);
     integers are written as integers and every other value as the repr of
-    a float."""
+    a float. Columns become Python ints and floats, whose %r is just that;
+    each row is one %, and rows go out 4096 at a time, never all at once."""
+    values = [c.tolist() if isinstance(c, np.ndarray) and c.dtype.kind in "iuf"
+              else c if isinstance(c, array) and c.typecode in "dq"
+              else [int(v) if isinstance(v, (int, np.integer)) else float(v)
+                    for v in c] for c in columns.values()]
+    row = ",".join(["%r"] * len(values)) + "\n"
+    rows = zip(*values, strict=True)
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
-        for row in zip(*columns.values(), strict=True):
-            f.write(",".join([str(int(v)) if isinstance(v, _INTEGERS)
-                              else repr(float(v)) for v in row]) + "\n")
+        while chunk := "".join([row % r for r in islice(rows, 4096)]):
+            f.write(chunk)
 
 
 def write_trajectory_csv(path, traj):

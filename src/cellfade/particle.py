@@ -61,7 +61,8 @@ class SphereFV:
         self._props = {}
 
     def _propagator(self, dt):
-        """(P, P e, min(P e), max(P e), slack) for one timestep size."""
+        """(P, P e, min(P e), max(P e), slack) for one timestep size. The
+        cache keeps P's transposed view after them, for step's dgemv."""
         got = self._props.get(dt)
         if got is None:
             P = np.linalg.inv(np.eye(self.n) - dt * self._M)
@@ -76,20 +77,24 @@ class SphereFV:
             # that measurement, eight single operations. P < 0 voids it.
             rho = np.abs(P.sum(axis=1) - 1.0).max() if P.min() >= 0.0 else np.inf
             slack = float(rho + (self.n + 4) * np.finfo(float).eps) * self.c_smax
-            got = (P, Pe, float(Pe.min()), float(Pe.max()), slack)
+            got = (P, Pe, float(Pe.min()), float(Pe.max()), slack, P.T)
             if len(self._props) > 64:
                 self._props.clear()
             self._props[dt] = got
-        return got
+        return got[:5]
 
     def step(self, c, j, dt, enclosure=None):
         """Advance one backward-Euler step under surface molar flux j.
         Returns c_new and its enclosure, moved from c's enclosure (inside
         [0, c_smax]) or, past those ends or from None, computed exactly."""
-        P, Pe, pe_lo, pe_hi, slack = self._propagator(dt)
+        got = self._props.get(dt)
+        if got is None:
+            self._propagator(dt)
+            got = self._props[dt]
+        _, Pe, pe_lo, pe_hi, slack, PT = got
         s = dt * j
-        # P c - s Pe; P.T is P's F-ordered view, and Pe is copied, not written
-        c_new = dgemv(1.0, P.T, c, -s, Pe, trans=1)
+        # P c - s Pe; PT is P's F-ordered view, and Pe is copied, not written
+        c_new = dgemv(1.0, PT, c, -s, Pe, trans=1)
         if enclosure is not None:
             e_lo, e_hi = (pe_hi, pe_lo) if s >= 0.0 else (pe_lo, pe_hi)
             lo = enclosure[0] - s * e_lo - slack
@@ -110,7 +115,7 @@ class SphereFV:
         return np.full(self.n, stoichiometry * self.c_smax)
 
 
-@dataclass
+@dataclass(slots=True)
 class ParticleState:
     """Radial concentration profiles for the electrode pair, mol/m^3.
 

@@ -178,7 +178,9 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
     """
     t = 0.0
     q_signed = 0.0
+    cv = step.mode == "cv"
     base_dt = dt_rest if step.mode == "rest" else dt
+    I = step.setpoint if step.mode == "cc" else 0.0   # CV solves per attempt
     i_cv = 0.0
     time_terms = [c for c in step.terminations if c.quantity == "time"]
     while True:
@@ -193,11 +195,7 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
         snap = cell.get_state()
         while True:   # refine dt near thresholds
             try:
-                if step.mode == "rest":
-                    I = 0.0
-                elif step.mode == "cc":
-                    I = step.setpoint
-                else:
+                if cv:
                     I = _solve_cv_current(cell, step.setpoint, dt_eff, i_cv)
                 rec = cell.step(I, dt_eff)
             except SaturationError:   # in a CV trial too
@@ -205,11 +203,10 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
                 if dt_eff <= MIN_DT:
                     raise
             else:
-                now = {"time": t + dt_eff, "voltage": rec["V"],
-                       "current": rec["I"]}
                 fired = None
                 for c in step.terminations:
-                    if c.met(now[c.quantity]):
+                    if c.met(rec["V"] if c.quantity == "voltage" else
+                             I if c.quantity == "current" else t + dt_eff):
                         fired = c
                         break
                 overshoot = (fired is not None and fired.quantity == "voltage"
@@ -219,7 +216,7 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
                 cell.set_state(snap)   # a voltage threshold overshot
             dt_eff = max(dt_eff / 2.0, MIN_DT)
 
-        if step.mode == "cv":
+        if cv:
             i_cv = I
         t += dt_eff
         q_signed += I * dt_eff / 3600.0

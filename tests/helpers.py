@@ -6,17 +6,20 @@ import math
 from importlib import resources
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 from scipy.optimize import brentq, least_squares
 
 from cellfade import io as cio
 from cellfade.degradation import (DegradationState, StepIncrements,
-                                  plated_lithium_moles, sei_lithium_moles)
-from cellfade.electrochem import ESOHRecord, solve_window
+                                  hydrostatic_stress, plated_lithium_moles,
+                                  r_film, sei_lithium_moles)
+from cellfade.electrochem import ESOHRecord, solve_window, terminal_voltage
 from cellfade.errors import (CellDeadError, ConfigError, EstimationFailedError,
                              InfeasibleError, KineticsSingularError,
                              SaturationError)
 from cellfade.identify import invert_without_expansion, sample_family
 from cellfade.measurement import ENDPOINT_WEIGHT, forward_measure
+from cellfade.particle import particle_state
 from cellfade.protocol import reference_capacity
 
 
@@ -251,6 +254,73 @@ def moles(sp, c):
     """Lithium content of one SphereFV particle, mol: a numpy oracle, not
     the kernel's BLAS average."""
     return float(sp.volumes @ c)
+
+
+def _particle_step_oracle(sp, c, j, dt):
+    """SphereFV.step without its cache fetch or carried enclosure: P c - s Pe
+    by the same dgemv on a fresh transposed view of P, and the exact range
+    check on every step."""
+    P, Pe = sp._propagator(dt)[:2]
+    c_new = dgemv(1.0, P.T, c, -(dt * j), Pe, trans=1)
+    if c_new.min() < 0.0 or c_new.max() > sp.c_smax:
+        raise SaturationError(f"{sp.name} particle left [0, c_smax]")
+    return c_new
+
+
+def cell_step_oracle(cell, I, dt):
+    """Cell.step composed from public pieces, writing nothing into cell:
+    the areas from each side's Electrode.area on every call, a new
+    StepIncrements for a frozen probe, the degradation step from
+    step_degradation_oracle (its state built by DegradationState.__init__),
+    both particles stepped by _particle_step_oracle and the new state's
+    averages from particle_state.
+    Returns (record, (particles, degradation, extrema)), the step's record
+    and the state it leaves, in Cell.get_state's order."""
+    p, degp, d = cell.params, cell.deg_params, cell.degradation
+    pos, neg, particles = p.pos, p.neg, cell.particles
+    area_p, area_n = pos.area(d.C_p), neg.area(d.C_n)
+    f_area_p, f_area_n = p.F * area_p, p.F * area_n
+    c_ss_n = float(particles.c_neg[-1]) - neg.half_dr * (I / f_area_n) / neg.D
+    if cell.freeze_degradation:
+        deg_new, inc = d, StepIncrements(0.0, 0.0, 0.0)
+    else:
+        eta_neg = neg.overpotential(I / area_n, c_ss_n)
+        u_neg = neg.ocp(c_ss_n / neg.c_smax)
+        deg_new, inc = step_degradation_oracle(
+            p, degp, d, eta_neg, u_neg, c_ss_n, particles.averages[1],
+            cell.n_li0, dt)
+    j_neg = (I - inc.i_side) / f_area_n
+    j_pos = -I / f_area_p
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    parts = particle_state(
+        p, _particle_step_oracle(pos, particles.c_pos, j_pos, dt),
+        _particle_step_oracle(neg, particles.c_neg, j_neg, dt))
+    c_ss_p = float(parts.c_pos[-1]) - pos.half_dr * j_pos / pos.D
+    c_ss_n = float(parts.c_neg[-1]) - neg.half_dr * j_neg / neg.D
+    v_t = terminal_voltage(p, c_ss_p, c_ss_n, I, r_film(p, degp, deg_new)[1],
+                           -I / area_p, I / area_n)
+    c_avg_p, c_avg_n, y, x = parts.averages
+    sig_p = hydrostatic_stress(degp.lam.stress_gain_pos, pos, c_ss_p, c_avg_p)
+    sig_n = hydrostatic_stress(degp.lam.stress_gain_neg, neg, c_ss_n, c_avg_n)
+    record = {"I": I, "V": v_t, "x": x, "y": y, "i_side": inc.i_side,
+              "dn_sei": inc.dn_sei, "dn_pl": inc.dn_pl,
+              "sigma_pos": sig_p, "sigma_neg": sig_n}
+    return record, (parts, deg_new, cell.extrema.update(sig_p, sig_n))
+
+
+_INTEGERS = (int, np.integer)
+
+
+def write_csv_oracle(path, columns):
+    """io.write_csv as it was written before its rows were formatted by %
+    and written in chunks: a type test and a str or repr per value, and
+    one write per row."""
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        for row in zip(*columns.values(), strict=True):
+            f.write(",".join([str(int(v)) if isinstance(v, _INTEGERS)
+                              else repr(float(v)) for v in row]) + "\n")
 
 
 def sphere_surface_under_constant_flux(r_p, D, c0, j, t, terms=200):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from importlib import resources
 
 import numpy as np
@@ -11,12 +12,13 @@ from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.degradation import (DegradationState, deep_soh,
                                   lam_cycle_update)
+from cellfade.errors import SaturationError
 from cellfade.measurement import r_film
 from cellfade.params import default_cell
 from cellfade.protocol import (Campaign, ProtocolStep, Termination,
                                reference_capacity, run_campaign,
                                run_step)
-from helpers import demo_members
+from helpers import cell_step_oracle, demo_members
 
 
 @pytest.fixture
@@ -122,6 +124,71 @@ def test_step_record_fields(cell):
         assert key in rec
     assert rec["I"] == 1.0
     assert cell.params.V_min - 0.5 < rec["V"] < cell.params.V_max + 0.5
+
+
+def _hexes(values):
+    values = list(values)
+    assert all(type(v) is float for v in values), values
+    return [v.hex() for v in values]
+
+
+def test_step_matches_its_composed_oracle_bit_for_bit(params, degp,
+                                                      monkeypatch):
+    # every Cell.step, the committed CV trials and a frozen probe's steps
+    # included, against the step composed from public pieces: each record
+    # field, both profiles, their averages, the degradation state and the
+    # stress envelope by float.hex, across fatigue bookings that move the
+    # capacities the areas are cached on
+    rng = random.Random(29)
+    c1 = reference_capacity(params)
+    step = Cell.step
+    dts = []
+
+    def checked(cell, I, dt):
+        try:
+            want, (parts, deg, extrema) = cell_step_oracle(cell, I, dt)
+        except SaturationError:
+            with pytest.raises(SaturationError):
+                step(cell, I, dt)
+            raise
+        got = step(cell, I, dt)
+        dts.append((cell.freeze_degradation, dt))
+        assert got.keys() == want.keys()
+        assert _hexes(got.values()) == _hexes(want[k] for k in got)
+        now = cell.particles
+        assert now.c_pos.tobytes() == parts.c_pos.tobytes()
+        assert now.c_neg.tobytes() == parts.c_neg.tobytes()
+        assert _hexes(now.averages) == _hexes(parts.averages)
+        for a, b in ((cell.degradation, deg), (cell.extrema, extrema)):
+            assert _hexes(dataclasses.astuple(a)) == \
+                _hexes(dataclasses.astuple(b))
+        return got
+
+    monkeypatch.setattr(Cell, "step", checked)
+    cell = Cell(params, degp)
+    for _ in range(3):
+        rate = rng.uniform(0.4, 1.0)
+        for mode, setpoint, until in [
+                ("cc", c1 * rate, Termination("voltage", "<=", params.V_min)),
+                ("rest", 0.0, Termination("time", ">=", 900.0)),
+                ("cc", -c1 * rate, Termination("voltage", ">=", params.V_max)),
+                ("cv", params.V_max,
+                 Termination("current", "abs<=", c1 / 20.0))]:
+            cap = Termination("time", ">=", rng.uniform(4000.0, 9000.0))
+            run_step(cell, ProtocolStep(mode, setpoint, [until, cap]),
+                     dt=60.0, dt_rest=300.0)
+        cell.apply_cycle_fatigue()
+    probe = cell.clone()
+    probe.freeze_degradation = True
+    run_step(probe, ProtocolStep("cc", c1 / 2.0, [
+        Termination("voltage", "<=", params.V_min)]), dt=120.0)
+    probe.equilibrate_at(0.5)
+    probe.step(0.1 * c1, 0.1)
+    assert len(dts) > 300
+    live = {dt for frozen, dt in dts if not frozen}
+    assert {60.0, 300.0, 30.0, 15.0} <= live   # voltage approaches halved
+    assert sum(frozen for frozen, _ in dts) > 20
+    assert cell.degradation.C_n < params.C_n_nom
 
 
 def test_discharge_moves_stoichiometries(cell):

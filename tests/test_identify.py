@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -656,6 +657,19 @@ class TestAmbiguityExperiment:
         seis = [m["delta_sei_m"] for m in rep["members"]]
         assert pls == sorted(pls)
         assert seis == sorted(seis, reverse=True)
+
+    def test_headline_holds_at_half_the_timestep(self, params, degp, n_li0):
+        # the packaged demo's members keep the RULs they reach at dt 60/300
+        # when every stride halves; they age in two processes, as
+        # cellfade ambiguity --jobs 2 runs them
+        y, n, campaign, budget = cio.load_ambiguity_config(
+            resources.files("cellfade.data") / "ambiguity_demo.yaml",
+            reference_capacity(params))
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            rep = ambiguity_experiment(params, degp, y, campaign, n_members=n,
+                                       n_li0=n_li0, dt=30.0, dt_rest=150.0,
+                                       lli_budget=budget, map=pool.map)
+        assert [m["rul_cycles"] for m in rep["members"]] == [222, 187, 157]
 
     def test_rejects_zero_members(self, params, degp, y_no_exp, n_li0):
         with pytest.raises(ConfigError):

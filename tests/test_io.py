@@ -1,7 +1,10 @@
 """Config parsing, state files, and deterministic result writers."""
 
+import dataclasses
 import json
+import tracemalloc
 from array import array
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from cellfade.errors import ConfigError
 from cellfade.params import load_cell_config
 from cellfade.protocol import (ProtocolStep, Termination, Trajectory,
                                reference_capacity, run_campaign, run_protocol)
-from helpers import demo_members
+from helpers import demo_members, write_csv_oracle
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
 
@@ -299,6 +302,106 @@ def test_write_csv_round_trips_typed_columns(tmp_path):
     other = tmp_path / "l.csv"
     cio.write_csv(other, {"n": list(ints), "v": list(floats)})
     assert other.read_bytes() == path.read_bytes()
+
+
+def _packaged_trajectory(params, degp):
+    c1 = reference_capacity(params)
+    campaign = cio.load_campaign(
+        resources.files("cellfade.data") / "campaign_default.yaml", c1)
+    campaign = dataclasses.replace(campaign, max_cycles=3, rpt_every=0)
+    return run_campaign(Cell(params, degp), campaign, dt=10.0,
+                        dt_rest=60.0)[0]
+
+
+EDGES = [-0.0, 5e-324, 1e308, 1 / 3, float("nan"), float("inf"),
+         -float("inf")]
+CSV_CASES = {
+    "numpy": lambda: {
+        "n": np.array([0, -3, 2**53 + 1, 2**63 - 1, -2**63], dtype=np.int64),
+        "v": np.array(EDGES[:5], dtype=np.float64),
+        "u": np.array([0, 1, 2**64 - 1, 7, 9], dtype=np.uint64),
+        "f": np.array([0.1, -2.5, 1e-30, 3e38, 1 / 3], dtype=np.float32),
+        "b": np.array([True, False, True, True, False])},
+    # the member capacities cellfade ambiguity writes
+    "lists": lambda: {"cycle": [1, 2, 3, 4], "capacity_Ah": [4.9, 4.8, 4.7, 0.0],
+                      "LLI": [0.0, 1e-3, 2e-3, 0.25]},
+    "edges": lambda: {"v": EDGES, "a": array("d", EDGES),
+                      "n": [2**63 - 1, 0, -1, True, False, 7, 2**63 - 1],
+                      "q": array("q", [2**63 - 1, -2**63, 0, 1, -1, 5, 6])},
+    "numpy scalars in a list": lambda: {
+        "v": [np.float64(1 / 3), np.int64(2**63 - 1), np.float32(0.1),
+              np.int32(-5), np.bool_(True), np.uint8(255)]},
+    "empty": lambda: {"a": [], "b": np.array([]), "c": array("d"),
+                      "d": array("q")},
+    "no columns": lambda: {},
+}
+
+
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_write_csv_matches_the_old_writer_byte_for_byte(tmp_path, case):
+    columns = CSV_CASES[case]()
+    cio.write_csv(tmp_path / "new.csv", columns)
+    write_csv_oracle(tmp_path / "old.csv", columns)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097])
+def test_write_csv_matches_the_old_writer_across_chunks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=n)
+    k = rng.integers(-2**62, 2**62, size=n)
+    for columns in ({"v": v, "k": k}, {"v": array("d", v), "k": array("q", k)},
+                    {"v": v.tolist(), "k": k.tolist()}):
+        cio.write_csv(tmp_path / "new.csv", columns)
+        write_csv_oracle(tmp_path / "old.csv", columns)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert new.count(b"\n") == n + 1
+
+
+def test_write_csv_matches_the_old_writer_on_a_campaign(params, degp,
+                                                        tmp_path):
+    tr = _packaged_trajectory(params, degp)
+    assert len(tr.t) > 4097 and len(set(tr.cycle)) == 3
+    cio.write_trajectory_csv(tmp_path / "new.csv", tr)
+    write_csv_oracle(tmp_path / "old.csv", {
+        "t_s": tr.t, "cycle": tr.cycle, "step_index": tr.step_index,
+        "I_A": tr.I, "V_V": tr.V, "x": tr.x, "y": tr.y})
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": [1, 2], "b": [1.0]},
+    {"a": np.zeros(3), "b": array("q", [1, 2])},
+    {"a": array("d", range(4097)), "b": array("d", range(4096))},
+])
+def test_write_csv_rejects_unequal_columns(tmp_path, columns):
+    with pytest.raises(ValueError):
+        cio.write_csv(tmp_path / "c.csv", columns)
+
+
+def test_write_csv_memory_stays_bounded(tmp_path):
+    # rows go out in chunks, so the writer's memory does not grow with the
+    # file: 200 000 trajectory rows (about 19 MiB) peak under 4 MiB, where
+    # joining the whole file would take about the file's size
+    rng = np.random.default_rng(2)
+    n = 200_000
+    columns = {"t_s": array("d", np.cumsum(rng.uniform(1.0, 60.0, n))),
+               "cycle": array("q", np.arange(n) // 250),
+               "step_index": array("q", np.arange(n) % 4)}
+    for name in ("I_A", "V_V", "x", "y"):
+        columns[name] = array("d", rng.uniform(0.0, 4.2, n))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        cio.write_csv(path, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 15 * 2**20
+    assert peak < 4 * 2**20, peak
 
 
 def test_manifest_hashes_outputs(params, degp, tmp_path):
