@@ -154,8 +154,10 @@ def extract_esoh(curve, params, capacity=None):
     point, and needs no bounds: penalty rows keep every evaluated point on
     the OCP tables. A bounded trust-region solver would add Python
     bookkeeping to every iteration. The solver gets the exact Jacobian of
-    the residual: one derivative call per electrode per iteration in place
-    of four finite-difference residual evaluations.
+    the residual: one slope evaluation per electrode per iteration in place
+    of four finite-difference residual evaluations. Each trial theta's
+    points are located on each OCP table once, and the residual's values
+    and the Jacobian's slopes are both summed at those locations.
     """
     q = np.asarray(curve.capacity_Ah, dtype=float)
     v = np.asarray(curve.voltage, dtype=float)
@@ -196,27 +198,30 @@ def extract_esoh(curve, params, capacity=None):
         x = x_0 + dq / C_n
         y = y_0 - dq / C_p
         # keep trial evaluations on-table; penalize the excursion instead
-        return (x, y, np.minimum(np.maximum(x, tn.s_min), tn.s_max),
-                np.minimum(np.maximum(y, tp.s_min), tp.s_max))
+        x_c = np.minimum(np.maximum(x, tn.s_min), tn.s_max)
+        y_c = np.minimum(np.maximum(y, tp.s_min), tp.s_max)
+        # clipped points are on-table or NaN, which locate takes as they
+        # are: the snap an array table call makes first would change none
+        return tn.locate(x_c), tp.locate(y_c), x - x_c, y - y_c
 
     @lru_cache(maxsize=1)
     def residuals(key):
-        x, y, x_c, y_c = stoichiometries(key)
-        # one table call per electrode, curve and window ends together
-        # (pchip evaluates each point alone, so batching changes no bit)
+        at_n, at_p, out_n, out_p = stoichiometries(key)
+        # curve and window ends located together (each point is summed
+        # alone, so batching changes no bit)
         return np.concatenate([
-            (tp(y_c) - tn(x_c) - target) * weight,
-            [1e3 * np.abs(x - x_c).max(), 1e3 * np.abs(y - y_c).max()],
+            (tp.value_at(at_p) - tn.value_at(at_n) - target) * weight,
+            [1e3 * np.abs(out_n).max(), 1e3 * np.abs(out_p).max()],
         ])
 
     @lru_cache(maxsize=1)
     def jacobian(key):
         C_p, C_n, _, _ = np.frombuffer(key)
-        x, y, x_c, y_c = stoichiometries(key)
+        at_n, at_p, out_n, out_p = stoichiometries(key)
         # a clipped point does not move with theta: the clip's derivative
         # is 1 on the closed table range and 0 outside it
-        dp = tp.derivative(y_c) * (y == y_c)
-        dn = tn.derivative(x_c) * (x == x_c)
+        dp = tp.slope_at(at_p) * (out_p == 0.0)
+        dn = tn.slope_at(at_n) * (out_n == 0.0)
         J = np.zeros((n + 4, 4))
         J[:n + 2, 0] = dp * dq / C_p ** 2
         J[:n + 2, 1] = dn * dq / C_n ** 2
@@ -225,11 +230,11 @@ def extract_esoh(curve, params, capacity=None):
         J[n:n + 2] *= ENDPOINT_WEIGHT
         # each penalty's subgradient at the point argmax picks, signed by
         # the excursion; a zero row when that electrode stays on-table
-        k = np.argmax(np.abs(x - x_c))
-        sign = 1e3 * np.sign(x[k] - x_c[k])
+        k = np.abs(out_n).argmax()
+        sign = 1e3 * np.sign(out_n[k])
         J[n + 2, 1], J[n + 2, 2] = -sign * dq[k] / C_n ** 2, sign
-        k = np.argmax(np.abs(y - y_c))
-        sign = 1e3 * np.sign(y[k] - y_c[k])
+        k = np.abs(out_p).argmax()
+        sign = 1e3 * np.sign(out_p[k])
         J[n + 3, 0], J[n + 3, 3] = sign * dq[k] / C_p ** 2, sign
         return J
 

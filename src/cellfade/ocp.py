@@ -2,8 +2,9 @@
 
 Half-cell OCPs enter as two-column tables (stoichiometry, potential vs
 Li/Li+, strictly decreasing) and are interpolated with a shape-preserving
-monotone cubic, exact at every knot and strictly decreasing between them.
-Evaluation outside the tabulated stoichiometry range is an error, not an
+monotone cubic, exact at every knot and strictly decreasing between them:
+scipy's PchipInterpolator, evaluated on its own coefficients. Evaluation
+outside the tabulated stoichiometry range is an error, not an
 extrapolation. The module also holds the package's one root finder,
 brent, which inverts a table here and solves the stoichiometric window in
 electrochem.
@@ -91,7 +92,12 @@ class MonotoneOCPTable:
     scalar (a numpy scalar, an int, a value in the 1e-9 snap band or off
     the table) and every derivative call take _segment, which converts,
     snaps onto the table or raises SaturationError, then bisects the same
-    way. Array calls go through the underlying scipy interpolant.
+    way. Array calls snap onto the table the same way, then locate each
+    point's segment and sum scipy's PPoly power series on the interpolant's
+    own coefficients, so a value or slope is scipy's to the bit without a
+    call into scipy. A caller that evaluates the same points more than
+    once, or takes value and slope, calls locate once and value_at and
+    slope_at on what it returns.
     """
 
     def __init__(self, stoich, potential, name="ocp"):
@@ -113,11 +119,17 @@ class MonotoneOCPTable:
         self.s_min = float(s[0])
         self.s_max = float(s[-1])
         self._pchip = PchipInterpolator(s, v, extrapolate=False)
-        self._dpchip = self._pchip.derivative()
+        # array calls sum PPoly's power series in PPoly's order, which
+        # starts from 0.0: adding it to the constant terms here turns a
+        # -0.0 into 0.0 as that first sum would, so each sum is PPoly's
+        self._interior = s[1:-1]
+        c = self._pchip.c   # (4, n-1), highest power first
+        self._value_c = (c[3] + 0.0, c[2], c[1], c[0])
+        d = self._pchip.derivative().c
+        self._slope_c = (d[2] + 0.0, d[1], d[0])
         # flat python lists beat numpy indexing for one point at a time
         self._breaks = s.tolist()
         self._n_segments = len(s) - 1
-        c = self._pchip.c  # (4, n-1)
         self._c0 = c[0].tolist()
         self._c1 = c[1].tolist()
         self._c2 = c[2].tolist()
@@ -178,7 +190,7 @@ class MonotoneOCPTable:
             i = bisect_right(self._breaks, s, 0, self._n_segments) - 1
             dx = s - self._breaks[i]
         elif isinstance(s, np.ndarray):
-            return self._pchip(self._snap_array(s))
+            return self._on_array(s, self.value_at)
         else:
             i, dx = self._segment(s)
         return ((self._c0[i] * dx + self._c1[i]) * dx + self._c2[i]) * dx + self._c3[i]
@@ -186,9 +198,39 @@ class MonotoneOCPTable:
     def derivative(self, s):
         """dU/ds at a scalar or array of stoichiometries."""
         if isinstance(s, np.ndarray):
-            return self._dpchip(self._snap_array(s))
+            return self._on_array(s, self.slope_at)
         i, dx = self._segment(s)
         return (3.0 * self._c0[i] * dx + 2.0 * self._c1[i]) * dx + self._c2[i]
+
+    def _on_array(self, s, at):
+        # as PPoly does: float64 points, located flat, shaped like s
+        s = self._snap_array(s.astype(float, copy=False))
+        return at(self.locate(s.ravel())).reshape(s.shape)
+
+    def locate(self, s):
+        """Segment index, offset and squared offset of each point of the
+        float64 array s, which must be on the table (nothing here checks
+        it) or NaN, which evaluates to NaN. As scipy's find_interval,
+        segment i holds stoich[i] <= s < stoich[i + 1], and s_max falls in
+        the last segment.
+        """
+        i = self._interior.searchsorted(s, side="right")
+        t = s - self.stoich[i]
+        return i, t, t * t
+
+    def value_at(self, located):
+        """Potential at the points locate() placed; PPoly's value to the
+        bit, as it sums its terms in this order."""
+        i, t, t2 = located
+        c3, c2, c1, c0 = self._value_c
+        return c3[i] + c2[i] * t + c1[i] * t2 + c0[i] * (t2 * t)
+
+    def slope_at(self, located):
+        """dU/ds at the points locate() placed; the value of PPoly's
+        derivative to the bit."""
+        i, t, t2 = located
+        d2, d1, d0 = self._slope_c
+        return d2[i] + d1[i] * t + d0[i] * t2
 
     def inverse(self, v):
         """Stoichiometry at potential v. Monotonicity makes this unique."""

@@ -126,10 +126,10 @@ def test_voltage_calls_per_cell_evaluation(params, degp, monkeypatch):
 
 def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     # electrochem.window.calls reads as one solve_window per identified
-    # vector however often the routes and their checks ask, and
-    # ocp.array.calls as two table calls per distinct theta the eSOH fit
-    # tries (the fit's Jacobian makes two array derivative calls per
-    # distinct theta and no table value call of its own)
+    # vector however often the routes and their checks ask. The eSOH fit
+    # makes no array table call: per table, it locates each distinct theta
+    # it tries once, sums values there once for the residual and slopes
+    # once for the Jacobian
     state = DegradationState(1e-7, 2e-8, 0.95 * params.C_p_nom,
                              0.95 * params.C_n_nom, 0.09)
     y = measurement.forward_measure(params, degp, state, n_li0)
@@ -161,7 +161,7 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
         calls["array"] += isinstance(s, np.ndarray)
         return table_call(self, s)
 
-    calls.update(jacobian=0, derivative=0)
+    calls.update(jacobian=0, derivative=0, locate=0, value=0, slope=0)
     fits = []
     scipy_leastsq = measurement.leastsq
     table_derivative = ocp.MonotoneOCPTable.derivative
@@ -169,6 +169,11 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     def derivative(self, s):
         calls["derivative"] += isinstance(s, np.ndarray)
         return table_derivative(self, s)
+
+    for key, name in (("locate", "locate"), ("value", "value_at"),
+                      ("slope", "slope_at")):
+        monkeypatch.setattr(ocp.MonotoneOCPTable, name,
+                            counted(key, getattr(ocp.MonotoneOCPTable, name)))
 
     thetas, jacobian_thetas = set(), set()
 
@@ -192,19 +197,23 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     measurement.extract_esoh(curve, p)
     info = fits[0][2]
     assert calls["residual"] > 0
-    # each distinct theta costs one value call per table however often it
-    # is asked for, so no theta reaches the tables twice: leastsq's shape
-    # check and MINPACK's calls at the start share one evaluation
-    assert calls["array"] == 2 * len(thetas) < 2 * calls["residual"]
+    # each distinct theta is located and valued once per table however
+    # often it is asked for, so no theta reaches the tables twice:
+    # leastsq's shape check and MINPACK's calls at the start share one
+    # evaluation
+    assert calls["array"] == calls["derivative"] == 0
+    assert calls["locate"] == 2 * len(thetas) < 2 * calls["residual"]
+    assert calls["value"] == 2 * len(thetas)
     # nfev counts each point MINPACK asks for, the start included; leastsq
     # asks for the start once more to check the residual's shape, and
     # scipy's _lmder once more to size its arrays
     assert calls["residual"] == info["nfev"] + 2
-    # one derivative call per table for each distinct theta whose Jacobian
-    # is asked for, every one of them a theta the residual was evaluated
-    # at; MINPACK's njev plus leastsq's shape check, and no closing jac(x)
+    # one slope sum per table for each distinct theta whose Jacobian is
+    # asked for, every one of them a theta the residual was evaluated at
+    # and located for; MINPACK's njev plus leastsq's shape check, and no
+    # closing jac(x)
     assert calls["jacobian"] == info["njev"] + 1 > 1
-    assert calls["derivative"] == 2 * len(jacobian_thetas)
+    assert calls["slope"] == 2 * len(jacobian_thetas)
     assert jacobian_thetas <= thetas
 
 

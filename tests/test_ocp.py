@@ -5,10 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from cellfade.errors import ConfigError, SaturationError
-from cellfade.ocp import MonotoneOCPTable, brent, load_builtin
+from cellfade.ocp import MIN_ROWS, MonotoneOCPTable, brent, load_builtin
 from helpers import inverse_oracle, ocp_oracle, outcome
 
 
@@ -112,6 +113,65 @@ def test_array_calls_are_pointwise(which):
     for arr in (whole, inside):
         assert np.array_equal(t(arr), t._pchip(np.clip(arr, t.s_min, t.s_max)))
     assert t._snap_array(inside) is inside
+
+
+def _oracle_tables():
+    """Both packaged tables, seeded random monotone tables (uneven knots,
+    slopes over four decades) and a table through -0.0 whose power sum at
+    that knot is -0.0 unless it starts from 0.0, as PPoly's does."""
+    yield "graphite", load_builtin("graphite")
+    yield "nmc", load_builtin("nmc")
+    rng = np.random.default_rng(2024)
+    for n in (MIN_ROWS, 37, 200):
+        s = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+        v = 4.2 - np.cumsum(10.0 ** rng.uniform(-4.0, 0.0, n))
+        yield f"random-{n}", MonotoneOCPTable(s, v, name=f"random-{n}")
+    s = np.linspace(0.0, 1.0, 21)
+    v = np.exp(2.5) - np.exp(5.0 * s)
+    v[10] = -0.0
+    yield "through -0.0", MonotoneOCPTable(s, v, name="through -0.0")
+
+
+def _bits(a):
+    # every NaN as one NaN; any other value by its bits, so -0.0 != 0.0
+    assert isinstance(a, np.ndarray) and a.dtype == np.float64
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+@pytest.mark.parametrize("name, t", list(_oracle_tables()))
+def test_array_calls_are_scipy_pchip_to_the_bit(name, t):
+    # array calls sum the interpolant's coefficients themselves; each value
+    # and slope must be scipy's own, so that every fit is unchanged
+    pchip = PchipInterpolator(t.stoich, t.potential, extrapolate=False)
+    dpchip = pchip.derivative()
+    snap = 1e-9 * (t.s_max - t.s_min)
+    edges = [t.s_min, t.s_max, t.s_min - snap, t.s_max + snap,
+             t.s_min - 0.5 * snap, t.s_max + 0.5 * snap,
+             np.nextafter(t.s_min, -1.0), np.nextafter(t.s_max, 2.0),
+             np.nextafter(t.s_min, 2.0), np.nextafter(t.s_max, -1.0)]
+    nudged = np.concatenate([np.nextafter(t.stoich, -1.0),
+                             np.nextafter(t.stoich, 2.0)])
+    rng = np.random.default_rng(5)
+    inside = rng.uniform(t.s_min, t.s_max, 1000)
+    points = np.concatenate([t.stoich, edges, nudged, inside, [np.nan]])
+    rng.shuffle(points)
+    cases = [points, points[:600].reshape(20, 30), points[:600].reshape(20, 30).T,
+             np.array(t.stoich[3]), np.array(np.nan), np.array([]),
+             np.array([], dtype=int), inside.astype(np.float32)]
+    if t.s_min <= 0.0 and 1.0 <= t.s_max:
+        cases.append(np.array([[0, 1], [1, 0]]))
+    for s in cases:
+        # in-range points as they are, float64; band points snapped
+        want_at = np.clip(s.astype(float), t.s_min, t.s_max)
+        for f, oracle in ((t, pchip), (t.derivative, dpchip)):
+            got, want = f(s), oracle(want_at)
+            assert got.shape == s.shape == want.shape, (name, s.dtype)
+            assert np.array_equal(_bits(got), _bits(want)), (name, s.dtype)
+    # what the eSOH fit uses: one location, then value and slope from it
+    on_table = np.clip(points, t.s_min, t.s_max)
+    at = t.locate(on_table)
+    assert np.array_equal(_bits(t.value_at(at)), _bits(pchip(on_table)))
+    assert np.array_equal(_bits(t.slope_at(at)), _bits(dpchip(on_table)))
 
 
 @pytest.mark.parametrize("which", ["graphite", "nmc"])

@@ -278,7 +278,7 @@ def test_propagator_cache_under_clamped_time_terminations(params, degp,
     # the cache is emptied, so it holds at most 65 propagators, and a run
     # through it equals one that builds every propagator afresh
     c1 = reference_capacity(params)
-    lookup = SphereFV._propagator
+    lookup, step = SphereFV._propagator, SphereFV.step
     sizes, peak = set(), [0]
 
     def recording(self, dt):
@@ -287,12 +287,15 @@ def test_propagator_cache_under_clamped_time_terminations(params, degp,
         peak[0] = max(peak[0], len(self._props))
         return got
 
-    def uncached(self, dt):
+    def uncached(self, *args):
+        # step looks in the cache before it calls _propagator, so empty
+        # the cache before every step, not before every build
         self._props.clear()
-        return lookup(self, dt)
+        return step(self, *args)
 
-    def age(propagator):
-        monkeypatch.setattr(SphereFV, "_propagator", propagator)
+    def age(**methods):
+        for name, method in methods.items():
+            monkeypatch.setattr(SphereFV, name, method)
         rng = np.random.default_rng(7)
         cell = Cell(params, degp)
         for k in range(40):
@@ -306,8 +309,8 @@ def test_propagator_cache_under_clamped_time_terminations(params, degp,
                          dt=60.0, dt_rest=300.0)
         return cell
 
-    cached = age(recording)
-    fresh = age(uncached)
+    cached = age(_propagator=recording)
+    fresh = age(_propagator=lookup, step=uncached)
     assert len(sizes) > 64
     assert peak[0] <= 65
     assert np.array_equal(cached.particles.c_pos, fresh.particles.c_pos)
