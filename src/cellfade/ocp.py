@@ -3,11 +3,11 @@
 Half-cell OCPs enter as two-column tables (stoichiometry, potential vs
 Li/Li+, strictly decreasing) and are interpolated with a shape-preserving
 monotone cubic, exact at every knot and strictly decreasing between them:
-scipy's PchipInterpolator, evaluated on its own coefficients. Evaluation
-outside the tabulated stoichiometry range is an error, not an
-extrapolation. The module also holds the package's one root finder,
-brent, which inverts a table here and solves the stoichiometric window in
-electrochem.
+scipy's PchipInterpolator, whose power series scalar and array calls alike
+sum on its own coefficients. Evaluation outside the tabulated
+stoichiometry range is an error, not an extrapolation. The module also
+holds the package's one root finder, brent, which inverts a table here
+and solves the stoichiometric window in electrochem.
 """
 
 import math
@@ -85,19 +85,18 @@ def brent(f, a, b, f_a, f_b, xtol):
 class MonotoneOCPTable:
     """Strictly decreasing potential(stoichiometry) interpolant.
 
-    Scalar calls run on precomputed piecewise-cubic coefficients (the
-    simulator evaluates these in its inner loop) and return a Python
-    float. An in-range float finds its segment inline, by one bisect
-    bounded to the segments so that s_max falls in the last one. Any other
-    scalar (a numpy scalar, an int, a value in the 1e-9 snap band or off
-    the table) and every derivative call take _segment, which converts,
-    snaps onto the table or raises SaturationError, then bisects the same
-    way. Array calls snap onto the table the same way, then locate each
-    point's segment and sum scipy's PPoly power series on the interpolant's
-    own coefficients, so a value or slope is scipy's to the bit without a
-    call into scipy. A caller that evaluates the same points more than
-    once, or takes value and slope, calls locate once and value_at and
-    slope_at on what it returns.
+    Scalar and array calls sum one formula: scipy's PPoly power series,
+    in PPoly's order, on the interpolant's own coefficients, so each value
+    and slope is scipy's to the bit, a scalar's as a Python float. A
+    scalar call (the simulator's inner loop) reads its segment's
+    coefficients as Python floats; an in-range float finds the segment
+    inline, by one bisect bounded so that s_max falls in the last one.
+    Any other scalar (a numpy scalar, an int, a value in the 1e-9 snap
+    band or off the table) and every scalar derivative take _segment,
+    which converts, snaps onto the table or raises SaturationError, then
+    bisects the same way. Arrays snap the same way, then locate. A caller
+    that evaluates the same points more than once, or takes value and
+    slope, calls locate once and value_at and slope_at on its result.
     """
 
     def __init__(self, stoich, potential, name="ocp"):
@@ -118,22 +117,19 @@ class MonotoneOCPTable:
         self.potential = v
         self.s_min = float(s[0])
         self.s_max = float(s[-1])
-        self._pchip = PchipInterpolator(s, v, extrapolate=False)
-        # array calls sum PPoly's power series in PPoly's order, which
-        # starts from 0.0: adding it to the constant terms here turns a
-        # -0.0 into 0.0 as that first sum would, so each sum is PPoly's
+        pchip = PchipInterpolator(s, v, extrapolate=False)
+        # PPoly sums from 0.0: adding it to the constant terms turns a -0.0
+        # into 0.0 as that first sum would, so each sum is PPoly's
         self._interior = s[1:-1]
-        c = self._pchip.c   # (4, n-1), highest power first
+        c = pchip.c   # (4, n-1), highest power first
         self._value_c = (c[3] + 0.0, c[2], c[1], c[0])
-        d = self._pchip.derivative().c
+        d = pchip.derivative().c
         self._slope_c = (d[2] + 0.0, d[1], d[0])
-        # flat python lists beat numpy indexing for one point at a time
+        # python floats per segment beat numpy indexing for one point
+        self._value_rows = list(zip(*(r.tolist() for r in self._value_c)))
+        self._slope_rows = list(zip(*(r.tolist() for r in self._slope_c)))
         self._breaks = s.tolist()
         self._n_segments = len(s) - 1
-        self._c0 = c[0].tolist()
-        self._c1 = c[1].tolist()
-        self._c2 = c[2].tolist()
-        self._c3 = c[3].tolist()
 
     @classmethod
     def from_file(cls, path, name=None):
@@ -188,19 +184,22 @@ class MonotoneOCPTable:
     def __call__(self, s):
         if type(s) is float and self.s_min <= s <= self.s_max:
             i = bisect_right(self._breaks, s, 0, self._n_segments) - 1
-            dx = s - self._breaks[i]
+            t = s - self._breaks[i]
         elif isinstance(s, np.ndarray):
             return self._on_array(s, self.value_at)
         else:
-            i, dx = self._segment(s)
-        return ((self._c0[i] * dx + self._c1[i]) * dx + self._c2[i]) * dx + self._c3[i]
+            i, t = self._segment(s)
+        c3, c2, c1, c0 = self._value_rows[i]
+        t2 = t * t
+        return c3 + c2 * t + c1 * t2 + c0 * (t2 * t)
 
     def derivative(self, s):
         """dU/ds at a scalar or array of stoichiometries."""
         if isinstance(s, np.ndarray):
             return self._on_array(s, self.slope_at)
-        i, dx = self._segment(s)
-        return (3.0 * self._c0[i] * dx + 2.0 * self._c1[i]) * dx + self._c2[i]
+        i, t = self._segment(s)
+        d2, d1, d0 = self._slope_rows[i]
+        return d2 + d1 * t + d0 * (t * t)
 
     def _on_array(self, s, at):
         # as PPoly does: float64 points, located flat, shaped like s
@@ -234,7 +233,8 @@ class MonotoneOCPTable:
 
     def inverse(self, v):
         """Stoichiometry at potential v. Monotonicity makes this unique."""
-        lo, hi = self.potential[-1], self.potential[0]
+        # the interpolant's own end values, which may round past the rows
+        lo, hi = self(self.s_max), self(self.s_min)
         if not (lo <= v <= hi):
             raise SaturationError(
                 f"{self.name}: potential {v:.6g} outside table range "

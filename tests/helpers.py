@@ -1,11 +1,12 @@
 """Shared test utilities: randomized state/window draws, curve comparison,
 and closed-form oracles that the package itself does not need."""
 
-import bisect
+import functools
 import math
 from importlib import resources
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg.blas import dgemv
 from scipy.optimize import brentq, least_squares
 
@@ -218,10 +219,16 @@ def esoh_least_squares_oracle(curve, params, capacity=None):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _scipy_pchip(table):
+    """scipy's interpolant through a table's rows, and its derivative."""
+    pchip = PchipInterpolator(table.stoich, table.potential, extrapolate=False)
+    return pchip, pchip.derivative()
+
+
 def ocp_oracle(table, s):
-    """(U, dU/ds) of a MonotoneOCPTable at the scalar s, located the way
-    the table first did it: snap into the 1e-9 band, unbounded bisect,
-    clamp to the last segment, Horner on scipy's own coefficients."""
+    """(U, dU/ds) of a MonotoneOCPTable at the scalar s: snap into the 1e-9
+    band, then evaluate scipy's own PchipInterpolator and its derivative."""
     s = float(s)
     if not (table.s_min <= s <= table.s_max):
         snap = 1e-9 * (table.s_max - table.s_min)
@@ -233,15 +240,8 @@ def ocp_oracle(table, s):
             raise SaturationError(
                 f"{table.name}: stoichiometry {s:.6g} outside table "
                 f"[{table.s_min:.6g}, {table.s_max:.6g}]")
-    breaks = table._pchip.x.tolist()
-    c0, c1, c2, c3 = (row.tolist() for row in table._pchip.c)
-    i = bisect.bisect_right(breaks, s) - 1
-    if i >= len(c0):
-        i = len(c0) - 1
-    dx = s - breaks[i]
-    value = ((c0[i] * dx + c1[i]) * dx + c2[i]) * dx + c3[i]
-    slope = (3.0 * c0[i] * dx + 2.0 * c1[i]) * dx + c2[i]
-    return value, slope
+    pchip, dpchip = _scipy_pchip(table)
+    return float(pchip(s)), float(dpchip(s))
 
 
 def c_ss(sp, c, j):
@@ -547,8 +547,9 @@ def solve_window_oracle(params, C_p, C_n, n_li):
 
 
 def inverse_oracle(table, v):
-    """MonotoneOCPTable.inverse as it was written on scipy.optimize.brentq."""
-    lo, hi = table.potential[-1], table.potential[0]
+    """MonotoneOCPTable.inverse as it was written on scipy.optimize.brentq,
+    in the range of the interpolant's own end values."""
+    lo, hi = table(table.s_max), table(table.s_min)
     if not (lo <= v <= hi):
         raise SaturationError(
             f"{table.name}: potential {v:.6g} outside table range "

@@ -82,11 +82,24 @@ def test_edge_values_are_valid():
 
 
 def test_scalar_and_array_paths_agree():
-    t = load_builtin("graphite")
-    ss = np.linspace(t.s_min, t.s_max, 257)
-    arr = t(ss)
-    scal = np.array([t(float(s)) for s in ss])
-    assert np.max(np.abs(arr - scal)) < 1e-12
+    # one formula: a float, a numpy float and an in-range int each read
+    # the bits an array call reads at that point, value and slope
+    rng = np.random.default_rng(3)
+    for name, t in _oracle_tables():
+        ints = list(range(math.ceil(t.s_min), math.floor(t.s_max) + 1))
+        points = np.concatenate([
+            np.linspace(t.s_min, t.s_max, 257), rng.uniform(t.s_min, t.s_max, 2000),
+            t.stoich, np.nextafter(t.stoich, -1.0), np.nextafter(t.stoich, 2.0),
+            ints])
+        for f in (t, t.derivative):
+            want = [float(v).hex() for v in f(points)]
+            for kind in (float, np.float64):
+                got = [f(kind(p)) for p in points]
+                assert all(type(v) is float for v in got), (name, kind)
+                assert [v.hex() for v in got] == want, (name, kind)
+            got = [f(k) for k in ints]
+            assert all(type(v) is float for v in got), name
+            assert [v.hex() for v in got] == want[len(points) - len(ints):], name
 
 
 @pytest.mark.parametrize("which", ["graphite", "nmc"])
@@ -110,8 +123,9 @@ def test_array_calls_are_pointwise(which):
     # snapping is a clip: exact for sub-snap excursions, and in-range
     # input is evaluated as is, uncopied
     inside = np.clip(s, t.s_min, t.s_max)
+    pchip = PchipInterpolator(t.stoich, t.potential, extrapolate=False)
     for arr in (whole, inside):
-        assert np.array_equal(t(arr), t._pchip(np.clip(arr, t.s_min, t.s_max)))
+        assert np.array_equal(t(arr), pchip(np.clip(arr, t.s_min, t.s_max)))
     assert t._snap_array(inside) is inside
 
 
@@ -212,12 +226,14 @@ def test_inverse_out_of_range_raises():
 
 def test_inverse_matches_its_brentq_oracle_to_the_bit():
     # every knot potential (where the bracket ends are the answer, or one
-    # end misses it by the rounding of the last segment's Horner sum) and
-    # 1000 seeded potentials, a few of them off the table
+    # end misses it by the rounding of the last segment's power sum), the
+    # interpolant's end values and 1000 seeded potentials, a few of them
+    # off the table
     rng = random.Random(24)
     for t in (load_builtin("graphite"), load_builtin("nmc"), make_table()):
         lo, hi = float(t.potential[-1]), float(t.potential[0])
         vs = list(t.potential) + [float(v) for v in t.potential]
+        vs += [t(t.s_min), t(t.s_max)]
         vs += [rng.uniform(lo - 0.01, hi + 0.01) for _ in range(1000)]
         for v in vs:
             got, want = outcome(t.inverse, v), outcome(inverse_oracle, t, v)
