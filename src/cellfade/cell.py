@@ -1,10 +1,13 @@
 """The coupled cell: two particles, film growth, inventory accounting.
 
-Cell.step applies one applied-current timestep: kinetics are evaluated at
-the incoming surface state, the side-reaction current is split off, the
-particles advance under the remaining intercalation current, and the
-degradation state integrates alongside. Fatigue capacity loss is applied
-from outside at cycle boundaries (see protocol.run_campaign).
+The step is a map from one state value to the next: from the particles,
+the degradation state and the stress envelope, one applied-current
+timestep gives the next three and a record of the step. Kinetics are
+evaluated at the incoming surface state, the side-reaction current is
+split off, the particles advance under the remaining intercalation
+current, the degradation state integrates alongside and the envelope
+takes the new surface stresses. Fatigue capacity loss is applied from
+outside at cycle boundaries (see protocol.run_campaign).
 
 Particles, kinetics, OCP and areas come from the parameter set's two
 electrochem.Electrode objects (params.pos and params.neg), built once, so
@@ -18,13 +21,11 @@ committed as it stands instead of being evaluated again.
 """
 
 from . import electrochem as ec
-from .degradation import (DegradationState, StepIncrements, StressExtrema,
+from .degradation import (DegradationState, StressExtrema,
                           hydrostatic_stress, lam_cycle_update, r_film,
                           step_degradation)
 from .errors import CellDeadError
 from .particle import at_stoichiometry, step_particle_diffusion
-
-_FROZEN = StepIncrements(0.0, 0.0, 0.0)   # a frozen probe's step, shared
 
 
 class Cell:
@@ -49,7 +50,7 @@ class Cell:
         self.extrema = StressExtrema()
         self.freeze_degradation = False   # RPT probes measure without aging
         self._ctx_key = None     # (C_p, C_n) that _ctx belongs to
-        self._ctx = None
+        self._ctx = None         # active areas and their Faraday multiples
         self._trial = None       # last voltage_after: its key and result
         if particles is None:
             w = self.esoh()
@@ -112,44 +113,36 @@ class Cell:
 
     # --- stepping ---
 
-    def _context(self):
-        """Per-cycle constants at the capacities in play: the positive and
-        negative active areas and their Faraday multiples."""
-        d = self.degradation
-        key = (d.C_p, d.C_n)
-        if key != self._ctx_key:
-            p = self.params
-            area_p = p.pos.area(d.C_p)
-            area_n = p.neg.area(d.C_n)
-            self._ctx = (area_p, area_n, p.F * area_p, p.F * area_n)
-            self._ctx_key = key
-        return self._ctx
-
     def _advance(self, I, dt):
+        """((particles, degradation, extrema), record): the state one step
+        of current I (A) over dt (s) ahead, and its record. Changes nothing."""
         p = self.params
         d = self.degradation
         particles = self.particles
         pos, neg = p.pos, p.neg
-        ctx = self._ctx if (d.C_p, d.C_n) == self._ctx_key else self._context()
-        area_p, area_n, f_area_p, f_area_n = ctx
+        key = (d.C_p, d.C_n)
+        if key != self._ctx_key:
+            area_p = pos.area(d.C_p)
+            area_n = neg.area(d.C_n)
+            self._ctx = (area_p, area_n, p.F * area_p, p.F * area_n)
+            self._ctx_key = key
+        area_p, area_n, f_area_p, f_area_n = self._ctx
 
         # surface concentrations: the outer shell corrected by the flux
         # boundary condition across its half width
         j_neg0 = I / f_area_n
         c_ss_n = float(particles.c_neg[-1]) - neg.half_dr * j_neg0 / neg.D
         if self.freeze_degradation:
-            deg_new = d
-            inc = _FROZEN
+            deg_new, i_side = d, 0.0
         else:
             eta_neg = neg.overpotential(I / area_n, c_ss_n)
             u_neg = neg.ocp(c_ss_n / neg.c_smax)
-            c_avg_n = particles.averages[1]
-            deg_new, inc = step_degradation(
-                p, self.deg_params, d, eta_neg, u_neg, c_ss_n, c_avg_n,
-                self.n_li0, dt)
+            deg_new, i_side = step_degradation(
+                p, self.deg_params, d, eta_neg, u_neg, c_ss_n,
+                particles.averages[1], self.n_li0, dt)
 
         # side reactions take their share of the negative-electrode current
-        j_neg = (I - inc.i_side) / f_area_n
+        j_neg = (I - i_side) / f_area_n
         j_pos = -I / f_area_p
         parts = step_particle_diffusion(p, particles, j_pos, j_neg, dt)
 
@@ -158,7 +151,12 @@ class Cell:
         r_film_cell = r_film(p, self.deg_params, deg_new)[1]
         v_t = ec.terminal_voltage(p, c_ss_p2, c_ss_n2, I, r_film_cell,
                                   -I / area_p, I / area_n)
-        return parts, deg_new, inc, c_ss_p2, c_ss_n2, v_t
+        c_avg_p, c_avg_n, y, x = parts.averages
+        lam = self.deg_params.lam
+        extrema = self.extrema.update(
+            hydrostatic_stress(lam.stress_gain_pos, pos, c_ss_p2, c_avg_p),
+            hydrostatic_stress(lam.stress_gain_neg, neg, c_ss_n2, c_avg_n))
+        return (parts, deg_new, extrema), {"I": I, "V": v_t, "x": x, "y": y}
 
     def voltage_after(self, I, dt):
         """Terminal voltage one trial step ahead, without committing.
@@ -167,37 +165,28 @@ class Cell:
         without evaluating it again.
         """
         result = self._advance(I, dt)
-        self._trial = (I, dt, self.particles, self.degradation,
+        self._trial = (I, dt, self.particles, self.degradation, self.extrema,
                        self.freeze_degradation, result)
-        return result[5]
+        return result[1]["V"]
 
     def step(self, I, dt):
         """Advance the cell one timestep under applied current I (A).
 
-        Returns a record dict; raises SaturationError if the step drives
-        a particle out of range (caller may retry with smaller dt).
+        Commits the next state and returns its record {I, V, x, y}: the
+        current, terminal voltage and mean stoichiometries. Raises
+        SaturationError if the step drives a particle out of range (caller
+        may retry with smaller dt).
         """
         t = self._trial
         if (t is not None and t[0] == I and t[1] == dt
                 and t[2] is self.particles and t[3] is self.degradation
-                and t[4] == self.freeze_degradation):
-            result = t[5]
+                and t[4] is self.extrema and t[5] == self.freeze_degradation):
+            state, record = t[6]
         else:
-            result = self._advance(I, dt)
+            state, record = self._advance(I, dt)
         self._trial = None
-        parts, deg_new, inc, c_ss_p, c_ss_n, v_t = result
-        self.particles = parts
-        self.degradation = deg_new
-        c_avg_p, c_avg_n, y, x = parts.averages
-        lam = self.deg_params.lam
-        sig_p = hydrostatic_stress(lam.stress_gain_pos, self.params.pos,
-                                   c_ss_p, c_avg_p)
-        sig_n = hydrostatic_stress(lam.stress_gain_neg, self.params.neg,
-                                   c_ss_n, c_avg_n)
-        self.extrema = self.extrema.update(sig_p, sig_n)
-        return {"I": I, "V": v_t, "x": x, "y": y,
-                "i_side": inc.i_side, "dn_sei": inc.dn_sei, "dn_pl": inc.dn_pl,
-                "sigma_pos": sig_p, "sigma_neg": sig_n}
+        self.particles, self.degradation, self.extrema = state
+        return record
 
     def apply_cycle_fatigue(self):
         """Close out a cycle: apply fatigue loss, book the lithium it

@@ -181,21 +181,14 @@ def lam_cycle_update(extrema, lam, params):
             deps_neg * params.neg.full_capacity)
 
 
-@dataclass(slots=True)
-class StepIncrements:
-    """What one coupled step consumed, for flux splitting and audits."""
-    i_side: float     # side-reaction current, A, <= 0
-    dn_sei: float     # mol of lithium into SEI this step
-    dn_pl: float      # mol of lithium plated this step
-
-
 def step_degradation(params, deg, state, eta_neg, u_neg_surface,
                      c_ss_neg, c_avg_neg, n_li0, dt):
     """Advance film thicknesses and LLI over one timestep.
 
     Capacities are untouched here (fatigue applies per cycle). Returns
-    (new_state, StepIncrements). The caller splits the applied current
-    using i_side before stepping the particles.
+    (new_state, i_side): i_side (A, <= 0) is the side-reaction current,
+    the lithium the films took this step, which the caller splits off the
+    applied current before stepping the particles.
 
     SEI: solvent reduction at eta_neg + U-(c_ss) - U_sei, rate constant
     kin (m/s) in series with film transport, so growth self-limits. The
@@ -236,4 +229,4 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     dn_pl = area * (d_pl_new - delta_pl) / pl.Omega_pl
     dn = dn_sei + dn_pl
     return (state.grown(d_sei_new, d_pl_new, state.LLI + dn / n_li0),
-            StepIncrements(-F * dn / dt, dn_sei, dn_pl))
+            -F * dn / dt)

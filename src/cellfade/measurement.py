@@ -21,6 +21,7 @@ from .errors import ConfigError, EstimationFailedError, KineticsSingularError
 
 PSEUDO_OCV_POINTS = 241   # samples on a synthesized or RPT pseudo-OCV curve
 ENDPOINT_WEIGHT = 10.0    # eSOH fit: weight of the two voltage-limit rows
+PENALTY_WEIGHT = 1e3      # eSOH fit: V per unit of off-table stoichiometry
 
 
 @dataclass
@@ -211,7 +212,8 @@ def extract_esoh(curve, params, capacity=None):
         # alone, so batching changes no bit)
         return np.concatenate([
             (tp.value_at(at_p) - tn.value_at(at_n) - target) * weight,
-            [1e3 * np.abs(out_n).max(), 1e3 * np.abs(out_p).max()],
+            [PENALTY_WEIGHT * np.abs(out_n).max(),
+             PENALTY_WEIGHT * np.abs(out_p).max()],
         ])
 
     @lru_cache(maxsize=1)
@@ -231,10 +233,10 @@ def extract_esoh(curve, params, capacity=None):
         # each penalty's subgradient at the point argmax picks, signed by
         # the excursion; a zero row when that electrode stays on-table
         k = np.abs(out_n).argmax()
-        sign = 1e3 * np.sign(out_n[k])
+        sign = PENALTY_WEIGHT * np.sign(out_n[k])
         J[n + 2, 1], J[n + 2, 2] = -sign * dq[k] / C_n ** 2, sign
         k = np.abs(out_p).argmax()
-        sign = 1e3 * np.sign(out_p[k])
+        sign = PENALTY_WEIGHT * np.sign(out_p[k])
         J[n + 3, 0], J[n + 3, 3] = sign * dq[k] / C_p ** 2, sign
         return J
 

@@ -14,7 +14,6 @@ from pathlib import Path
 import yaml
 
 from . import electrochem as ec
-from .constants import FARADAY, GAS_CONSTANT
 from .errors import CellDeadError, ConfigError, SaturationError
 from .ocp import MonotoneOCPTable, load_builtin
 
@@ -131,8 +130,8 @@ class CellParameters:
     C_n_nom: float
     x100_init: float = 0.84  # fresh negative stoichiometry at top of charge
     n_shells: int = 20       # radial finite volumes per particle
-    F = FARADAY              # constants: class attributes, not cell-file keys
-    R_gas = GAS_CONSTANT
+    F = 96485.33212          # C/mol; F and R_gas are class attributes,
+    R_gas = 8.314462618      # J/(mol K); not cell-file keys
 
     def __post_init__(self):
         _require_positive(self, [

@@ -61,8 +61,8 @@ class SphereFV:
         self._props = {}
 
     def _propagator(self, dt):
-        """(P, P e, min(P e), max(P e), slack) for one timestep size. The
-        cache keeps P's transposed view after them, for step's dgemv."""
+        """(P, P e, min(P e), max(P e), slack, P's transposed view) for
+        one timestep size, the last for step's dgemv; cached per size."""
         got = self._props.get(dt)
         if got is None:
             P = np.linalg.inv(np.eye(self.n) - dt * self._M)
@@ -81,17 +81,14 @@ class SphereFV:
             if len(self._props) > 64:
                 self._props.clear()
             self._props[dt] = got
-        return got[:5]
+        return got
 
     def step(self, c, j, dt, enclosure=None):
         """Advance one backward-Euler step under surface molar flux j.
         Returns c_new and its enclosure, moved from c's enclosure (inside
         [0, c_smax]) or, past those ends or from None, computed exactly."""
-        got = self._props.get(dt)
-        if got is None:
-            self._propagator(dt)
-            got = self._props[dt]
-        _, Pe, pe_lo, pe_hi, slack, PT = got
+        _, Pe, pe_lo, pe_hi, slack, PT = (self._props.get(dt)
+                                          or self._propagator(dt))
         s = dt * j
         # P c - s Pe; PT is P's F-ordered view, and Pe is copied, not written
         c_new = dgemv(1.0, PT, c, -s, Pe, trans=1)

@@ -11,9 +11,9 @@ from scipy.linalg.blas import dgemv
 from scipy.optimize import brentq, least_squares
 
 from cellfade import io as cio
-from cellfade.degradation import (DegradationState, StepIncrements,
-                                  hydrostatic_stress, plated_lithium_moles,
-                                  r_film, sei_lithium_moles)
+from cellfade.degradation import (DegradationState, hydrostatic_stress,
+                                  plated_lithium_moles, r_film,
+                                  sei_lithium_moles)
 from cellfade.electrochem import ESOHRecord, solve_window, terminal_voltage
 from cellfade.errors import (CellDeadError, ConfigError, EstimationFailedError,
                              InfeasibleError, KineticsSingularError,
@@ -269,8 +269,8 @@ def _particle_step_oracle(sp, c, j, dt):
 
 def cell_step_oracle(cell, I, dt):
     """Cell.step composed from public pieces, writing nothing into cell:
-    the areas from each side's Electrode.area on every call, a new
-    StepIncrements for a frozen probe, the degradation step from
+    the areas from each side's Electrode.area on every call, a zero side
+    current for a frozen probe, the degradation step from
     step_degradation_oracle (its state built by DegradationState.__init__),
     both particles stepped by _particle_step_oracle and the new state's
     averages from particle_state.
@@ -282,14 +282,14 @@ def cell_step_oracle(cell, I, dt):
     f_area_p, f_area_n = p.F * area_p, p.F * area_n
     c_ss_n = float(particles.c_neg[-1]) - neg.half_dr * (I / f_area_n) / neg.D
     if cell.freeze_degradation:
-        deg_new, inc = d, StepIncrements(0.0, 0.0, 0.0)
+        deg_new, i_side = d, 0.0
     else:
         eta_neg = neg.overpotential(I / area_n, c_ss_n)
         u_neg = neg.ocp(c_ss_n / neg.c_smax)
-        deg_new, inc = step_degradation_oracle(
+        deg_new, i_side = step_degradation_oracle(
             p, degp, d, eta_neg, u_neg, c_ss_n, particles.averages[1],
             cell.n_li0, dt)
-    j_neg = (I - inc.i_side) / f_area_n
+    j_neg = (I - i_side) / f_area_n
     j_pos = -I / f_area_p
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -303,9 +303,7 @@ def cell_step_oracle(cell, I, dt):
     c_avg_p, c_avg_n, y, x = parts.averages
     sig_p = hydrostatic_stress(degp.lam.stress_gain_pos, pos, c_ss_p, c_avg_p)
     sig_n = hydrostatic_stress(degp.lam.stress_gain_neg, neg, c_ss_n, c_avg_n)
-    record = {"I": I, "V": v_t, "x": x, "y": y, "i_side": inc.i_side,
-              "dn_sei": inc.dn_sei, "dn_pl": inc.dn_pl,
-              "sigma_pos": sig_p, "sigma_neg": sig_n}
+    record = {"I": I, "V": v_t, "x": x, "y": y}
     return record, (parts, deg_new, cell.extrema.update(sig_p, sig_n))
 
 
@@ -462,7 +460,7 @@ def step_degradation_oracle(params, deg, state, eta_neg, u_neg_surface,
     dn_pl = params.film_area_neg * (d_pl_new - state.delta_pl) / pl.Omega_pl
     lli_new = state.LLI + (dn_sei + dn_pl) / n_li0
     new = DegradationState(d_sei_new, d_pl_new, state.C_p, state.C_n, lli_new)
-    return new, StepIncrements(-params.F * (dn_sei + dn_pl) / dt, dn_sei, dn_pl)
+    return new, -params.F * (dn_sei + dn_pl) / dt
 
 
 def sei_flux(sei, delta_sei, kin):

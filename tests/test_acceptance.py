@@ -75,7 +75,7 @@ def test_1_same_measurement_different_futures(params, degp, n_li0,
 
     curves = []
     for s in member_states:
-        cell = Cell(params, degp, degradation=s.copy(), n_li0=n_li0)
+        cell = Cell(params, degp, degradation=s, n_li0=n_li0)
         curves.append(run_rpt(cell, dt=DT)["pseudo_ocv"])
     worst_gap = max(curve_gap(a, b)
                     for i, a in enumerate(curves) for b in curves[i + 1:])

@@ -10,8 +10,8 @@ import pytest
 
 from cellfade import io as cio
 from cellfade.cell import Cell
-from cellfade.degradation import (DegradationState, deep_soh,
-                                  lam_cycle_update)
+from cellfade.degradation import (DegradationState, StressExtrema,
+                                  deep_soh, lam_cycle_update)
 from cellfade.errors import SaturationError
 from cellfade.measurement import r_film
 from cellfade.params import default_cell
@@ -119,9 +119,7 @@ def test_lithium_books_close_over_a_full_life(params, degp, dt, dt_rest):
 
 def test_step_record_fields(cell):
     rec = cell.step(1.0, 10.0)
-    for key in ("I", "V", "x", "y", "i_side", "dn_sei", "dn_pl",
-                "sigma_pos", "sigma_neg"):
-        assert key in rec
+    assert rec.keys() == {"I", "V", "x", "y"}
     assert rec["I"] == 1.0
     assert cell.params.V_min - 0.5 < rec["V"] < cell.params.V_max + 0.5
 
@@ -202,11 +200,11 @@ def test_discharge_moves_stoichiometries(cell):
 
 def test_freeze_degradation_is_inert(cell):
     cell.freeze_degradation = True
-    d0 = cell.degradation.copy()
+    d0 = dataclasses.replace(cell.degradation)
+    held = cell.degradation
     for _ in range(50):
-        rec = cell.step(2.0, 10.0)
-        assert rec["i_side"] == 0.0
-        assert rec["dn_sei"] == 0.0 and rec["dn_pl"] == 0.0
+        cell.step(2.0, 10.0)
+        assert cell.degradation is held
     assert cell.degradation == d0
 
 
@@ -221,10 +219,10 @@ def test_voltage_after_does_not_commit(cell):
 def test_get_set_state_round_trip(cell):
     snap = cell.get_state()
     c_pos0, c_neg0 = snap[0].c_pos.copy(), snap[0].c_neg.copy()
-    deg0, ext0 = snap[1].copy(), dataclasses.replace(snap[2])
+    deg0, ext0 = dataclasses.replace(snap[1]), dataclasses.replace(snap[2])
     for _ in range(20):
         cell.step(2.0, 10.0)
-    moved = cell.degradation.copy()
+    moved = dataclasses.replace(cell.degradation)
     cell.set_state(snap)
     assert cell.degradation == snap[1]
     assert cell.degradation != moved
@@ -279,7 +277,8 @@ def test_step_commits_the_last_trial(params, degp, monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("change", ["set_state", "dt", "current", "freeze"])
+@pytest.mark.parametrize("change", ["set_state", "dt", "current", "freeze",
+                                    "extrema"])
 def test_trial_is_not_reused_after_a_change(cell, monkeypatch, change):
     snap = cell.get_state()
     cell.voltage_after(2.0, 10.0)
@@ -290,13 +289,23 @@ def test_trial_is_not_reused_after_a_change(cell, monkeypatch, change):
         dt = 5.0
     elif change == "current":
         I = 2.5
-    else:
+    elif change == "freeze":
         cell.freeze_degradation = True
+    else:   # an envelope that already holds the trial's stresses
+        cell.extrema = StressExtrema(1e9, -1e9, 1e9, -1e9)
+    reset = cell.get_state()
     calls = count_advances(cell, monkeypatch)
-    rec = cell.step(I, dt)
-    assert calls == [(I, dt)]
+    cell.step(I, dt)
+    if change == "extrema":
+        # the committed envelope grows from the one the step starts from
+        ref = Cell(cell.params, cell.deg_params)
+        ref.set_state(reset)
+        ref.step(I, dt)
+        assert cell.extrema == ref.extrema
+    else:
+        assert calls == [(I, dt)]
     if change == "freeze":
-        assert rec["i_side"] == 0.0
+        assert cell.degradation is snap[1]
 
 
 def test_clone_is_independent(cell):

@@ -274,6 +274,14 @@ class TestStressAndLAM:
                 cell.apply_cycle_fatigue()
 
 
+def _film_moles(params, degp, old, new):
+    """Lithium, mol, that the SEI and plated films took from old to new,
+    from their thickness increments."""
+    area = params.film_area_neg
+    return (2.0 * area * (new.delta_sei - old.delta_sei) / degp.sei.Omega_sei,
+            area * (new.delta_pl - old.delta_pl) / degp.plating.Omega_pl)
+
+
 class TestInventory:
     def test_lli_rate_nonnegative_terms(self, params, degp, n_li0):
         r = lli_rate(params, degp.sei, degp.plating,
@@ -296,22 +304,17 @@ class TestInventory:
     def test_step_degradation_books_every_mole(self, params, degp, n_li0):
         state = DegradationState(2e-9, 0.0, params.C_p_nom, params.C_n_nom, 0.0)
         c = 0.5 * params.c_smax_neg
-        new, inc = step_degradation(params, degp, state,
-                                    eta_neg=-0.05, u_neg_surface=0.12,
-                                    c_ss_neg=1.05 * c, c_avg_neg=c,
-                                    n_li0=n_li0, dt=1.0)
-        # thickness increments and mole increments are the same bookkeeping
-        assert inc.dn_sei == pytest.approx(
-            2.0 * params.film_area_neg * (new.delta_sei - state.delta_sei)
-            / degp.sei.Omega_sei, rel=1e-12)
-        assert inc.dn_pl == pytest.approx(
-            params.film_area_neg * (new.delta_pl - state.delta_pl)
-            / degp.plating.Omega_pl, rel=1e-12)
+        new, i_side = step_degradation(params, degp, state,
+                                       eta_neg=-0.05, u_neg_surface=0.12,
+                                       c_ss_neg=1.05 * c, c_avg_neg=c,
+                                       n_li0=n_li0, dt=1.0)
+        # thickness increments, LLI and side current are the same books
+        dn_sei, dn_pl = _film_moles(params, degp, state, new)
         assert new.LLI - state.LLI == pytest.approx(
-            (inc.dn_sei + inc.dn_pl) / n_li0, rel=1e-12)
-        assert inc.i_side == pytest.approx(
-            -params.F * (inc.dn_sei + inc.dn_pl) / 1.0, rel=1e-12)
-        assert inc.i_side <= 0.0
+            (dn_sei + dn_pl) / n_li0, rel=1e-12)
+        assert i_side == pytest.approx(
+            -params.F * (dn_sei + dn_pl) / 1.0, rel=1e-12)
+        assert i_side <= 0.0
         # capacities untouched by the within-cycle step
         assert new.C_p == state.C_p and new.C_n == state.C_n
 
@@ -319,27 +322,27 @@ class TestInventory:
         state = DegradationState(1e-9, 1e-10, params.C_p_nom, params.C_n_nom, 0.0)
         c = 0.5 * params.c_smax_neg
         for _ in range(50):
-            state, inc = step_degradation(params, degp, state,
-                                          eta_neg=-0.02, u_neg_surface=0.1,
-                                          c_ss_neg=1.02 * c, c_avg_neg=c,
-                                          n_li0=n_li0, dt=10.0)
-            assert inc.dn_sei >= 0.0 and inc.dn_pl >= 0.0
+            new, i_side = step_degradation(params, degp, state,
+                                           eta_neg=-0.02, u_neg_surface=0.1,
+                                           c_ss_neg=1.02 * c, c_avg_neg=c,
+                                           n_li0=n_li0, dt=10.0)
+            dn_sei, dn_pl = _film_moles(params, degp, state, new)
+            assert dn_sei >= 0.0 and dn_pl >= 0.0 and i_side <= 0.0
+            state = new
         assert state.delta_sei > 1e-9
         assert state.delta_pl > 1e-10
         assert 0.0 < state.LLI < 1.0
 
 
 def _outcome(fn, *args):
-    """Every float of a (state, increments) result as float.hex, or the
-    error it raised."""
+    """Every float of a (state, i_side) result as float.hex, or the error
+    it raised."""
     try:
-        state, inc = fn(*args)
+        state, i_side = fn(*args)
     except (ConfigError, CellDeadError) as e:
         return type(e).__name__, str(e)
     return ([float.hex(getattr(state, f.name))
-             for f in dataclasses.fields(state)]
-            + [float.hex(getattr(inc, f.name))
-               for f in dataclasses.fields(inc)])
+             for f in dataclasses.fields(state)] + [float.hex(i_side)])
 
 
 @pytest.mark.parametrize("variant", ["default", "no plating", "skewed"])

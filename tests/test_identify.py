@@ -625,7 +625,7 @@ class TestPredictRUL:
         camp = short_campaign(params, cycles=3)
         rul = predict_rul(params, degp, st, camp, n_li0=n_li0, dt=30.0,
                           dt_rest=150.0)
-        cell = Cell(params, degp, degradation=st.copy(), n_li0=n_li0)
+        cell = Cell(params, degp, degradation=st, n_li0=n_li0)
         _, rul_direct, _ = run_campaign(cell, camp, dt=30.0, dt_rest=150.0)
         assert rul == rul_direct
 

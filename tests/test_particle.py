@@ -173,7 +173,7 @@ def test_propagator_invariants_over_random_meshes():
         sp = SphereFV(10 ** rng.uniform(-7, -4.5), 10 ** rng.uniform(-16, -12),
                       rng.uniform(1e4, 6e4), n, "draw")
         dt = 10 ** rng.uniform(np.log10(MIN_DT * 1e-3), 5)
-        P, Pe, pe_lo, pe_hi, slack = sp._propagator(dt)
+        P, Pe, pe_lo, pe_hi, slack, _ = sp._propagator(dt)
         assert P.min() >= 0.0
         row_err = max(abs(math.fsum(row) - 1.0) for row in P)
         assert row_err * sp.c_smax < slack
@@ -195,7 +195,7 @@ def test_step_and_average_match_numpy_and_write_nothing():
         sp = SphereFV(10 ** rng.uniform(-7, -4.5), 10 ** rng.uniform(-16, -12),
                       rng.uniform(1e4, 6e4), n, "draw")
         dt = 10 ** rng.uniform(np.log10(MIN_DT * 1e-3), 5)
-        P, Pe, _, pe_hi, _ = sp._propagator(dt)
+        P, Pe, _, pe_hi, _, _ = sp._propagator(dt)
         P0, Pe0 = P.copy(), Pe.copy()
         c = sp.c_smax * rng.uniform(0.3, 0.7, n)
         c0 = c.copy()

@@ -291,7 +291,7 @@ def test_rpt_fresh_capacity(cell, c1):
 
 
 def test_rpt_does_not_age_the_cell(cell):
-    d0 = cell.degradation.copy()
+    d0 = dataclasses.replace(cell.degradation)
     x0, y0 = cell.mean_stoichiometry()
     run_rpt(cell, dt=30.0)
     assert cell.degradation == d0
