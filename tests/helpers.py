@@ -259,7 +259,8 @@ def moles(sp, c):
 def _particle_step_oracle(sp, c, j, dt):
     """SphereFV.step without its cache fetch or carried enclosure: P c - s Pe
     by the same dgemv on a fresh transposed view of P, and the exact range
-    check on every step."""
+    check on every step. It keeps the keyword call (trans=1) on purpose:
+    an independent reference for the step's positional one."""
     P, Pe = sp._propagator(dt)[:2]
     c_new = dgemv(1.0, P.T, c, -(dt * j), Pe, trans=1)
     if c_new.min() < 0.0 or c_new.max() > sp.c_smax:

@@ -7,7 +7,8 @@ written once: only degradation.py reads the film model's coefficients
 (film lithium, resistance, expansion and the family line), and only
 Electrode.exchange_current evaluates the exchange-current law. The
 package has one root finder, ocp.brent, and one least-squares solver,
-scipy's leastsq in the eSOH fit.
+scipy's leastsq in the eSOH fit. Compiled BLAS kernels are called with
+positional arguments, since a keyword costs f2py's keyword parse.
 """
 
 import ast
@@ -163,3 +164,28 @@ def test_one_root_finder():
               or (isinstance(node, ast.alias)
                   and node.name == "least_squares")]
     assert not second, "fit eSOH through leastsq: " + ", ".join(second)
+
+
+def test_blas_calls_are_positional():
+    # a keyword sends scipy's f2py wrapper through its keyword parser,
+    # which costs the particle step more than its 20-shell arithmetic
+    calls, keyworded = 0, []
+    for name, tree in _modules():
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        # kernels are imported by name, so every call to one is a Name call
+        other = [node.lineno for node in imports if "blas" in ast.unparse(node)
+                 and getattr(node, "module", None) != "scipy.linalg.blas"]
+        assert not other, f"{name}:{other} import from scipy.linalg.blas"
+        kernels = {alias.asname or alias.name for node in imports
+                   if getattr(node, "module", None) == "scipy.linalg.blas"
+                   for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in kernels):
+                calls += 1
+                if node.keywords:
+                    keyworded.append(f"{name}:{node.lineno}")
+    assert calls >= 2   # particle.py's dgemv and ddot
+    assert not keyworded, "pass BLAS arguments by position: " + \
+        ", ".join(keyworded)

@@ -343,3 +343,35 @@ def test_cells_of_one_parameter_set_share_propagators(params, degp,
     assert calls[0] == after_first + 2   # one propagator per side
     Cell(p, degp).step(-1.0, 7.0)
     assert calls[0] == after_first + 2
+
+
+def test_steps_leave_the_cached_propagator_as_built(params):
+    # the step hands the cached P e to dgemv as its y, which must copy it
+    # and never write it (overwrite_y is the slot after trans): after steps
+    # of every flux sign, at a cached and at a fresh dt, carrying an
+    # enclosure and from None, every cached entry's bytes are a fresh
+    # build's on a copied parameter set
+    p, ref = dataclasses.replace(params), dataclasses.replace(params)
+    rng = np.random.default_rng(33)
+    for sp, fresh in ((p.pos, ref.pos), (p.neg, ref.neg)):
+        cached = 60.0
+        sp._propagator(cached)
+        for _ in range(10):
+            c = sp.uniform(rng.uniform(0.3, 0.7))
+            enc = (float(c[0]),) * 2
+            for dt in (cached, float(rng.uniform(1.0, 600.0))):
+                # |s| * max(Pe) <= 0.1 c_smax keeps each step in [0, c_smax]
+                j_max = 0.1 * sp.c_smax / (dt * fresh._propagator(dt)[3])
+                for j in (-rng.uniform(0.0, j_max), 0.0,
+                          rng.uniform(0.0, j_max)):
+                    sp.step(c, j, dt, None)
+                    c, enc = sp.step(c, j, dt, enc)
+        assert len(sp._props) == 11
+        for dt, got in sp._props.items():
+            want = fresh._propagator(dt)
+            assert [type(v) for v in got] == [type(v) for v in want]
+            for v, w in zip(got, want):
+                if isinstance(v, np.ndarray):
+                    assert v.tobytes() == w.tobytes(), dt
+                else:
+                    assert v.hex() == w.hex(), dt
