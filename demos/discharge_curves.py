@@ -7,7 +7,7 @@ import numpy as np
 
 import cellfade as cf
 from cellfade import io as cio
-from cellfade.protocol import ProtocolStep, Termination, Trajectory, run_step
+from cellfade.protocol import Termination, sweep
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -26,15 +26,10 @@ ref = cf.synthesize_pseudo_ocv(params, w)
 curves = {}
 for label, rate in [("C/20", c1 / 20.0), ("C/2", c1 / 2.0), ("1C", c1)]:
     c = cf.Cell(params, deg)          # fresh cell starts at the top
-    traj = Trajectory()
-    step = ProtocolStep("cc", rate,
-                        [Termination("voltage", "<=", params.V_min)])
-    run_step(c, step, dt=10.0, trajectory=traj)
-    a = traj.arrays()
-    q = np.cumsum(a["I"] * np.diff(np.concatenate([[0.0], a["t"]]))) / 3600.0
-    curves[label] = (q, a["V"])
+    q, v = sweep(c, rate, Termination("voltage", "<=", params.V_min), 10.0)
+    curves[label] = (q, v)
     cio.write_csv(OUT / ("discharge_%s.csv" % label.replace("/", "")),
-                  {"q_Ah": q, "V_V": a["V"]})
+                  {"q_Ah": q, "V_V": v})
     print("%-4s  delivered %.3f Ah  (%.1f%% of quasi-static)"
           % (label, q[-1], 100.0 * q[-1] / ref.capacity_Ah[-1]))
 

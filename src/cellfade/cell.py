@@ -16,8 +16,8 @@ inverts a propagator another cell of the set has inverted.
 Each value is computed once over the span in which it can change:
 the active areas once per pair of electrode capacities (they move only
 when fatigue closes a cycle), the particle averages when the particle
-state is made, and the step that a CV solve's last trial evaluated is
-committed as it stands instead of being evaluated again.
+state is made, and a CV solve's last trial, which voltage_after returns
+as a value, is committed by step as it stands instead of evaluated again.
 """
 
 from . import electrochem as ec
@@ -33,8 +33,8 @@ class Cell:
 
     particles (ParticleState), degradation (DegradationState) and the
     stress envelope (StressExtrema) are replaced, never changed in place,
-    so a snapshot is a tuple of references and the caches below may key
-    on them by identity.
+    so a snapshot is a tuple of references, and a trial is a value: the
+    (state, record) that voltage_after returns and step commits.
     """
 
     def __init__(self, params, deg_params, degradation=None, n_li0=None,
@@ -51,7 +51,6 @@ class Cell:
         self.freeze_degradation = False   # RPT probes measure without aging
         self._ctx_key = None     # (C_p, C_n) that _ctx belongs to
         self._ctx = None         # active areas and their Faraday multiples
-        self._trial = None       # last voltage_after: its key and result
         if particles is None:
             w = self.esoh()
             particles = at_stoichiometry(params, w.x_100, w.y_100)
@@ -109,7 +108,6 @@ class Cell:
 
     def set_state(self, snap):
         self.particles, self.degradation, self.extrema = snap
-        self._trial = None
 
     # --- stepping ---
 
@@ -159,32 +157,23 @@ class Cell:
         return (parts, deg_new, extrema), {"I": I, "V": v_t, "x": x, "y": y}
 
     def voltage_after(self, I, dt):
-        """Terminal voltage one trial step ahead, without committing.
+        """(V, evaluated): the terminal voltage one trial step ahead and
+        the step itself, _advance's (state, record). Changes nothing;
+        step(I, dt, evaluated) commits the trial without evaluating it
+        again."""
+        evaluated = self._advance(I, dt)
+        return evaluated[1]["V"], evaluated
 
-        The trial is kept: a step(I, dt) from the same state commits it
-        without evaluating it again.
-        """
-        result = self._advance(I, dt)
-        self._trial = (I, dt, self.particles, self.degradation, self.extrema,
-                       self.freeze_degradation, result)
-        return result[1]["V"]
-
-    def step(self, I, dt):
+    def step(self, I, dt, evaluated=None):
         """Advance the cell one timestep under applied current I (A).
 
         Commits the next state and returns its record {I, V, x, y}: the
-        current, terminal voltage and mean stoichiometries. Raises
-        SaturationError if the step drives a particle out of range (caller
-        may retry with smaller dt).
+        current, terminal voltage and mean stoichiometries. evaluated, the
+        trial voltage_after(I, dt) returned from this state, is committed as
+        it stands. Raises SaturationError if the step drives a particle out
+        of range (caller may retry with smaller dt).
         """
-        t = self._trial
-        if (t is not None and t[0] == I and t[1] == dt
-                and t[2] is self.particles and t[3] is self.degradation
-                and t[4] is self.extrema and t[5] == self.freeze_degradation):
-            state, record = t[6]
-        else:
-            state, record = self._advance(I, dt)
-        self._trial = None
+        state, record = evaluated or self._advance(I, dt)
         self.particles, self.degradation, self.extrema = state
         return record
 

@@ -150,21 +150,25 @@ def reference_capacity(params):
 
 
 def _solve_cv_current(cell, v_set, dt, i_guess):
-    """Current holding V_T at v_set for the next step (secant, warm start)."""
+    """(I, evaluated): the current holding V_T at v_set for the next step
+    (secant, warm start) and its trial step, for cell.step to commit."""
     ia = i_guess
-    fa = cell.voltage_after(ia, dt) - v_set
+    va, ea = cell.voltage_after(ia, dt)
+    fa = va - v_set
     if abs(fa) < CV_TOL:
-        return ia
+        return ia, ea
     # V_T decreases with current, so move against the sign of the residual
     ib = ia + (0.05 * abs(ia) + 1e-3) * (1.0 if fa > 0 else -1.0)
-    fb = cell.voltage_after(ib, dt) - v_set
+    vb, eb = cell.voltage_after(ib, dt)
+    fb = vb - v_set
     for _ in range(60):
         if abs(fb) < CV_TOL:
-            return ib
+            return ib, eb
         if fb == fa:
             break
         ia, fa, ib = ib, fb, ib - fb * (ib - ia) / (fb - fa)
-        fb = cell.voltage_after(ib, dt) - v_set
+        vb, eb = cell.voltage_after(ib, dt)
+        fb = vb - v_set
     raise ProtocolStallError(
         f"CV solve at {v_set:g} V did not converge (residual {fb:.2e} V)")
 
@@ -181,6 +185,7 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
     cv = step.mode == "cv"
     base_dt = dt_rest if step.mode == "rest" else dt
     I = step.setpoint if step.mode == "cc" else 0.0   # CV solves per attempt
+    evaluated = None   # a CV attempt's last trial, committed as it stands
     i_cv = 0.0
     time_terms = [c for c in step.terminations if c.quantity == "time"]
     while True:
@@ -196,9 +201,12 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
         while True:   # refine dt near thresholds
             try:
                 if cv:
-                    I = _solve_cv_current(cell, step.setpoint, dt_eff, i_cv)
-                rec = cell.step(I, dt_eff)
+                    I, evaluated = _solve_cv_current(cell, step.setpoint,
+                                                     dt_eff, i_cv)
+                rec = cell.step(I, dt_eff, evaluated)
             except SaturationError:   # in a CV trial too
+                # restores nothing, as the attempt committed nothing; kept
+                # because perfbench counts it as a rollback (ROADMAP item 6)
                 cell.set_state(snap)
                 if dt_eff <= MIN_DT:
                     raise
@@ -241,7 +249,7 @@ def run_protocol(cell, steps, dt=10.0, dt_rest=60.0, trajectory=None,
     return t, discharged
 
 
-def _sweep(cell, current, until, dt):
+def sweep(cell, current, until, dt):
     """Constant current until the termination fires. Returns the charge
     passed so far at each step (Ah, discharge positive) and the terminal
     voltage at each step."""
@@ -275,13 +283,13 @@ def run_rpt(cell, dt=10.0):
     ]
     run_protocol(probe, top, dt=dt)
 
-    q_d, v_d = _sweep(probe, c1 / 20.0, Termination("voltage", "<=", p.V_min),
-                      dt)
+    q_d, v_d = sweep(probe, c1 / 20.0, Termination("voltage", "<=", p.V_min),
+                     dt)
     capacity = float(q_d[-1])
     run_step(probe, ProtocolStep("rest", 0.0,
                                  [Termination("time", ">=", 600.0)]), dt=dt)
-    q_c, v_c = _sweep(probe, -c1 / 20.0, Termination("voltage", ">=", p.V_max),
-                      dt)
+    q_c, v_c = sweep(probe, -c1 / 20.0, Termination("voltage", ">=", p.V_max),
+                     dt)
     q_c = capacity + q_c
 
     # average discharge and charge branches on a common removed-charge axis

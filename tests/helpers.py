@@ -268,6 +268,18 @@ def _particle_step_oracle(sp, c, j, dt):
     return c_new
 
 
+def count_advances(cell, monkeypatch):
+    """Record every kernel evaluation the cell makes from here on."""
+    calls = []
+    real = cell._advance
+
+    def counted(I, dt):
+        calls.append((I, dt))
+        return real(I, dt)
+    monkeypatch.setattr(cell, "_advance", counted)
+    return calls
+
+
 def cell_step_oracle(cell, I, dt):
     """Cell.step composed from public pieces, writing nothing into cell:
     the areas from each side's Electrode.area on every call, a zero side

@@ -95,14 +95,14 @@ def test_particle_calls_per_cell_evaluation(params, degp, monkeypatch):
     cell = ccell.Cell(params, degp)
     cell.voltage_after(2.0, 10.0)
     assert calls == {"step": 2, "pair": 1}
-    cell.step(1.0, 10.0)   # another current: the trial is not kept
+    cell.step(1.0, 10.0)   # handed no trial, the step evaluates
     assert calls == {"step": 4, "pair": 2}
 
 
 def test_voltage_calls_per_cell_evaluation(params, degp, monkeypatch):
     # electrochem.voltage.calls reads as one terminal_voltage per evaluated
     # cell step, an aging one or a frozen (RPT probe) one, and none for
-    # the step that commits a kept trial
+    # the step that commits a trial it is handed
     calls = []
     terminal_voltage = electrochem.terminal_voltage
 
@@ -113,9 +113,9 @@ def test_voltage_calls_per_cell_evaluation(params, degp, monkeypatch):
     # the tracer rebinds the module attribute, which the cell reads
     monkeypatch.setattr(electrochem, "terminal_voltage", counted)
     cell = ccell.Cell(params, degp)
-    cell.voltage_after(2.0, 10.0)
+    _, evaluated = cell.voltage_after(2.0, 10.0)
     assert len(calls) == 1
-    cell.step(2.0, 10.0)   # commits the kept trial without evaluating it
+    cell.step(2.0, 10.0, evaluated)   # commits the trial without evaluating it
     assert len(calls) == 1
     cell.step(1.0, 10.0)
     assert len(calls) == 2
@@ -230,9 +230,9 @@ def test_degradation_calls_per_cell_evaluation(params, degp, monkeypatch):
     for module in (degradation, ccell):   # as the tracer rebinds it
         monkeypatch.setattr(module, "step_degradation", counted)
     cell = ccell.Cell(params, degp)
-    cell.voltage_after(2.0, 10.0)
+    _, evaluated = cell.voltage_after(2.0, 10.0)
     assert len(calls) == 1
-    cell.step(2.0, 10.0)   # commits the kept trial without evaluating it
+    cell.step(2.0, 10.0, evaluated)   # commits the trial without evaluating it
     assert len(calls) == 1
     cell.step(1.0, 10.0)
     assert len(calls) == 2

@@ -10,15 +10,14 @@ import pytest
 
 from cellfade import io as cio
 from cellfade.cell import Cell
-from cellfade.degradation import (DegradationState, StressExtrema,
-                                  deep_soh, lam_cycle_update)
+from cellfade.degradation import DegradationState, deep_soh, lam_cycle_update
 from cellfade.errors import SaturationError
 from cellfade.measurement import r_film
 from cellfade.params import default_cell
 from cellfade.protocol import (Campaign, ProtocolStep, Termination,
                                reference_capacity, run_campaign,
                                run_step)
-from helpers import cell_step_oracle, demo_members
+from helpers import cell_step_oracle, count_advances, demo_members
 
 
 @pytest.fixture
@@ -142,14 +141,14 @@ def test_step_matches_its_composed_oracle_bit_for_bit(params, degp,
     step = Cell.step
     dts = []
 
-    def checked(cell, I, dt):
+    def checked(cell, I, dt, evaluated=None):
         try:
             want, (parts, deg, extrema) = cell_step_oracle(cell, I, dt)
         except SaturationError:
             with pytest.raises(SaturationError):
-                step(cell, I, dt)
+                step(cell, I, dt, evaluated)
             raise
-        got = step(cell, I, dt)
+        got = step(cell, I, dt, evaluated)
         dts.append((cell.freeze_degradation, dt))
         assert got.keys() == want.keys()
         assert _hexes(got.values()) == _hexes(want[k] for k in got)
@@ -210,7 +209,7 @@ def test_freeze_degradation_is_inert(cell):
 
 def test_voltage_after_does_not_commit(cell):
     snap = cell.get_state()
-    v = cell.voltage_after(2.0, 10.0)
+    v, _ = cell.voltage_after(2.0, 10.0)
     assert np.isfinite(v)
     assert np.array_equal(cell.particles.c_neg, snap[0].c_neg)
     assert cell.degradation == snap[1]
@@ -246,66 +245,23 @@ def test_snapshot_and_rollback_keep_references(cell):
     assert all(a is b for a, b in zip(cell.get_state(), held))
 
 
-def count_advances(cell, monkeypatch):
-    """Record every kernel evaluation the cell makes from here on."""
-    calls = []
-    real = cell._advance
-
-    def counted(I, dt):
-        calls.append((I, dt))
-        return real(I, dt)
-    monkeypatch.setattr(cell, "_advance", counted)
-    return calls
-
-
 def test_step_commits_the_last_trial(params, degp, monkeypatch):
     ref = Cell(params, degp)
     want = ref.step(2.0, 10.0)
     cell = Cell(params, degp)
     calls = count_advances(cell, monkeypatch)
     cell.voltage_after(1.5, 10.0)
-    v = cell.voltage_after(2.0, 10.0)
-    got = cell.step(2.0, 10.0)
-    assert len(calls) == 2   # the step reused the second trial
+    v, evaluated = cell.voltage_after(2.0, 10.0)
+    got = cell.step(2.0, 10.0, evaluated)
+    assert len(calls) == 2   # the step committed the second trial
     assert got == want and v == want["V"]
     assert cell.degradation == ref.degradation
     assert np.array_equal(cell.particles.c_pos, ref.particles.c_pos)
     assert np.array_equal(cell.particles.c_neg, ref.particles.c_neg)
     assert cell.extrema == ref.extrema
-    # a committed trial is spent: the next step from the new state evaluates
+    # a step handed no trial evaluates its own
     cell.step(2.0, 10.0)
     assert len(calls) == 3
-
-
-@pytest.mark.parametrize("change", ["set_state", "dt", "current", "freeze",
-                                    "extrema"])
-def test_trial_is_not_reused_after_a_change(cell, monkeypatch, change):
-    snap = cell.get_state()
-    cell.voltage_after(2.0, 10.0)
-    I, dt = 2.0, 10.0
-    if change == "set_state":
-        cell.set_state(snap)
-    elif change == "dt":
-        dt = 5.0
-    elif change == "current":
-        I = 2.5
-    elif change == "freeze":
-        cell.freeze_degradation = True
-    else:   # an envelope that already holds the trial's stresses
-        cell.extrema = StressExtrema(1e9, -1e9, 1e9, -1e9)
-    reset = cell.get_state()
-    calls = count_advances(cell, monkeypatch)
-    cell.step(I, dt)
-    if change == "extrema":
-        # the committed envelope grows from the one the step starts from
-        ref = Cell(cell.params, cell.deg_params)
-        ref.set_state(reset)
-        ref.step(I, dt)
-        assert cell.extrema == ref.extrema
-    else:
-        assert calls == [(I, dt)]
-    if change == "freeze":
-        assert cell.degradation is snap[1]
 
 
 def test_clone_is_independent(cell):

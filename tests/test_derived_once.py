@@ -56,8 +56,8 @@ def test_particle_states_carry_their_own_averages(params, degp, tmp_path):
     calls = []
     step = cell.step
 
-    def checked(I, dt):
-        record = step(I, dt)
+    def checked(I, dt, evaluated=None):
+        record = step(I, dt, evaluated)
         calls.append(I)
         _assert_own_averages(params, cell.particles)
         return record

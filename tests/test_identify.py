@@ -694,8 +694,8 @@ def test_inverted_states_age_on_python_floats(params, degp, y_full, n_li0):
         records = []
         commit = cell.step
 
-        def recording(I, dt, commit=commit):
-            records.append(commit(I, dt))
+        def recording(I, dt, evaluated=None, commit=commit):
+            records.append(commit(I, dt, evaluated))
             return records[-1]
 
         cell.step = recording

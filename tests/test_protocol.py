@@ -27,6 +27,7 @@ from cellfade.protocol import (
     run_rpt,
     run_step,
 )
+from helpers import count_advances
 
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
@@ -165,6 +166,33 @@ def test_cv_saturation_raises_only_at_min_dt(cell, monkeypatch):
     assert dts[0] == 60.0 and dts[-1] == protocol.MIN_DT
 
 
+def test_cv_step_commits_its_last_trial(cell, c1, monkeypatch):
+    # each CV attempt hands its last secant trial to Cell.step: the kernel
+    # runs once per trial and never again to commit, and the cell holds
+    # the last trial's own state values
+    run_step(cell, ProtocolStep("cc", c1 / 2.0,
+                                [Termination("time", ">=", 1800.0)]), dt=10.0)
+    advances = count_advances(cell, monkeypatch)
+    trials = []
+    trial = Cell.voltage_after
+
+    def spy(self, I, dt):
+        v, evaluated = trial(self, I, dt)
+        trials.append(evaluated)
+        return v, evaluated
+
+    monkeypatch.setattr(Cell, "voltage_after", spy)
+    step = ProtocolStep("cv", cell.params.V_max,
+                        [Termination("time", ">=", 60.0)])
+    run_step(cell, step, dt=10.0)
+    assert len(trials) >= 6   # at least one trial for each of six steps
+    assert len(advances) == len(trials)
+    (particles, degradation, extrema), _ = trials[-1]
+    assert cell.particles is particles
+    assert cell.degradation is degradation
+    assert cell.extrema is extrema
+
+
 def test_cv_holds_setpoint_and_tapers(cell, c1):
     # discharge a bit first so the CV at V_max has work to do
     run_step(cell, ProtocolStep("cc", c1 / 2.0,
@@ -190,7 +218,8 @@ def test_stall_raises(cell):
 
 
 class CVLawCell(Cell):
-    """A cell whose CV trial voltage follows law(I); trials leave its
+    """A cell whose CV trial voltage follows law(I). Its trials evaluate
+    no step, so they hand Cell.step nothing to commit, and leave the
     state alone, as Cell.voltage_after does."""
 
     def __init__(self, params, degp, law):
@@ -200,7 +229,7 @@ class CVLawCell(Cell):
 
     def voltage_after(self, I, dt):
         self.trials += 1
-        return self.law(I)
+        return self.law(I), None
 
 
 @pytest.mark.parametrize("law, trials", [
