@@ -49,8 +49,11 @@ class DegradationState:
     def grown(self, delta_sei, delta_pl, LLI):
         """This state with the films and LLI that step_degradation grew,
         made without __init__: the step passes floats, grows each film by
-        an amount >= 0 and keeps the capacities, so only LLI is checked."""
+        an amount >= 0 and keeps the capacities, so only LLI is checked:
+        the films may take all the lithium there is, which ends the cell."""
         if not (0.0 <= LLI < 1.0):
+            if LLI >= 1.0:
+                raise CellDeadError("lithium inventory exhausted")
             raise ConfigError(f"LLI must be in [0,1), got {LLI}")
         new = object.__new__(DegradationState)
         new.__dict__.update(self.__dict__, delta_sei=delta_sei,
@@ -164,19 +167,22 @@ def lam_cycle_update(extrema, lam, params):
     """One cycle's fatigue loss of the electrode capacities.
 
     Returns (dC_p_loss, dC_n_loss), >= 0 in Ah: the active-material
-    fraction each side loses times its capacity at fraction 1. The
+    fraction each side loses times its capacity at fraction 1, inf where
+    the power law overflows, a loss that no capacity survives. The
     within-cycle capacities are frozen; this runs once per cycle.
     """
-    def frac(beta1, beta2, smax, smin, scrit):
-        return (beta1 * (abs(smax) / scrit) ** lam.m_lam
-                + beta2 * (abs(smin) / scrit) ** lam.m_lam)
+    def loss(beta, sigma, scrit):
+        if beta == 0.0:   # no fatigue, however far sigma is past scrit
+            return 0.0
+        try:
+            return beta * (abs(sigma) / scrit) ** lam.m_lam
+        except OverflowError:
+            return math.inf
 
-    deps_pos = frac(lam.beta1_pos, lam.beta2_pos,
-                    extrema.sigma_max_pos, extrema.sigma_min_pos,
-                    lam.sigma_crit_pos)
-    deps_neg = frac(lam.beta1_neg, lam.beta2_neg,
-                    extrema.sigma_max_neg, extrema.sigma_min_neg,
-                    lam.sigma_crit_neg)
+    deps_pos = (loss(lam.beta1_pos, extrema.sigma_max_pos, lam.sigma_crit_pos)
+                + loss(lam.beta2_pos, extrema.sigma_min_pos, lam.sigma_crit_pos))
+    deps_neg = (loss(lam.beta1_neg, extrema.sigma_max_neg, lam.sigma_crit_neg)
+                + loss(lam.beta2_neg, extrema.sigma_min_neg, lam.sigma_crit_neg))
     return (deps_pos * params.pos.full_capacity,
             deps_neg * params.neg.full_capacity)
 
@@ -202,6 +208,12 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     Plating: flux -k_pl*c_e*drive*exp(...) at eta_neg + U-(c_ss), < 0 when
     depositing; the surface enrichment drive (c_ss - c_avg)/c_smax keeps it
     quiet at rest and in discharge. k_pl = 0 switches it off; nothing strips.
+
+    An exponential past float range takes its law's limit: SEI kinetics
+    that overflow are transport-limited (1/kin = 0), SEI kinetics that
+    underflow to kin = 0 grow no film, and plating that overflows where it
+    deposits takes all the lithium there is, which grown refuses with
+    CellDeadError.
     """
     sei = deg.sei
     pl = deg.plating
@@ -209,17 +221,26 @@ def step_degradation(params, deg, state, eta_neg, u_neg_surface,
     RT = params.R_gas * params.T
     delta, delta_pl = state.delta_sei, state.delta_pl
     eta_pl = eta_neg + u_neg_surface    # plating's; the SEI's less U_sei
-    kin = sei.k_sei * math.exp(-sei.alpha_sei * F * (eta_pl - sei.U_sei) / RT)
+    try:
+        kin = sei.k_sei * math.exp(-sei.alpha_sei * F * (eta_pl - sei.U_sei) / RT)
+    except OverflowError:
+        kin = math.inf
     G = dt * sei.Omega_sei * sei.c_ec0 / 2.0
-    B = 1.0 / kin + delta / sei.D_sei
+    try:
+        B = 1.0 / kin + delta / sei.D_sei
+    except ZeroDivisionError:   # B = inf grows u = 0
+        B = math.inf
     d_sei_new = delta + 2.0 * G / (B + math.sqrt(B * B + 4.0 * G / sei.D_sei))
 
     if pl.k_pl == 0.0:
         j_pl = 0.0
     else:
         drive = (c_ss_neg - c_avg_neg) / params.neg.c_smax
-        j_pl = -pl.k_pl * params.c_e * drive * math.exp(
-            -pl.alpha_pl * F * eta_pl / RT)
+        try:
+            rate = math.exp(-pl.alpha_pl * F * eta_pl / RT)
+        except OverflowError:   # drive 0 then makes j_pl NaN: no deposit
+            rate = math.inf
+        j_pl = -pl.k_pl * params.c_e * drive * rate
     d_pl_new = delta_pl + dt * (pl.Omega_pl * (-j_pl if j_pl < 0.0 else 0.0))
 
     # moles from the same thickness increments that the state keeps,

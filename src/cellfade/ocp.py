@@ -3,11 +3,12 @@
 Half-cell OCPs enter as two-column tables (stoichiometry, potential vs
 Li/Li+, strictly decreasing) and are interpolated with a shape-preserving
 monotone cubic, exact at every knot and strictly decreasing between them:
-scipy's PchipInterpolator, whose power series scalar and array calls alike
-sum on its own coefficients. Evaluation outside the tabulated
-stoichiometry range is an error, not an extrapolation. The module also
-holds the package's one root finder, brent, which inverts a table here
-and solves the stoichiometric window in electrochem.
+PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980), whose power
+series rows are computed here, to the bits of scipy's PchipInterpolator,
+and summed alike by scalar and array calls. Evaluation outside the
+tabulated stoichiometry range is an error, not an extrapolation. The
+module also holds the package's one root finder, brent, which inverts a
+table here and solves the stoichiometric window in electrochem.
 """
 
 import math
@@ -16,7 +17,6 @@ from bisect import bisect_right
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, SaturationError
 
@@ -82,12 +82,45 @@ def brent(f, a, b, f_a, f_b, xtol):
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
+def _pchip_rows(s, v):
+    """(value rows, slope rows) of PCHIP on the table (s, v): on each
+    segment, the coefficients of t**0 to t**3 of the potential and of t**0
+    to t**2 of its slope, t the offset from the segment's left knot.
+
+    They are scipy's PchipInterpolator(s, v).c and .derivative().c to the
+    bit, computed in scipy's order of operations: each interior knot's
+    slope is the weighted harmonic mean of its two secants (Fritsch &
+    Butland, SIAM J. Sci. Stat. Comput. 5, 1984), each end knot's Moler's
+    one-sided three-point estimate (pchiptx in "Numerical Computing with
+    MATLAB", 2004), set to 0 where its sign leaves the end secant's; the
+    rows are CubicHermiteSpline's, the slope rows scaled x3, x2 and x1 as
+    PPoly.derivative scales them, and each constant row gets + 0.0, as
+    PPoly's sum starts from 0.0 and so turns a -0.0 into 0.0. The
+    constructor passes only tables of at least 20 rows whose secants are
+    all below zero, so scipy's branches for a zero secant, for secants of
+    two signs and for an end slope past three secants never fire.
+    """
+    h = np.diff(s)
+    m = np.diff(v) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(v)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    for k, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                              (-1, h[-1], h[-2], m[-1], m[-2])):
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        d[k] = end if end < 0.0 else 0.0
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1 = t / h, (m - d[:-1]) / h - t   # scipy's c[0] and c[1]
+    return (v[:-1] + 0.0, d[:-1], c1, c0), (d[:-1] + 0.0, c1 * 2, c0 * 3)
+
+
 class MonotoneOCPTable:
     """Strictly decreasing potential(stoichiometry) interpolant.
 
-    Scalar and array calls sum one formula: scipy's PPoly power series,
-    in PPoly's order, on the interpolant's own coefficients, so each value
-    and slope is scipy's to the bit, a scalar's as a Python float. A
+    Scalar and array calls sum one formula: PPoly's power series, in
+    PPoly's order, on the rows _pchip_rows builds to scipy's bits, so each
+    value and slope is scipy's to the bit, a scalar's as a Python float. A
     scalar call (the simulator's inner loop) reads its segment's
     coefficients as Python floats; an in-range float finds the segment
     inline, by one bisect bounded so that s_max falls in the last one.
@@ -110,21 +143,20 @@ class MonotoneOCPTable:
             raise ConfigError(f"{name}: non-finite table entry")
         if not np.all(np.diff(s) > 0):
             raise ConfigError(f"{name}: stoichiometry column must be strictly increasing")
-        if not np.all(np.diff(v) < 0):
-            raise ConfigError(f"{name}: potential column must be strictly decreasing")
+        # slopes past double precision end in the ConfigError, unwarned
+        with np.errstate(all="ignore"):
+            # a secant that underflows to 0 is as flat as two equal rows
+            if not np.all(np.diff(v) / np.diff(s) < 0):
+                raise ConfigError(f"{name}: potential column must be strictly decreasing")
+            self._value_c, self._slope_c = _pchip_rows(s, v)
+        if not np.all(np.isfinite(self._value_c + self._slope_c)):
+            raise ConfigError(f"{name}: table slopes overflow double precision")
         self.name = name
         self.stoich = s
         self.potential = v
         self.s_min = float(s[0])
         self.s_max = float(s[-1])
-        pchip = PchipInterpolator(s, v, extrapolate=False)
-        # PPoly sums from 0.0: adding it to the constant terms turns a -0.0
-        # into 0.0 as that first sum would, so each sum is PPoly's
         self._interior = s[1:-1]
-        c = pchip.c   # (4, n-1), highest power first
-        self._value_c = (c[3] + 0.0, c[2], c[1], c[0])
-        d = pchip.derivative().c
-        self._slope_c = (d[2] + 0.0, d[1], d[0])
         # python floats per segment beat numpy indexing for one point
         self._value_rows = list(zip(*(r.tolist() for r in self._value_c)))
         self._slope_rows = list(zip(*(r.tolist() for r in self._slope_c)))

@@ -162,13 +162,13 @@ def _solve_cv_current(cell, v_set, dt, i_guess):
     vb, eb = cell.voltage_after(ib, dt)
     fb = vb - v_set
     for _ in range(60):
-        if abs(fb) < CV_TOL:
-            return ib, eb
-        if fb == fa:
+        if abs(fb) < CV_TOL or fb == fa:
             break
         ia, fa, ib = ib, fb, ib - fb * (ib - ia) / (fb - fa)
         vb, eb = cell.voltage_after(ib, dt)
         fb = vb - v_set
+    if abs(fb) < CV_TOL:   # the last trial too
+        return ib, eb
     raise ProtocolStallError(
         f"CV solve at {v_set:g} V did not converge (residual {fb:.2e} V)")
 

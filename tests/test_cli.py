@@ -675,6 +675,30 @@ def test_narrow_window_cell_runs(tmp_path):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("key, value, eol", [
+    # the SEI exponential overflows: transport-limited growth
+    ("T", 1.0, False), ("U_sei", 1.0e3, False),
+    # it underflows to kin = 0, and 1/kin divides by zero: no growth
+    ("U_sei", -1.0e3, False),
+    # the fatigue power law overflows: a loss that ends the cell
+    ("sigma_crit_pos", 1.0e-300, True), ("m_lam", 1.0e6, True),
+    # plating takes the whole lithium inventory within a cycle
+    ("k_pl", 1.0e10, True),
+])
+def test_aging_law_overflow_is_the_laws_limit(tmp_path, capsys, key, value,
+                                              eol):
+    # an aging law pushed past float range takes its limit: no traceback,
+    # and no input error mid-run
+    _, path = _rpt_cell(tmp_path, **{key: value})
+    out = tmp_path / "o"
+    rc = main(["simulate", "--cell", path,
+               "--campaign", str(DATA / "campaign_default.yaml"),
+               "--max-cycles", "2", "--dt", "60", "--dt-rest", "300",
+               "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert read_json(out / "cycles.json")["eol_reached"] is eol
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("keep\n")

@@ -93,6 +93,17 @@ def test_state_rejects_invalid_input(args, error, message):
     assert type(e.value) is error and str(e.value) == message
 
 
+@pytest.mark.parametrize("LLI, error", [
+    (1.0, CellDeadError), (math.inf, CellDeadError),
+    (-0.5, ConfigError), (math.nan, ConfigError)])
+def test_films_that_take_all_the_lithium_end_the_cell(LLI, error):
+    # a step may grow films over the whole inventory, which ends the cell;
+    # a negative or NaN LLI is still no state at all
+    with pytest.raises(error) as e:
+        DegradationState(1e-9, 0.0, 6.0, 5.0, 0.2).grown(1e-9, 0.0, LLI)
+    assert type(e.value) is error
+
+
 class TestSEI:
     def test_flux_always_negative(self, degp):
         sei = degp.sei
@@ -261,6 +272,16 @@ class TestStressAndLAM:
     def test_cycle_update_zero_stress_zero_loss(self, params, degp):
         assert lam_cycle_update(StressExtrema(), degp.lam, params) == (0.0, 0.0)
 
+    def test_cycle_update_overflow_is_a_loss_no_capacity_survives(
+            self, params, degp):
+        ex = StressExtrema(1e9, -1e9, 1e9, -1e9)   # past sigma_crit
+        lam = dataclasses.replace(degp.lam, m_lam=1e6)
+        assert lam_cycle_update(ex, lam, params) == (math.inf, math.inf)
+        # a side with no fatigue coefficients loses nothing, however far
+        # its stress is past sigma_crit
+        lam = dataclasses.replace(lam, beta1_pos=0.0, beta2_pos=0.0)
+        assert lam_cycle_update(ex, lam, params) == (0.0, math.inf)
+
     def test_cycle_update_dead_cell(self, params, degp):
         # a huge or a moderate envelope drives a nearly empty positive
         # electrode below zero; the new DegradationState refuses it
@@ -317,6 +338,27 @@ class TestInventory:
         assert i_side <= 0.0
         # capacities untouched by the within-cycle step
         assert new.C_p == state.C_p and new.C_n == state.C_n
+
+    def test_step_degradation_takes_the_sei_laws_limits(self, params, degp,
+                                                         n_li0):
+        # an SEI exponential past float range is transport-limited growth,
+        # 1/kin = 0, and one that underflows to kin = 0 grows no film
+        state = DegradationState(2e-9, 0.0, params.C_p_nom, params.C_n_nom, 0.0)
+        c = 0.5 * params.c_smax_neg
+        sei = degp.sei
+
+        def after(U_sei):
+            deg = dataclasses.replace(
+                degp, sei=dataclasses.replace(sei, U_sei=U_sei))
+            return step_degradation(params, deg, state, eta_neg=0.0,
+                                    u_neg_surface=0.1, c_ss_neg=c,
+                                    c_avg_neg=c, n_li0=n_li0, dt=10.0)[0]
+
+        G = 10.0 * sei.Omega_sei * sei.c_ec0 / 2.0
+        B = state.delta_sei / sei.D_sei
+        assert after(1e3).delta_sei == state.delta_sei + 2.0 * G / (
+            B + math.sqrt(B * B + 4.0 * G / sei.D_sei))
+        assert after(-1e3) == state
 
     def test_step_degradation_monotone_state(self, params, degp, n_li0):
         state = DegradationState(1e-9, 1e-10, params.C_p_nom, params.C_n_nom, 0.0)

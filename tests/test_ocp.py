@@ -52,6 +52,20 @@ def test_rejects_increasing_voltage():
         make_table(direction=1)
 
 
+def test_rejects_slopes_past_double_precision():
+    k = np.arange(25.0)
+    # potentials one subnormal apart over segments 3 wide: each secant
+    # underflows to -0.0, as flat as two equal rows
+    with pytest.raises(ConfigError, match="strictly decreasing"):
+        MonotoneOCPTable(3.0 * k, -5e-324 * k)
+    # a secant past the float range, and a cubic row past it over tiny
+    # segments, leave no finite row to sum
+    huge = np.concatenate([[1e308, -1e308], -1e308 - 1e306 * k[1:-1]])
+    for s, v in ((k, huge), (1e-300 * k, 4.0 - 0.1 * k)):
+        with pytest.raises(ConfigError, match="overflow double precision"):
+            MonotoneOCPTable(s, v)
+
+
 def test_rejects_unsorted_stoichiometry():
     s = np.linspace(0.1, 0.9, 30)
     v = 4.0 - s
@@ -154,10 +168,18 @@ def _bits(a):
 
 @pytest.mark.parametrize("name, t", list(_oracle_tables()))
 def test_array_calls_are_scipy_pchip_to_the_bit(name, t):
-    # array calls sum the interpolant's coefficients themselves; each value
-    # and slope must be scipy's own, so that every fit is unchanged
+    # the table builds its PCHIP rows itself, and array calls sum them; each
+    # row, value and slope must be scipy's own, so that every fit is
+    # unchanged. random-200 zeroes both end slopes, whose three-point
+    # estimates leave the end secants' sign; the other five tables keep
+    # the three-point estimate at both ends
     pchip = PchipInterpolator(t.stoich, t.potential, extrapolate=False)
     dpchip = pchip.derivative()
+    # rows constant first, as the table keeps them, each constant row + 0.0
+    c, d = pchip.c, dpchip.c
+    want = (c[3] + 0.0, c[2], c[1], c[0], d[2] + 0.0, d[1], d[0])
+    assert [r.tobytes() for r in t._value_c + t._slope_c] == \
+        [r.tobytes() for r in want], name
     snap = 1e-9 * (t.s_max - t.s_min)
     edges = [t.s_min, t.s_max, t.s_min - snap, t.s_max + snap,
              t.s_min - 0.5 * snap, t.s_max + 0.5 * snap,

@@ -258,6 +258,17 @@ def test_cv_solve_stall_raises(params, degp, c1, law, trials):
     assert np.array_equal(snap[0].c_neg, c_neg)
 
 
+def test_cv_solve_tests_its_last_trial(params, degp):
+    # residuals of alternating sign halve each secant step, and only the
+    # 62nd trial, the last the solve evaluates, meets CV_TOL: it is returned
+    v_set = params.V_max
+    cell = CVLawCell(params, degp, lambda I: v_set + (
+        0.0 if cell.trials == 62 else 0.3 * (-1.0) ** cell.trials))
+    I, evaluated = protocol._solve_cv_current(cell, v_set, 10.0, 0.0)
+    assert cell.trials == 62
+    assert evaluated is None and -1e-3 < I < 0.0
+
+
 def test_protocol_determinism(cell, params, degp, c1):
     steps = [
         ProtocolStep("cc", c1 / 2.0, [Termination("voltage", "<=", 3.2)]),
