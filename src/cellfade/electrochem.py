@@ -19,7 +19,8 @@ pulls the terminal voltage below the OCV.
 import math
 from dataclasses import dataclass
 
-from .errors import CellDeadError, KineticsSingularError, SaturationError
+from .errors import (CellDeadError, ConfigError, KineticsSingularError,
+                     SaturationError)
 from .ocp import brent
 from .particle import SphereFV
 
@@ -43,6 +44,17 @@ class Electrode(SphereFV):
         self._volume = params.A * thickness
         self._full_charge = params.A * params.F * thickness * self.c_smax
         self.full_capacity = self._full_charge / 3600.0   # Ah at eps_s = 1
+        if not 0.0 < self._full_charge < math.inf:
+            raise ConfigError(
+                f"A {params.A:g} m^2, l_{name} {thickness:g} m and c_smax_"
+                f"{name} {self.c_smax:g} mol/m^3 put the full charge outside "
+                f"double precision")
+        nominal = params.C_p_nom if pos else params.C_n_nom
+        if not 0.0 < self.area(nominal) < math.inf:
+            raise ConfigError(
+                f"C_{name[0]}_nom {nominal:g} Ah of a full {self.full_capacity:g}"
+                f" Ah (A, l_{name}, c_smax_{name}) at r_p_{name} {self.r_p:g} "
+                f"m puts the interfacial area outside double precision")
 
     def area(self, capacity_Ah):
         """Total interfacial area A*l*a_s, m^2, at a given capacity: the

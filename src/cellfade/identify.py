@@ -21,8 +21,8 @@ from .degradation import (DegradationState, deep_soh, film_expansion,
                           point_on_family, sei_lithium_moles, within_lli_budget)
 from .errors import (AmbiguousRootsError, CellDeadError, ConfigError,
                      InfeasibleError)
-from .measurement import (forward_measure, kinetic_resistance,
-                          operating_point, synthesize_pseudo_ocv)
+from .measurement import (film_free_resistance, forward_measure,
+                          synthesize_pseudo_ocv)
 from .electrochem import pristine_inventory, solve_window
 from .protocol import run_campaign
 
@@ -44,12 +44,11 @@ class IdentificationResult:
 def _film_target(params, deg_params, y, n_li0):
     """Areal film resistance the measurement demands, ohm*m^2."""
     try:
-        x_mid, y_mid = operating_point(params, y.C_p, y.C_n, y.LLI, n_li0)
+        h4 = film_free_resistance(params, y.C_p, y.C_n, y.LLI, n_li0)
     except CellDeadError as e:
         raise InfeasibleError(
             f"no stoichiometric window fits C_p {y.C_p:.6g} Ah, C_n "
             f"{y.C_n:.6g} Ah and LLI {y.LLI:.6g} ({e})") from None
-    h4 = kinetic_resistance(params, y.C_p, y.C_n, x_mid, y_mid)
     gap = y.R_s - h4
     if gap < -REL_TOL * max(y.R_s, h4):
         raise InfeasibleError(

@@ -2,10 +2,10 @@
 degradation state (composing degradation.py's film laws), pseudo-OCV
 synthesis and the eSOH fit.
 
-All functions here are pure (operating_point's memo on the never-mutated
-CellParameters cannot go stale); the simulated-pulse and RPT routes that
-exercise them live in protocol.py so the two paths to each quantity stay
-independent of one another.
+All functions here are pure (film_free_resistance's memo on the
+never-mutated CellParameters cannot go stale); the simulated-pulse and
+RPT routes that exercise them live in protocol.py so the two paths to
+each quantity stay independent of one another.
 """
 
 import math
@@ -89,19 +89,19 @@ def irreversible_expansion(exp_params, state, params):
 
 # --- the forward measurement map used by identification ---
 
-def operating_point(params, C_p, C_n, LLI, n_li0):
-    """Mid-window stoichiometries (x, y) implied by a health triple: where
-    forward_measure reads R_s and where the inversion reads it back.
-    Remembered on params, errors excepted: both inversion routes and the
-    forward check of their answers ask for each vector's window."""
-    memo = params.operating_points
+def film_free_resistance(params, C_p, C_n, LLI, n_li0):
+    """Charge-transfer resistance, ohm, mid-window of a health triple: the
+    film-free part of R_s, where forward_measure reads it and inversion
+    reads it back. Remembered on params for the last arguments only, errors
+    excepted: both routes and their forward checks ask for one vector."""
+    memo = params.film_free_resistances
     key = (C_p, C_n, LLI, n_li0)
     got = memo.get(key)
     if got is None:
         w = solve_window(params, C_p, C_n, n_li0 * (1.0 - LLI))
-        got = 0.5 * (w.x_0 + w.x_100), 0.5 * (w.y_0 + w.y_100)
-        if len(memo) >= 64:
-            memo.clear()
+        got = kinetic_resistance(params, C_p, C_n, 0.5 * (w.x_0 + w.x_100),
+                                 0.5 * (w.y_0 + w.y_100))
+        memo.clear()
         memo[key] = got
     return got
 
@@ -113,11 +113,11 @@ def forward_measure(params, deg_params, state, n_li0):
     own stoichiometric window; inversion reconstructs the same operating
     point from (C_p, C_n, LLI), so the map is exactly invertible.
     """
-    x_mid, y_mid = operating_point(params, state.C_p, state.C_n, state.LLI,
-                                   n_li0)
     return MeasurementVector(
         C_p=state.C_p, C_n=state.C_n, LLI=state.LLI,
-        R_s=instantaneous_resistance(params, deg_params, state, x_mid, y_mid),
+        R_s=(r_film(params, deg_params, state)[1]
+             + film_free_resistance(params, state.C_p, state.C_n, state.LLI,
+                                    n_li0)),
         delta_irr=irreversible_expansion(deg_params.expansion, state, params))
 
 

@@ -177,9 +177,9 @@ class CellParameters:
                                ec.pristine_inventory(self))
 
     @cached_property
-    def operating_points(self):
-        """measurement.operating_point's memo: (x_mid, y_mid) by the exact
-        (C_p, C_n, LLI, n_li0). A replace() copy starts with its own."""
+    def film_free_resistances(self):
+        """measurement.film_free_resistance's memo: its last (C_p, C_n, LLI,
+        n_li0) and their resistance. A replace() copy starts with its own."""
         return {}
 
 
@@ -288,6 +288,10 @@ def load_cell_config(path):
                         ocp_neg=_load_ocp(raw, "ocp_neg", path, where))
     deg = DegradationParameters(*(from_mapping(cls, raw, where)
                                   for cls in _PARAMETER_CLASSES))
+    try:
+        cell.pos, cell.neg   # each electrode checks what it derives
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
     try:
         cell.fresh_window   # places the fresh cell: pristine_inventory too
     except (SaturationError, CellDeadError) as e:

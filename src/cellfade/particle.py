@@ -25,12 +25,13 @@ that set shares the side's propagator cache. The functions below take
 that pair: anything with .pos and .neg particles.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import ddot, dgemv
 
-from .errors import SaturationError
+from .errors import ConfigError, SaturationError
 
 
 class SphereFV:
@@ -45,20 +46,33 @@ class SphereFV:
         self.dr = self.r_p / self.n
         self.half_dr = 0.5 * self.dr   # surface: c[-1] - half_dr * j / D
         faces = np.linspace(0.0, self.r_p, self.n + 1)
-        self.volumes = 4.0 / 3.0 * np.pi * (faces[1:] ** 3 - faces[:-1] ** 3)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            cubes = faces ** 3
+            self.volumes = 4.0 / 3.0 * np.pi * (cubes[1:] - cubes[:-1])
         self.total_volume = float(self.volumes.sum())
+        # the smallest shell underflows first, and the total overflows
+        # first; a finite total bounds r_p ** 2 as well
+        if not (self.volumes.min() > 0.0 and self.total_volume < math.inf):
+            raise ConfigError(f"r_p_{name} {self.r_p:g} m puts the particle's "
+                              f"shell volumes outside double precision")
         area_int = 4.0 * np.pi * faces[1:-1] ** 2   # internal faces
         self.area_surf = 4.0 * np.pi * self.r_p ** 2
 
         # dc/dt = M c - j * e ; M rows sum to zero (flux telescoping)
         n = self.n
         M = np.zeros((n, n))
-        w = self.D * area_int / self.dr
+        with np.errstate(over="ignore"):   # checked below
+            w = self.D * area_int / self.dr
+            inner, outer = w / self.volumes[:-1], w / self.volumes[1:]
+        if not (np.isfinite(inner).all() and np.isfinite(outer).all()):
+            raise ConfigError(f"D_s_{name} {self.D:g} m^2/s puts the "
+                              f"particle's exchange rates outside double "
+                              f"precision")
         for i in range(n - 1):
-            M[i, i] -= w[i] / self.volumes[i]
-            M[i, i + 1] += w[i] / self.volumes[i]
-            M[i + 1, i + 1] -= w[i] / self.volumes[i + 1]
-            M[i + 1, i] += w[i] / self.volumes[i + 1]
+            M[i, i] -= inner[i]
+            M[i, i + 1] += inner[i]
+            M[i + 1, i + 1] -= outer[i]
+            M[i + 1, i] += outer[i]
         self._M = M
         self._e = np.zeros(n)
         self._e[-1] = self.area_surf / self.volumes[-1]

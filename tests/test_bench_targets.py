@@ -125,8 +125,9 @@ def test_voltage_calls_per_cell_evaluation(params, degp, monkeypatch):
 
 
 def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
-    # electrochem.window.calls reads as one solve_window per identified
-    # vector however often the routes and their checks ask. The eSOH fit
+    # electrochem.window.calls reads as one solve_window, and one
+    # kinetic_resistance, per identified vector however often the routes
+    # and their checks ask. The eSOH fit
     # makes no array table call: per table, it locates each distinct theta
     # it tries once, sums values there once for the residual and slopes
     # once for the Jacobian
@@ -138,7 +139,7 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
                                          n_li0 * (1.0 - y.LLI)),
         noise_mv=0.5, rng=np.random.default_rng(3))
     p = dataclasses.replace(params)   # a copy starts with no memo
-    calls = {"window": 0, "array": 0, "residual": 0}
+    calls = {"window": 0, "kinetic": 0, "array": 0, "residual": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -149,11 +150,13 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     window = counted("window", electrochem.solve_window)
     for module in (electrochem, measurement, identify):   # as the tracer does
         monkeypatch.setattr(module, "solve_window", window)
+    monkeypatch.setattr(measurement, "kinetic_resistance", counted(
+        "kinetic", measurement.kinetic_resistance))
     identify.invert_with_expansion(p, degp, y, n_li0)
     fam = identify.invert_without_expansion(p, degp, y, n_li0)
     for member in identify.sample_family(fam, y, 3):
         measurement.forward_measure(p, degp, member, n_li0)
-    assert calls["window"] == 1
+    assert calls["window"] == calls["kinetic"] == 1
 
     table_call = ocp.MonotoneOCPTable.__call__
 

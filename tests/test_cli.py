@@ -699,6 +699,29 @@ def test_aging_law_overflow_is_the_laws_limit(tmp_path, capsys, key, value,
     assert read_json(out / "cycles.json")["eol_reached"] is eol
 
 
+@pytest.mark.parametrize("key, value", [
+    # the full charge overflows, so the active area underflows to 0
+    ("l_pos", 1.0e300), ("l_neg", 1.0e300),
+    # the shell volumes underflow to 0, or overflow
+    ("r_p_pos", 1.0e-300), ("r_p_neg", 1.0e-300),
+    ("r_p_pos", 1.0e300), ("r_p_neg", 1.0e300),
+    # the shells' exchange rates overflow
+    ("D_s_pos", 1.0e300), ("D_s_neg", 1.0e300),
+])
+def test_geometry_past_double_precision_exits_2(tmp_path, capsys, key, value):
+    # refused at load with one line naming the file and the key
+    _, path = _rpt_cell(tmp_path, **{key: value})
+    out = tmp_path / "o"
+    rc = main(["simulate", "--cell", path,
+               "--campaign", str(DATA / "campaign_default.yaml"),
+               "--max-cycles", "2", "--dt", "60", "--dt-rest", "300",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.count("\n") == 1 and path in err and key in err, err
+    assert not out.exists()
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("keep\n")

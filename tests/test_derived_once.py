@@ -5,7 +5,8 @@ each electrode side's constants are read from its Electrode, which only
 electrochem.py builds from the raw cell fields. Each physical law is
 written once: only degradation.py reads the film model's coefficients
 (film lithium, resistance, expansion and the family line), and only
-Electrode.exchange_current evaluates the exchange-current law. The
+Electrode.exchange_current evaluates the exchange-current law; only
+measurement.py evaluates the film-free resistance, once per vector. The
 package has one root finder, ocp.brent, and one least-squares solver,
 scipy's leastsq in the eSOH fit. Compiled BLAS kernels are called with
 positional arguments, since a keyword costs f2py's keyword parse.
@@ -33,6 +34,8 @@ FILM_READERS = {"degradation.py", "params.py"}
 # the exchange-current law's constants, made and read by two methods
 KINETIC_CONSTANTS = {"i0_prefix", "one_minus_alpha"}
 KINETIC_READERS = {"__init__", "exchange_current"}
+# the film-free resistance is read through measurement.film_free_resistance
+RESISTANCE_CALLERS = {"measurement.py"}
 # scipy.optimize is the eSOH fit's, and no module solves roots through it
 OPTIMIZE_IMPORTERS = {"measurement.py"}
 
@@ -129,6 +132,16 @@ def test_each_law_is_written_once():
                and node.attr in KINETIC_CONSTANTS]
     assert not kinetic, "call Electrode.exchange_current: " + \
         ", ".join(kinetic)
+
+
+def test_only_measurement_evaluates_the_film_free_resistance():
+    calls = [f"{name}:{node.lineno}" for name, tree in _modules()
+             if name not in RESISTANCE_CALLERS for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "kinetic_resistance" in (
+                 getattr(node.func, "id", None),
+                 getattr(node.func, "attr", None))]
+    assert not calls, "call measurement.film_free_resistance: " + \
+        ", ".join(calls)
 
 
 def test_one_root_finder():

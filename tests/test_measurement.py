@@ -14,12 +14,12 @@ from cellfade.errors import CellDeadError, ConfigError, EstimationFailedError
 from cellfade.measurement import (
     MeasurementVector,
     extract_esoh,
+    film_free_resistance,
     forward_measure,
     instantaneous_resistance,
     irreversible_expansion,
     kinetic_resistance,
     material_loss_expansion,
-    operating_point,
     r_film,
     synthesize_pseudo_ocv,
 )
@@ -153,50 +153,62 @@ def test_forward_measure_components(params, degp, n_li0):
 
 
 class TestOperatingPointMemo:
-    """operating_point remembers windows on its CellParameters; each test
-    takes a replace() copy, which starts with an empty memo."""
+    """film_free_resistance remembers the resistance at the operating point
+    (the middle of the window) of the last vector asked for on its
+    CellParameters; each test takes a replace() copy, which starts with an
+    empty memo."""
 
     @staticmethod
-    def midpoint(params, C_p, C_n, LLI, n_li0):
+    def at_midpoint(params, C_p, C_n, LLI, n_li0):
         w = solve_window(params, C_p, C_n, n_li0 * (1.0 - LLI))
-        return 0.5 * (w.x_0 + w.x_100), 0.5 * (w.y_0 + w.y_100)
+        return kinetic_resistance(params, C_p, C_n, 0.5 * (w.x_0 + w.x_100),
+                                  0.5 * (w.y_0 + w.y_100))
 
-    def test_equals_window_midpoint(self, params, n_li0):
+    def test_equals_window_midpoint(self, params, n_li0, monkeypatch):
         p = dataclasses.replace(params)
         args = (0.93 * p.C_p_nom, 0.91 * p.C_n_nom, 0.07, n_li0)
-        want = self.midpoint(p, *args)
-        assert operating_point(p, *args) == want   # solved
-        assert operating_point(p, *args) == want   # remembered
-        assert p.operating_points == {args: want}
+        want = self.at_midpoint(p, *args)
+        calls = []
+        for name in ("solve_window", "kinetic_resistance"):
+            fn = getattr(measurement, name)
+            monkeypatch.setattr(measurement, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        assert film_free_resistance(p, *args) == want   # solved
+        assert film_free_resistance(p, *args) == want   # remembered
+        assert calls == ["solve_window", "kinetic_resistance"]
+        assert p.film_free_resistances == {args: want}
 
     def test_copy_with_another_window_gets_its_own_answer(self, params, n_li0):
         p = dataclasses.replace(params)
         args = (0.95 * p.C_p_nom, 0.95 * p.C_n_nom, 0.05, n_li0)
-        first = operating_point(p, *args)
+        first = film_free_resistance(p, *args)
         q = dataclasses.replace(p, V_max=p.V_max - 0.05)
-        assert q.operating_points == {}
-        second = operating_point(q, *args)
-        assert second == self.midpoint(q, *args)
+        assert q.film_free_resistances == {}
+        second = film_free_resistance(q, *args)
+        assert second == self.at_midpoint(q, *args)
         assert second != first
-        assert operating_point(p, *args) == first
+        assert film_free_resistance(p, *args) == first
 
     def test_errors_are_not_remembered(self, params, n_li0, monkeypatch):
         p = dataclasses.replace(params)
+        kept = (p.C_p_nom, p.C_n_nom, 0.05, n_li0)
+        held = {kept: film_free_resistance(p, *kept)}
         calls = []
         monkeypatch.setattr(measurement, "solve_window",
                             lambda *a: calls.append(a) or solve_window(*a))
         for _ in range(3):
             with pytest.raises(CellDeadError):
-                operating_point(p, p.C_p_nom, p.C_n_nom, 0.99, n_li0)
+                film_free_resistance(p, p.C_p_nom, p.C_n_nom, 0.99, n_li0)
         assert len(calls) == 3
-        assert p.operating_points == {}
+        assert p.film_free_resistances == held
 
     def test_memo_is_bounded(self, params, n_li0):
+        # it holds exactly the last arguments asked for
         p = dataclasses.replace(params)
-        for i in range(200):
-            operating_point(p, p.C_p_nom * (1.0 - 5e-4 * i), p.C_n_nom, 0.05,
-                            n_li0)
-            assert 1 <= len(p.operating_points) <= 64
+        for i in range(3):
+            args = (p.C_p_nom * (1.0 - 5e-4 * i), p.C_n_nom, 0.05, n_li0)
+            got = film_free_resistance(p, *args)
+            assert p.film_free_resistances == {args: got}
 
 
 class TestESOH:
