@@ -95,9 +95,11 @@ class Cell:
         return self
 
     def clone(self):
-        """New cell with the same parameters, at the top of its window. It
-        shares the degradation state, a frozen value, by reference, and
-        with it the state's deepSOH split (degradation.deep_soh)."""
+        """New cell with the same parameters, at rest at the top of its
+        window: uniform particles at the window's 100 % stoichiometries,
+        whose open-circuit voltage is V_max. It shares the degradation
+        state, a frozen value, by reference, and with it the state's
+        deepSOH split (degradation.deep_soh)."""
         return Cell(self.params, self.deg_params, degradation=self.degradation,
                     n_li0=self.n_li0)
 

@@ -284,7 +284,3 @@ def main(argv=None):
         print(f"error: cannot write --out {args.out}: {e}", file=sys.stderr)
         return EXIT_INPUT
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

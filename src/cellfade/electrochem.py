@@ -50,6 +50,12 @@ class Electrode(SphereFV):
                 f"{name} {self.c_smax:g} mol/m^3 put the full charge outside "
                 f"double precision")
         nominal = params.C_p_nom if pos else params.C_n_nom
+        if nominal > self.full_capacity:
+            raise ConfigError(
+                f"C_{name[0]}_nom {nominal:g} Ah exceeds the full "
+                f"{self.full_capacity:g} Ah that A {params.A:g} m^2, l_{name} "
+                f"{thickness:g} m and c_smax_{name} {self.c_smax:g} mol/m^3 "
+                f"hold: an active-material fraction above 1")
         if not 0.0 < self.area(nominal) < math.inf:
             raise ConfigError(
                 f"C_{name[0]}_nom {nominal:g} Ah of a full {self.full_capacity:g}"

@@ -3,7 +3,7 @@ degradation state (composing degradation.py's film laws), pseudo-OCV
 synthesis and the eSOH fit.
 
 All functions here are pure (film_free_resistance's memo on the
-never-mutated CellParameters cannot go stale); the simulated-pulse and
+frozen CellParameters cannot go stale); the simulated-pulse and
 RPT routes that exercise them live in protocol.py so the two paths to
 each quantity stay independent of one another.
 """
@@ -194,7 +194,9 @@ def extract_esoh(curve, params, capacity=None):
     # residual array as its own and overwrites it once past the start.)
 
     @lru_cache(maxsize=1)
-    def stoichiometries(key):
+    def evaluate(key):
+        """(residual, located): the residual at theta and its points as
+        each OCP table located them, with their off-table excursions."""
         C_p, C_n, x_0, y_0 = np.frombuffer(key)
         x = x_0 + dq / C_n
         y = y_0 - dq / C_p
@@ -203,23 +205,21 @@ def extract_esoh(curve, params, capacity=None):
         y_c = np.minimum(np.maximum(y, tp.s_min), tp.s_max)
         # clipped points are on-table or NaN, which locate takes as they
         # are: the snap an array table call makes first would change none
-        return tn.locate(x_c), tp.locate(y_c), x - x_c, y - y_c
-
-    @lru_cache(maxsize=1)
-    def residuals(key):
-        at_n, at_p, out_n, out_p = stoichiometries(key)
+        at_n, at_p = tn.locate(x_c), tp.locate(y_c)
+        out_n, out_p = x - x_c, y - y_c
         # curve and window ends located together (each point is summed
         # alone, so batching changes no bit)
-        return np.concatenate([
+        residual = np.concatenate([
             (tp.value_at(at_p) - tn.value_at(at_n) - target) * weight,
             [PENALTY_WEIGHT * np.abs(out_n).max(),
              PENALTY_WEIGHT * np.abs(out_p).max()],
         ])
+        return residual, (at_n, at_p, out_n, out_p)
 
     @lru_cache(maxsize=1)
     def jacobian(key):
         C_p, C_n, _, _ = np.frombuffer(key)
-        at_n, at_p, out_n, out_p = stoichiometries(key)
+        at_n, at_p, out_n, out_p = evaluate(key)[1]
         # a clipped point does not move with theta: the clip's derivative
         # is 1 on the closed table range and 0 outside it
         dp = tp.slope_at(at_p) * (out_p == 0.0)
@@ -242,7 +242,7 @@ def extract_esoh(curve, params, capacity=None):
 
     # MINPACK's lmder, called as least_squares(method="lm") calls it
     theta, _, info, mesg, ier = leastsq(
-        lambda theta: residuals(theta.tobytes()), theta0,
+        lambda theta: evaluate(theta.tobytes())[0], theta0,
         Dfun=lambda theta: jacobian(theta.tobytes()), full_output=True,
         ftol=1e-14, xtol=1e-14, gtol=1e-14, maxfev=400)
     rms = math.sqrt(float(np.mean(info["fvec"][:n] ** 2)))

@@ -159,7 +159,6 @@ class MonotoneOCPTable:
         self._interior = s[1:-1]
         # python floats per segment beat numpy indexing for one point
         self._value_rows = list(zip(*(r.tolist() for r in self._value_c)))
-        self._slope_rows = list(zip(*(r.tolist() for r in self._slope_c)))
         self._breaks = s.tolist()
         self._n_segments = len(s) - 1
 
@@ -230,8 +229,7 @@ class MonotoneOCPTable:
         if isinstance(s, np.ndarray):
             return self._on_array(s, self.slope_at)
         i, t = self._segment(s)
-        d2, d1, d0 = self._slope_rows[i]
-        return d2 + d1 * t + d0 * (t * t)
+        return float(self.slope_at((i, t, t * t)))
 
     def _on_array(self, s, at):
         # as PPoly does: float64 points, located flat, shaped like s

@@ -99,7 +99,7 @@ def _require_nonneg(obj, names):
             raise ConfigError(f"{type(obj).__name__}.{n} must be >= 0, got {v!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellParameters:
     """Electrochemical cell description.
 
@@ -151,8 +151,8 @@ class CellParameters:
             if not isinstance(tab, MonotoneOCPTable):
                 raise ConfigError(f"{name} must be an OCP table")
 
-    # Parameters are never changed in place (copies come from
-    # dataclasses.replace), so what derives from them is computed once.
+    # Frozen: copies come from dataclasses.replace, so what derives from
+    # a parameter set is computed once.
     @cached_property
     def pos(self):
         """The positive electrode (electrochem.Electrode)."""
@@ -183,7 +183,7 @@ class CellParameters:
         return {}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SEIParameters:
     k_sei: float        # kinetic rate constant, m/s
     alpha_sei: float
@@ -199,7 +199,7 @@ class SEIParameters:
             raise ConfigError(f"alpha_sei must be in (0,1), got {self.alpha_sei}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlatingParameters:
     k_pl: float         # plating rate constant, m/s
     alpha_pl: float
@@ -214,7 +214,7 @@ class PlatingParameters:
             raise ConfigError(f"alpha_pl must be in (0,1), got {self.alpha_pl}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LAMParameters:
     beta1_pos: float
     beta2_pos: float
@@ -234,7 +234,7 @@ class LAMParameters:
             raise ConfigError(f"m_lam must be >= 1, got {self.m_lam}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpansionParameters:
     b_sei: float      # dimensionless
     b_pl: float       # 1/m, squares the plating thickness into meters
@@ -245,7 +245,7 @@ class ExpansionParameters:
         _require_nonneg(self, ["b_sei", "b_pl", "b_in_pos", "b_in_neg"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegradationParameters:
     sei: SEIParameters
     plating: PlatingParameters

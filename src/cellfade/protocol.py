@@ -204,10 +204,7 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
                     I, evaluated = _solve_cv_current(cell, step.setpoint,
                                                      dt_eff, i_cv)
                 rec = cell.step(I, dt_eff, evaluated)
-            except SaturationError:   # in a CV trial too
-                # restores nothing, as the attempt committed nothing; kept
-                # because perfbench counts it as a rollback (ROADMAP item 6)
-                cell.set_state(snap)
+            except SaturationError:   # in a CV trial too; nothing committed
                 if dt_eff <= MIN_DT:
                     raise
             else:
@@ -264,24 +261,15 @@ def sweep(cell, current, until, dt):
 def run_rpt(cell, dt=10.0):
     """Characterize the cell without aging it.
 
-    Works on a frozen clone: CCCV top-up, C/20 discharge and charge
-    (averaged into a pseudo-OCV curve), a mid-SOC current pulse for
-    resistance, and the expansion readout. Returns a dict.
+    Works on a frozen clone, which starts at rest at the top of its
+    window: C/20 discharge and charge (averaged into a pseudo-OCV curve),
+    a mid-SOC current pulse for resistance, and the expansion readout.
+    Returns a dict.
     """
     p = cell.params
     c1 = reference_capacity(p)
     probe = cell.clone()
     probe.freeze_degradation = True
-
-    top = [
-        ProtocolStep("cc", -c1 / 5.0,
-                     [Termination("voltage", ">=", p.V_max),
-                      Termination("time", ">=", 10.0 * 3600.0)]),
-        ProtocolStep("cv", p.V_max,
-                     [Termination("current", "abs<=", c1 / 100.0)]),
-        ProtocolStep("rest", 0.0, [Termination("time", ">=", 600.0)]),
-    ]
-    run_protocol(probe, top, dt=dt)
 
     q_d, v_d = sweep(probe, c1 / 20.0, Termination("voltage", "<=", p.V_min),
                      dt)

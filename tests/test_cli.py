@@ -722,6 +722,38 @@ def test_geometry_past_double_precision_exits_2(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    # each puts C_p_nom past what the positive electrode's volume holds
+    ("A", 2.0e-4), ("l_pos", 1.0e-300), ("c_smax_pos", 48.0),
+])
+def test_active_material_fraction_above_one_exits_2(tmp_path, capsys, key,
+                                                    value):
+    _, path = _rpt_cell(tmp_path, **{key: value})
+    out = tmp_path / "o"
+    rc = main(["simulate", "--cell", path,
+               "--campaign", str(DATA / "campaign_default.yaml"),
+               "--max-cycles", "2", "--dt", "60", "--dt-rest", "300",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.count("\n") == 1 and path in err and "C_p_nom" in err, err
+    assert key in err, err
+    assert not out.exists()
+
+
+def test_ambiguity_below_the_film_free_resistance_exits_3(tmp_path, capsys):
+    # a demo R_s the kinetics alone exceed is infeasible before any
+    # member ages: one line, and no output directory
+    argv, _ = _demo_measurement(tmp_path, R_s=0.001)
+    out = tmp_path / "o"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.count("\n") == 1 and err.startswith("infeasible:"), err
+    assert "film-free" in err, err
+    assert not out.exists()
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("keep\n")

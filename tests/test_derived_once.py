@@ -1,5 +1,7 @@
 """Each derived quantity is computed once, by the module that owns it.
 
+Parameter sets are frozen, so what is derived from one cannot go stale.
+
 A particle state carries its averages from the moment it is made, and
 each electrode side's constants are read from its Electrode, which only
 electrochem.py builds from the raw cell fields. Each physical law is
@@ -13,9 +15,12 @@ positional arguments, since a keyword costs f2py's keyword parse.
 """
 
 import ast
+import dataclasses
 import random
 import re
 from pathlib import Path
+
+import pytest
 
 from cellfade import io as cio
 from cellfade.cell import Cell
@@ -202,3 +207,13 @@ def test_blas_calls_are_positional():
     assert calls >= 2   # particle.py's dgemv and ddot
     assert not keyworded, "pass BLAS arguments by position: " + \
         ", ".join(keyworded)
+
+
+def test_parameter_sets_are_frozen(params, degp):
+    # the electrodes, the fresh window and the film-free resistance memo
+    # are derived once per parameter set, so no field may move under them
+    for obj in (params, degp, degp.sei, degp.plating, degp.lam,
+                degp.expansion):
+        name = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))

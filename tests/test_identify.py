@@ -200,6 +200,13 @@ class TestFamily:
                 sample_family(fam, y_no_exp, n)
 
 
+    def test_sample_family_refuses_a_unique_result(self, params, degp,
+                                                   y_full, n_li0):
+        res = invert_with_expansion(params, degp, y_full, n_li0)
+        with pytest.raises(ConfigError):
+            sample_family(res, y_full, 3)
+
+
 class TestUniqueInversion:
     def test_round_trip_exact_state(self, params, degp, truth, y_full, n_li0):
         res = invert_with_expansion(params, degp, y_full, n_li0)
@@ -252,6 +259,19 @@ class TestUniqueInversion:
                                 y_full.R_s, delta_irr=y_full.delta_irr * 1e-3)
         with pytest.raises(InfeasibleError):
             invert_with_expansion(params, degp, bad, n_li0)
+
+    def test_linear_expansion_law_has_one_root(self, params, degp, truth,
+                                               n_li0):
+        # plating that does not swell leaves E(s) linear in s: its one
+        # root is the state
+        e = dataclasses.replace(degp.expansion, b_pl=0.0)
+        d = dataclasses.replace(degp, expansion=e)
+        y = forward_measure(params, d, truth, n_li0)
+        res = invert_with_expansion(params, d, y, n_li0)
+        assert res.solution.delta_sei == pytest.approx(truth.delta_sei,
+                                                       rel=1e-9)
+        assert res.solution.delta_pl == pytest.approx(truth.delta_pl, rel=1e-9)
+        assert res.residual["ok"]
 
     def test_two_admissible_roots_surface_as_ambiguity(self, params, degp,
                                                        n_li0):

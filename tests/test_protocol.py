@@ -365,6 +365,20 @@ def test_rpt_esoh_close_to_truth_at_end_of_life(params, degp):
     assert rpt["esoh"]["y_100"] == pytest.approx(w.y_100, abs=0.0025)
 
 
+def test_rpt_does_not_depend_on_the_refinement_floor(params, degp,
+                                                    monkeypatch):
+    # the probe starts at rest at the top of its window, so no step
+    # refined down to MIN_DT places the start of the pseudo-OCV sweep
+    runs = []
+    for floor in (0.05, 0.01):
+        monkeypatch.setattr(protocol, "MIN_DT", floor)
+        runs.append(run_rpt(Cell(params, degp), dt=60.0))
+    a, b = runs
+    assert a["pseudo_ocv"].voltage.tobytes() == b["pseudo_ocv"].voltage.tobytes()
+    assert a["capacity_Ah"] == b["capacity_Ah"]
+    assert a["esoh"] == b["esoh"]
+
+
 def test_rpt_reports_a_failed_esoh_fit(cell, monkeypatch):
     def fail(*args, **kwargs):
         raise EstimationFailedError("fit did not converge")
