@@ -7,7 +7,8 @@ inputs reproduce them byte for byte.
 
 Exit codes: 0 ok, 2 input error or unwritable --out, 3 infeasible (or
 ambiguous) identification, 4 numerical failure. --out is created only
-for exit 0 or 3.
+for exit 0 or 3; on exit 3 the command's record (identification.json or
+ambiguity.json) says which kind of verdict it was and why.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -28,8 +29,9 @@ from .errors import (AmbiguousRootsError, CellfadeError, ConfigError,
 from .identify import (ambiguity_experiment, invert_with_expansion,
                        invert_without_expansion, sample_family)
 from .measurement import forward_measure
-from .params import _number, load_cell_config
-from .protocol import Campaign, reference_capacity, run_campaign, run_rpt
+from .params import _input, _number, load_cell_config
+from .protocol import (DT, DT_REST, Campaign, reference_capacity,
+                       run_campaign, run_rpt)
 from .electrochem import pristine_inventory
 
 EXIT_OK = 0
@@ -55,13 +57,15 @@ def _positive(kind):
     return parse
 
 
-@contextmanager
-def _input(where):
-    """Name the input file where in a ConfigError raised by the block."""
-    try:
-        yield
-    except ConfigError as e:
-        raise ConfigError(f"{where}: {e}") from None
+def _verdict(e, doc):
+    """Exit 3 for the inversion error e: its kind, message and any
+    candidates go into the command's record doc, and one line to stderr."""
+    kind = "ambiguous" if isinstance(e, AmbiguousRootsError) else "infeasible"
+    doc.update(kind=kind, error=str(e))
+    if kind == "ambiguous":
+        doc["candidates"] = [c.as_dict() for c in e.candidates]
+    print(f"{kind}: {e}", file=sys.stderr)
+    return EXIT_INFEASIBLE
 
 
 def _load_cell(args):
@@ -150,18 +154,8 @@ def cmd_identify(args):
             (lo, hi) = res.family_endpoints
             print(f"family segment: ({lo[0] * 1e9:.3f} nm SEI, {lo[1] * 1e9:.3f} nm Li)"
                   f" .. ({hi[0] * 1e9:.3f} nm SEI, {hi[1] * 1e9:.3f} nm Li)")
-    except AmbiguousRootsError as e:
-        doc.update({
-            "kind": "ambiguous",
-            "candidates": [c.as_dict() for c in e.candidates],
-            "error": str(e),
-        })
-        print(f"ambiguous: {e}", file=sys.stderr)
-        code = EXIT_INFEASIBLE
-    except InfeasibleError as e:
-        doc.update({"kind": "infeasible", "error": str(e)})
-        print(f"infeasible: {e}", file=sys.stderr)
-        code = EXIT_INFEASIBLE
+    except (AmbiguousRootsError, InfeasibleError) as e:
+        code = _verdict(e, doc)
     return code, {"identification.json": partial(cio.write_json, doc=doc)}
 
 
@@ -176,11 +170,17 @@ def cmd_ambiguity_demo(args):
         if workers > 1:
             members_map = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers)).map
-        with _input(f"demo config {args.demo}"):
-            report = ambiguity_experiment(
-                params, deg, y, campaign, n_members=n_members, dt=args.dt,
-                dt_rest=args.dt_rest, lli_budget=budget,
-                progress=lambda s: print(s, file=sys.stderr), map=members_map)
+        try:
+            with _input(f"demo config {args.demo}"):
+                report = ambiguity_experiment(
+                    params, deg, y, campaign, n_members=n_members,
+                    dt=args.dt, dt_rest=args.dt_rest, lli_budget=budget,
+                    progress=lambda s: print(s, file=sys.stderr),
+                    map=members_map)
+        except InfeasibleError as e:
+            doc = {"measurement": y.as_dict()}
+            return _verdict(e, doc), {
+                "ambiguity.json": partial(cio.write_json, doc=doc)}
 
     curve = report.pop("pseudo_ocv")
     files = {"pseudo_ocv.csv": partial(cio.write_pseudo_ocv_csv, curve=curve),
@@ -205,12 +205,14 @@ def build_parser():
         description="Battery degradation simulation and health identification")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, state=False, dt=True):
+    def common(p, state=False, dt=True, dt_rest=True):
         p.add_argument("--cell", required=True, help="cell config YAML")
         p.add_argument("--out", required=True, help="output directory")
         if dt:
-            p.add_argument("--dt", type=_positive(float), default=10.0,
+            p.add_argument("--dt", type=_positive(float), default=DT,
                            help="timestep during active steps, s")
+        if dt_rest:
+            p.add_argument("--dt-rest", type=_positive(float), default=DT_REST)
         if state:
             p.add_argument("--state", help="resume from a state JSON")
 
@@ -219,17 +221,16 @@ def build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--campaign", help="campaign YAML (steps + EOL settings)")
     g.add_argument("--protocol", help="protocol YAML (single pass steps)")
-    p.add_argument("--dt-rest", type=_positive(float), default=60.0)
     p.add_argument("--max-cycles", type=_positive(int),
                    help="override the campaign cycle cap")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("rpt", help="reference performance test")
-    common(p, state=True)
+    common(p, state=True, dt_rest=False)
     p.set_defaults(fn=cmd_rpt)
 
     p = sub.add_parser("identify", help="invert a measurement vector")
-    common(p, dt=False)
+    common(p, dt=False, dt_rest=False)
     p.add_argument("--measurements", required=True, help="measurement JSON")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--with-expansion", action="store_true")
@@ -244,7 +245,6 @@ def build_parser():
     p = sub.add_parser("ambiguity", help="same-measurement divergence demo")
     common(p)
     p.add_argument("--demo", required=True, help="demo YAML")
-    p.add_argument("--dt-rest", type=_positive(float), default=60.0)
     p.add_argument("--jobs", type=_positive(int), default=1,
                    help="age the members in up to this many processes")
     p.set_defaults(fn=cmd_ambiguity_demo)
@@ -264,9 +264,6 @@ def main(argv=None):
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except CellfadeError as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -14,7 +14,7 @@ film lithium, resistance and expansion, and the iso-resistance family.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import CellDeadError, ConfigError
 
@@ -65,8 +65,7 @@ class DegradationState:
                                 self.C_p, self.C_n, self.LLI)
 
     def as_dict(self):
-        return {"delta_sei": self.delta_sei, "delta_pl": self.delta_pl,
-                "C_p": self.C_p, "C_n": self.C_n, "LLI": self.LLI}
+        return asdict(self)
 
 
 # --- film lithium ---

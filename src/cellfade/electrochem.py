@@ -17,7 +17,7 @@ pulls the terminal voltage below the OCV.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (CellDeadError, ConfigError, KineticsSingularError,
                      SaturationError)
@@ -131,11 +131,8 @@ class ESOHRecord:
     fit_rms_v: float = None
 
     def as_dict(self):
-        d = {k: float(getattr(self, k)) for k in
-             ("C", "C_p", "C_n", "x_0", "x_100", "y_0", "y_100", "n_li")}
-        if self.fit_rms_v is not None:
-            d["fit_rms_v"] = float(self.fit_rms_v)
-        return d
+        # float(): a numpy field (a float32, say) would not write as JSON
+        return {k: float(v) for k, v in asdict(self).items() if v is not None}
 
 
 def solve_window(params, C_p, C_n, n_li):

@@ -24,7 +24,7 @@ from .errors import (AmbiguousRootsError, CellDeadError, ConfigError,
 from .measurement import (film_free_resistance, forward_measure,
                           synthesize_pseudo_ocv)
 from .electrochem import pristine_inventory, solve_window
-from .protocol import run_campaign
+from .protocol import DT, DT_REST, run_campaign
 
 REL_TOL = 1e-9          # slack for float cancellation in feasibility checks
 VERIFY_TOL = 1e-7       # forward-model residual accepted for a verdict
@@ -223,15 +223,15 @@ def _age_member(params, deg_params, n_li0, campaign, dt, dt_rest, state):
     return rul, eol, traj.cycles
 
 
-def predict_rul(params, deg_params, state, campaign, n_li0=None, dt=10.0,
-                dt_rest=60.0):
+def predict_rul(params, deg_params, state, campaign, n_li0=None, dt=DT,
+                dt_rest=DT_REST):
     """Cycles a cell starting at this state survives before EOL."""
     return _age_member(params, deg_params, n_li0, campaign, dt, dt_rest,
                        state)[0]
 
 
 def ambiguity_experiment(params, deg_params, y, campaign, n_members=3,
-                         n_li0=None, dt=10.0, dt_rest=60.0, lli_budget=True,
+                         n_li0=None, dt=DT, dt_rest=DT_REST, lli_budget=True,
                          progress=None, map=map):
     """The headline demonstration: states that measure identically but
     age apart.

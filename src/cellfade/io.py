@@ -8,6 +8,7 @@ import hashlib
 import json
 import time
 from array import array
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .degradation import DegradationState, deep_soh, within_lli_budget
 from .errors import ConfigError
 from .particle import particle_state
 from .measurement import MeasurementVector
-from .params import (_number, field_names, from_mapping, read_mapping,
+from .params import (_input, _number, field_names, from_mapping, read_mapping,
                      reject_unknown)
 from .protocol import (STEP_MODES, Campaign, ProtocolStep, Termination,
                        parse_current)
@@ -35,10 +36,8 @@ def _parse_steps(raw_steps, c_1c, where):
     for k, s in enumerate(raw_steps):
         what = f"{where}: step {k + 1}"
         reject_unknown(s, ("mode", "setpoint", "until"), what)
-        try:
+        with _input(what):
             steps.append(_parse_step(s, c_1c))
-        except ConfigError as e:
-            raise ConfigError(f"{what}: {e}") from None
     return steps
 
 
@@ -221,10 +220,7 @@ def write_pseudo_ocv_csv(path, curve):
 
 def write_cycles_json(path, traj, extra):
     """The per-cycle records, plus the run summary fields in extra."""
-    write_json(path, {"cycles": [
-        {"cycle": c.cycle, "capacity_Ah": c.capacity_Ah,
-         "degradation": c.degradation, "deep_soh": c.deep_soh, "rpt": c.rpt}
-        for c in traj.cycles], **extra})
+    write_json(path, {"cycles": [asdict(c) for c in traj.cycles], **extra})
 
 
 def write_json(path, doc):

@@ -9,7 +9,7 @@ each quantity stay independent of one another.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,10 +46,7 @@ class MeasurementVector:
                               f"{self.delta_irr}")
 
     def as_dict(self):
-        d = {"C_p": self.C_p, "C_n": self.C_n, "LLI": self.LLI, "R_s": self.R_s}
-        if self.delta_irr is not None:
-            d["delta_irr"] = self.delta_irr
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 # --- the readouts of a state: resistance and expansion ---

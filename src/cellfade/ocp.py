@@ -156,6 +156,8 @@ class MonotoneOCPTable:
         self.potential = v
         self.s_min = float(s[0])
         self.s_max = float(s[-1])
+        # snapped onto the table: sub-ulp excursions of balance solves
+        self._snap_band = 1e-9 * (self.s_max - self.s_min)
         self._interior = s[1:-1]
         # python floats per segment beat numpy indexing for one point
         self._value_rows = list(zip(*(r.tolist() for r in self._value_c)))
@@ -186,11 +188,9 @@ class MonotoneOCPTable:
         """Segment index and offset of the scalar s, of any numeric type."""
         s = float(s)
         if not (self.s_min <= s <= self.s_max):
-            # absorb sub-ulp excursions from solving balance equations
-            snap = 1e-9 * (self.s_max - self.s_min)
-            if self.s_min - snap <= s <= self.s_min:
+            if self.s_min - self._snap_band <= s <= self.s_min:
                 s = self.s_min
-            elif self.s_max <= s <= self.s_max + snap:
+            elif self.s_max <= s <= self.s_max + self._snap_band:
                 s = self.s_max
             else:
                 raise SaturationError(
@@ -205,8 +205,8 @@ class MonotoneOCPTable:
         lo, hi = (s.min(), s.max()) if s.size else (self.s_min, self.s_max)
         if self.s_min <= lo and hi <= self.s_max:
             return s
-        snap = 1e-9 * (self.s_max - self.s_min)
-        if np.any(s < self.s_min - snap) or np.any(s > self.s_max + snap):
+        if (np.any(s < self.s_min - self._snap_band)
+                or np.any(s > self.s_max + self._snap_band)):
             raise SaturationError(
                 f"{self.name}: stoichiometry in [{lo:.6g}, {hi:.6g}] outside "
                 f"table [{self.s_min:.6g}, {self.s_max:.6g}]")

@@ -7,6 +7,7 @@ fluxes from that one choice.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -46,6 +47,16 @@ def reject_unknown(raw, known, where):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}")
 
 
+@contextmanager
+def _input(where, errors=ConfigError):
+    """Name the input where in the message of an error (of the kinds in
+    errors) that the block raises, which goes on as a ConfigError."""
+    try:
+        yield
+    except errors as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
 def field_names(*classes):
     return {f.name for cls in classes for f in fields(cls)}
 
@@ -79,10 +90,8 @@ def from_mapping(cls, raw, where, **given):
             raise ConfigError(f"{where}: missing {f.name}")
         if value is not f.default:
             given[f.name] = _number(f.type, value, f"{where}: {f.name}")
-    try:
+    with _input(where, (ConfigError, CellDeadError)):
         return cls(**given)
-    except (ConfigError, CellDeadError) as e:
-        raise ConfigError(f"{where}: {e}") from None
 
 
 def _require_positive(obj, names):
@@ -264,12 +273,10 @@ def _load_ocp(raw, name, path, where):
     if not isinstance(spec, str):
         raise ConfigError(f"{where}: {name} must be a file path or "
                           f"builtin:<table>, got {spec!r}")
-    try:
+    with _input(where):
         if spec.startswith("builtin:"):
             return load_builtin(spec.split(":", 1)[1])
         return MonotoneOCPTable.from_file(Path(path).parent / spec, name=name)
-    except ConfigError as e:
-        raise ConfigError(f"{where}: {e}") from None
 
 
 def load_cell_config(path):
@@ -288,10 +295,8 @@ def load_cell_config(path):
                         ocp_neg=_load_ocp(raw, "ocp_neg", path, where))
     deg = DegradationParameters(*(from_mapping(cls, raw, where)
                                   for cls in _PARAMETER_CLASSES))
-    try:
+    with _input(where):
         cell.pos, cell.neg   # each electrode checks what it derives
-    except ConfigError as e:
-        raise ConfigError(f"{where}: {e}") from None
     try:
         cell.fresh_window   # places the fresh cell: pristine_inventory too
     except (SaturationError, CellDeadError) as e:

@@ -24,6 +24,7 @@ from .measurement import (PSEUDO_OCV_POINTS, PseudoOCV, extract_esoh,
                           irreversible_expansion)
 from .params import _number
 
+DT, DT_REST = 10.0, 60.0   # default timesteps of active and rest steps, s
 VOLTAGE_BAND = 1e-3     # accepted overshoot at a fired voltage threshold, V
 CV_TOL = 1e-4           # CV voltage solve tolerance, V
 MIN_DT = 0.05           # s; refinement floor
@@ -173,7 +174,7 @@ def _solve_cv_current(cell, v_set, dt, i_guess):
         f"CV solve at {v_set:g} V did not converge (residual {fb:.2e} V)")
 
 
-def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
+def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
              cycle=0, step_index=0):
     """Run one protocol step to its first firing termination.
 
@@ -231,7 +232,7 @@ def run_step(cell, step, dt=10.0, dt_rest=60.0, trajectory=None, t0=0.0,
             return t, q_signed, fired
 
 
-def run_protocol(cell, steps, dt=10.0, dt_rest=60.0, trajectory=None,
+def run_protocol(cell, steps, dt=DT, dt_rest=DT_REST, trajectory=None,
                  t0=0.0, cycle=0):
     """Run a full step list once. Returns (elapsed_s, discharge_Ah)."""
     t = 0.0
@@ -258,7 +259,7 @@ def sweep(cell, current, until, dt):
     return q, a["V"]
 
 
-def run_rpt(cell, dt=10.0):
+def run_rpt(cell, dt=DT):
     """Characterize the cell without aging it.
 
     Works on a frozen clone, which starts at rest at the top of its
@@ -275,7 +276,8 @@ def run_rpt(cell, dt=10.0):
                      dt)
     capacity = float(q_d[-1])
     run_step(probe, ProtocolStep("rest", 0.0,
-                                 [Termination("time", ">=", 600.0)]), dt=dt)
+                                 [Termination("time", ">=", 600.0)]),
+             dt_rest=DT_REST)
     q_c, v_c = sweep(probe, -c1 / 20.0, Termination("voltage", ">=", p.V_max),
                      dt)
     q_c = capacity + q_c
@@ -315,7 +317,7 @@ def run_rpt(cell, dt=10.0):
     return out
 
 
-def run_campaign(cell, campaign, dt=10.0, dt_rest=60.0, keep_series=True,
+def run_campaign(cell, campaign, dt=DT, dt_rest=DT_REST, keep_series=True,
                  progress=None):
     """Cycle to end of life or max_cycles.
 

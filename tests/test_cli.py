@@ -743,15 +743,17 @@ def test_active_material_fraction_above_one_exits_2(tmp_path, capsys, key,
 
 def test_ambiguity_below_the_film_free_resistance_exits_3(tmp_path, capsys):
     # a demo R_s the kinetics alone exceed is infeasible before any
-    # member ages: one line, and no output directory
+    # member ages: one line, and the record says why, as identify's does
     argv, _ = _demo_measurement(tmp_path, R_s=0.001)
     out = tmp_path / "o"
     rc = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 3, err
     assert err.count("\n") == 1 and err.startswith("infeasible:"), err
-    assert "film-free" in err, err
-    assert not out.exists()
+    doc = read_json(out / "ambiguity.json")
+    assert doc["kind"] == "infeasible"
+    assert "film-free" in doc["error"], doc
+    assert doc["measurement"]["R_s"] == 0.001
 
 
 def test_out_naming_a_file_exits_2(tmp_path, capsys):

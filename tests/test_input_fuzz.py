@@ -7,17 +7,19 @@ infinity or a NaN. The CLI must answer every case with an exit code, never
 a traceback, and a non-number in a numeric field must exit 2. A case that
 stays valid runs one coarse cycle.
 
-Magnitudes are fuzzed too, for the measurement vector and the cell: each
-number is set to 0, -v, v*1e-3, v*1e3, 1e-300 and 1e300. Every vector
-runs through both inversion routes; the cell's 264 edits are sampled (the
-eight whose derived geometry or particle rates leave double precision
-always among them), each running two coarse campaign cycles. Each case
-must end in exit 0, 2, 3 or 4 with at most one line on stderr and no
-warning, --out must exist only after exit 0 or 3, and the files written
-must hold finite numbers. The campaign's and the
-demo's counts are not magnitude-fuzzed: n_shells is capped at 1000 (an
-8 MB propagator), but nothing bounds the run time that a large max_cycles
-asks for.
+Magnitudes are fuzzed too. Each number of the measurement vector, of the
+demo's measurement and of the cell is set to 0, -v, v*1e-3, v*1e3, 1e-300
+and 1e300. Every vector runs through both inversion routes, and the demo
+ages two members for one coarse cycle. The cell's 264 edits run two coarse
+campaign cycles each: a sample in tier 1 (the eight whose derived geometry
+or particle rates leave double precision always among them), and all of
+them behind the slow marker. The campaign's settings are set to 0, -1,
+1e-300, 1 and 1e300, and each step's setpoint and threshold to 0, -1,
+1e-300, 1e300, 100C and C/1000000. --max-cycles bounds each of those runs,
+as nothing else bounds the run time that a large max_cycles asks for; the
+demo's member count is not magnitude-fuzzed. Each case must end in exit 0,
+2, 3 or 4 with at most one line on stderr and no warning, --out must exist
+only after exit 0 or 3, and the files written must hold finite numbers.
 """
 
 import contextlib
@@ -243,4 +245,63 @@ def test_magnitude_fuzz_cell_config(tmp_path):
             ["cycles.json", "state_final.json"])
         if got:
             bad.append((key, new, got))
+    assert not bad, bad
+
+
+def _sweep(tmp_path, name, cases, argv, files):
+    """The (label, what broke) of each case (label, doc) whose doc, written
+    to the file name, does not end argv(file) as the contract says."""
+    path = tmp_path / name
+    bad = []
+    for k, (label, doc) in enumerate(cases):
+        path.write_text(yaml.safe_dump(doc))
+        got = _magnitude_case(tmp_path / f"{name}{k}", argv(str(path)), files)
+        if got:
+            bad.append((label, got))
+    return bad
+
+
+def test_magnitude_fuzz_demo_measurement(tmp_path, packaged_cell):
+    demo = {**_yaml("ambiguity_demo.yaml"), "n_members": 2, "max_cycles": 1}
+    y = demo["measurement"]
+    cases = [((key, new), {**demo, "measurement": {**y, key: new}})
+             for key, old in y.items() for new in _magnitudes(old)]
+    assert len(cases) == 24
+    bad = _sweep(tmp_path, "demo.yaml", cases, lambda p: [
+        "ambiguity", "--cell", CELL, "--demo", p] + COARSE, ["ambiguity.json"])
+    assert not bad, bad
+
+
+def test_magnitude_fuzz_campaign_and_protocol(tmp_path, packaged_cell):
+    campaign = _yaml("campaign_default.yaml")
+    campaign["protocol"] = str(DATA / campaign["protocol"])
+    settings = [((key, new), {**campaign, key: new})
+                for key, old in campaign.items() if not isinstance(old, str)
+                for new in (0, -1, 1e-300, 1, 1e300)]
+    protocol = _yaml("protocol_cycle.yaml")
+    steps = [(field, _mutated(protocol, field, new))
+             for field in _fields(protocol)
+             if field[-1] in ("setpoint", "threshold")
+             for new in (0, -1, 1e-300, 1e300, "100C", "C/1000000")]
+    assert (len(settings), len(steps)) == (15, 48)
+    files = ["cycles.json", "state_final.json"]
+    bad = _sweep(tmp_path, "campaign.yaml", settings, lambda p: [
+        "simulate", "--cell", CELL, "--campaign", p, "--max-cycles", "2"]
+        + COARSE, files)
+    bad += _sweep(tmp_path, "protocol.yaml", steps, lambda p: [
+        "simulate", "--cell", CELL, "--protocol", p, "--max-cycles", "1"]
+        + COARSE, files)
+    assert not bad, bad
+
+
+@pytest.mark.slow
+def test_magnitude_fuzz_cell_config_full(tmp_path):
+    cell = _yaml("cell_default.yaml")
+    cases = [((key, new), {**cell, key: new}) for key, old in cell.items()
+             if not isinstance(old, str) for new in _magnitudes(old)]
+    assert len(cases) == 264
+    bad = _sweep(tmp_path, "cell.yaml", cases, lambda p: [
+        "simulate", "--cell", p, "--campaign",
+        str(DATA / "campaign_default.yaml"), "--max-cycles", "2"] + COARSE,
+        ["cycles.json", "state_final.json"])
     assert not bad, bad

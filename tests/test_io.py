@@ -14,10 +14,14 @@ import yaml
 from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.cli import main
+from cellfade.degradation import DegradationState
+from cellfade.electrochem import solve_window
 from cellfade.errors import ConfigError
+from cellfade.measurement import MeasurementVector
 from cellfade.params import load_cell_config
-from cellfade.protocol import (ProtocolStep, Termination, Trajectory,
-                               reference_capacity, run_campaign, run_protocol)
+from cellfade.protocol import (CycleRecord, ProtocolStep, Termination,
+                               Trajectory, reference_capacity, run_campaign,
+                               run_protocol)
 from helpers import demo_members, write_csv_oracle
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cellfade" / "data"
@@ -414,3 +418,38 @@ def test_manifest_hashes_outputs(params, degp, tmp_path):
     assert doc["outputs"]["trajectory.csv"] == cio.sha256_file(
         tmp_path / "trajectory.csv")
     assert doc["tool"] == "cellfade"
+
+
+def test_cycle_records_write_exactly_their_fields(params, degp, tmp_path):
+    # cycle 1 carries an RPT and cycle 2 none: each record is its fields
+    c1 = reference_capacity(params)
+    campaign = dataclasses.replace(
+        cio.load_campaign(DATA / "campaign_default.yaml", c1),
+        max_cycles=2, rpt_every=2)
+    traj = run_campaign(Cell(params, degp), campaign, dt=60.0,
+                        dt_rest=300.0)[0]
+    path = tmp_path / "cycles.json"
+    cio.write_cycles_json(path, traj, extra={})
+    records = json.loads(path.read_text())["cycles"]
+    names = {f.name for f in dataclasses.fields(CycleRecord)}
+    assert [set(r) for r in records] == [names, names]
+    assert records[0]["rpt"] is not None and records[1]["rpt"] is None
+
+
+def test_records_round_trip_through_as_dict(params, n_li0):
+    w = solve_window(params, 0.95 * params.C_p_nom, 0.9 * params.C_n_nom,
+                     0.9 * n_li0)
+    records = [
+        DegradationState(5e-8, 1e-8, 6.2, 5.4, 0.09),
+        MeasurementVector(6.2, 5.4, 0.09, 0.0168),
+        MeasurementVector(6.2, 5.4, 0.09, 0.0168, delta_irr=4e-6),
+        w, dataclasses.replace(w, fit_rms_v=2e-4)]
+    for x in records:
+        assert type(x)(**x.as_dict()) == x
+    assert "delta_irr" not in records[1].as_dict()
+    assert "fit_rms_v" not in w.as_dict()
+    # numpy fields write as Python floats, which JSON takes at any width
+    fitted = dataclasses.replace(w, x_0=np.float32(0.25),
+                                 fit_rms_v=np.float64(2e-4))
+    assert {type(v) for v in fitted.as_dict().values()} == {float}
+    json.dumps(fitted.as_dict())
