@@ -67,7 +67,7 @@ def _parse_step(s, c_1c):
         if missing:
             raise ConfigError(f"termination missing {', '.join(sorted(missing))}")
         if c["quantity"] == "current":
-            thr = abs(parse_current(c["threshold"], c_1c))
+            thr = parse_current(c["threshold"], c_1c)
         else:
             thr = _number(float, c["threshold"], "threshold")
         terms.append(Termination(str(c["quantity"]), str(c["comparator"]), thr))

@@ -165,8 +165,6 @@ def at_stoichiometry(pair, x, y):
 
 def step_particle_diffusion(pair, state, j_pos, j_neg, dt):
     """Advance both particles one step; returns a new ParticleState."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     enc_pos, enc_neg = state.enclosure or (None, None)
     c_pos, enc_pos = pair.pos.step(state.c_pos, j_pos, dt, enc_pos)
     c_neg, enc_neg = pair.neg.step(state.c_neg, j_neg, dt, enc_neg)

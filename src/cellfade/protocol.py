@@ -3,7 +3,9 @@
 A protocol is an ordered list of CC / CV / rest steps, each with one or
 more termination conditions. Steps refine their timestep near a firing
 threshold (voltage overshoot is held under 1 mV) and hit time
-terminations exactly by clamping the last stride.
+terminations exactly by clamping the last stride. "<=" and ">=" compare
+the signed value (discharge positive) and "abs<=" bounds the magnitude.
+Every run checks its timesteps once, in run_step.
 
 C-rate strings ("C/5", "-C/3", "2C") resolve against the fresh cell's
 window capacity, fixed for the life of the campaign like a test bench
@@ -44,6 +46,8 @@ class Termination:
             raise ConfigError(f"unknown termination quantity {self.quantity!r}")
         if self.comparator not in ("<=", ">=", "abs<="):
             raise ConfigError(f"unknown comparator {self.comparator!r}")
+        if self.comparator == "abs<=":   # a bound on the magnitude
+            self.threshold = abs(self.threshold)
 
     def met(self, value):
         if self.comparator == "<=":
@@ -77,6 +81,8 @@ class Campaign:
     max_cycles: int = 500
 
     def __post_init__(self):
+        self.rpt_every = _number(int, self.rpt_every, "rpt_every")
+        self.max_cycles = _number(int, self.max_cycles, "max_cycles")
         if not (0.0 < self.eol_capacity_fraction <= 1.0):
             raise ConfigError("eol_capacity_fraction must be in (0, 1]")
         if self.rpt_every < 0 or self.max_cycles < 1:
@@ -153,25 +159,22 @@ def reference_capacity(params):
 def _solve_cv_current(cell, v_set, dt, i_guess):
     """(I, evaluated): the current holding V_T at v_set for the next step
     (secant, warm start) and its trial step, for cell.step to commit."""
-    ia = i_guess
-    va, ea = cell.voltage_after(ia, dt)
-    fa = va - v_set
-    if abs(fa) < CV_TOL:
-        return ia, ea
-    # V_T decreases with current, so move against the sign of the residual
-    ib = ia + (0.05 * abs(ia) + 1e-3) * (1.0 if fa > 0 else -1.0)
-    vb, eb = cell.voltage_after(ib, dt)
-    fb = vb - v_set
-    for _ in range(60):
-        if abs(fb) < CV_TOL or fb == fa:
+    i, i_prev, f_prev = i_guess, None, None
+    for _ in range(62):
+        v, evaluated = cell.voltage_after(i, dt)
+        f = v - v_set
+        if abs(f) < CV_TOL:
+            return i, evaluated
+        if f == f_prev:   # no slope to follow
             break
-        ia, fa, ib = ib, fb, ib - fb * (ib - ia) / (fb - fa)
-        vb, eb = cell.voltage_after(ib, dt)
-        fb = vb - v_set
-    if abs(fb) < CV_TOL:   # the last trial too
-        return ib, eb
+        if f_prev is None:
+            # V_T decreases with current, so move against the sign of the residual
+            i_next = i + (0.05 * abs(i) + 1e-3) * (1.0 if f > 0 else -1.0)
+        else:
+            i_next = i - f * (i - i_prev) / (f - f_prev)
+        i_prev, f_prev, i = i, f, i_next
     raise ProtocolStallError(
-        f"CV solve at {v_set:g} V did not converge (residual {fb:.2e} V)")
+        f"CV solve at {v_set:g} V did not converge (residual {f:.2e} V)")
 
 
 def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
@@ -181,13 +184,15 @@ def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
     Returns (elapsed_s, discharged_Ah, fired_termination). discharged_Ah
     is the signed coulomb count of this step (positive for discharge).
     """
+    for name, value in (("dt", dt), ("dt_rest", dt_rest)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
     t = 0.0
     q_signed = 0.0
     cv = step.mode == "cv"
     base_dt = dt_rest if step.mode == "rest" else dt
-    I = step.setpoint if step.mode == "cc" else 0.0   # CV solves per attempt
+    I = step.setpoint if step.mode == "cc" else 0.0   # CV warm-starts from I
     evaluated = None   # a CV attempt's last trial, committed as it stands
-    i_cv = 0.0
     time_terms = [c for c in step.terminations if c.quantity == "time"]
     while True:
         if t >= STEP_TIME_CAP:
@@ -203,7 +208,7 @@ def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
             try:
                 if cv:
                     I, evaluated = _solve_cv_current(cell, step.setpoint,
-                                                     dt_eff, i_cv)
+                                                     dt_eff, I)
                 rec = cell.step(I, dt_eff, evaluated)
             except SaturationError:   # in a CV trial too; nothing committed
                 if dt_eff <= MIN_DT:
@@ -222,8 +227,6 @@ def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
                 cell.set_state(snap)   # a voltage threshold overshot
             dt_eff = max(dt_eff / 2.0, MIN_DT)
 
-        if cv:
-            i_cv = I
         t += dt_eff
         q_signed += I * dt_eff / 3600.0
         if trajectory is not None:

@@ -304,8 +304,6 @@ def cell_step_oracle(cell, I, dt):
             cell.n_li0, dt)
     j_neg = (I - i_side) / f_area_n
     j_pos = -I / f_area_p
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     parts = particle_state(
         p, _particle_step_oracle(pos, particles.c_pos, j_pos, dt),
         _particle_step_oracle(neg, particles.c_neg, j_neg, dt))

@@ -11,7 +11,8 @@ Electrode.exchange_current evaluates the exchange-current law; only
 measurement.py evaluates the film-free resistance, once per vector. The
 package has one root finder, ocp.brent, and one least-squares solver,
 scipy's leastsq in the eSOH fit. Compiled BLAS kernels are called with
-positional arguments, since a keyword costs f2py's keyword parse.
+positional arguments, since a keyword costs f2py's keyword parse. No new
+package function serves only the tests.
 """
 
 import ast
@@ -43,6 +44,12 @@ KINETIC_READERS = {"__init__", "exchange_current"}
 RESISTANCE_CALLERS = {"measurement.py"}
 # scipy.optimize is the eSOH fit's, and no module solves roots through it
 OPTIMIZE_IMPORTERS = {"measurement.py"}
+# the package functions and methods that no package module names: the
+# public predict_rul (README), and four that only tests call, which go
+# when the tests stop needing them
+UNNAMED_IN_PACKAGE = {"predict_rul", "DegradationState.copy",
+                      "MonotoneOCPTable.derivative",
+                      "instantaneous_resistance", "intercalation_overpotential"}
 
 
 def _assert_own_averages(params, state):
@@ -207,6 +214,31 @@ def test_blas_calls_are_positional():
     assert calls >= 2   # particle.py's dgemv and ddot
     assert not keyworded, "pass BLAS arguments by position: " + \
         ", ".join(keyworded)
+
+
+def test_no_new_function_serves_only_the_tests():
+    modules = _modules()
+    defined = {}   # qualified name -> the name a caller would use
+    for _, tree in modules:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = node.name
+            elif isinstance(node, ast.ClassDef):
+                defined.update(
+                    (f"{node.name}.{fn.name}", fn.name) for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("__"))
+    named = set()
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unnamed = {q for q, name in defined.items() if name not in named}
+    assert unnamed == UNNAMED_IN_PACKAGE, unnamed ^ UNNAMED_IN_PACKAGE
 
 
 def test_parameter_sets_are_frozen(params, degp):
