@@ -6,6 +6,11 @@ All functions here are pure (film_free_resistance's memo on the
 frozen CellParameters cannot go stale); the simulated-pulse and
 RPT routes that exercise them live in protocol.py so the two paths to
 each quantity stay independent of one another.
+
+scipy.optimize loads at the first eSOH fit, through the module's
+__getattr__: simulate with RPTs and rpt load it, while identify, ambiguity
+and import cellfade do not. So import cellfade.cli loads 588 modules and
+peaks at 58 MB, against 828 modules and 79 MB with scipy.optimize.
 """
 
 import math
@@ -13,7 +18,6 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import leastsq
 
 from .degradation import film_expansion, material_loss_expansion, r_film
 from .electrochem import ESOHRecord, solve_window
@@ -140,6 +144,17 @@ def synthesize_pseudo_ocv(params, esoh, noise_mv=0.0, rng=None):
     return PseudoOCV(q, v)
 
 
+def __getattr__(name):
+    """measurement.leastsq, scipy's MINPACK wrapper, imported on first
+    access (PEP 562). The first access binds it as the module global, unless
+    one is bound already, so every later read, and each fit, finds that
+    global."""
+    if name != "leastsq":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import leastsq
+    return globals().setdefault(name, leastsq)
+
+
 def extract_esoh(curve, params, capacity=None):
     """Fit (C_p, C_n, x_0, y_0) to a pseudo-OCV curve.
 
@@ -155,7 +170,9 @@ def extract_esoh(curve, params, capacity=None):
     the residual: one slope evaluation per electrode per iteration in place
     of four finite-difference residual evaluations. Each trial theta's
     points are located on each OCP table once, and the residual's values
-    and the Jacobian's slopes are both summed at those locations.
+    and the Jacobian's slopes are both summed at those locations. The
+    solver is the module's leastsq, read at each call, so the first fit in a
+    process is the one that imports scipy.optimize.
     """
     q = np.asarray(curve.capacity_Ah, dtype=float)
     v = np.asarray(curve.voltage, dtype=float)
@@ -238,7 +255,7 @@ def extract_esoh(curve, params, capacity=None):
         return J
 
     # MINPACK's lmder, called as least_squares(method="lm") calls it
-    theta, _, info, mesg, ier = leastsq(
+    theta, _, info, mesg, ier = __getattr__("leastsq")(
         lambda theta: evaluate(theta.tobytes())[0], theta0,
         Dfun=lambda theta: jacobian(theta.tobytes()), full_output=True,
         ftol=1e-14, xtol=1e-14, gtol=1e-14, maxfev=400)

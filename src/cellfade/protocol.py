@@ -83,6 +83,8 @@ class Campaign:
     def __post_init__(self):
         self.rpt_every = _number(int, self.rpt_every, "rpt_every")
         self.max_cycles = _number(int, self.max_cycles, "max_cycles")
+        self.eol_capacity_fraction = _number(
+            float, self.eol_capacity_fraction, "eol_capacity_fraction")
         if not (0.0 < self.eol_capacity_fraction <= 1.0):
             raise ConfigError("eol_capacity_fraction must be in (0, 1]")
         if self.rpt_every < 0 or self.max_cycles < 1:

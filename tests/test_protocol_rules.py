@@ -100,6 +100,19 @@ def test_campaign_counts_are_whole_numbers(count):
     assert type(getattr(campaign, count)) is int
 
 
+def test_campaign_fraction_is_a_number():
+    steps = [ProtocolStep("rest", 0.0, [Termination("time", ">=", 600.0)])]
+    for value in (True, "0.7x", None, math.nan, math.inf):
+        with pytest.raises(ConfigError,
+                           match=r"^eol_capacity_fraction must be a "):
+            Campaign(steps, eol_capacity_fraction=value)
+    with pytest.raises(ConfigError, match=r"must be in \(0, 1\]$"):
+        Campaign(steps, eol_capacity_fraction="1.5")
+    campaign = Campaign(steps, eol_capacity_fraction="0.7")
+    assert campaign.eol_capacity_fraction == 0.7
+    assert type(campaign.eol_capacity_fraction) is float
+
+
 def test_packaged_campaign_work(params, degp, monkeypatch):
     # the control layer's calls on the packaged campaign at dt 60/300; a
     # change that alters them restates them here with its reason
