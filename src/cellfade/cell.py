@@ -20,11 +20,13 @@ state is made, and a CV solve's last trial, which voltage_after returns
 as a value, is committed by step as it stands instead of evaluated again.
 """
 
+import math
+
 from . import electrochem as ec
 from .degradation import (DegradationState, StressExtrema,
                           hydrostatic_stress, lam_cycle_update, r_film,
                           step_degradation)
-from .errors import CellDeadError
+from .errors import CellDeadError, ConfigError
 from .particle import at_stoichiometry, step_particle_diffusion
 
 
@@ -116,6 +118,8 @@ class Cell:
     def _advance(self, I, dt):
         """((particles, degradation, extrema), record): the state one step
         of current I (A) over dt (s) ahead, and its record. Changes nothing."""
+        if not 0.0 < dt < math.inf:   # NaN fails too
+            raise ConfigError(f"dt must be finite and > 0, got {dt!r}")
         p = self.params
         d = self.degradation
         particles = self.particles

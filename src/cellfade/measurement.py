@@ -9,8 +9,9 @@ each quantity stay independent of one another.
 
 scipy.optimize loads at the first eSOH fit, through the module's
 __getattr__: simulate with RPTs and rpt load it, while identify, ambiguity
-and import cellfade do not. So import cellfade.cli loads 588 modules and
-peaks at 58 MB, against 828 modules and 79 MB with scipy.optimize.
+and import cellfade do not. So import cellfade.cli loads 303 modules and
+peaks at 39 MB, against 828 modules and 78 MB with scipy.optimize, which
+brings scipy.linalg's package with it.
 """
 
 import math

@@ -10,6 +10,13 @@ through its keyword parser, which cost about 0.5 us more per dgemv call
 (1.2-2.1 us against 0.8-1.4 us, timeit on a 2-vCPU machine) than the
 same call, with the same result bits, given positionally.
 
+The kernels come from scipy's f2py extension scipy.linalg._fblas, loaded
+by file without scipy.linalg's package import: that package pulls in
+scipy's array API layer, which loads numpy.f2py, numpy.testing and
+unittest, about 285 modules and 19 MB, none of which a step uses. They
+are the objects scipy.linalg.blas hands out, in either import order, so
+OpenBLAS's kernel choice governs them as before.
+
 Flux sign: surface molar flux j > 0 removes lithium from the particle
 (delithiation). Concentrations are never clamped; a step that would leave
 [0, c_smax] raises SaturationError.
@@ -26,12 +33,40 @@ that pair: anything with .pos and .neg particles.
 """
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemv
+import scipy
 
 from .errors import ConfigError, SaturationError
+
+
+def _load_fblas():
+    """scipy's f2py BLAS extension, loaded under its own name without
+    scipy.linalg's package import, after scipy's own set-up (such as the
+    DLL paths of Windows wheels). scipy.linalg.blas, imported before or
+    after, finds this one module in sys.modules."""
+    name = "scipy.linalg._fblas"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_fblas" + suffix)
+        if os.path.isfile(path):
+            spec = spec_from_file_location(
+                name, path, loader=ExtensionFileLoader(name, path))
+            module = sys.modules[name] = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no scipy BLAS extension _fblas in {directory}")
+
+
+_fblas = _load_fblas()
+dgemv, ddot = _fblas.dgemv, _fblas.ddot
 
 
 class SphereFV:

@@ -35,7 +35,7 @@ PULSE_C_RATE = 0.1      # RPT resistance pulse, in units of the reference capaci
 STEP_MODES = ("cc", "cv", "rest")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Termination:
     quantity: str      # voltage | current | time
     comparator: str    # "<=" | ">=" | "abs<="
@@ -47,7 +47,7 @@ class Termination:
         if self.comparator not in ("<=", ">=", "abs<="):
             raise ConfigError(f"unknown comparator {self.comparator!r}")
         if self.comparator == "abs<=":   # a bound on the magnitude
-            self.threshold = abs(self.threshold)
+            object.__setattr__(self, "threshold", abs(self.threshold))
 
     def met(self, value):
         if self.comparator == "<=":
@@ -57,7 +57,7 @@ class Termination:
         return abs(value) <= self.threshold
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolStep:
     mode: str                      # one of STEP_MODES
     setpoint: float = 0.0          # A for cc, V for cv, ignored for rest
@@ -73,7 +73,7 @@ class ProtocolStep:
             raise ConfigError("cv step needs a current or time termination")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Campaign:
     cycle_protocol: list
     rpt_every: int = 0             # 0 disables periodic RPTs
@@ -81,10 +81,10 @@ class Campaign:
     max_cycles: int = 500
 
     def __post_init__(self):
-        self.rpt_every = _number(int, self.rpt_every, "rpt_every")
-        self.max_cycles = _number(int, self.max_cycles, "max_cycles")
-        self.eol_capacity_fraction = _number(
-            float, self.eol_capacity_fraction, "eol_capacity_fraction")
+        for name, kind in (("rpt_every", int), ("max_cycles", int),
+                           ("eol_capacity_fraction", float)):
+            object.__setattr__(self, name,
+                               _number(kind, getattr(self, name), name))
         if not (0.0 < self.eol_capacity_fraction <= 1.0):
             raise ConfigError("eol_capacity_fraction must be in (0, 1]")
         if self.rpt_every < 0 or self.max_cycles < 1:

@@ -140,11 +140,10 @@ def test_3_inversion_round_trip_100(params, degp, n_li0):
 
 
 def test_4_lithium_books_balance_over_100_cycles(params, degp):
-    campaign = cio.load_campaign(DATA / "campaign_default.yaml",
-                                 reference_capacity(params))
-    campaign.rpt_every = 0
-    campaign.max_cycles = 100
-    campaign.eol_capacity_fraction = 0.05
+    campaign = dataclasses.replace(
+        cio.load_campaign(DATA / "campaign_default.yaml",
+                          reference_capacity(params)),
+        rpt_every=0, max_cycles=100, eol_capacity_fraction=0.05)
     cell = Cell(params, degp)
     traj, _, eol = run_campaign(cell, campaign, dt=DT, dt_rest=DT_REST,
                                 keep_series=False)
@@ -220,11 +219,10 @@ def test_6_resistance_two_routes_agree(params, degp, n_li0):
 
 def test_7_numerical_hygiene(params, degp):
     # timestep halving: end-of-run LLI
-    campaign = cio.load_campaign(DATA / "campaign_default.yaml",
-                                 reference_capacity(params))
-    campaign.rpt_every = 0
-    campaign.max_cycles = 10
-    campaign.eol_capacity_fraction = 0.05
+    campaign = dataclasses.replace(
+        cio.load_campaign(DATA / "campaign_default.yaml",
+                          reference_capacity(params)),
+        rpt_every=0, max_cycles=10, eol_capacity_fraction=0.05)
     llis = []
     for dt in (DT, DT / 2.0):
         cell = Cell(params, degp)
@@ -263,10 +261,10 @@ def test_7_numerical_hygiene(params, degp):
 
 
 def test_8_mechanism_isolation(params, degp):
-    campaign = cio.load_campaign(DATA / "campaign_default.yaml",
-                                 reference_capacity(params))
-    campaign.rpt_every = 0
-    campaign.eol_capacity_fraction = 0.05
+    campaign = dataclasses.replace(
+        cio.load_campaign(DATA / "campaign_default.yaml",
+                          reference_capacity(params)),
+        rpt_every=0, max_cycles=3, eol_capacity_fraction=0.05)
 
     # plating switched off: the plated film never appears
     no_pl = DegradationParameters(
@@ -274,7 +272,6 @@ def test_8_mechanism_isolation(params, degp):
                                     degp.plating.Omega_pl,
                                     degp.plating.kappa_pl),
         degp.lam, degp.expansion)
-    campaign.max_cycles = 3
     cell = Cell(params, no_pl)
     traj, _, _ = run_campaign(cell, campaign, dt=DT, dt_rest=DT_REST,
                               keep_series=False)
@@ -302,9 +299,8 @@ def test_8_mechanism_isolation(params, degp):
     flat_camp = cio.load_campaign(DATA / "campaign_default.yaml", c1)
     flat_camp.cycle_protocol[3].terminations[0] = dataclasses.replace(
         flat_camp.cycle_protocol[3].terminations[0], threshold=c1 / 100.0)
-    flat_camp.rpt_every = 0
-    flat_camp.max_cycles = 50
-    flat_camp.eol_capacity_fraction = 0.05
+    flat_camp = dataclasses.replace(flat_camp, rpt_every=0, max_cycles=50,
+                                    eol_capacity_fraction=0.05)
     cell = Cell(params, quiet)
     cell.freeze_degradation = True
     traj, _, eol = run_campaign(cell, flat_camp, dt=DT, dt_rest=DT_REST,

@@ -11,7 +11,7 @@ import pytest
 from cellfade import io as cio
 from cellfade.cell import Cell
 from cellfade.degradation import DegradationState, deep_soh, lam_cycle_update
-from cellfade.errors import SaturationError
+from cellfade.errors import ConfigError, SaturationError
 from cellfade.measurement import r_film
 from cellfade.params import default_cell
 from cellfade.protocol import (Campaign, ProtocolStep, Termination,
@@ -36,6 +36,18 @@ def test_fresh_cell_starts_full(cell):
 def test_lithium_audit_identity_fresh(cell):
     # particles hold exactly the cyclable inventory at construction
     assert cell.particle_lithium() == pytest.approx(cell.n_li, rel=1e-12)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("dt", [0.0, -60.0, math.nan, math.inf])
+def test_a_step_refuses_a_bad_timestep(cell, frozen, dt):
+    # a caller that drives Cell.step without run_step meets the same check
+    cell.freeze_degradation = frozen
+    state = cell.get_state()
+    for advance in (cell.step, cell.voltage_after):
+        with pytest.raises(ConfigError, match=r"^dt must be finite and > 0"):
+            advance(1.0, dt)
+    assert all(a is b for a, b in zip(cell.get_state(), state))
 
 
 def test_lithium_audit_survives_stepping(cell):

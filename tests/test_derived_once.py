@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from cellfade import io as cio
+from cellfade import particle
 from cellfade.cell import Cell
 from cellfade.particle import at_stoichiometry
 from cellfade.protocol import (ProtocolStep, Termination, reference_capacity,
@@ -191,23 +192,39 @@ def test_one_root_finder():
     assert not second, "fit eSOH through leastsq: " + ", ".join(second)
 
 
+def _assigned(node):
+    """(target, value) pairs of an assignment, tuples taken apart."""
+    for target in node.targets:
+        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+            yield from zip(target.elts, node.value.elts)
+        else:
+            yield target, node.value
+
+
 def test_blas_calls_are_positional():
     # a keyword sends scipy's f2py wrapper through its keyword parser,
     # which costs the particle step more than its 20-shell arithmetic
+    routines = {name for name, value in vars(particle._fblas).items()
+                if type(value) is type(particle.dgemv)}
     calls, keyworded = 0, []
     for name, tree in _modules():
-        imports = [node for node in ast.walk(tree)
-                   if isinstance(node, (ast.Import, ast.ImportFrom))]
-        # kernels are imported by name, so every call to one is a Name call
-        other = [node.lineno for node in imports if "blas" in ast.unparse(node)
-                 and getattr(node, "module", None) != "scipy.linalg.blas"]
-        assert not other, f"{name}:{other} import from scipy.linalg.blas"
-        kernels = {alias.asname or alias.name for node in imports
-                   if getattr(node, "module", None) == "scipy.linalg.blas"
-                   for alias in node.names}
+        # a kernel is a routine imported by name or bound from the
+        # extension's attribute, or a routine called as an attribute
+        kernels = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.name in routines}
+        kernels |= {target.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Assign)
+                    for target, value in _assigned(node)
+                    if isinstance(target, ast.Name)
+                    and isinstance(value, ast.Attribute)
+                    and value.attr in routines}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in kernels):
+            if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Name)
+                     and node.func.id in kernels)
+                    or (isinstance(node.func, ast.Attribute)
+                        and node.func.attr in routines)):
                 calls += 1
                 if node.keywords:
                     keyworded.append(f"{name}:{node.lineno}")

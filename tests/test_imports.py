@@ -1,13 +1,16 @@
 """The package's import footprint.
 
 Every cellfade process pays for what the package imports, in start-up
-time and resident memory. Of scipy the package imports two modules: the
-BLAS kernels of the particle step (particle.py) and MINPACK's leastsq for
-the eSOH fit (measurement.py). The OCP tables build their PCHIP rows
-themselves, so no process loads scipy.interpolate. scipy.optimize loads at
-the first eSOH fit, so simulate with RPTs and rpt load it, while identify,
-ambiguity and import cellfade do not: import cellfade.cli loads 588 modules
-and peaks at 58 MB, against 828 and 79 MB with scipy.optimize.
+time and resident memory. Of scipy the package imports two modules: scipy
+itself, from which particle.py loads the BLAS extension of its step
+(scipy.linalg._fblas) without scipy.linalg's package, and MINPACK's leastsq
+for the eSOH fit (measurement.py). The OCP tables build their PCHIP rows
+themselves, so no process loads scipy.interpolate. scipy.optimize, and with
+it scipy.linalg's package, loads at the first eSOH fit, so simulate with
+RPTs and rpt load it, while identify, ambiguity and import cellfade do not:
+import cellfade.cli loads 303 modules and peaks at 39 MB, against 828 and
+78 MB with scipy.optimize. Either import order hands the particle step and
+scipy.linalg.blas the same kernels.
 """
 
 import ast
@@ -18,7 +21,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cellfade"
 SCIPY_IMPORTS = {("measurement.py", "scipy.optimize"),
-                 ("particle.py", "scipy.linalg.blas")}
+                 ("particle.py", "scipy")}
+# scipy.linalg's package modules and the array API layer its __init__
+# brings; of these the particle step loads only its BLAS extension
+LINALG_PACKAGE = ("scipy.linalg", "scipy._lib._array_api")
+FBLAS = "scipy.linalg._fblas"
 
 
 def _imported(node):
@@ -56,6 +63,12 @@ def test_package_and_cli_load_no_scipy_interpolate():
     assert _fresh(code).split() == []
 
 
+def test_package_and_cli_load_only_the_blas_extension_of_scipy_linalg():
+    code = ("import sys, cellfade, cellfade.cli; print(*sorted(m for m in "
+            f"sys.modules if m.startswith({LINALG_PACKAGE!r})))")
+    assert _fresh(code).split() == [FBLAS]
+
+
 LOADS_OPTIMIZE_AT_FIRST_FIT = """
 import sys
 from importlib import resources
@@ -63,12 +76,17 @@ from importlib import resources
 import cellfade, cellfade.cli
 
 
-def optimize():
-    return sum(m.split(".")[:2] == ["scipy", "optimize"] for m in sys.modules)
+def loaded():
+    optimize = sum(m.split(".")[:2] == ["scipy", "optimize"]
+                   for m in sys.modules)
+    linalg = sum(m.startswith(LINALG_PACKAGE) and m != FBLAS
+                 for m in sys.modules)
+    return optimize, linalg
 
 
-print(optimize())
-from cellfade import electrochem, identify, io, measurement, params, protocol
+print(*loaded())
+from cellfade import (electrochem, identify, io, measurement, params,
+                      particle, protocol)
 
 data = resources.files("cellfade.data")
 p, d = params.load_cell_config(data / "cell_default.yaml")
@@ -85,17 +103,29 @@ fam = identify.invert_without_expansion(p, d, y, n_li0, lli_budget=budget)
 member = identify.sample_family(fam, y, 3)[1]
 identify.invert_with_expansion(p, d, measurement.forward_measure(
     p, d, member, n_li0), n_li0)
-print(optimize())
+print(*loaded())
 w = electrochem.solve_window(p, y.C_p, y.C_n, n_li0 * (1.0 - y.LLI))
 measurement.extract_esoh(measurement.synthesize_pseudo_ocv(p, w), p)
-import scipy.optimize
-print(measurement.leastsq is scipy.optimize.leastsq)
+import scipy.linalg.blas, scipy.optimize
+print(measurement.leastsq is scipy.optimize.leastsq,
+      scipy.linalg.blas.dgemv is particle.dgemv,
+      scipy.linalg.blas.ddot is particle.ddot)
 """
 
 
 def test_scipy_optimize_loads_at_the_first_esoh_fit():
+    # the fit's scipy.optimize brings scipy.linalg's package, which finds
+    # the particle step's extension loaded and hands out the same kernels
     at_import, after_identify_and_ambiguity, fit_binds = _fresh(
-        LOADS_OPTIMIZE_AT_FIRST_FIT).split()
-    assert at_import == "0"
-    assert after_identify_and_ambiguity == "0"
-    assert fit_binds == "True"
+        f"LINALG_PACKAGE, FBLAS = {LINALG_PACKAGE!r}, {FBLAS!r}\n"
+        + LOADS_OPTIMIZE_AT_FIRST_FIT).splitlines()
+    assert at_import == "0 0"
+    assert after_identify_and_ambiguity == "0 0"
+    assert fit_binds == "True True True"
+
+
+def test_scipy_linalg_loaded_first_hands_the_particle_step_its_kernels():
+    code = ("import scipy.linalg.blas as blas\n"
+            "from cellfade import particle\n"
+            "print(blas.dgemv is particle.dgemv, blas.ddot is particle.ddot)")
+    assert _fresh(code).split() == ["True", "True"]

@@ -204,11 +204,11 @@ def test_resume_from_state_file_is_exact(params, degp, tmp_path):
     # take the exact range check
     camp = cio.load_campaign(DATA / "campaign_default.yaml",
                              reference_capacity(params))
-    camp.rpt_every = 0
 
     def age(cell, cycles):
-        camp.max_cycles = cycles
-        traj, _, eol = run_campaign(cell, camp, dt=60.0, dt_rest=300.0)
+        traj, _, eol = run_campaign(
+            cell, dataclasses.replace(camp, rpt_every=0, max_cycles=cycles),
+            dt=60.0, dt_rest=300.0)
         assert len(traj.cycles) == cycles and not eol
         return traj
 

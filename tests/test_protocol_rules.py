@@ -1,8 +1,9 @@
 """Each rule of the protocol layer has one owner: run_step checks the
 timestep of every run, a Termination owns what its threshold means, a
-Campaign checks its counts, and the control layer does a fixed amount of
-work on the packaged campaign."""
+Campaign checks its counts and is a value that only replace changes, and
+the control layer does a fixed amount of work on the packaged campaign."""
 
+import dataclasses
 import math
 from importlib import resources
 
@@ -111,6 +112,25 @@ def test_campaign_fraction_is_a_number():
     campaign = Campaign(steps, eol_capacity_fraction="0.7")
     assert campaign.eol_capacity_fraction == 0.7
     assert type(campaign.eol_capacity_fraction) is float
+
+
+def test_campaign_inputs_are_values(c1):
+    # a loaded campaign changes only through replace, which checks again
+    data = resources.files("cellfade.data")
+    with resources.as_file(data / "campaign_default.yaml") as path:
+        campaign = cio.load_campaign(path, c1)
+    step = campaign.cycle_protocol[0]
+    for obj, name in ((campaign, "eol_capacity_fraction"),
+                      (campaign, "max_cycles"), (step, "setpoint"),
+                      (step.terminations[0], "threshold")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    with pytest.raises(ConfigError,
+                       match=r"^eol_capacity_fraction must be a "):
+        dataclasses.replace(campaign, eol_capacity_fraction=True)
+    with pytest.raises(ConfigError, match=r"^max_cycles must be"):
+        dataclasses.replace(campaign, max_cycles=2.5)
+    assert dataclasses.replace(campaign, max_cycles="3").max_cycles == 3
 
 
 def test_packaged_campaign_work(params, degp, monkeypatch):
