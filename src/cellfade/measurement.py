@@ -7,11 +7,10 @@ frozen CellParameters cannot go stale); the simulated-pulse and
 RPT routes that exercise them live in protocol.py so the two paths to
 each quantity stay independent of one another.
 
-scipy.optimize loads at the first eSOH fit, through the module's
-__getattr__: simulate with RPTs and rpt load it, while identify, ambiguity
-and import cellfade do not. So import cellfade.cli loads 303 modules and
-peaks at 39 MB, against 828 modules and 78 MB with scipy.optimize, which
-brings scipy.linalg's package with it.
+The eSOH fit calls MINPACK's lmder in scipy's extension
+scipy.optimize._minpack, loaded by file at import as particle.py loads its
+BLAS kernels, so no process imports scipy.optimize's package, whose import
+would add about 525 modules and 39 MB, scipy.linalg's package among them.
 """
 
 import math
@@ -23,10 +22,32 @@ import numpy as np
 from .degradation import film_expansion, material_loss_expansion, r_film
 from .electrochem import ESOHRecord, solve_window
 from .errors import ConfigError, EstimationFailedError, KineticsSingularError
+from .particle import _load_scipy_extension
 
 PSEUDO_OCV_POINTS = 241   # samples on a synthesized or RPT pseudo-OCV curve
 ENDPOINT_WEIGHT = 10.0    # eSOH fit: weight of the two voltage-limit rows
 PENALTY_WEIGHT = 1e3      # eSOH fit: V per unit of off-table stoichiometry
+
+_minpack = _load_scipy_extension("optimize", "_minpack")
+# scipy.optimize.leastsq's message for each MINPACK info code, word for word
+MINPACK_MESSAGES = (
+    "Improper input parameters.",
+    "Both actual and predicted relative reductions in the sum of squares\n"
+    "  are at most {ftol:f}",
+    "The relative error between two consecutive iterates is at most {xtol:f}",
+    "Both actual and predicted relative reductions in the sum of squares\n"
+    "  are at most {ftol:f} and the relative error between two consecutive "
+    "iterates is at \n  most {xtol:f}",
+    "The cosine of the angle between func(x) and any column of the\n"
+    "  Jacobian is at most {gtol:f} in absolute value",
+    "Number of calls to function has reached maxfev = {maxfev}.",
+    "ftol={ftol:f} is too small, no further reduction in the sum of squares\n"
+    "  is possible.",
+    "xtol={xtol:f} is too small, no further improvement in the approximate\n"
+    "  solution is possible.",
+    "gtol={gtol:f} is too small, func(x) is orthogonal to the columns of\n"
+    "  the Jacobian to machine precision.",
+)
 
 
 @dataclass
@@ -145,15 +166,21 @@ def synthesize_pseudo_ocv(params, esoh, noise_mv=0.0, rng=None):
     return PseudoOCV(q, v)
 
 
-def __getattr__(name):
-    """measurement.leastsq, scipy's MINPACK wrapper, imported on first
-    access (PEP 562). The first access binds it as the module global, unless
-    one is bound already, so every later read, and each fit, finds that
-    global."""
-    if name != "leastsq":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.optimize import leastsq
-    return globals().setdefault(name, leastsq)
+def leastsq(func, x0, Dfun, full_output, ftol, xtol, gtol, maxfev):
+    """scipy.optimize.leastsq's call with a row-wise Jacobian Dfun, made
+    straight to MINPACK's lmder with the arguments leastsq passes it;
+    full_output must be true. Returns leastsq's (x, cov_x, infodict, mesg,
+    ier), with cov_x None: leastsq's covariance needs scipy.linalg, and the
+    fit does not read it. leastsq's shape checks, one residual and one
+    Jacobian evaluation at x0, are left out; the fit's shapes are fixed."""
+    # lmder writes its iterate into the x0 array it is given, so it gets
+    # leastsq's copy
+    x, infodict, ier = _minpack._lmder(
+        func, Dfun, np.asarray(x0).flatten(), (), full_output, 0, ftol, xtol,
+        gtol, maxfev, 100, None)
+    mesg = MINPACK_MESSAGES[ier].format(ftol=ftol, xtol=xtol, gtol=gtol,
+                                        maxfev=maxfev)
+    return x, None, infodict, mesg, ier
 
 
 def extract_esoh(curve, params, capacity=None):
@@ -163,17 +190,15 @@ def extract_esoh(curve, params, capacity=None):
     constraints; the endpoint equations alone leave the problem
     under-determined. Initial guess scales the nominal electrode pair by
     the measured capacity ratio. The solver is MINPACK's Levenberg-Marquardt
-    (lmder, through scipy's leastsq), whose whole iteration runs in compiled
-    code. The fit is smooth, has four unknowns against a row per curve
-    point, and needs no bounds: penalty rows keep every evaluated point on
-    the OCP tables. A bounded trust-region solver would add Python
+    (lmder, through the module's leastsq), whose whole iteration runs in
+    compiled code. The fit is smooth, has four unknowns against a row per
+    curve point, and needs no bounds: penalty rows keep every evaluated
+    point on the OCP tables. A bounded trust-region solver would add Python
     bookkeeping to every iteration. The solver gets the exact Jacobian of
     the residual: one slope evaluation per electrode per iteration in place
     of four finite-difference residual evaluations. Each trial theta's
     points are located on each OCP table once, and the residual's values
-    and the Jacobian's slopes are both summed at those locations. The
-    solver is the module's leastsq, read at each call, so the first fit in a
-    process is the one that imports scipy.optimize.
+    and the Jacobian's slopes are both summed at those locations.
     """
     q = np.asarray(curve.capacity_Ah, dtype=float)
     v = np.asarray(curve.voltage, dtype=float)
@@ -204,7 +229,7 @@ def extract_esoh(curve, params, capacity=None):
     target = np.append(v, (params.V_min, params.V_max))
     weight = np.append(np.ones(n), (ENDPOINT_WEIGHT, ENDPOINT_WEIGHT))
     # each takes theta's bytes and remembers its last answer only: the
-    # solver asks for the start three times, and each Jacobian's theta is
+    # solver asks for the start twice, and each Jacobian's theta is
     # the one whose residual was evaluated last. (MINPACK keeps the first
     # residual array as its own and overwrites it once past the start.)
 
@@ -256,7 +281,7 @@ def extract_esoh(curve, params, capacity=None):
         return J
 
     # MINPACK's lmder, called as least_squares(method="lm") calls it
-    theta, _, info, mesg, ier = __getattr__("leastsq")(
+    theta, _, info, mesg, ier = leastsq(
         lambda theta: evaluate(theta.tobytes())[0], theta0,
         Dfun=lambda theta: jacobian(theta.tobytes()), full_output=True,
         ftol=1e-14, xtol=1e-14, gtol=1e-14, maxfev=400)

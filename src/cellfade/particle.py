@@ -11,11 +11,12 @@ through its keyword parser, which cost about 0.5 us more per dgemv call
 same call, with the same result bits, given positionally.
 
 The kernels come from scipy's f2py extension scipy.linalg._fblas, loaded
-by file without scipy.linalg's package import: that package pulls in
-scipy's array API layer, which loads numpy.f2py, numpy.testing and
-unittest, about 285 modules and 19 MB, none of which a step uses. They
-are the objects scipy.linalg.blas hands out, in either import order, so
-OpenBLAS's kernel choice governs them as before.
+by file (_load_scipy_extension, which measurement.py uses for MINPACK's
+scipy.optimize._minpack too) without scipy.linalg's package import: that
+package pulls in scipy's array API layer, which loads numpy.f2py,
+numpy.testing and unittest, about 285 modules and 19 MB, none of which a
+step uses. They are the objects scipy.linalg.blas hands out, in either
+import order, so OpenBLAS's kernel choice governs them as before.
 
 Flux sign: surface molar flux j > 0 removes lithium from the particle
 (delithiation). Concentrations are never clamped; a step that would leave
@@ -45,27 +46,28 @@ import scipy
 from .errors import ConfigError, SaturationError
 
 
-def _load_fblas():
-    """scipy's f2py BLAS extension, loaded under its own name without
-    scipy.linalg's package import, after scipy's own set-up (such as the
-    DLL paths of Windows wheels). scipy.linalg.blas, imported before or
-    after, finds this one module in sys.modules."""
-    name = "scipy.linalg._fblas"
-    if name in sys.modules:
-        return sys.modules[name]
-    directory = os.path.join(scipy.__path__[0], "linalg")
+def _load_scipy_extension(subpackage, name):
+    """scipy's compiled extension scipy.<subpackage>.<name>, loaded by file
+    under its own name without the subpackage's package import, after
+    scipy's own set-up (such as the DLL paths of Windows wheels). The
+    subpackage, imported before or after, finds this one module in
+    sys.modules."""
+    qualified = f"scipy.{subpackage}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    directory = os.path.join(scipy.__path__[0], subpackage)
     for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(directory, "_fblas" + suffix)
+        path = os.path.join(directory, name + suffix)
         if os.path.isfile(path):
             spec = spec_from_file_location(
-                name, path, loader=ExtensionFileLoader(name, path))
-            module = sys.modules[name] = module_from_spec(spec)
+                qualified, path, loader=ExtensionFileLoader(qualified, path))
+            module = sys.modules[qualified] = module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
-    raise ImportError(f"no scipy BLAS extension _fblas in {directory}")
+    raise ImportError(f"no scipy extension {name} in {directory}")
 
 
-_fblas = _load_fblas()
+_fblas = _load_scipy_extension("linalg", "_fblas")
 dgemv, ddot = _fblas.dgemv, _fblas.ddot
 
 

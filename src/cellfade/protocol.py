@@ -15,7 +15,7 @@ would. Discharge current is positive.
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +61,12 @@ class Termination:
 class ProtocolStep:
     mode: str                      # one of STEP_MODES
     setpoint: float = 0.0          # A for cc, V for cv, ignored for rest
-    terminations: list = field(default_factory=list)
+    terminations: tuple = ()
 
     def __post_init__(self):
+        # a tuple, so the checks below hold for the step's whole life
+        object.__setattr__(self, "terminations",
+                           tuple(self.terminations or ()))
         if self.mode not in STEP_MODES:
             raise ConfigError(f"unknown step mode {self.mode!r}")
         if not self.terminations:
@@ -75,12 +78,13 @@ class ProtocolStep:
 
 @dataclass(frozen=True)
 class Campaign:
-    cycle_protocol: list
+    cycle_protocol: tuple
     rpt_every: int = 0             # 0 disables periodic RPTs
     eol_capacity_fraction: float = 0.7
     max_cycles: int = 500
 
     def __post_init__(self):
+        object.__setattr__(self, "cycle_protocol", tuple(self.cycle_protocol))
         for name, kind in (("rpt_every", int), ("max_cycles", int),
                            ("eol_capacity_fraction", float)):
             object.__setattr__(self, name,

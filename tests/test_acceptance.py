@@ -297,9 +297,12 @@ def test_8_mechanism_isolation(params, degp):
                                   degp.expansion)
     c1 = reference_capacity(params)
     flat_camp = cio.load_campaign(DATA / "campaign_default.yaml", c1)
-    flat_camp.cycle_protocol[3].terminations[0] = dataclasses.replace(
-        flat_camp.cycle_protocol[3].terminations[0], threshold=c1 / 100.0)
-    flat_camp = dataclasses.replace(flat_camp, rpt_every=0, max_cycles=50,
+    steps = list(flat_camp.cycle_protocol)
+    taper, *rest = steps[3].terminations
+    steps[3] = dataclasses.replace(steps[3], terminations=(
+        dataclasses.replace(taper, threshold=c1 / 100.0), *rest))
+    flat_camp = dataclasses.replace(flat_camp, cycle_protocol=steps,
+                                    rpt_every=0, max_cycles=50,
                                     eol_capacity_fraction=0.05)
     cell = Cell(params, quiet)
     cell.freeze_degradation = True

@@ -166,7 +166,7 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
 
     calls.update(jacobian=0, derivative=0, locate=0, value=0, slope=0)
     fits = []
-    scipy_leastsq = measurement.leastsq
+    minpack_leastsq = measurement.leastsq
     table_derivative = ocp.MonotoneOCPTable.derivative
 
     def derivative(self, s):
@@ -189,7 +189,7 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
             jacobian_thetas.add(theta.tobytes())
             return Dfun(theta)
 
-        fits.append(scipy_leastsq(counted("residual", residual), x0,
+        fits.append(minpack_leastsq(counted("residual", residual), x0,
                                   Dfun=counted("jacobian", jacobian),
                                   **kwargs))
         return fits[-1]
@@ -202,20 +202,18 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
     assert calls["residual"] > 0
     # each distinct theta is located and valued once per table however
     # often it is asked for, so no theta reaches the tables twice:
-    # leastsq's shape check and MINPACK's calls at the start share one
-    # evaluation
+    # MINPACK's calls at the start share one evaluation
     assert calls["array"] == calls["derivative"] == 0
     assert calls["locate"] == 2 * len(thetas) < 2 * calls["residual"]
     assert calls["value"] == 2 * len(thetas)
-    # nfev counts each point MINPACK asks for, the start included; leastsq
-    # asks for the start once more to check the residual's shape, and
-    # scipy's _lmder once more to size its arrays
-    assert calls["residual"] == info["nfev"] + 2
+    # nfev counts each point MINPACK asks for, the start included; scipy's
+    # _lmder asks for the start once more to size its arrays
+    assert calls["residual"] == info["nfev"] + 1
     # one slope sum per table for each distinct theta whose Jacobian is
     # asked for, every one of them a theta the residual was evaluated at
-    # and located for; MINPACK's njev plus leastsq's shape check, and no
-    # closing jac(x)
-    assert calls["jacobian"] == info["njev"] + 1 > 1
+    # and located for; MINPACK's njev, with no shape check and no closing
+    # jac(x)
+    assert calls["jacobian"] == info["njev"] > 1
     assert calls["slope"] == 2 * len(jacobian_thetas)
     assert jacobian_thetas <= thetas
 

@@ -10,9 +10,9 @@ written once: only degradation.py reads the film model's coefficients
 Electrode.exchange_current evaluates the exchange-current law; only
 measurement.py evaluates the film-free resistance, once per vector. The
 package has one root finder, ocp.brent, and one least-squares solver,
-scipy's leastsq in the eSOH fit. Compiled BLAS kernels are called with
-positional arguments, since a keyword costs f2py's keyword parse. No new
-package function serves only the tests.
+MINPACK's lmder in the eSOH fit, called without scipy.optimize. Compiled
+BLAS kernels are called with positional arguments, since a keyword costs
+f2py's keyword parse. No new package function serves only the tests.
 """
 
 import ast
@@ -43,8 +43,6 @@ KINETIC_CONSTANTS = {"i0_prefix", "one_minus_alpha"}
 KINETIC_READERS = {"__init__", "exchange_current"}
 # the film-free resistance is read through measurement.film_free_resistance
 RESISTANCE_CALLERS = {"measurement.py"}
-# scipy.optimize is the eSOH fit's, and no module solves roots through it
-OPTIMIZE_IMPORTERS = {"measurement.py"}
 # the package functions and methods that no package module names: the
 # public predict_rul (README), and four that only tests call, which go
 # when the tests stop needing them
@@ -173,15 +171,16 @@ def test_one_root_finder():
                      (node.module or "").startswith("scipy.optimize")
                      or node.module == "scipy"
                      and any(a.name == "optimize" for a in node.names)))}
-    assert importers == OPTIMIZE_IMPORTERS, importers
-    # the eSOH fit has one solver: MINPACK through leastsq, with no second
-    # path through least_squares
-    optimize_names = sorted(
-        alias.name for name, tree in modules if name == "measurement.py"
+    # no module imports scipy.optimize: the eSOH fit has one solver,
+    # MINPACK's lmder from the extension measurement.py loads by file, and
+    # no second path through least_squares
+    assert not importers, importers
+    minpack_names = sorted(
+        f"{name}:{node.attr}" for name, tree in modules
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize"
-        for alias in node.names)
-    assert optimize_names == ["leastsq"], optimize_names
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "_minpack")
+    assert minpack_names == ["measurement.py:_lmder"], minpack_names
     second = [f"{name}:{node.lineno}"
               for name, tree in modules for node in ast.walk(tree)
               if (isinstance(node, ast.Name) and node.id == "least_squares")
@@ -189,7 +188,7 @@ def test_one_root_finder():
                   and node.attr == "least_squares")
               or (isinstance(node, ast.alias)
                   and node.name == "least_squares")]
-    assert not second, "fit eSOH through leastsq: " + ", ".join(second)
+    assert not second, "fit eSOH through lmder: " + ", ".join(second)
 
 
 def _assigned(node):

@@ -1,31 +1,36 @@
 """The package's import footprint.
 
 Every cellfade process pays for what the package imports, in start-up
-time and resident memory. Of scipy the package imports two modules: scipy
-itself, from which particle.py loads the BLAS extension of its step
-(scipy.linalg._fblas) without scipy.linalg's package, and MINPACK's leastsq
-for the eSOH fit (measurement.py). The OCP tables build their PCHIP rows
-themselves, so no process loads scipy.interpolate. scipy.optimize, and with
-it scipy.linalg's package, loads at the first eSOH fit, so simulate with
-RPTs and rpt load it, while identify, ambiguity and import cellfade do not:
-import cellfade.cli loads 303 modules and peaks at 39 MB, against 828 and
-78 MB with scipy.optimize. Either import order hands the particle step and
-scipy.linalg.blas the same kernels.
+time and resident memory. Of scipy the package imports one module, scipy
+itself, and particle.py's loader takes two of its compiled extensions by
+file: the BLAS kernels of the particle step (scipy.linalg._fblas) and
+MINPACK (scipy.optimize._minpack), whose lmder the eSOH fit in
+measurement.py calls. So neither scipy.linalg's nor scipy.optimize's
+package loads, and the OCP tables build their PCHIP rows themselves, so no
+process loads scipy.interpolate: import cellfade.cli loads 304 modules and
+peaks at 39 MB, and an RPT with its fit loads nothing more of scipy, where
+import scipy.optimize would make it 828 modules and 78 MB. Either import
+order hands cellfade and scipy the same extension modules.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cellfade"
-SCIPY_IMPORTS = {("measurement.py", "scipy.optimize"),
-                 ("particle.py", "scipy")}
+SCIPY_IMPORTS = {("particle.py", "scipy")}
 # scipy.linalg's package modules and the array API layer its __init__
 # brings; of these the particle step loads only its BLAS extension
 LINALG_PACKAGE = ("scipy.linalg", "scipy._lib._array_api")
 FBLAS = "scipy.linalg._fblas"
+# and of scipy.optimize's package the eSOH fit loads only MINPACK
+PACKAGES = LINALG_PACKAGE + ("scipy.optimize",)
+EXTENSIONS = [FBLAS, "scipy.optimize._minpack"]
 
 
 def _imported(node):
@@ -39,7 +44,7 @@ def _imported(node):
     return []
 
 
-def test_package_imports_only_two_scipy_modules():
+def test_package_imports_only_scipy_itself():
     imports = {(path.name, name)
                for path in sorted(PACKAGE.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
@@ -69,7 +74,7 @@ def test_package_and_cli_load_only_the_blas_extension_of_scipy_linalg():
     assert _fresh(code).split() == [FBLAS]
 
 
-LOADS_OPTIMIZE_AT_FIRST_FIT = """
+LOADS_ONLY_TWO_EXTENSIONS = """
 import sys
 from importlib import resources
 
@@ -77,16 +82,13 @@ import cellfade, cellfade.cli
 
 
 def loaded():
-    optimize = sum(m.split(".")[:2] == ["scipy", "optimize"]
-                   for m in sys.modules)
-    linalg = sum(m.startswith(LINALG_PACKAGE) and m != FBLAS
-                 for m in sys.modules)
-    return optimize, linalg
+    return " ".join(sorted(m for m in sys.modules if m.startswith(PACKAGES)))
 
 
-print(*loaded())
+print(loaded())
 from cellfade import (electrochem, identify, io, measurement, params,
-                      particle, protocol)
+                      protocol)
+from cellfade.cell import Cell
 
 data = resources.files("cellfade.data")
 p, d = params.load_cell_config(data / "cell_default.yaml")
@@ -103,25 +105,33 @@ fam = identify.invert_without_expansion(p, d, y, n_li0, lli_budget=budget)
 member = identify.sample_family(fam, y, 3)[1]
 identify.invert_with_expansion(p, d, measurement.forward_measure(
     p, d, member, n_li0), n_li0)
-print(*loaded())
-w = electrochem.solve_window(p, y.C_p, y.C_n, n_li0 * (1.0 - y.LLI))
-measurement.extract_esoh(measurement.synthesize_pseudo_ocv(p, w), p)
-import scipy.linalg.blas, scipy.optimize
-print(measurement.leastsq is scipy.optimize.leastsq,
-      scipy.linalg.blas.dgemv is particle.dgemv,
-      scipy.linalg.blas.ddot is particle.ddot)
+print(loaded())
+# what simulate runs at each RPT, and rpt once: a sweep and its eSOH fit
+assert protocol.run_rpt(Cell(p, d), dt=30.0)["esoh"] is not None
+print(loaded())
 """
 
 
-def test_scipy_optimize_loads_at_the_first_esoh_fit():
-    # the fit's scipy.optimize brings scipy.linalg's package, which finds
-    # the particle step's extension loaded and hands out the same kernels
-    at_import, after_identify_and_ambiguity, fit_binds = _fresh(
-        f"LINALG_PACKAGE, FBLAS = {LINALG_PACKAGE!r}, {FBLAS!r}\n"
-        + LOADS_OPTIMIZE_AT_FIRST_FIT).splitlines()
-    assert at_import == "0 0"
-    assert after_identify_and_ambiguity == "0 0"
-    assert fit_binds == "True True True"
+def test_no_run_loads_scipy_linalg_or_optimize_packages():
+    # at import, after what identify and ambiguity run, and after one RPT's
+    # eSOH fit, the only modules of either package are the two extensions
+    lines = _fresh(f"PACKAGES = {PACKAGES!r}\n"
+                   + LOADS_ONLY_TWO_EXTENSIONS).splitlines()
+    assert [line.split() for line in lines] == [EXTENSIONS] * 3
+
+
+SCIPY = ("import scipy.linalg.blas as blas, scipy.optimize\n"
+         "from scipy.optimize import _minpack_py\n")
+CELLFADE = "from cellfade import measurement, particle\n"
+
+
+@pytest.mark.parametrize("imports", [SCIPY + CELLFADE, CELLFADE + SCIPY],
+                         ids=["scipy_first", "cellfade_first"])
+def test_either_import_order_shares_one_minpack_and_blas(imports):
+    code = imports + (
+        "print(_minpack_py._minpack is measurement._minpack,\n"
+        "      blas.dgemv is particle.dgemv, blas.ddot is particle.ddot)")
+    assert _fresh(code).split() == ["True"] * 3
 
 
 def test_scipy_linalg_loaded_first_hands_the_particle_step_its_kernels():
@@ -129,3 +139,15 @@ def test_scipy_linalg_loaded_first_hands_the_particle_step_its_kernels():
             "from cellfade import particle\n"
             "print(blas.dgemv is particle.dgemv, blas.ddot is particle.ddot)")
     assert _fresh(code).split() == ["True", "True"]
+
+
+def test_missing_extension_is_an_import_error_naming_its_directory():
+    # no fallback to the package import: a scipy without the file fails
+    # at import, and names where it looked
+    import scipy
+    from cellfade import particle
+    directory = os.path.join(scipy.__path__[0], "optimize")
+    with pytest.raises(ImportError, match=re.escape(
+            f"no scipy extension _no_such_extension in {directory}")):
+        particle._load_scipy_extension("optimize", "_no_such_extension")
+    assert "scipy.optimize._no_such_extension" not in sys.modules

@@ -535,3 +535,92 @@ class TestESOHOracle:
             assert self.outcome(extract_esoh, curve, params, None) == want
             fails += want == "EstimationFailedError"
         assert fails >= 4
+
+
+class TestMinpackCall:
+    """measurement.leastsq calls MINPACK's lmder itself, through scipy's
+    private extension scipy.optimize._minpack; scipy.optimize.leastsq on
+    the same problem is the oracle, to the bit. A scipy release that
+    changes _lmder's signature or its outputs fails here."""
+
+    FIELDS = TestESOHOracle.FIELDS
+
+    @staticmethod
+    def fit(monkeypatch, solver, curve, params, capacity, maxfev=None):
+        """extract_esoh's outcome (its record's fields as float.hex,
+        or its error's text) and what solver returned to it."""
+        got = []
+
+        def call(func, x0, Dfun, **kwargs):
+            if maxfev is not None:
+                kwargs["maxfev"] = maxfev
+            got.append(solver(func, x0, Dfun=Dfun, **kwargs))
+            return got[-1]
+
+        monkeypatch.setattr(measurement, "leastsq", call)
+        try:
+            r = extract_esoh(curve, params, capacity=capacity)
+            outcome = tuple(float.hex(getattr(r, k))
+                            for k in TestMinpackCall.FIELDS)
+        except EstimationFailedError as e:
+            outcome = str(e)
+        (answer,) = got
+        x, _, info, mesg, ier = answer
+        return outcome, (x.tobytes(), info["fvec"].tobytes(), info["nfev"],
+                         info["njev"], ier, mesg)
+
+    def cases(self, params, degp, n_li0, rng):
+        cases = [(synthesize_pseudo_ocv(params, w, noise_mv=noise, rng=rng),
+                  None)
+                 for noise in (0.0, 0.5)
+                 for w in sample_windows(params, n_li0, rng, 8)]
+        rpt = run_rpt(Cell(params, degp), dt=30.0)
+        cases.append((rpt["pseudo_ocv"], rpt["capacity_Ah"]))
+        return cases
+
+    def test_fits_equal_scipy_leastsq_bitwise(self, params, degp, n_li0, rng,
+                                              monkeypatch):
+        from scipy import optimize
+        wrapper = measurement.leastsq
+        for curve, capacity in self.cases(params, degp, n_li0, rng):
+            ours = self.fit(monkeypatch, wrapper, curve, params, capacity)
+            want = self.fit(monkeypatch, optimize.leastsq, curve, params,
+                            capacity)
+            assert ours == want
+            assert 1 <= ours[1][4] <= 4 and isinstance(ours[0], tuple)
+
+    def test_capped_fit_equals_scipy_leastsq(self, params, degp, n_li0, rng,
+                                             monkeypatch):
+        from scipy import optimize
+        wrapper = measurement.leastsq
+        for curve, capacity in self.cases(params, degp, n_li0, rng)[::4]:
+            ours = self.fit(monkeypatch, wrapper, curve, params, capacity,
+                            maxfev=3)
+            want = self.fit(monkeypatch, optimize.leastsq, curve, params,
+                            capacity, maxfev=3)
+            assert ours == want
+            assert ours[1][4] == 5
+            assert ours[0].endswith("MINPACK info 5: Number of calls to "
+                                    "function has reached maxfev = 3.)")
+
+    @pytest.mark.parametrize("code", range(9))
+    def test_each_info_code_reads_as_leastsq_says_it(self, params, n_li0,
+                                                     monkeypatch, code):
+        # the message of each MINPACK info code, the rarer ones forced on
+        # a real fit through the one _minpack module both callers share
+        from scipy import optimize
+        from scipy.optimize import _minpack_py
+        assert _minpack_py._minpack is measurement._minpack
+        lmder = measurement._minpack._lmder
+
+        def forced(*args):
+            x, info, _ = lmder(*args)
+            return x, info, code
+
+        monkeypatch.setattr(measurement._minpack, "_lmder", forced)
+        truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
+        curve = synthesize_pseudo_ocv(params, truth)
+        ours = self.fit(monkeypatch, measurement.leastsq, curve, params, None)
+        want = self.fit(monkeypatch, optimize.leastsq, curve, params, None)
+        assert ours == want
+        assert ours[1][4] == code

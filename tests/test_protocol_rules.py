@@ -133,6 +133,30 @@ def test_campaign_inputs_are_values(c1):
     assert dataclasses.replace(campaign, max_cycles="3").max_cycles == 3
 
 
+def test_loaded_campaign_steps_are_values(c1):
+    # the step and termination sequences are tuples too, so no step or
+    # termination can be swapped in after the checks ran
+    data = resources.files("cellfade.data")
+    with resources.as_file(data / "campaign_default.yaml") as path:
+        campaign = cio.load_campaign(path, c1)
+    step = campaign.cycle_protocol[0]
+    with pytest.raises(AttributeError):
+        campaign.cycle_protocol.append("rest 600")
+    with pytest.raises(TypeError):
+        campaign.cycle_protocol[0] = step
+    with pytest.raises(TypeError):
+        step.terminations[0] = step.terminations[0]
+    # a list handed in is copied, so editing it later changes nothing
+    steps = list(campaign.cycle_protocol)
+    terms = list(step.terminations)
+    made = Campaign(steps)
+    made_step = dataclasses.replace(step, terminations=terms)
+    steps.append("rest 600")
+    terms.clear()
+    assert made.cycle_protocol == campaign.cycle_protocol
+    assert made_step.terminations == step.terminations
+
+
 def test_packaged_campaign_work(params, degp, monkeypatch):
     # the control layer's calls on the packaged campaign at dt 60/300; a
     # change that alters them restates them here with its reason
