@@ -16,8 +16,9 @@ inverts a propagator another cell of the set has inverted.
 Each value is computed once over the span in which it can change:
 the active areas once per pair of electrode capacities (they move only
 when fatigue closes a cycle), the particle averages when the particle
-state is made, and a CV solve's last trial, which voltage_after returns
-as a value, is committed by step as it stands instead of evaluated again.
+state is made (carried in closed form by a step), and a CV solve's last
+trial, which voltage_after returns as a value, is committed by step as
+it stands instead of evaluated again.
 """
 
 import math

@@ -24,9 +24,12 @@ from .params import (_input, _number, field_names, from_mapping, read_mapping,
 from .protocol import (STEP_MODES, Campaign, ProtocolStep, Termination,
                        parse_current)
 
-STATE_VERSION = 2
-# a state's particle lithium against 1 - LLI, as a share of n_li0: a full
-# life closes to about 4e-12, so only an edit reaches this
+STATE_VERSION = 3
+# version 2 files, which carry no means, load with their profiles' means
+READ_VERSIONS = (2, STATE_VERSION)
+# a state's particle lithium against 1 - LLI, as a share of n_li0, and a
+# carried mean against its profile's, as a share of c_smax: a full life
+# closes both to round-off, so only an edit reaches this
 BOOKS_TOL = 1e-6
 
 def _parse_steps(raw_steps, c_1c, where):
@@ -136,6 +139,10 @@ def load_ambiguity_config(path, c_1c):
 # --- state files ---
 
 def save_state(path, cell):
+    """Version 3: the degradation state, n_li0, both radial profiles and
+    the volume means the particle state carries, so a run resumed from
+    the file steps from the same means as the run that wrote it."""
+    c_avg_pos, c_avg_neg = cell.particles.averages[:2]
     write_json(path, {
         "version": STATE_VERSION,
         "degradation": cell.degradation.as_dict(),
@@ -143,6 +150,8 @@ def save_state(path, cell):
         "particles": {
             "c_pos": [float(v) for v in cell.particles.c_pos],
             "c_neg": [float(v) for v in cell.particles.c_neg],
+            "c_avg_pos": c_avg_pos,
+            "c_avg_neg": c_avg_neg,
         },
     })
 
@@ -150,11 +159,14 @@ def save_state(path, cell):
 def load_state(path, params, deg_params):
     doc = read_mapping(path, "state file", json.load)
     where = f"state file {path}"
-    if doc.get("version") != STATE_VERSION:
-        raise ConfigError(f"{where}: version {doc.get('version')!r} unsupported")
+    version = doc.get("version")
+    if version not in READ_VERSIONS:
+        raise ConfigError(f"{where}: version {version!r} unsupported")
     reject_unknown(doc, ("version", "degradation", "n_li0", "particles"), where)
     particles = doc.get("particles")
-    reject_unknown(particles, ("c_pos", "c_neg"), f"{where}: particles")
+    carried = ("c_avg_pos", "c_avg_neg") if version == STATE_VERSION else ()
+    reject_unknown(particles, ("c_pos", "c_neg", *carried),
+                   f"{where}: particles")
     profiles = []
     for name, side in (("c_pos", params.pos), ("c_neg", params.neg)):
         values = particles.get(name)
@@ -184,6 +196,17 @@ def load_state(path, params, deg_params):
     if not abs(held - (1.0 - degradation.LLI)) <= BOOKS_TOL:
         raise ConfigError(f"{where}: particles hold {held:.6g} of n_li0, "
                           f"but 1 - LLI leaves {1.0 - degradation.LLI:.6g}")
+    if carried:   # the means the writing run carried, near its profiles'
+        means = []
+        for name, side, own in zip(carried, (params.pos, params.neg),
+                                   cell.particles.averages):
+            what = f"{where}: particles {name}"
+            mean = _number(float, particles.get(name), what)
+            if not abs(mean - own) <= BOOKS_TOL * side.c_smax:
+                raise ConfigError(f"{what} {mean!r} is not its profile's "
+                                  f"mean {own!r}")
+            means.append(mean)
+        cell.particles = particle_state(params, *profiles, means=means)
     return cell
 
 

@@ -4,11 +4,12 @@ Finite-volume shells on a fixed mesh, backward-Euler in time. The propagator
 P = (I - dt*M)^-1 is cached per timestep size, so advancing a particle is one
 small matrix-vector product; that is what makes multi-month aging runs cheap.
 At 20 shells numpy's per-call dispatch costs more than the arithmetic, so a
-step is one BLAS dgemv and a volume average one ddot, called directly and
-with positional arguments only: a keyword sends scipy's f2py wrapper
-through its keyword parser, which cost about 0.5 us more per dgemv call
-(1.2-2.1 us against 0.8-1.4 us, timeit on a 2-vCPU machine) than the
-same call, with the same result bits, given positionally.
+step is one BLAS dgemv and the volume average of a profile one ddot,
+called directly and with positional arguments only: a keyword sends
+scipy's f2py wrapper through its keyword parser, which cost about 0.5 us
+more per dgemv call (1.2-2.1 us against 0.8-1.4 us, timeit on a 2-vCPU
+machine) than the same call, with the same result bits, given
+positionally.
 
 The kernels come from scipy's f2py extension scipy.linalg._fblas, loaded
 by file (_load_scipy_extension, which measurement.py uses for MINPACK's
@@ -17,6 +18,16 @@ package pulls in scipy's array API layer, which loads numpy.f2py,
 numpy.testing and unittest, about 285 modules and 19 MB, none of which a
 step uses. They are the objects scipy.linalg.blas hands out, in either
 import order, so OpenBLAS's kernel choice governs them as before.
+
+A step carries each side's volume mean in closed form instead of averaging
+the new profile again: the propagator rescale fixes volumes . P = volumes
+and volumes . Pe = area_surf, so P c - dt j Pe has the mean
+c_avg - dt j area_surf / total_volume. The lithium books then close to
+round-off whatever the number of steps, where a ddot per state left each
+mean's rounding bias in them (4e-12 of the inventory over a life at dt
+60/300, 3e-11 at dt 5/30), and no step, a discarded CV trial included,
+reads its profile to average it. Only a state made from profiles
+(particle_state without means) takes the ddot.
 
 Flux sign: surface molar flux j > 0 removes lithium from the particle
 (delithiation). Concentrations are never clamped; a step that would leave
@@ -94,6 +105,8 @@ class SphereFV:
                               f"shell volumes outside double precision")
         area_int = 4.0 * np.pi * faces[1:-1] ** 2   # internal faces
         self.area_surf = 4.0 * np.pi * self.r_p ** 2
+        # a step of flux j over dt moves the volume mean by -dt j times this
+        self.surf_per_volume = self.area_surf / self.total_volume
 
         # dc/dt = M c - j * e ; M rows sum to zero (flux telescoping)
         n = self.n
@@ -173,11 +186,14 @@ class SphereFV:
 class ParticleState:
     """Radial concentration profiles for the electrode pair, mol/m^3.
 
-    A value, made by particle_state with its averages (c_avg_pos,
-    c_avg_neg, y, x: the volume-averaged concentrations and the mean
-    stoichiometries); a step makes a new state and never writes. enclosure
-    pairs a (lo, hi) in [0, c_smax] around each profile's min and max, or
-    None where unknown (read from a file); it only lets a step skip a range
+    A value, made with its averages (c_avg_pos, c_avg_neg, y, x: the
+    volume-averaged concentrations and the mean stoichiometries); a step
+    makes a new state and never writes. A state made from profiles
+    (particle_state) averages them by ddot, and a stepped state
+    (step_particle_diffusion) carries its means in closed form, which stay
+    within round-off of its profiles' ddot means. enclosure pairs a
+    (lo, hi) in [0, c_smax] around each profile's min and max, or None
+    where unknown (read from a file); it only lets a step skip a range
     check that cannot fail, so it changes no result.
     """
     c_pos: np.ndarray
@@ -186,9 +202,10 @@ class ParticleState:
     enclosure: tuple = field(default=None, repr=False, compare=False)
 
 
-def particle_state(pair, c_pos, c_neg, enclosure=None):
-    """The ParticleState of two profiles, with their averages."""
-    c_p, c_n = pair.pos.c_avg(c_pos), pair.neg.c_avg(c_neg)
+def particle_state(pair, c_pos, c_neg, enclosure=None, means=None):
+    """The ParticleState of two profiles, with their averages: means, the
+    (c_avg_pos, c_avg_neg) the state carries, or else each profile's."""
+    c_p, c_n = means or (pair.pos.c_avg(c_pos), pair.neg.c_avg(c_neg))
     return ParticleState(c_pos, c_neg, (c_p, c_n, c_p / pair.pos.c_smax,
                                         c_n / pair.neg.c_smax), enclosure)
 
@@ -201,8 +218,16 @@ def at_stoichiometry(pair, x, y):
 
 
 def step_particle_diffusion(pair, state, j_pos, j_neg, dt):
-    """Advance both particles one step; returns a new ParticleState."""
+    """Advance both particles one step; returns a new ParticleState, its
+    means carried from state's in closed form."""
+    pos, neg = pair.pos, pair.neg
     enc_pos, enc_neg = state.enclosure or (None, None)
-    c_pos, enc_pos = pair.pos.step(state.c_pos, j_pos, dt, enc_pos)
-    c_neg, enc_neg = pair.neg.step(state.c_neg, j_neg, dt, enc_neg)
-    return particle_state(pair, c_pos, c_neg, (enc_pos, enc_neg))
+    c_pos, enc_pos = pos.step(state.c_pos, j_pos, dt, enc_pos)
+    c_neg, enc_neg = neg.step(state.c_neg, j_neg, dt, enc_neg)
+    c_avg_pos, c_avg_neg = state.averages[:2]
+    c_p = c_avg_pos - dt * j_pos * pos.surf_per_volume
+    c_n = c_avg_neg - dt * j_neg * neg.surf_per_volume
+    # particle_state's averages, built here: its call costs about 0.2 us
+    # of the 2.9 us this function takes on every step and CV trial
+    return ParticleState(c_pos, c_neg, (c_p, c_n, c_p / pos.c_smax,
+                                        c_n / neg.c_smax), (enc_pos, enc_neg))

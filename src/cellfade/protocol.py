@@ -2,8 +2,15 @@
 
 A protocol is an ordered list of CC / CV / rest steps, each with one or
 more termination conditions. Steps refine their timestep near a firing
-threshold (voltage overshoot is held under 1 mV) and hit time
-terminations exactly by clamping the last stride. "<=" and ">=" compare
+threshold (voltage overshoot is held under 1 mV) by halving dt and
+rolling back, and hit time terminations exactly by clamping the last
+stride. A step remembers the end of its last attempt that overshot a
+voltage threshold; until the step reaches that time, an attempt that
+would end later is halved before it is tried instead of tried and rolled
+back. Such an attempt would pass the same threshold again unless the
+path has turned, so on the packaged campaign and demo the step accepts
+the rung of the halving ladder it accepted when it tried every rung
+(a rule of the step controller, not a proof). "<=" and ">=" compare
 the signed value (discharge positive) and "abs<=" bounds the magnitude.
 Every run checks its timesteps once, in run_step.
 
@@ -85,6 +92,12 @@ class Campaign:
 
     def __post_init__(self):
         object.__setattr__(self, "cycle_protocol", tuple(self.cycle_protocol))
+        if not self.cycle_protocol:
+            raise ConfigError("cycle_protocol must hold at least one step")
+        for k, step in enumerate(self.cycle_protocol):
+            if not isinstance(step, ProtocolStep):
+                raise ConfigError(f"cycle_protocol step {k + 1} must be a "
+                                  f"ProtocolStep, got {step!r}")
         for name, kind in (("rpt_every", int), ("max_cycles", int),
                            ("eol_capacity_fraction", float)):
             object.__setattr__(self, name,
@@ -199,6 +212,7 @@ def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
     base_dt = dt_rest if step.mode == "rest" else dt
     I = step.setpoint if step.mode == "cc" else 0.0   # CV warm-starts from I
     evaluated = None   # a CV attempt's last trial, committed as it stands
+    overshot_at = math.inf   # end of the last attempt that overshot, s
     time_terms = [c for c in step.terminations if c.quantity == "time"]
     while True:
         if t >= STEP_TIME_CAP:
@@ -211,6 +225,8 @@ def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
 
         snap = cell.get_state()
         while True:   # refine dt near thresholds
+            while t + dt_eff > overshot_at and dt_eff > MIN_DT:
+                dt_eff = max(dt_eff / 2.0, MIN_DT)
             try:
                 if cv:
                     I, evaluated = _solve_cv_current(cell, step.setpoint,
@@ -231,9 +247,12 @@ def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
                 if not overshoot or dt_eff <= MIN_DT:
                     break
                 cell.set_state(snap)   # a voltage threshold overshot
+                overshot_at = t + dt_eff
             dt_eff = max(dt_eff / 2.0, MIN_DT)
 
         t += dt_eff
+        if t >= overshot_at:   # reached without firing: the record is past
+            overshot_at = math.inf
         q_signed += I * dt_eff / 3600.0
         if trajectory is not None:
             trajectory.append(t0 + t, rec, cycle, step_index)

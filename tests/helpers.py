@@ -286,7 +286,8 @@ def cell_step_oracle(cell, I, dt):
     current for a frozen probe, the degradation step from
     step_degradation_oracle (its state built by DegradationState.__init__),
     both particles stepped by _particle_step_oracle and the new state's
-    averages from particle_state.
+    means moved from the old one's by the flux through the surface,
+    -dt j area_surf / total_volume on each side.
     Returns (record, (particles, degradation, extrema)), the step's record
     and the state it leaves, in Cell.get_state's order."""
     p, degp, d = cell.params, cell.deg_params, cell.degradation
@@ -304,9 +305,12 @@ def cell_step_oracle(cell, I, dt):
             cell.n_li0, dt)
     j_neg = (I - i_side) / f_area_n
     j_pos = -I / f_area_p
+    c_avg_p, c_avg_n = particles.averages[:2]
     parts = particle_state(
         p, _particle_step_oracle(pos, particles.c_pos, j_pos, dt),
-        _particle_step_oracle(neg, particles.c_neg, j_neg, dt))
+        _particle_step_oracle(neg, particles.c_neg, j_neg, dt), means=(
+            c_avg_p - dt * j_pos * (pos.area_surf / pos.total_volume),
+            c_avg_n - dt * j_neg * (neg.area_surf / neg.total_volume)))
     c_ss_p = float(parts.c_pos[-1]) - pos.half_dr * j_pos / pos.D
     c_ss_n = float(parts.c_neg[-1]) - neg.half_dr * j_neg / neg.D
     v_t = terminal_voltage(p, c_ss_p, c_ss_n, I, r_film(p, degp, deg_new)[1],

@@ -1,0 +1,37 @@
+"""The benchmark records at the repository root (BENCH_<n>.json, written
+by tools/bench_pairs.py) compare only on one host and one BLAS kernel, so
+each names both commits and scipy's OpenBLAS kernel, and each run holds
+its correct flag and every end-to-end metric that BENCHMARK.json lists."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+SHA = re.compile(r"^[0-9a-f]{40}$")
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_bench_record_names_its_commits_kernel_and_metrics(path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = [m["name"] for m in spec["end_to_end"]]
+    record = json.loads(path.read_text())
+    for side in ("parent", "change"):
+        assert SHA.match(record[side]["sha"]), side
+    assert record["host"]["blas_core"].startswith("Core: ")
+    assert record["groups"]
+    for group in record["groups"]:
+        assert group["pairs"]
+        for pair in group["pairs"]:
+            for side in ("parent", "change"):
+                run = pair[side]
+                assert isinstance(run["correct"], bool)
+                assert set(end_to_end) <= run["metrics"].keys(), side
+        assert set(end_to_end) <= group["summary"].keys()
+
+
+def test_the_repository_holds_a_bench_record():
+    assert RECORDS

@@ -107,25 +107,49 @@ def test_lithium_audit_under_random_protocols(params, degp, n_li0):
         assert fracture(cell) > stranded0
 
 
-@pytest.mark.parametrize("dt, dt_rest", [(60.0, 300.0), (30.0, 150.0)])
+# particle lithium against 1 - LLI, as a share of n_li0, after any cycle
+# of a full life: measured at most 2.4e-14 at dt 60/300 and 30/150, and
+# 4.7e-14 at dt 5/30
+BOOKS_BOUND = 1e-13
+# each profile's ddot mean against the mean its state carries, as a share
+# of c_smax, after any cycle of a full life at (dt, dt_rest). The gap is
+# the rounding of the profile steps, so it grows with their number:
+# measured 2.3e-12, 8.7e-13, 5.6e-12 and 1.9e-11
+MEAN_BOUNDS = {(60.0, 300.0): 1e-11, (30.0, 150.0): 1e-11,
+               (10.0, 60.0): 2e-11, (5.0, 30.0): 5e-11}
+
+
+@pytest.mark.parametrize("dt, dt_rest", [
+    (60.0, 300.0), (30.0, 150.0),
+    pytest.param(10.0, 60.0, marks=pytest.mark.slow),
+    pytest.param(5.0, 30.0, marks=pytest.mark.slow)])
 def test_lithium_books_close_over_a_full_life(params, degp, dt, dt_rest):
     # particle lithium against 1 - LLI after every cycle of the packaged
     # campaign to end of life: a propagator whose columns miss the shell
-    # volumes by a few ulps would drift linearly, to 1.5e-10 at dt 60
+    # volumes by a few ulps would drift linearly, to 1.5e-10 at dt 60,
+    # and a mean taken by ddot per state to 2.7e-11 at dt 5/30
     campaign = cio.load_campaign(
         resources.files("cellfade.data") / "campaign_default.yaml",
         reference_capacity(params))
     cell = Cell(params, degp)
     residuals = []
+    mean_gaps = []
 
     def audit(cycle, discharged):
         residuals.append(abs(cell.particle_lithium() / cell.n_li0
                          - (1.0 - cell.degradation.LLI)))
+        state = cell.particles
+        for side, c, mean in ((params.pos, state.c_pos, state.averages[0]),
+                              (params.neg, state.c_neg, state.averages[1])):
+            mean_gaps.append(abs(side.c_avg(c) - mean) / side.c_smax)
 
     _, rul, eol = run_campaign(cell, campaign, dt=dt, dt_rest=dt_rest,
                                keep_series=False, progress=audit)
     assert eol and rul >= 400 and len(residuals) >= rul
-    assert max(residuals) <= 1e-11
+    print(f"dt {dt:g}/{dt_rest:g}: books {max(residuals):.2e} of n_li0, "
+          f"mean gap {max(mean_gaps):.2e} of c_smax")
+    assert max(residuals) <= BOOKS_BOUND
+    assert max(mean_gaps) <= MEAN_BOUNDS[dt, dt_rest]
 
 
 def test_step_record_fields(cell):

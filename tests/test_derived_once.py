@@ -2,17 +2,18 @@
 
 Parameter sets are frozen, so what is derived from one cannot go stale.
 
-A particle state carries its averages from the moment it is made, and
-each electrode side's constants are read from its Electrode, which only
-electrochem.py builds from the raw cell fields. Each physical law is
-written once: only degradation.py reads the film model's coefficients
-(film lithium, resistance, expansion and the family line), and only
-Electrode.exchange_current evaluates the exchange-current law; only
-measurement.py evaluates the film-free resistance, once per vector. The
-package has one root finder, ocp.brent, and one least-squares solver,
-MINPACK's lmder in the eSOH fit, called without scipy.optimize. Compiled
-BLAS kernels are called with positional arguments, since a keyword costs
-f2py's keyword parse. No new package function serves only the tests.
+A particle state carries its averages from the moment it is made (a
+stepped state in closed form), and each electrode side's constants are
+read from its Electrode, which only electrochem.py builds from the raw
+cell fields. Each physical law is written once: only degradation.py
+reads the film model's coefficients (film lithium, resistance, expansion
+and the family line), and only Electrode.exchange_current evaluates the
+exchange-current law; only measurement.py evaluates the film-free
+resistance, once per vector. The package has one root finder, ocp.brent,
+and one least-squares solver, MINPACK's lmder in the eSOH fit, called
+without scipy.optimize. Compiled BLAS kernels are called with positional
+arguments, since a keyword costs f2py's keyword parse. No new package
+function serves only the tests.
 """
 
 import ast
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from cellfade import cell as cell_module
 from cellfade import io as cio
 from cellfade import particle
 from cellfade.cell import Cell
@@ -43,6 +45,9 @@ KINETIC_CONSTANTS = {"i0_prefix", "one_minus_alpha"}
 KINETIC_READERS = {"__init__", "exchange_current"}
 # the film-free resistance is read through measurement.film_free_resistance
 RESISTANCE_CALLERS = {"measurement.py"}
+# a stepped state's carried mean against its profile's ddot mean, as a
+# share of c_smax (test_cell.py audits it over whole lives)
+MEAN_AUDIT = 1e-11
 # the package functions and methods that no package module names: the
 # public predict_rul (README), and four that only tests call, which go
 # when the tests stop needing them
@@ -51,32 +56,56 @@ UNNAMED_IN_PACKAGE = {"predict_rul", "DegradationState.copy",
                       "instantaneous_resistance", "intercalation_overpotential"}
 
 
-def _assert_own_averages(params, state):
+def _assert_averages(params, state, means):
     pos, neg = params.pos, params.neg
-    c_p, c_n = pos.c_avg(state.c_pos), neg.c_avg(state.c_neg)
+    c_p, c_n = means
     assert state.averages == (c_p, c_n, c_p / pos.c_smax, c_n / neg.c_smax)
 
 
-def test_particle_states_carry_their_own_averages(params, degp, tmp_path):
+def _own_means(params, state):
+    return params.pos.c_avg(state.c_pos), params.neg.c_avg(state.c_neg)
+
+
+def test_particle_states_carry_their_own_averages(params, degp, tmp_path,
+                                                  monkeypatch):
+    # a state made from profiles carries their ddot means bit for bit; a
+    # stepped state, the discarded CV trials included, carries its means
+    # in closed form (the old means moved by the surface flux), which
+    # stay within MEAN_AUDIT of c_smax of its profiles' ddot means
     rng = random.Random(21)
     c1 = reference_capacity(params)
     for x, y in [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.83, 0.27)]:
-        _assert_own_averages(params, at_stoichiometry(params, x, y))
+        state = at_stoichiometry(params, x, y)
+        _assert_averages(params, state, _own_means(params, state))
 
     cell = Cell(params, degp)
-    _assert_own_averages(params, cell.particles)
+    _assert_averages(params, cell.particles, _own_means(params, cell.particles))
     cell.equilibrate_at(rng.uniform(0.6, 0.9))
-    _assert_own_averages(params, cell.particles)
+    _assert_averages(params, cell.particles, _own_means(params, cell.particles))
     calls = []
+    steps = []
     step = cell.step
+    step_particles = cell_module.step_particle_diffusion
 
     def checked(I, dt, evaluated=None):
         record = step(I, dt, evaluated)
         calls.append(I)
-        _assert_own_averages(params, cell.particles)
         return record
 
+    def carried(pair, state, j_pos, j_neg, dt):
+        new = step_particles(pair, state, j_pos, j_neg, dt)
+        pos, neg = pair.pos, pair.neg
+        _assert_averages(params, new, (
+            state.averages[0] - dt * j_pos * (pos.area_surf / pos.total_volume),
+            state.averages[1] - dt * j_neg * (neg.area_surf / neg.total_volume)))
+        for side, mean, own in zip((pos, neg), new.averages,
+                                   _own_means(params, new)):
+            assert abs(mean - own) <= MEAN_AUDIT * side.c_smax
+        steps.append(dt)
+        return new
+
     cell.step = checked
+    monkeypatch.setattr(cell_module, "step_particle_diffusion", carried)
     for _ in range(3):
         rate = rng.uniform(0.3, 1.0)
         for mode, setpoint, until in [
@@ -89,12 +118,15 @@ def test_particle_states_carry_their_own_averages(params, degp, tmp_path):
                      dt=60.0, dt_rest=120.0)
     assert len(calls) >= 200 and min(calls) < 0.0 < max(calls)
     assert 0.0 in calls
+    assert len(steps) > len(calls)   # the trials the CV solves discarded
+    assert cell.particles.averages[:2] != _own_means(params, cell.particles)
 
+    # a state file carries the means, and loads them as they were
     path = tmp_path / "state.json"
     cio.save_state(path, cell)
     loaded = cio.load_state(path, params, degp)
     assert loaded.particles.enclosure is None
-    _assert_own_averages(params, loaded.particles)
+    _assert_averages(params, loaded.particles, cell.particles.averages[:2])
 
 
 def _modules():

@@ -231,14 +231,14 @@ def test_resume_from_state_file_is_exact(params, degp, tmp_path):
 
 def test_version_1_state_file_exits_2(params, degp, n_li0, tmp_path,
                                       capsys):
-    # version 1 stored a lam_lithium booking beside the state; version 2
-    # derives the split from the state (degradation.deep_soh), so a
+    # version 1 stored a lam_lithium booking beside the state; versions 2
+    # and 3 derive the split from the state (degradation.deep_soh), so a
     # version-1 file stops at the version check with a message
     member = demo_members(params, degp, n_li0)[0]
     p = tmp_path / "state.json"
     cio.save_state(p, Cell(params, degp, degradation=member, n_li0=n_li0))
     doc = json.loads(p.read_text())
-    assert doc["version"] == 2 and "lam_lithium" not in doc
+    assert doc["version"] == 3 and "lam_lithium" not in doc
     doc.update(version=1, lam_lithium=1e-3)
     p.write_text(json.dumps(doc))
     rc = main(["simulate", "--cell", str(DATA / "cell_default.yaml"),
@@ -248,6 +248,50 @@ def test_version_1_state_file_exits_2(params, degp, n_li0, tmp_path,
     assert rc == 2, err
     assert "version 1 unsupported" in err and str(p) in err
     assert not (tmp_path / "o").exists()
+
+
+def _stepped_state_doc(params, degp, tmp_path):
+    """A version-3 state file of a cell stepped away from uniform
+    profiles, whose carried means are not its profiles' ddot means."""
+    cell = Cell(params, degp)
+    for I in (2.0, -1.0) * 40:
+        cell.step(I, 30.0)
+    p = tmp_path / "state.json"
+    cio.save_state(p, cell)
+    return cell, p, json.loads(p.read_text())
+
+
+def test_version_2_state_file_loads_with_its_profiles_means(params, degp,
+                                                            tmp_path):
+    # a version-2 file has no means: a loaded state averages its profiles
+    cell, p, doc = _stepped_state_doc(params, degp, tmp_path)
+    doc["version"] = 2
+    for name in ("c_avg_pos", "c_avg_neg"):
+        del doc["particles"][name]
+    p.write_text(json.dumps(doc))
+    loaded = cio.load_state(p, params, degp)
+    own = (params.pos.c_avg(cell.particles.c_pos),
+           params.neg.c_avg(cell.particles.c_neg))
+    assert loaded.particles.averages[:2] == own != cell.particles.averages[:2]
+    assert loaded.degradation == cell.degradation
+    # a version-2 file that names means is one the writer never made
+    doc["particles"]["c_avg_pos"] = cell.particles.averages[0]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"particles: unknown keys"):
+        cio.load_state(p, params, degp)
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, "c_avg_neg must be a number"),
+    ("mean", "c_avg_neg must be a number"),
+    (1.0, "c_avg_neg 1.0 is not its profile's mean")])
+def test_version_3_means_are_checked_against_the_profiles(
+        params, degp, tmp_path, value, message):
+    _, p, doc = _stepped_state_doc(params, degp, tmp_path)
+    doc["particles"]["c_avg_neg"] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=message):
+        cio.load_state(p, params, degp)
 
 
 def _small_trajectory(params, degp):
