@@ -161,13 +161,12 @@ def solve_window(params, C_p, C_n, n_li):
     ocv_hi = tp(y_of(hi)) - tn(hi)
 
     def endpoint(V, label):
-        f_lo, f_hi = ocv_lo - V, ocv_hi - V
-        if f_lo >= 0.0 and f_hi >= 0.0:
+        if ocv_lo >= V and ocv_hi >= V:
             raise CellDeadError(f"{label}: OCV cannot reach down to {V:g} V")
-        if f_lo <= 0.0 and f_hi <= 0.0:
+        if ocv_lo <= V and ocv_hi <= V:
             raise CellDeadError(f"{label}: OCV cannot reach up to {V:g} V")
         return brent(lambda x: tp((N_Ah - x * C_n) / C_p) - tn(x) - V,
-                     lo, hi, f_lo, f_hi, 1e-13)
+                     lo, hi, 1e-13)
 
     x_100 = endpoint(params.V_max, "top of charge")
     x_0 = endpoint(params.V_min, "bottom of discharge")

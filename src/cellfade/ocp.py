@@ -8,10 +8,12 @@ series rows are computed here, to the bits of scipy's PchipInterpolator,
 and summed alike by scalar and array calls. Evaluation outside the
 tabulated stoichiometry range is an error, not an extrapolation. The
 module also holds the package's one root finder, brent, which inverts a
-table here and solves the stoichiometric window in electrochem.
+table here and solves the stoichiometric window in electrochem: scipy's
+compiled brentq, from the extension scipy.optimize._zeros, which
+particle.py's loader takes by file without scipy.optimize's package
+import.
 """
 
-import math
 import sys
 from bisect import bisect_right
 from importlib import resources
@@ -19,67 +21,28 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, SaturationError
+from .particle import _load_scipy_extension
 
 MIN_ROWS = 20
 BRENT_RTOL = 4.0 * sys.float_info.epsilon   # scipy.optimize.brentq's floor
 BRENT_MAXITER = 100
+_zeros = _load_scipy_extension("optimize", "_zeros")   # brentq's C code
 
 
-def brent(f, a, b, f_a, f_b, xtol):
-    """Root of f in [a, b] by Brent's method, from the end values f_a =
-    f(a) and f_b = f(b), which the caller already holds.
-
-    This is scipy.optimize.brentq's iteration (Brent, "Algorithms for
-    Minimization without Derivatives", 1973, ch. 4, as scipy's brentq.c
-    writes it: rtol 4*eps, 100 iterations) on Python floats. Each step
-    rounds as the C code does, so the root is brentq's to the bit; only
-    brentq's check of every value for NaN is left out, so f must return
-    finite floats. Like brentq, an end with f = 0 is the root, ends of one
+def brent(f, a, b, xtol):
+    """Root of f in [a, b] by Brent's method ("Algorithms for Minimization
+    without Derivatives", 1973, ch. 4): the call scipy.optimize.brentq
+    makes into its compiled iteration, rtol 4*eps and 100 iterations, so
+    the root is brentq's to the bit. Only brentq's check of every value
+    for NaN is left out, so f must return finite floats. The iteration
+    evaluates both ends itself; an end with f = 0 is the root, ends of one
     sign are a ValueError and no convergence in 100 iterations a
     RuntimeError.
     """
-    xpre, xcur, fpre, fcur = float(a), float(b), float(f_a), float(f_b)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return float(xcur)
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:   # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:              # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C divides by an underflowed 0 into inf or nan: bisect
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
-                        else math.inf)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
+    # scipy 1.17's order: f, a, b, xtol, rtol, maxiter, args,
+    # full_output (0: the root alone) and disp (True: raise on failure)
+    return _zeros._brentq(f, a, b, xtol, BRENT_RTOL, BRENT_MAXITER, (), 0,
+                          True)
 
 
 def _pchip_rows(s, v):
@@ -274,8 +237,7 @@ class MonotoneOCPTable:
         j = int(np.searchsorted(pv, v))
         j = min(max(j, 1), len(pv) - 1)
         a, b = float(ps[j]), float(ps[j - 1])
-        return brent(lambda s: self(s) - v, a, b, self(a) - v, self(b) - v,
-                     1e-14)
+        return brent(lambda s: self(s) - v, a, b, 1e-14)
 
 
 def load_builtin(which):

@@ -12,12 +12,12 @@ machine) than the same call, with the same result bits, given
 positionally.
 
 The kernels come from scipy's f2py extension scipy.linalg._fblas, loaded
-by file (_load_scipy_extension, which measurement.py uses for MINPACK's
-scipy.optimize._minpack too) without scipy.linalg's package import: that
-package pulls in scipy's array API layer, which loads numpy.f2py,
-numpy.testing and unittest, about 285 modules and 19 MB, none of which a
-step uses. They are the objects scipy.linalg.blas hands out, in either
-import order, so OpenBLAS's kernel choice governs them as before.
+by file (_load_scipy_extension, which also loads measurement.py's MINPACK
+and ocp.py's brentq) without scipy.linalg's package import: that package
+pulls in scipy's array API layer, which loads numpy.f2py, numpy.testing
+and unittest, about 285 modules and 19 MB, none of which a step uses.
+They are the objects scipy.linalg.blas hands out, in either import
+order, so OpenBLAS's kernel choice governs them as before.
 
 A step carries each side's volume mean in closed form instead of averaging
 the new profile again: the propagator rescale fixes volumes . P = volumes
@@ -62,7 +62,9 @@ def _load_scipy_extension(subpackage, name):
     under its own name without the subpackage's package import, after
     scipy's own set-up (such as the DLL paths of Windows wheels). The
     subpackage, imported before or after, finds this one module in
-    sys.modules."""
+    sys.modules. Three modules use it: this one for the BLAS kernels
+    (linalg._fblas), measurement.py for MINPACK (optimize._minpack) and
+    ocp.py for brentq's C code (optimize._zeros)."""
     qualified = f"scipy.{subpackage}.{name}"
     if qualified in sys.modules:
         return sys.modules[qualified]

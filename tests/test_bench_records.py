@@ -1,7 +1,8 @@
 """The benchmark records at the repository root (BENCH_<n>.json, written
 by tools/bench_pairs.py) compare only on one host and one BLAS kernel, so
 each names both commits and scipy's OpenBLAS kernel, and each run holds
-its correct flag and every end-to-end metric that BENCHMARK.json lists."""
+its correct flag and every end-to-end metric that BENCHMARK.json lists.
+A record with timed CLI runs holds each side's wall time and peak RSS."""
 
 import json
 import re
@@ -25,12 +26,22 @@ def test_bench_record_names_its_commits_kernel_and_metrics(path):
     assert record["groups"]
     for group in record["groups"]:
         assert group["pairs"]
+        # each group's run length; the first record kept one for all
+        assert group.get("seconds", record.get("seconds")) > 0
         for pair in group["pairs"]:
             for side in ("parent", "change"):
                 run = pair[side]
                 assert isinstance(run["correct"], bool)
                 assert set(end_to_end) <= run["metrics"].keys(), side
         assert set(end_to_end) <= group["summary"].keys()
+    for run in record.get("cli", []):
+        assert run["pairs"], run["run"]
+        for pair in run["pairs"]:
+            for side in ("parent", "change"):
+                metrics = pair[side]["metrics"]
+                assert metrics["wall_s"] > 0.0, (run["run"], side)
+                assert metrics["peak_rss_mb"] > 0.0, (run["run"], side)
+        assert {"wall_s", "peak_rss_mb"} <= run["summary"].keys()
 
 
 def test_the_repository_holds_a_bench_record():

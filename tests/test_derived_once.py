@@ -10,8 +10,8 @@ reads the film model's coefficients (film lithium, resistance, expansion
 and the family line), and only Electrode.exchange_current evaluates the
 exchange-current law; only measurement.py evaluates the film-free
 resistance, once per vector. The package has one root finder, ocp.brent,
-and one least-squares solver, MINPACK's lmder in the eSOH fit, called
-without scipy.optimize. Compiled BLAS kernels are called with positional
+which calls brentq's compiled iteration, and one least-squares solver,
+MINPACK's lmder in the eSOH fit, both without scipy.optimize. Compiled BLAS kernels are called with positional
 arguments, since a keyword costs f2py's keyword parse. No new package
 function serves only the tests.
 """
@@ -205,14 +205,18 @@ def test_one_root_finder():
                      and any(a.name == "optimize" for a in node.names)))}
     # no module imports scipy.optimize: the eSOH fit has one solver,
     # MINPACK's lmder from the extension measurement.py loads by file, and
-    # no second path through least_squares
+    # no second path through least_squares; the roots have one, brentq's
+    # iteration from the extension ocp.py loads by file
     assert not importers, importers
-    minpack_names = sorted(
-        f"{name}:{node.attr}" for name, tree in modules
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name) and node.value.id == "_minpack")
-    assert minpack_names == ["measurement.py:_lmder"], minpack_names
+    for extension, read in (("_minpack", ["measurement.py:_lmder"]),
+                            ("_zeros", ["ocp.py:_brentq"])):
+        names = sorted(
+            f"{name}:{node.attr}" for name, tree in modules
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == extension)
+        assert names == read, names
     second = [f"{name}:{node.lineno}"
               for name, tree in modules for node in ast.walk(tree)
               if (isinstance(node, ast.Name) and node.id == "least_squares")

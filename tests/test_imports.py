@@ -2,12 +2,13 @@
 
 Every cellfade process pays for what the package imports, in start-up
 time and resident memory. Of scipy the package imports one module, scipy
-itself, and particle.py's loader takes two of its compiled extensions by
-file: the BLAS kernels of the particle step (scipy.linalg._fblas) and
+itself, and particle.py's loader takes three of its compiled extensions
+by file: the BLAS kernels of the particle step (scipy.linalg._fblas),
 MINPACK (scipy.optimize._minpack), whose lmder the eSOH fit in
-measurement.py calls. So neither scipy.linalg's nor scipy.optimize's
+measurement.py calls, and brentq's iteration (scipy.optimize._zeros), the
+root finder of ocp.py. So neither scipy.linalg's nor scipy.optimize's
 package loads, and the OCP tables build their PCHIP rows themselves, so no
-process loads scipy.interpolate: import cellfade.cli loads 304 modules and
+process loads scipy.interpolate: import cellfade.cli loads 305 modules and
 peaks at 39 MB, and an RPT with its fit loads nothing more of scipy, where
 import scipy.optimize would make it 828 modules and 78 MB. Either import
 order hands cellfade and scipy the same extension modules.
@@ -28,9 +29,10 @@ SCIPY_IMPORTS = {("particle.py", "scipy")}
 # brings; of these the particle step loads only its BLAS extension
 LINALG_PACKAGE = ("scipy.linalg", "scipy._lib._array_api")
 FBLAS = "scipy.linalg._fblas"
-# and of scipy.optimize's package the eSOH fit loads only MINPACK
+# and of scipy.optimize's package the eSOH fit loads only MINPACK and
+# the root finder only brentq's iteration
 PACKAGES = LINALG_PACKAGE + ("scipy.optimize",)
-EXTENSIONS = [FBLAS, "scipy.optimize._minpack"]
+EXTENSIONS = [FBLAS, "scipy.optimize._minpack", "scipy.optimize._zeros"]
 
 
 def _imported(node):
@@ -74,7 +76,7 @@ def test_package_and_cli_load_only_the_blas_extension_of_scipy_linalg():
     assert _fresh(code).split() == [FBLAS]
 
 
-LOADS_ONLY_TWO_EXTENSIONS = """
+LOADS_ONLY_THREE_EXTENSIONS = """
 import sys
 from importlib import resources
 
@@ -114,15 +116,15 @@ print(loaded())
 
 def test_no_run_loads_scipy_linalg_or_optimize_packages():
     # at import, after what identify and ambiguity run, and after one RPT's
-    # eSOH fit, the only modules of either package are the two extensions
+    # eSOH fit, the only modules of either package are the three extensions
     lines = _fresh(f"PACKAGES = {PACKAGES!r}\n"
-                   + LOADS_ONLY_TWO_EXTENSIONS).splitlines()
+                   + LOADS_ONLY_THREE_EXTENSIONS).splitlines()
     assert [line.split() for line in lines] == [EXTENSIONS] * 3
 
 
 SCIPY = ("import scipy.linalg.blas as blas, scipy.optimize\n"
-         "from scipy.optimize import _minpack_py\n")
-CELLFADE = "from cellfade import measurement, particle\n"
+         "from scipy.optimize import _minpack_py, _zeros_py\n")
+CELLFADE = "from cellfade import measurement, ocp, particle\n"
 
 
 @pytest.mark.parametrize("imports", [SCIPY + CELLFADE, CELLFADE + SCIPY],
@@ -130,8 +132,9 @@ CELLFADE = "from cellfade import measurement, particle\n"
 def test_either_import_order_shares_one_minpack_and_blas(imports):
     code = imports + (
         "print(_minpack_py._minpack is measurement._minpack,\n"
+        "      _zeros_py._zeros is ocp._zeros,\n"
         "      blas.dgemv is particle.dgemv, blas.ddot is particle.ddot)")
-    assert _fresh(code).split() == ["True"] * 3
+    assert _fresh(code).split() == ["True"] * 4
 
 
 def test_scipy_linalg_loaded_first_hands_the_particle_step_its_kernels():
