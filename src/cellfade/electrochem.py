@@ -130,6 +130,13 @@ class ESOHRecord:
     n_li: float   # mol
     fit_rms_v: float = None
 
+    def __init__(self, C, C_p, C_n, x_0, x_100, y_0, y_100, n_li,
+                 fit_rms_v=None):
+        # frozen: fill the fields past the blocked __setattr__
+        self.__dict__.update(C=C, C_p=C_p, C_n=C_n, x_0=x_0, x_100=x_100,
+                             y_0=y_0, y_100=y_100, n_li=n_li,
+                             fit_rms_v=fit_rms_v)
+
     def as_dict(self):
         # float(): a numpy field (a float32, say) would not write as JSON
         return {k: float(v) for k, v in asdict(self).items() if v is not None}
@@ -141,7 +148,9 @@ def solve_window(params, C_p, C_n, n_li):
     Solves U+(y(x)) - U-(x) = V at both voltage limits under the lithium
     constraint x*C_n + y*C_p = const. The OCV is strictly increasing in x
     along that constraint (both tables strictly decreasing), so each root
-    is unique when it exists.
+    is unique when it exists. The OCV at the bracket ends is evaluated once,
+    for both limits' reach checks, and each root's iteration takes its end
+    values from there rather than evaluating the tables again.
     """
     if C_p <= 0.0 or C_n <= 0.0 or n_li <= 0.0:
         raise CellDeadError("capacities and lithium inventory must be positive")
@@ -165,8 +174,11 @@ def solve_window(params, C_p, C_n, n_li):
             raise CellDeadError(f"{label}: OCV cannot reach down to {V:g} V")
         if ocv_lo <= V and ocv_hi <= V:
             raise CellDeadError(f"{label}: OCV cannot reach up to {V:g} V")
-        return brent(lambda x: tp((N_Ah - x * C_n) / C_p) - tn(x) - V,
-                     lo, hi, 1e-13)
+
+        def f(x):   # brentq evaluates lo and hi first: the check's values
+            return (ocv_lo - V if x == lo else ocv_hi - V if x == hi
+                    else tp((N_Ah - x * C_n) / C_p) - tn(x) - V)
+        return brent(f, lo, hi, 1e-13)
 
     x_100 = endpoint(params.V_max, "top of charge")
     x_0 = endpoint(params.V_min, "bottom of discharge")

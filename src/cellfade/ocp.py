@@ -84,9 +84,10 @@ class MonotoneOCPTable:
     Scalar and array calls sum one formula: PPoly's power series, in
     PPoly's order, on the rows _pchip_rows builds to scipy's bits, so each
     value and slope is scipy's to the bit, a scalar's as a Python float. A
-    scalar call (the simulator's inner loop) reads its segment's
-    coefficients as Python floats; an in-range float finds the segment
-    inline, by one bisect bounded so that s_max falls in the last one.
+    scalar call (the simulator's inner loop) reads one row of Python
+    floats, its segment's left knot and coefficients; an in-range float
+    indexes it inline by one bisect over the interior knots, as locate
+    searches them, so s_max falls in the last segment.
     Any other scalar (a numpy scalar, an int, a value in the 1e-9 snap
     band or off the table) and every scalar derivative take _segment,
     which converts, snaps onto the table or raises SaturationError, then
@@ -122,10 +123,10 @@ class MonotoneOCPTable:
         # snapped onto the table: sub-ulp excursions of balance solves
         self._snap_band = 1e-9 * (self.s_max - self.s_min)
         self._interior = s[1:-1]
-        # python floats per segment beat numpy indexing for one point
-        self._value_rows = list(zip(*(r.tolist() for r in self._value_c)))
-        self._breaks = s.tolist()
-        self._n_segments = len(s) - 1
+        # python floats beat numpy indexing for one point: knots, rows
+        self._knots = self._interior.tolist()
+        self._rows = list(zip(s[:-1].tolist(),
+                              *(r.tolist() for r in self._value_c)))
 
     @classmethod
     def from_file(cls, path, name=None):
@@ -159,8 +160,8 @@ class MonotoneOCPTable:
                 raise SaturationError(
                     f"{self.name}: stoichiometry {s:.6g} outside table "
                     f"[{self.s_min:.6g}, {self.s_max:.6g}]")
-        i = bisect_right(self._breaks, s, 0, self._n_segments) - 1
-        return i, s - self._breaks[i]
+        i = bisect_right(self._knots, s)
+        return i, s - self._rows[i][0]
 
     def _snap_array(self, s):
         # in-range input (the common case) is returned as is, uncopied;
@@ -177,13 +178,13 @@ class MonotoneOCPTable:
 
     def __call__(self, s):
         if type(s) is float and self.s_min <= s <= self.s_max:
-            i = bisect_right(self._breaks, s, 0, self._n_segments) - 1
-            t = s - self._breaks[i]
+            knot, c3, c2, c1, c0 = self._rows[bisect_right(self._knots, s)]
+            t = s - knot
         elif isinstance(s, np.ndarray):
             return self._on_array(s, self.value_at)
         else:
             i, t = self._segment(s)
-        c3, c2, c1, c0 = self._value_rows[i]
+            _, c3, c2, c1, c0 = self._rows[i]
         t2 = t * t
         return c3 + c2 * t + c1 * t2 + c0 * (t2 * t)
 

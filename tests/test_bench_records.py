@@ -2,7 +2,9 @@
 by tools/bench_pairs.py) compare only on one host and one BLAS kernel, so
 each names both commits and scipy's OpenBLAS kernel, and each run holds
 its correct flag and every end-to-end metric that BENCHMARK.json lists.
-A record with timed CLI runs holds each side's wall time and peak RSS."""
+A record with timed CLI runs holds each side's wall time and peak RSS;
+from BENCH_45.json on, each CLI run also holds its wall time in
+reference seconds, and the host says whether the runs wrote bytecode."""
 
 import json
 import re
@@ -23,6 +25,9 @@ def test_bench_record_names_its_commits_kernel_and_metrics(path):
     for side in ("parent", "change"):
         assert SHA.match(record[side]["sha"]), side
     assert record["host"]["blas_core"].startswith("Core: ")
+    probed = int(path.stem.removeprefix("BENCH_")) >= 45
+    if probed:
+        assert isinstance(record["host"]["dont_write_bytecode"], bool)
     assert record["groups"]
     for group in record["groups"]:
         assert group["pairs"]
@@ -41,6 +46,8 @@ def test_bench_record_names_its_commits_kernel_and_metrics(path):
                 metrics = pair[side]["metrics"]
                 assert metrics["wall_s"] > 0.0, (run["run"], side)
                 assert metrics["peak_rss_mb"] > 0.0, (run["run"], side)
+                if probed or "wall_ref_s" in metrics:
+                    assert metrics["wall_ref_s"] > 0.0, (run["run"], side)
         assert {"wall_s", "peak_rss_mb"} <= run["summary"].keys()
 
 

@@ -16,6 +16,7 @@ from cellfade.electrochem import (
 )
 from cellfade.errors import CellDeadError, KineticsSingularError, SaturationError
 from cellfade.measurement import kinetic_resistance
+from cellfade.ocp import MonotoneOCPTable
 from helpers import (
     active_area,
     exchange_current_density,
@@ -24,6 +25,7 @@ from helpers import (
     ocp,
     outcome,
     overpotential,
+    sample_windows,
     solve_window_oracle,
 )
 
@@ -282,6 +284,35 @@ class TestSolveWindow:
             "no stoichiometry range is consistent with the inventory",
             "capacities and lithium inventory must be positive"}, seen
         assert min(seen.values()) >= 6, seen
+
+    def test_each_bracket_end_is_evaluated_once(self, params, n_li0,
+                                                monkeypatch):
+        # the reach check's OCV at lo and hi is also each root's end
+        # value, so per solve each table is evaluated once at each end,
+        # where brentq's own evaluations of both ends of both roots made
+        # it three times
+        calls = []
+        table_call = MonotoneOCPTable.__call__
+
+        def recorded(table, s):
+            calls.append((table, s))
+            return table_call(table, s)
+
+        windows = [solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)]
+        windows += sample_windows(params, n_li0, random.Random(45), 20)
+        monkeypatch.setattr(MonotoneOCPTable, "__call__", recorded)
+        tp, tn = params.ocp_pos, params.ocp_neg
+        for w in windows:
+            calls.clear()
+            assert solve_window(params, w.C_p, w.C_n, w.n_li) == w
+            N_Ah = w.n_li * params.F / 3600.0
+            lo = max(tn.s_min, (N_Ah - w.C_p * tp.s_max) / w.C_n)
+            hi = min(tn.s_max, (N_Ah - w.C_p * tp.s_min) / w.C_n)
+            for x in (lo, hi):
+                for table, s in ((tn, x), (tp, (N_Ah - x * w.C_n) / w.C_p)):
+                    assert calls.count((table, s)) == 1, (table.name, x, w)
+            # and each root's iteration went through the recorder
+            assert len(calls) > 8, calls
 
 
 def test_pristine_inventory_matches_configured_top(params, n_li0):

@@ -11,7 +11,11 @@ With --cli-pairs N the sides also alternate N times over the user runs
 in CLI, at the default dt: each run's wall time and peak RSS, read from
 RUSAGE_CHILDREN in a fresh wrapper process (it keeps the largest child
 so far, --jobs workers included; ru_maxrss is in KiB on Linux). The
-record holds both shas, the host, the kernel scipy's OpenBLAS picked
+wrapper also runs perfbench's reference probe 5 times before the child
+and 5 times after, and scales the wall time to reference seconds as
+perfbench does, wall_ref_s = wall_s * P_REF / median(probes). The record
+holds both shas, the host (with whether the runs write bytecode: the
+sides start without __pycache__), the kernel scipy's OpenBLAS picked
 (OPENBLAS_VERBOSE=2's Core line), each run's correct flag and metrics,
 and per metric both medians, the parent's quartiles and the pairs won in
 BENCHMARK.json's direction.
@@ -39,10 +43,15 @@ CLI = {  # the cellfade runs the bench does not time, in a side's root
     "ambiguity_jobs2": ["ambiguity", "--demo", DEMO, "--jobs", "2"],
     "identify": ["identify", "--without-expansion", "--measurements",
                  "demo_vector.json"]}
-WRAP = """import json, resource, subprocess, sys, time
+WRAP = """import json, resource, statistics, subprocess, sys, time
+from perfbench.probe import P_REF, probe
+probes = [probe() for _ in range(5)]
 t = time.perf_counter()
 subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
-print(json.dumps({"wall_s": time.perf_counter() - t, "peak_rss_mb":
+wall = time.perf_counter() - t
+probes += [probe() for _ in range(5)]
+print(json.dumps({"wall_s": wall,
+    "wall_ref_s": wall * P_REF / statistics.median(probes), "peak_rss_mb":
     resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}))"""
 DEMO_VECTOR = ("import json, yaml; print(json.dumps(yaml.safe_load(open("
                f"{DEMO!r}))['measurement']))")   # the demo block as JSON
@@ -71,6 +80,12 @@ def blas_core():   # the last Core line: numpy's OpenBLAS loads first
                          env=dict(os.environ, OPENBLAS_VERBOSE="2")).stderr
     cores = [ln.strip() for ln in err.splitlines() if ln.startswith("Core:")]
     return cores[-1] if cores else None
+
+
+def dont_write_bytecode():   # a child's flag, as the environment sets it
+    return subprocess.run([sys.executable, "-c", "import sys; print(sys."
+                           "flags.dont_write_bytecode)"], text=True,
+                          capture_output=True, check=True).stdout == "1\n"
 
 
 def bench(root, workload, seed, seconds):
@@ -149,7 +164,10 @@ def main(argv=None):
                                            bool(git("status", "-s", "src"))},
         "host": {"node": platform.node(), "machine": platform.machine(),
                  "nproc": os.cpu_count(), "python": platform.python_version(),
-                 "blas_core": blas_core()},
+                 "blas_core": blas_core(),
+                 "PYTHONDONTWRITEBYTECODE":
+                     os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                 "dont_write_bytecode": dont_write_bytecode()},
         "groups": []}
     with tempfile.TemporaryDirectory() as tmp:
         sides = {side: Path(tmp) / side for side in ("parent", "change")}
