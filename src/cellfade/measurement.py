@@ -29,25 +29,14 @@ ENDPOINT_WEIGHT = 10.0    # eSOH fit: weight of the two voltage-limit rows
 PENALTY_WEIGHT = 1e3      # eSOH fit: V per unit of off-table stoichiometry
 
 _minpack = _load_scipy_extension("optimize", "_minpack")
-# scipy.optimize.leastsq's message for each MINPACK info code, word for word
-MINPACK_MESSAGES = (
-    "Improper input parameters.",
-    "Both actual and predicted relative reductions in the sum of squares\n"
-    "  are at most {ftol:f}",
-    "The relative error between two consecutive iterates is at most {xtol:f}",
-    "Both actual and predicted relative reductions in the sum of squares\n"
-    "  are at most {ftol:f} and the relative error between two consecutive "
-    "iterates is at \n  most {xtol:f}",
-    "The cosine of the angle between func(x) and any column of the\n"
-    "  Jacobian is at most {gtol:f} in absolute value",
-    "Number of calls to function has reached maxfev = {maxfev}.",
-    "ftol={ftol:f} is too small, no further reduction in the sum of squares\n"
-    "  is possible.",
-    "xtol={xtol:f} is too small, no further improvement in the approximate\n"
-    "  solution is possible.",
-    "gtol={gtol:f} is too small, func(x) is orthogonal to the columns of\n"
-    "  the Jacobian to machine precision.",
-)
+# why MINPACK stopped short of its convergence tests, info 1-4
+MINPACK_FAILURES = {
+    0: "improper input parameters",
+    5: "residual evaluations reached maxfev",
+    6: "ftol too small, no further reduction in the sum of squares",
+    7: "xtol too small, no further improvement in the solution",
+    8: "gtol too small, residual orthogonal to the Jacobian's columns",
+}
 
 
 @dataclass
@@ -166,39 +155,17 @@ def synthesize_pseudo_ocv(params, esoh, noise_mv=0.0, rng=None):
     return PseudoOCV(q, v)
 
 
-def leastsq(func, x0, Dfun, full_output, ftol, xtol, gtol, maxfev):
-    """scipy.optimize.leastsq's call with a row-wise Jacobian Dfun, made
-    straight to MINPACK's lmder with the arguments leastsq passes it;
-    full_output must be true. Returns leastsq's (x, cov_x, infodict, mesg,
-    ier), with cov_x None: leastsq's covariance needs scipy.linalg, and the
-    fit does not read it. leastsq's shape checks, one residual and one
-    Jacobian evaluation at x0, are left out; the fit's shapes are fixed."""
-    # lmder writes its iterate into the x0 array it is given, so it gets
-    # leastsq's copy
-    x, infodict, ier = _minpack._lmder(
-        func, Dfun, np.asarray(x0).flatten(), (), full_output, 0, ftol, xtol,
-        gtol, maxfev, 100, None)
-    mesg = MINPACK_MESSAGES[ier].format(ftol=ftol, xtol=xtol, gtol=gtol,
-                                        maxfev=maxfev)
-    return x, None, infodict, mesg, ier
-
-
 def extract_esoh(curve, params, capacity=None):
     """Fit (C_p, C_n, x_0, y_0) to a pseudo-OCV curve.
 
     Least squares over the whole curve shape plus the two voltage-limit
     constraints; the endpoint equations alone leave the problem
     under-determined. Initial guess scales the nominal electrode pair by
-    the measured capacity ratio. The solver is MINPACK's Levenberg-Marquardt
-    (lmder, through the module's leastsq), whose whole iteration runs in
-    compiled code. The fit is smooth, has four unknowns against a row per
-    curve point, and needs no bounds: penalty rows keep every evaluated
-    point on the OCP tables. A bounded trust-region solver would add Python
-    bookkeeping to every iteration. The solver gets the exact Jacobian of
-    the residual: one slope evaluation per electrode per iteration in place
-    of four finite-difference residual evaluations. Each trial theta's
-    points are located on each OCP table once, and the residual's values
-    and the Jacobian's slopes are both summed at those locations.
+    the measured capacity ratio. MINPACK's Levenberg-Marquardt (lmder)
+    runs the whole iteration in compiled code, on the residual's exact
+    Jacobian, without bounds: penalty rows keep every evaluated point on
+    the OCP tables. Each trial theta's points are located on each table
+    once, for the residual's values and the Jacobian's slopes alike.
     """
     q = np.asarray(curve.capacity_Ah, dtype=float)
     v = np.asarray(curve.voltage, dtype=float)
@@ -280,16 +247,19 @@ def extract_esoh(curve, params, capacity=None):
         J[n + 3, 0], J[n + 3, 3] = sign * dq[k] / C_p ** 2, sign
         return J
 
-    # MINPACK's lmder, called as least_squares(method="lm") calls it
-    theta, _, info, mesg, ier = leastsq(
-        lambda theta: evaluate(theta.tobytes())[0], theta0,
-        Dfun=lambda theta: jacobian(theta.tobytes()), full_output=True,
-        ftol=1e-14, xtol=1e-14, gtol=1e-14, maxfev=400)
+    # MINPACK's lmder, with the arguments scipy.optimize.leastsq passes it
+    # (and least_squares(method="lm", x_scale="jac") too); it writes its
+    # iterate into theta0
+    theta, info, ier = _minpack._lmder(
+        lambda theta: evaluate(theta.tobytes())[0],
+        lambda theta: jacobian(theta.tobytes()), theta0, (), 1, 0, 1e-14,
+        1e-14, 1e-14, 400, 100, None)
     rms = math.sqrt(float(np.mean(info["fvec"][:n] ** 2)))
     if not 1 <= ier <= 4 or not rms <= 0.05 or not np.isfinite(theta).all():
+        why = f": {MINPACK_FAILURES[ier]}" if ier in MINPACK_FAILURES else ""
         raise EstimationFailedError(
             f"eSOH fit did not converge (rms {rms * 1e3:.2f} mV, MINPACK "
-            f"info {ier}: {' '.join(mesg.split())})")
+            f"info {ier}{why})")
     C_p, C_n, x_0, y_0 = (float(t) for t in theta)
     return ESOHRecord(
         C=C_meas, C_p=C_p, C_n=C_n,

@@ -206,6 +206,9 @@ def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
     for name, value in (("dt", dt), ("dt_rest", dt_rest)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        if value < MIN_DT:   # t grows by dt a step; the stall guard reads t
+            raise ConfigError(f"{name} must be at least the refinement floor "
+                              f"MIN_DT = {MIN_DT:g} s, got {value!r}")
     t = 0.0
     q_signed = 0.0
     cv = step.mode == "cv"

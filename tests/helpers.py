@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg.blas import dgemv
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import brentq, least_squares, leastsq
 
 from cellfade import io as cio
 from cellfade.degradation import (DegradationState, hydrostatic_stress,
@@ -109,38 +109,52 @@ def curve_gap(a, b, n=200):
 LEASTSQ_INFO = {-1: 0, 0: 5, 1: 4, 2: 1, 3: 2, 4: 3}
 
 
-def as_leastsq(res):
-    """A least_squares result in leastsq's full_output shape,
-    (x, cov_x, infodict, mesg, ier), with least_squares' status mapped
-    back to the MINPACK info code it stands for."""
+def as_lmder(res):
+    """A least_squares result as MINPACK's lmder returns it, (x, infodict,
+    ier), with least_squares' status mapped back to the MINPACK info code
+    it stands for."""
     info = {"fvec": res.fun, "nfev": res.nfev, "njev": res.njev}
-    return res.x, None, info, res.message, LEASTSQ_INFO[res.status]
+    return res.x, info, LEASTSQ_INFO[res.status]
 
 
-def least_squares_lm(func, x0, Dfun, ftol, xtol, gtol, jac=None, **_):
-    """Stand-in for measurement.leastsq: scipy's least_squares with
-    method="lm" on the problem extract_esoh hands leastsq, to the same
-    tolerances, with Dfun as the Jacobian unless jac is given."""
-    return as_leastsq(least_squares(
-        func, x0, jac=Dfun if jac is None else jac, method="lm",
+def least_squares_lm(fun, Dfun, x0, args, full_output, col_deriv, ftol, xtol,
+                     gtol, maxfev, factor, diag, jac=None):
+    """Stand-in for MINPACK's lmder (measurement._minpack._lmder), taking
+    its positional arguments: scipy's least_squares with method="lm" on the
+    problem extract_esoh hands lmder, to the same tolerances, with Dfun as
+    the Jacobian unless jac is given."""
+    return as_lmder(least_squares(
+        fun, x0, jac=Dfun if jac is None else jac, method="lm",
         x_scale="jac", ftol=ftol, xtol=xtol, gtol=gtol))
 
 
 def bounded_trf(params, C_meas):
-    """Stand-in for measurement.leastsq: the solver the eSOH fit used
-    before MINPACK, scipy's bounded trust-region reflective method, in the
-    box that kept the window ends x_0 and y_0 on their OCP tables. It fits
-    the residual and Jacobian extract_esoh hands leastsq, to the same
-    tolerances, so only the solver differs; the answer comes back in
-    leastsq's shape."""
+    """Stand-in for MINPACK's lmder: the solver the eSOH fit used before
+    MINPACK, scipy's bounded trust-region reflective method, in the box
+    that kept the window ends x_0 and y_0 on their OCP tables. It fits the
+    residual and Jacobian extract_esoh hands lmder, to the same
+    tolerances, so only the solver differs; the answer comes back as
+    lmder's."""
     lo = np.array([0.5 * C_meas, 0.5 * C_meas, params.ocp_neg.s_min, 0.4])
     hi = np.array([8.0 * C_meas, 8.0 * C_meas, 0.4, params.ocp_pos.s_max])
 
-    def solve(func, theta0, Dfun, **_):
-        return as_leastsq(least_squares(
-            func, np.clip(theta0, lo, hi), jac=Dfun, bounds=(lo, hi),
+    def solve(fun, Dfun, theta0, *_):
+        return as_lmder(least_squares(
+            fun, np.clip(theta0, lo, hi), jac=Dfun, bounds=(lo, hi),
             method="trf", x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14))
     return solve
+
+
+def scipy_leastsq(fun, Dfun, x0, args, full_output, col_deriv, ftol, xtol,
+                  gtol, maxfev, factor, diag):
+    """Stand-in for MINPACK's lmder: scipy.optimize.leastsq given lmder's
+    arguments, its answer as lmder's (x, infodict, ier). leastsq checks the
+    shapes first, with one more residual and Jacobian at x0, and calls
+    lmder on a copy of x0."""
+    x, _, info, _, ier = leastsq(fun, x0, args, Dfun, full_output, col_deriv,
+                                 ftol, xtol, gtol, maxfev, factor=factor,
+                                 diag=diag)
+    return x, info, ier
 
 
 def esoh_least_squares_oracle(curve, params, capacity=None):

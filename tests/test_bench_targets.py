@@ -14,6 +14,7 @@ import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
 
     calls.update(jacobian=0, derivative=0, locate=0, value=0, slope=0)
     fits = []
-    minpack_leastsq = measurement.leastsq
+    minpack = measurement._minpack
     table_derivative = ocp.MonotoneOCPTable.derivative
 
     def derivative(self, s):
@@ -180,25 +181,25 @@ def test_identify_calls_per_vector(params, degp, n_li0, monkeypatch):
 
     thetas, jacobian_thetas = set(), set()
 
-    def recording_leastsq(func, x0, Dfun, **kwargs):
+    def recording_lmder(fun, Dfun, *args):
         def residual(theta):
             thetas.add(theta.tobytes())
-            return func(theta)
+            return fun(theta)
 
         def jacobian(theta):
             jacobian_thetas.add(theta.tobytes())
             return Dfun(theta)
 
-        fits.append(minpack_leastsq(counted("residual", residual), x0,
-                                  Dfun=counted("jacobian", jacobian),
-                                  **kwargs))
+        fits.append(minpack._lmder(counted("residual", residual),
+                                   counted("jacobian", jacobian), *args))
         return fits[-1]
 
     monkeypatch.setattr(ocp.MonotoneOCPTable, "derivative", derivative)
     monkeypatch.setattr(ocp.MonotoneOCPTable, "__call__", table)
-    monkeypatch.setattr(measurement, "leastsq", recording_leastsq)
+    monkeypatch.setattr(measurement, "_minpack",
+                        SimpleNamespace(_lmder=recording_lmder))
     measurement.extract_esoh(curve, p)
-    info = fits[0][2]
+    info = fits[0][1]
     assert calls["residual"] > 0
     # each distinct theta is located and valued once per table however
     # often it is asked for, so no theta reaches the tables twice:

@@ -669,6 +669,22 @@ def test_malformed_input_exits_2(tmp_path, capsys, build, field):
 
 
 
+@pytest.mark.parametrize("flag, name", [("--dt", "dt"),
+                                        ("--dt-rest", "dt_rest")])
+@pytest.mark.parametrize("value", ["1e-300", "0.01"])
+def test_timestep_below_the_floor_exits_2(tmp_path, capsys, flag, name,
+                                          value):
+    # refused before the first step, not left to run without end
+    out = tmp_path / "o"
+    rc = main(_simulate_flags("--protocol", PROTOCOL, flag, value)
+              + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert (f"error: {name} must be at least the refinement floor "
+            f"MIN_DT = 0.05 s, got {float(value)!r}") in err
+    assert not out.exists()
+
+
 def test_narrow_window_cell_runs(tmp_path):
     # V_min 0.01 V below V_max is a narrow window, not a misplaced cell
     argv, _ = _rpt_cell(tmp_path, V_min=4.19)

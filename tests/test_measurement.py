@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,16 @@ from cellfade.measurement import (
 from cellfade.electrochem import solve_window
 from cellfade.protocol import run_rpt
 from helpers import (bounded_trf, esoh_least_squares_oracle,
-                     least_squares_lm, sample_windows)
+                     least_squares_lm, sample_windows, scipy_leastsq)
+
+MINPACK = measurement._minpack   # scipy's extension, shared with scipy
+
+
+def use_lmder(monkeypatch, stand_in):
+    """Route extract_esoh's MINPACK call to stand_in, which takes lmder's
+    positional arguments and returns its (x, infodict, ier)."""
+    monkeypatch.setattr(measurement, "_minpack",
+                        SimpleNamespace(_lmder=stand_in))
 
 
 def fresh_state(params):
@@ -275,19 +285,19 @@ class TestESOH:
 
 
 class TestESOHJacobian:
-    """extract_esoh hands leastsq the exact Jacobian of its residual; both
-    are captured through the module's leastsq name, and a stand-in fits
+    """extract_esoh hands lmder the exact Jacobian of its residual; both
+    are captured through the module's _minpack seam, and a stand-in fits
     them with scipy's least_squares."""
 
     @staticmethod
     def fit_problem(params, n_li0, monkeypatch):
         seen = {}
 
-        def capture(func, x0, Dfun, **kwargs):
-            seen.update(fun=func, jac=Dfun)
-            return least_squares_lm(func, x0, Dfun, **kwargs)
+        def capture(fun, Dfun, *args):
+            seen.update(fun=fun, jac=Dfun)
+            return least_squares_lm(fun, Dfun, *args)
 
-        monkeypatch.setattr(measurement, "leastsq", capture)
+        use_lmder(monkeypatch, capture)
         truth = solve_window(params, 0.93 * params.C_p_nom,
                              0.9 * params.C_n_nom, 0.92 * n_li0)
         curve = synthesize_pseudo_ocv(params, truth, noise_mv=1.0,
@@ -367,11 +377,11 @@ class TestESOHJacobian:
         # penalty rows keep x_0 and y_0 on their tables
         seen = {}
 
-        def capture(func, x0, Dfun, **kwargs):
-            seen.update(fun=func, jac=Dfun)
-            return least_squares_lm(func, x0, Dfun, **kwargs)
+        def capture(fun, Dfun, *args):
+            seen.update(fun=fun, jac=Dfun)
+            return least_squares_lm(fun, Dfun, *args)
 
-        monkeypatch.setattr(measurement, "leastsq", capture)
+        use_lmder(monkeypatch, capture)
         truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
         full = synthesize_pseudo_ocv(params, truth)
         curve = type(full)(full.capacity_Ah[3:-3], full.voltage[3:-3])
@@ -395,14 +405,14 @@ class TestESOHJacobian:
                                                 monkeypatch):
         # the same residual fitted with scipy's 2-point Jacobian: the
         # exact one changes the iterates, not the answer
-        def two_point(func, x0, Dfun, **kwargs):
-            return least_squares_lm(func, x0, Dfun, jac="2-point", **kwargs)
+        def two_point(*args):
+            return least_squares_lm(*args, jac="2-point")
 
         curves = [synthesize_pseudo_ocv(params, w, noise_mv=noise, rng=rng)
                   for noise in (0.0, 1.0)
                   for w in sample_windows(params, n_li0, rng, 15)]
         exact = [extract_esoh(c, params) for c in curves]
-        monkeypatch.setattr(measurement, "leastsq", two_point)
+        use_lmder(monkeypatch, two_point)
         for curve, a in zip(curves, exact):
             b = extract_esoh(curve, params)
             for k in ("C_p", "C_n", "x_0", "y_0"):
@@ -429,7 +439,7 @@ class TestESOHSolver:
         lm = [extract_esoh(curve, params, capacity=c) for curve, c in fits]
         for (curve, c), a in zip(fits, lm):
             q = curve.capacity_Ah
-            monkeypatch.setattr(measurement, "leastsq", bounded_trf(
+            use_lmder(monkeypatch, bounded_trf(
                 params, c if c is not None else q[-1] - q[0]))
             b = extract_esoh(curve, params, capacity=c)
             for k in ("C_p", "C_n", "x_0", "y_0"):
@@ -444,16 +454,15 @@ class TestESOHSolver:
                                                monkeypatch, field):
         # NaN fails every comparison: "rms > 0.05" would accept a NaN
         # misfit, and a NaN answer has no misfit check of its own
-        def diverged(func, theta0, Dfun, **kwargs):
-            x, cov_x, info, mesg, ier = least_squares_lm(func, theta0, Dfun,
-                                                         **kwargs)
+        def diverged(*args):
+            x, info, ier = least_squares_lm(*args)
             if field == "x":
                 x = np.full_like(x, np.nan)
             else:
                 info["fvec"] = np.full_like(info["fvec"], np.nan)
-            return x, cov_x, info, mesg, ier
+            return x, info, ier
 
-        monkeypatch.setattr(measurement, "leastsq", diverged)
+        use_lmder(monkeypatch, diverged)
         truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
         with pytest.raises(EstimationFailedError):
             extract_esoh(synthesize_pseudo_ocv(params, truth), params)
@@ -465,16 +474,13 @@ class TestESOHSolver:
                                            monkeypatch):
         # a failed fit says why in MINPACK's own terms, and run_rpt keeps
         # that text as the RPT's esoh_error
-        scipy_leastsq = measurement.leastsq
+        def capped(*args):   # lmder's tenth argument is maxfev
+            return MINPACK._lmder(*args[:9], 3, *args[10:])
 
-        def capped(func, x0, **kwargs):
-            return scipy_leastsq(func, x0, **dict(kwargs, maxfev=3))
-
-        monkeypatch.setattr(measurement, "leastsq", capped)
+        use_lmder(monkeypatch, capped)
         truth = solve_window(params, 0.93 * params.C_p_nom,
                              0.88 * params.C_n_nom, 0.92 * n_li0)
-        reason = ("MINPACK info 5: Number of calls to function has reached "
-                  "maxfev = 3.)")
+        reason = "MINPACK info 5: residual evaluations reached maxfev)"
         with pytest.raises(EstimationFailedError, match=re.escape(reason)):
             extract_esoh(synthesize_pseudo_ocv(params, truth), params)
         rpt = run_rpt(Cell(params, degp), dt=30.0)
@@ -538,10 +544,10 @@ class TestESOHOracle:
 
 
 class TestMinpackCall:
-    """measurement.leastsq calls MINPACK's lmder itself, through scipy's
-    private extension scipy.optimize._minpack; scipy.optimize.leastsq on
-    the same problem is the oracle, to the bit. A scipy release that
-    changes _lmder's signature or its outputs fails here."""
+    """extract_esoh calls MINPACK's lmder itself, through scipy's private
+    extension scipy.optimize._minpack; scipy.optimize.leastsq on the same
+    problem is the oracle, to the bit. A scipy release that changes
+    _lmder's signature or its outputs fails here."""
 
     FIELDS = TestESOHOracle.FIELDS
 
@@ -551,13 +557,13 @@ class TestMinpackCall:
         or its error's text) and what solver returned to it."""
         got = []
 
-        def call(func, x0, Dfun, **kwargs):
-            if maxfev is not None:
-                kwargs["maxfev"] = maxfev
-            got.append(solver(func, x0, Dfun=Dfun, **kwargs))
+        def call(*args):
+            if maxfev is not None:   # lmder's tenth argument
+                args = (*args[:9], maxfev, *args[10:])
+            got.append(solver(*args))
             return got[-1]
 
-        monkeypatch.setattr(measurement, "leastsq", call)
+        use_lmder(monkeypatch, call)
         try:
             r = extract_esoh(curve, params, capacity=capacity)
             outcome = tuple(float.hex(getattr(r, k))
@@ -565,9 +571,9 @@ class TestMinpackCall:
         except EstimationFailedError as e:
             outcome = str(e)
         (answer,) = got
-        x, _, info, mesg, ier = answer
+        x, info, ier = answer
         return outcome, (x.tobytes(), info["fvec"].tobytes(), info["nfev"],
-                         info["njev"], ier, mesg)
+                         info["njev"], ier)
 
     def cases(self, params, degp, n_li0, rng):
         cases = [(synthesize_pseudo_ocv(params, w, noise_mv=noise, rng=rng),
@@ -580,47 +586,69 @@ class TestMinpackCall:
 
     def test_fits_equal_scipy_leastsq_bitwise(self, params, degp, n_li0, rng,
                                               monkeypatch):
-        from scipy import optimize
-        wrapper = measurement.leastsq
         for curve, capacity in self.cases(params, degp, n_li0, rng):
-            ours = self.fit(monkeypatch, wrapper, curve, params, capacity)
-            want = self.fit(monkeypatch, optimize.leastsq, curve, params,
+            ours = self.fit(monkeypatch, MINPACK._lmder, curve, params,
+                            capacity)
+            want = self.fit(monkeypatch, scipy_leastsq, curve, params,
                             capacity)
             assert ours == want
             assert 1 <= ours[1][4] <= 4 and isinstance(ours[0], tuple)
 
     def test_capped_fit_equals_scipy_leastsq(self, params, degp, n_li0, rng,
                                              monkeypatch):
-        from scipy import optimize
-        wrapper = measurement.leastsq
         for curve, capacity in self.cases(params, degp, n_li0, rng)[::4]:
-            ours = self.fit(monkeypatch, wrapper, curve, params, capacity,
-                            maxfev=3)
-            want = self.fit(monkeypatch, optimize.leastsq, curve, params,
+            ours = self.fit(monkeypatch, MINPACK._lmder, curve, params,
+                            capacity, maxfev=3)
+            want = self.fit(monkeypatch, scipy_leastsq, curve, params,
                             capacity, maxfev=3)
             assert ours == want
             assert ours[1][4] == 5
-            assert ours[0].endswith("MINPACK info 5: Number of calls to "
-                                    "function has reached maxfev = 3.)")
+            assert ours[0].endswith("MINPACK info 5: residual evaluations "
+                                    "reached maxfev)")
 
-    @pytest.mark.parametrize("code", range(9))
-    def test_each_info_code_reads_as_leastsq_says_it(self, params, n_li0,
-                                                     monkeypatch, code):
-        # the message of each MINPACK info code, the rarer ones forced on
-        # a real fit through the one _minpack module both callers share
-        from scipy import optimize
-        from scipy.optimize import _minpack_py
-        assert _minpack_py._minpack is measurement._minpack
-        lmder = measurement._minpack._lmder
+    @staticmethod
+    def forced(code):
+        """The extension's lmder, run to its end, reporting info code."""
+        lmder = MINPACK._lmder
 
         def forced(*args):
             x, info, _ = lmder(*args)
             return x, info, code
+        return forced
 
-        monkeypatch.setattr(measurement._minpack, "_lmder", forced)
+    @pytest.mark.parametrize("code", range(9))
+    def test_each_info_code_reads_as_leastsq_says_it(self, params, n_li0,
+                                                     monkeypatch, code):
+        # each MINPACK info code, the rarer ones forced on a real fit
+        # through the one _minpack module both callers share, reaches the
+        # fit as leastsq reports it, with the same answer
+        from scipy.optimize import _minpack_py
+        assert _minpack_py._minpack is MINPACK
+        monkeypatch.setattr(MINPACK, "_lmder", self.forced(code))
         truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
         curve = synthesize_pseudo_ocv(params, truth)
-        ours = self.fit(monkeypatch, measurement.leastsq, curve, params, None)
-        want = self.fit(monkeypatch, optimize.leastsq, curve, params, None)
+        ours = self.fit(monkeypatch, MINPACK._lmder, curve, params, None)
+        want = self.fit(monkeypatch, scipy_leastsq, curve, params, None)
         assert ours == want
         assert ours[1][4] == code
+
+    @pytest.mark.parametrize("code, phrase", [
+        (0, "improper input parameters"),
+        (5, "residual evaluations reached maxfev"),
+        (6, "ftol too small, no further reduction in the sum of squares"),
+        (7, "xtol too small, no further improvement in the solution"),
+        (8, "gtol too small, residual orthogonal to the Jacobian's columns"),
+    ])
+    def test_a_failed_fit_names_its_info_code(self, params, degp, n_li0,
+                                              monkeypatch, code, phrase):
+        # a code that stops the fit short of convergence fails it, even on
+        # a converged answer, with the code and what it means; run_rpt
+        # keeps that text as the RPT's esoh_error
+        use_lmder(monkeypatch, self.forced(code))
+        truth = solve_window(params, params.C_p_nom, params.C_n_nom, n_li0)
+        reason = f"MINPACK info {code}: {phrase})"
+        with pytest.raises(EstimationFailedError, match=re.escape(reason)):
+            extract_esoh(synthesize_pseudo_ocv(params, truth), params)
+        rpt = run_rpt(Cell(params, degp), dt=30.0)
+        assert rpt["esoh"] is None
+        assert rpt["esoh_error"].endswith(reason)

@@ -6,6 +6,7 @@ packaged campaign."""
 
 import dataclasses
 import math
+import re
 from importlib import resources
 
 import pytest
@@ -44,6 +45,20 @@ def test_run_step_refuses_a_bad_timestep(cell, c1, name, value):
     step = ProtocolStep("cc", c1 / 2.0, [Termination("voltage", "<=", 3.0)])
     state = cell.get_state()
     with pytest.raises(ConfigError, match=rf"^{name} must be finite and > 0"):
+        run_step(cell, step, **{name: value})
+    assert all(a is b for a, b in zip(cell.get_state(), state))
+
+
+@pytest.mark.parametrize("name", ["dt", "dt_rest"])
+@pytest.mark.parametrize("value", [1e-300, 0.01])
+def test_run_step_refuses_a_timestep_below_the_floor(cell, c1, name, value):
+    # t grows by dt a step, so below the refinement floor a step could
+    # take unbounded time to reach the stall guard
+    step = ProtocolStep("cc", c1 / 2.0, [Termination("voltage", "<=", 3.0)])
+    state = cell.get_state()
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{name} must be at least the refinement floor MIN_DT = 0.05 s, "
+            f"got {value!r}")):
         run_step(cell, step, **{name: value})
     assert all(a is b for a, b in zip(cell.get_state(), state))
 

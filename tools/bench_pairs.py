@@ -11,9 +11,9 @@ With --cli-pairs N the sides also alternate N times over the user runs
 in CLI, at the default dt: each run's wall time and peak RSS, read from
 RUSAGE_CHILDREN in a fresh wrapper process (it keeps the largest child
 so far, --jobs workers included; ru_maxrss is in KiB on Linux). The
-wrapper also runs perfbench's reference probe 5 times before the child
-and 5 times after, and scales the wall time to reference seconds as
-perfbench does, wall_ref_s = wall_s * P_REF / median(probes). The record
+wall time is raw seconds: probes before and after a run of many seconds
+do not see the CPU speed during it, so scaling by them widens the spread
+of the long runs rather than narrowing it. The record
 holds both shas, the host (with whether the runs write bytecode: the
 sides start without __pycache__), the kernel scipy's OpenBLAS picked
 (OPENBLAS_VERBOSE=2's Core line), each run's correct flag and metrics,
@@ -43,15 +43,10 @@ CLI = {  # the cellfade runs the bench does not time, in a side's root
     "ambiguity_jobs2": ["ambiguity", "--demo", DEMO, "--jobs", "2"],
     "identify": ["identify", "--without-expansion", "--measurements",
                  "demo_vector.json"]}
-WRAP = """import json, resource, statistics, subprocess, sys, time
-from perfbench.probe import P_REF, probe
-probes = [probe() for _ in range(5)]
+WRAP = """import json, resource, subprocess, sys, time
 t = time.perf_counter()
 subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
-wall = time.perf_counter() - t
-probes += [probe() for _ in range(5)]
-print(json.dumps({"wall_s": wall,
-    "wall_ref_s": wall * P_REF / statistics.median(probes), "peak_rss_mb":
+print(json.dumps({"wall_s": time.perf_counter() - t, "peak_rss_mb":
     resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}))"""
 DEMO_VECTOR = ("import json, yaml; print(json.dumps(yaml.safe_load(open("
                f"{DEMO!r}))['measurement']))")   # the demo block as JSON
