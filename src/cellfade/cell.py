@@ -1,8 +1,8 @@
 """The coupled cell: two particles, film growth, inventory accounting.
 
-The step is a map from one state value to the next: from the particles,
-the degradation state and the stress envelope, one applied-current
-timestep gives the next three and a record of the step. Kinetics are
+The step, advance, is a function from one state value to the next: from
+the particles, the degradation state and the stress envelope, one
+applied-current timestep gives the next three and a record. Kinetics are
 evaluated at the incoming surface state, the side-reaction current is
 split off, the particles advance under the remaining intercalation
 current, the degradation state integrates alongside and the envelope
@@ -13,12 +13,9 @@ Particles, kinetics, OCP and areas come from the parameter set's two
 electrochem.Electrode objects (params.pos and params.neg), built once, so
 no step branches on an electrode name, rebuilds a kinetic constant or
 inverts a propagator another cell of the set has inverted.
-Each value is computed once over the span in which it can change:
-the active areas once per pair of electrode capacities (they move only
-when fatigue closes a cycle), the particle averages when the particle
-state is made (carried in closed form by a step), and a CV solve's last
-trial, which voltage_after returns as a value, is committed by step as
-it stands instead of evaluated again.
+The particle averages are computed when the particle state is made
+(carried in closed form by a step), and a CV solve's last trial, which
+voltage_after returns as a value, is committed by step as it stands.
 """
 
 import math
@@ -37,7 +34,7 @@ class Cell:
     particles (ParticleState), degradation (DegradationState) and the
     stress envelope (StressExtrema) are replaced, never changed in place,
     so a snapshot is a tuple of references, and a trial is a value: the
-    (state, record) that voltage_after returns and step commits.
+    (state, record) of advance that voltage_after returns and step commits.
     """
 
     def __init__(self, params, deg_params, degradation=None, n_li0=None,
@@ -52,8 +49,6 @@ class Cell:
         self.degradation = degradation
         self.extrema = StressExtrema()
         self.freeze_degradation = False   # RPT probes measure without aging
-        self._ctx_key = None     # (C_p, C_n) that _ctx belongs to
-        self._ctx = None         # active areas and their Faraday multiples
         if particles is None:
             w = self.esoh()
             particles = at_stoichiometry(params, w.x_100, w.y_100)
@@ -116,59 +111,14 @@ class Cell:
 
     # --- stepping ---
 
-    def _advance(self, I, dt):
-        """((particles, degradation, extrema), record): the state one step
-        of current I (A) over dt (s) ahead, and its record. Changes nothing."""
-        if not 0.0 < dt < math.inf:   # NaN fails too
-            raise ConfigError(f"dt must be finite and > 0, got {dt!r}")
-        p = self.params
-        d = self.degradation
-        particles = self.particles
-        pos, neg = p.pos, p.neg
-        key = (d.C_p, d.C_n)
-        if key != self._ctx_key:
-            area_p = pos.area(d.C_p)
-            area_n = neg.area(d.C_n)
-            self._ctx = (area_p, area_n, p.F * area_p, p.F * area_n)
-            self._ctx_key = key
-        area_p, area_n, f_area_p, f_area_n = self._ctx
-
-        # surface concentrations: the outer shell corrected by the flux
-        # boundary condition across its half width
-        j_neg0 = I / f_area_n
-        c_ss_n = float(particles.c_neg[-1]) - neg.half_dr * j_neg0 / neg.D
-        if self.freeze_degradation:
-            deg_new, i_side = d, 0.0
-        else:
-            eta_neg = neg.overpotential(I / area_n, c_ss_n)
-            u_neg = neg.ocp(c_ss_n / neg.c_smax)
-            deg_new, i_side = step_degradation(
-                p, self.deg_params, d, eta_neg, u_neg, c_ss_n,
-                particles.averages[1], self.n_li0, dt)
-
-        # side reactions take their share of the negative-electrode current
-        j_neg = (I - i_side) / f_area_n
-        j_pos = -I / f_area_p
-        parts = step_particle_diffusion(p, particles, j_pos, j_neg, dt)
-
-        c_ss_p2 = float(parts.c_pos[-1]) - pos.half_dr * j_pos / pos.D
-        c_ss_n2 = float(parts.c_neg[-1]) - neg.half_dr * j_neg / neg.D
-        r_film_cell = r_film(p, self.deg_params, deg_new)[1]
-        v_t = ec.terminal_voltage(p, c_ss_p2, c_ss_n2, I, r_film_cell,
-                                  -I / area_p, I / area_n)
-        c_avg_p, c_avg_n, y, x = parts.averages
-        lam = self.deg_params.lam
-        extrema = self.extrema.update(
-            hydrostatic_stress(lam.stress_gain_pos, pos, c_ss_p2, c_avg_p),
-            hydrostatic_stress(lam.stress_gain_neg, neg, c_ss_n2, c_avg_n))
-        return (parts, deg_new, extrema), {"I": I, "V": v_t, "x": x, "y": y}
-
     def voltage_after(self, I, dt):
         """(V, evaluated): the terminal voltage one trial step ahead and
-        the step itself, _advance's (state, record). Changes nothing;
+        the step itself, advance's (state, record). Changes nothing;
         step(I, dt, evaluated) commits the trial without evaluating it
         again."""
-        evaluated = self._advance(I, dt)
+        evaluated = advance(self.params, self.deg_params, self.n_li0,
+                            (self.particles, self.degradation, self.extrema),
+                            I, dt, self.freeze_degradation)
         return evaluated[1]["V"], evaluated
 
     def step(self, I, dt, evaluated=None):
@@ -180,7 +130,10 @@ class Cell:
         it stands. Raises SaturationError if the step drives a particle out
         of range (caller may retry with smaller dt).
         """
-        state, record = evaluated or self._advance(I, dt)
+        state, record = evaluated or advance(
+            self.params, self.deg_params, self.n_li0,
+            (self.particles, self.degradation, self.extrema), I, dt,
+            self.freeze_degradation)
         self.particles, self.degradation, self.extrema = state
         return record
 
@@ -200,3 +153,45 @@ class Cell:
         self.degradation = DegradationState(d.delta_sei, d.delta_pl,
                                             d.C_p - dC_p, d.C_n - dC_n, lli)
         self.extrema = StressExtrema()
+
+
+def advance(params, deg_params, n_li0, state, I, dt, frozen):
+    """((particles, degradation, extrema), record {I, V, x, y}): the state
+    one step of current I (A) over dt (s) past the state tuple, with the
+    degradation state held if frozen (Cell.freeze_degradation). Reads
+    nothing but its arguments and changes none of them."""
+    if not 0.0 < dt < math.inf:   # NaN fails too
+        raise ConfigError(f"dt must be finite and > 0, got {dt!r}")
+    particles, d, extrema = state
+    pos, neg = params.pos, params.neg
+    area_p, area_n = pos.area(d.C_p), neg.area(d.C_n)
+    f_area_p, f_area_n = params.F * area_p, params.F * area_n
+
+    # surface concentrations: the outer shell corrected by the flux
+    # boundary condition across its half width
+    c_ss_n = float(particles.c_neg[-1]) - neg.half_dr * (I / f_area_n) / neg.D
+    if frozen:
+        deg_new, i_side = d, 0.0
+    else:
+        eta_neg = neg.overpotential(I / area_n, c_ss_n)
+        u_neg = neg.ocp(c_ss_n / neg.c_smax)
+        deg_new, i_side = step_degradation(
+            params, deg_params, d, eta_neg, u_neg, c_ss_n,
+            particles.averages[1], n_li0, dt)
+
+    # side reactions take their share of the negative-electrode current
+    j_neg = (I - i_side) / f_area_n
+    j_pos = -I / f_area_p
+    parts = step_particle_diffusion(params, particles, j_pos, j_neg, dt)
+
+    c_ss_p2 = float(parts.c_pos[-1]) - pos.half_dr * j_pos / pos.D
+    c_ss_n2 = float(parts.c_neg[-1]) - neg.half_dr * j_neg / neg.D
+    r_film_cell = r_film(params, deg_params, deg_new)[1]
+    v_t = ec.terminal_voltage(params, c_ss_p2, c_ss_n2, I, r_film_cell,
+                              -I / area_p, I / area_n)
+    c_avg_p, c_avg_n, y, x = parts.averages
+    lam = deg_params.lam
+    extrema = extrema.update(
+        hydrostatic_stress(lam.stress_gain_pos, pos, c_ss_p2, c_avg_p),
+        hydrostatic_stress(lam.stress_gain_neg, neg, c_ss_n2, c_avg_n))
+    return (parts, deg_new, extrema), {"I": I, "V": v_t, "x": x, "y": y}

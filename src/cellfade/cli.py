@@ -171,12 +171,10 @@ def cmd_ambiguity_demo(args):
             members_map = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers)).map
         try:
-            with _input(f"demo config {args.demo}"):
-                report = ambiguity_experiment(
-                    params, deg, y, campaign, n_members=n_members,
-                    dt=args.dt, dt_rest=args.dt_rest, lli_budget=budget,
-                    progress=lambda s: print(s, file=sys.stderr),
-                    map=members_map)
+            report = ambiguity_experiment(
+                params, deg, y, campaign, n_members=n_members, dt=args.dt,
+                dt_rest=args.dt_rest, lli_budget=budget,
+                progress=lambda s: print(s, file=sys.stderr), map=members_map)
         except InfeasibleError as e:
             doc = {"measurement": y.as_dict()}
             return _verdict(e, doc), {

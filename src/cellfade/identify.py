@@ -241,9 +241,6 @@ def ambiguity_experiment(params, deg_params, y, campaign, n_members=3,
     runs each to end of life through map (the builtin, or a process
     pool's map: the results are the same). Returns a report dict.
     """
-    if not 1 <= n_members <= MAX_FAMILY_SAMPLES:
-        raise ConfigError(f"n_members must be in [1, {MAX_FAMILY_SAMPLES}], "
-                          f"got {n_members}")
     if n_li0 is None:
         n_li0 = pristine_inventory(params)
     fam = invert_without_expansion(params, deg_params, y, n_li0,

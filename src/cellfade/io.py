@@ -17,6 +17,7 @@ import numpy as np
 from .cell import Cell
 from .degradation import DegradationState, deep_soh, within_lli_budget
 from .errors import ConfigError
+from .identify import MAX_FAMILY_SAMPLES
 from .particle import particle_state
 from .measurement import MeasurementVector
 from .params import (_input, _number, field_names, from_mapping, read_mapping,
@@ -58,8 +59,8 @@ def _parse_step(s, c_1c):
         raise ConfigError(f"({mode}) needs a setpoint")
     elif mode == "cc":
         setpoint = parse_current(s["setpoint"], c_1c)
-    else:
-        setpoint = _number(float, s["setpoint"], "setpoint")
+    else:   # ProtocolStep reads it as a finite float
+        setpoint = s["setpoint"]
     until = s.get("until", [])
     if not isinstance(until, list):
         raise ConfigError(f"until must be a list of terminations, got {until!r}")
@@ -69,10 +70,9 @@ def _parse_step(s, c_1c):
         missing = field_names(Termination) - c.keys()
         if missing:
             raise ConfigError(f"termination missing {', '.join(sorted(missing))}")
+        thr = c["threshold"]   # Termination reads it as a finite float
         if c["quantity"] == "current":
-            thr = parse_current(c["threshold"], c_1c)
-        else:
-            thr = _number(float, c["threshold"], "threshold")
+            thr = parse_current(thr, c_1c)
         terms.append(Termination(str(c["quantity"]), str(c["comparator"]), thr))
     return ProtocolStep(mode, setpoint, terms)
 
@@ -129,6 +129,9 @@ def load_ambiguity_config(path, c_1c):
                    field_names(MeasurementVector) - {"delta_irr"}, m)
     y = from_mapping(MeasurementVector, raw["measurement"], m, delta_irr=None)
     n_members = _number(int, raw.get("n_members", 3), f"{where}: n_members")
+    if not 1 <= n_members <= MAX_FAMILY_SAMPLES:
+        raise ConfigError(f"{where}: n_members must be in [1, "
+                          f"{MAX_FAMILY_SAMPLES}], got {n_members}")
     budget = raw.get("lli_budget", True)
     if not isinstance(budget, bool):
         raise ConfigError(f"{where}: lli_budget must be true or false, "

@@ -53,8 +53,10 @@ class Termination:
             raise ConfigError(f"unknown termination quantity {self.quantity!r}")
         if self.comparator not in ("<=", ">=", "abs<="):
             raise ConfigError(f"unknown comparator {self.comparator!r}")
-        if self.comparator == "abs<=":   # a bound on the magnitude
-            object.__setattr__(self, "threshold", abs(self.threshold))
+        threshold = _number(float, self.threshold, "threshold")
+        # "abs<=" is a bound on the magnitude
+        object.__setattr__(self, "threshold", abs(threshold)
+                           if self.comparator == "abs<=" else threshold)
 
     def met(self, value):
         if self.comparator == "<=":
@@ -74,6 +76,8 @@ class ProtocolStep:
         # a tuple, so the checks below hold for the step's whole life
         object.__setattr__(self, "terminations",
                            tuple(self.terminations or ()))
+        object.__setattr__(self, "setpoint",
+                           _number(float, self.setpoint, "setpoint"))
         if self.mode not in STEP_MODES:
             raise ConfigError(f"unknown step mode {self.mode!r}")
         if not self.terminations:

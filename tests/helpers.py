@@ -10,6 +10,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.linalg.blas import dgemv
 from scipy.optimize import brentq, least_squares, leastsq
 
+from cellfade import cell as cell_module
 from cellfade import io as cio
 from cellfade.degradation import (DegradationState, hydrostatic_stress,
                                   plated_lithium_moles, r_film,
@@ -283,14 +284,17 @@ def _particle_step_oracle(sp, c, j, dt):
 
 
 def count_advances(cell, monkeypatch):
-    """Record every kernel evaluation the cell makes from here on."""
+    """Record (I, dt) of every step evaluation the cell makes from here on:
+    each call of cellfade.cell.advance, which monkeypatch replaces, made
+    from the cell's own particle state."""
     calls = []
-    real = cell._advance
+    real = cell_module.advance
 
-    def counted(I, dt):
-        calls.append((I, dt))
-        return real(I, dt)
-    monkeypatch.setattr(cell, "_advance", counted)
+    def counted(params, deg_params, n_li0, state, I, dt, frozen):
+        if state[0] is cell.particles:
+            calls.append((I, dt))
+        return real(params, deg_params, n_li0, state, I, dt, frozen)
+    monkeypatch.setattr(cell_module, "advance", counted)
     return calls
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cellfade import io as cio
-from cellfade.cell import Cell
+from cellfade.cell import Cell, advance
 from cellfade.degradation import DegradationState, deep_soh, lam_cycle_update
 from cellfade.errors import ConfigError, SaturationError
 from cellfade.measurement import r_film
@@ -171,7 +171,7 @@ def test_step_matches_its_composed_oracle_bit_for_bit(params, degp,
     # included, against the step composed from public pieces: each record
     # field, both profiles, their averages, the degradation state and the
     # stress envelope by float.hex, across fatigue bookings that move the
-    # capacities the areas are cached on
+    # capacities the areas are taken from
     rng = random.Random(29)
     c1 = reference_capacity(params)
     step = Cell.step
@@ -222,6 +222,45 @@ def test_step_matches_its_composed_oracle_bit_for_bit(params, degp,
     assert {60.0, 300.0, 30.0, 15.0} <= live   # voltage approaches halved
     assert sum(frozen for frozen, _ in dts) > 20
     assert cell.degradation.C_n < params.C_n_nom
+
+
+def _bits(state, record=None):
+    """A step's state (and record) as bytes and float.hex strings."""
+    parts, deg, extrema = state
+    return (parts.c_pos.tobytes(), parts.c_neg.tobytes(),
+            _hexes(parts.averages), _hexes(dataclasses.astuple(deg)),
+            _hexes(dataclasses.astuple(extrema)),
+            record and (list(record), _hexes(record.values())))
+
+
+def test_advance_depends_only_on_its_arguments(params, degp, n_li0):
+    # steps from two state values whose capacities, and so areas, differ
+    # (the second past a fatigue booking), made in turn: each equals the
+    # same call on a parameter set no step has used, and the step composed
+    # from public pieces, to the bit, and leaves its input state as it was
+    aged = Cell(params, degp)
+    for _ in range(30):
+        aged.step(3.0, 60.0)
+    aged.apply_cycle_fatigue()
+    states = [Cell(params, degp).get_state(), aged.get_state()]
+    assert states[0][1].C_n != states[1][1].C_n
+    assert states[0][1].C_p != states[1][1].C_p
+    rng = random.Random(47)
+    for k in range(12):
+        i = k % 2
+        state, frozen = states[i], k % 4 >= 2
+        I, dt = rng.uniform(-3.0, 3.0), rng.choice([0.5, 10.0, 60.0])
+        before = _bits(state)
+        got = advance(params, degp, n_li0, state, I, dt, frozen)
+        alone = advance(dataclasses.replace(params), degp, n_li0, state, I,
+                        dt, frozen)
+        oracle = Cell(params, degp, n_li0=n_li0)
+        oracle.set_state(state)
+        oracle.freeze_degradation = frozen
+        want, want_state = cell_step_oracle(oracle, I, dt)
+        assert _bits(*got) == _bits(*alone) == _bits(want_state, want)
+        assert _bits(state) == before
+        states[i] = got[0]
 
 
 def test_discharge_moves_stoichiometries(cell):

@@ -669,19 +669,26 @@ def test_malformed_input_exits_2(tmp_path, capsys, build, field):
 
 
 
-@pytest.mark.parametrize("flag, name", [("--dt", "dt"),
-                                        ("--dt-rest", "dt_rest")])
+@pytest.mark.parametrize("command, flag, name", [
+    pytest.param("simulate", "--dt", "dt", id="--dt-dt"),
+    pytest.param("simulate", "--dt-rest", "dt_rest", id="--dt-rest-dt_rest"),
+    pytest.param("ambiguity", "--dt", "dt", id="ambiguity---dt-dt"),
+    pytest.param("ambiguity", "--dt-rest", "dt_rest",
+                 id="ambiguity---dt-rest-dt_rest")])
 @pytest.mark.parametrize("value", ["1e-300", "0.01"])
-def test_timestep_below_the_floor_exits_2(tmp_path, capsys, flag, name,
-                                          value):
-    # refused before the first step, not left to run without end
+def test_timestep_below_the_floor_exits_2(tmp_path, capsys, command, flag,
+                                          name, value):
+    # refused before the first step, not left to run without end, and
+    # reported as the flag's value, not as an error in the demo file
     out = tmp_path / "o"
-    rc = main(_simulate_flags("--protocol", PROTOCOL, flag, value)
-              + ["--out", str(out)])
+    argv = (_simulate_flags("--protocol", PROTOCOL) if command == "simulate"
+            else _ambiguity(tmp_path)[0])
+    rc = main(argv + [flag, value, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2, err
     assert (f"error: {name} must be at least the refinement floor "
             f"MIN_DT = 0.05 s, got {float(value)!r}") in err
+    assert "demo config" not in err
     assert not out.exists()
 
 

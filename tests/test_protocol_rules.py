@@ -106,6 +106,25 @@ def test_a_termination_owns_its_thresholds_sign():
         assert Termination("current", comparator, -0.25).threshold == -0.25
 
 
+STOP = [Termination("time", ">=", 60.0)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda v: ProtocolStep("cc", v, STOP), "setpoint", id="cc"),
+    pytest.param(lambda v: ProtocolStep("cv", v, STOP), "setpoint", id="cv"),
+    pytest.param(lambda v: Termination("voltage", "<=", v), "threshold",
+                 id="voltage"),
+    pytest.param(lambda v: Termination("current", "abs<=", v), "threshold",
+                 id="abs-current")])
+def test_a_non_finite_setpoint_or_threshold_is_refused(build, name, value):
+    # refused as the YAML path refuses it, not left to end as a numerical
+    # failure (a NaN current saturated a particle; a NaN voltage threshold
+    # never fired, and the cell discharged until it saturated)
+    with pytest.raises(ConfigError, match=rf"^{name} must be a finite float"):
+        build(value)
+
+
 @pytest.mark.parametrize("count", ["max_cycles", "rpt_every"])
 def test_campaign_counts_are_whole_numbers(count):
     steps = [ProtocolStep("rest", 0.0, [Termination("time", ">=", 600.0)])]
