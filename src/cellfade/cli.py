@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import replace
 from functools import partial
@@ -30,8 +29,8 @@ from .identify import (ambiguity_experiment, invert_with_expansion,
                        invert_without_expansion, sample_family)
 from .measurement import forward_measure
 from .params import _input, _number, load_cell_config
-from .protocol import (DT, DT_REST, Campaign, reference_capacity,
-                       run_campaign, run_rpt)
+from .protocol import (DT, DT_REST, Campaign, check_timesteps,
+                       reference_capacity, run_campaign, run_rpt)
 from .electrochem import pristine_inventory
 
 EXIT_OK = 0
@@ -78,6 +77,7 @@ def _load_cell(args):
 
 
 def cmd_simulate(args):
+    check_timesteps(args.dt, args.dt_rest)
     params, deg, cell = _load_cell(args)
     c1 = reference_capacity(params)
     if args.campaign:
@@ -99,6 +99,7 @@ def cmd_simulate(args):
 
 
 def cmd_rpt(args):
+    check_timesteps(args.dt, DT_REST)
     params, deg, cell = _load_cell(args)
     rpt = run_rpt(cell, dt=args.dt)
     curve = rpt.pop("pseudo_ocv")
@@ -160,6 +161,7 @@ def cmd_identify(args):
 
 
 def cmd_ambiguity_demo(args):
+    check_timesteps(args.dt, args.dt_rest)
     params, deg = load_cell_config(args.cell)
     c1 = reference_capacity(params)
     y, n_members, campaign, budget = cio.load_ambiguity_config(args.demo, c1)
@@ -167,7 +169,8 @@ def cmd_ambiguity_demo(args):
     with ExitStack() as stack:
         members_map = map
         workers = min(args.jobs, n_members, os.cpu_count() or 1)
-        if workers > 1:
+        if workers > 1:   # the pool's modules load only for a pool
+            from concurrent.futures import ProcessPoolExecutor
             members_map = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers)).map
         try:

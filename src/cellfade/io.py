@@ -29,9 +29,12 @@ STATE_VERSION = 3
 # version 2 files, which carry no means, load with their profiles' means
 READ_VERSIONS = (2, STATE_VERSION)
 # a state's particle lithium against 1 - LLI, as a share of n_li0, and a
-# carried mean against its profile's, as a share of c_smax: a full life
-# closes both to round-off, so only an edit reaches this
-BOOKS_TOL = 1e-6
+# carried mean against its profile's, as a share of c_smax. A life closes
+# the books to about 5e-14 of n_li0, and a carried mean drifts from its
+# profile's ddot mean by at most 1.9e-11 of c_smax over a life at dt 5/30
+# (the books check reads the profiles' means, so it sees that drift too):
+# 1e-9 leaves a 50-fold margin over both, and an edit of 1e-8 is refused
+BOOKS_TOL = 1e-9
 
 def _parse_steps(raw_steps, c_1c, where):
     if not isinstance(raw_steps, list) or not raw_steps:

@@ -8,9 +8,9 @@ RPT routes that exercise them live in protocol.py so the two paths to
 each quantity stay independent of one another.
 
 The eSOH fit calls MINPACK's lmder in scipy's extension
-scipy.optimize._minpack, loaded by file at import as particle.py loads its
-BLAS kernels, so no process imports scipy.optimize's package, whose import
-would add about 525 modules and 39 MB, scipy.linalg's package among them.
+scipy.optimize._minpack, loaded by file at import by particle.py's loader,
+so no process imports scipy.optimize's package, whose import would add
+about 525 modules and 39 MB, scipy.linalg's package among them.
 """
 
 import math

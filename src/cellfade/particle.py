@@ -17,7 +17,16 @@ and ocp.py's brentq) without scipy.linalg's package import: that package
 pulls in scipy's array API layer, which loads numpy.f2py, numpy.testing
 and unittest, about 285 modules and 19 MB, none of which a step uses.
 They are the objects scipy.linalg.blas hands out, in either import
-order, so OpenBLAS's kernel choice governs them as before.
+order, so OpenBLAS's kernel choice governs them as before. The extension
+loads at the first call of either kernel, a process's first step or
+profile average, not at import: it maps scipy's OpenBLAS and libgfortran,
+about 2.7 MB resident and 2-7 ms, which a process that only inverts
+measurements or fits eSOH never uses. Until then dgemv and ddot are
+stand-ins that bind the kernels as this module's globals and pass the
+call on, so every later step calls the kernel as it would have. The
+kernel's first call, not the propagator's build, is the load point
+because a pool worker receives a parameter set with its propagator cache
+filled and may step without building one.
 
 A step carries each side's volume mean in closed form instead of averaging
 the new profile again: the propagator rescale fixes volumes . P = volumes
@@ -80,8 +89,22 @@ def _load_scipy_extension(subpackage, name):
     raise ImportError(f"no scipy extension {name} in {directory}")
 
 
-_fblas = _load_scipy_extension("linalg", "_fblas")
-dgemv, ddot = _fblas.dgemv, _fblas.ddot
+def _bind_blas():
+    """Load scipy.linalg._fblas and bind its dgemv and ddot in place of
+    the stand-ins below."""
+    global dgemv, ddot
+    fblas = _load_scipy_extension("linalg", "_fblas")
+    dgemv, ddot = fblas.dgemv, fblas.ddot
+
+
+def dgemv(*args):   # the first step's: binds the kernels, then steps
+    _bind_blas()
+    return dgemv(*args)
+
+
+def ddot(*args):   # the first average's
+    _bind_blas()
+    return ddot(*args)
 
 
 class SphereFV:

@@ -200,6 +200,17 @@ def _solve_cv_current(cell, v_set, dt, i_guess):
         f"CV solve at {v_set:g} V did not converge (residual {f:.2e} V)")
 
 
+def check_timesteps(dt, dt_rest):
+    """Refuse a base timestep that run_step could not run, with
+    ConfigError: a caller that asks before it loads anything fails fast."""
+    for name, value in (("dt", dt), ("dt_rest", dt_rest)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        if value < MIN_DT:   # t grows by dt a step; the stall guard reads t
+            raise ConfigError(f"{name} must be at least the refinement floor "
+                              f"MIN_DT = {MIN_DT:g} s, got {value!r}")
+
+
 def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
              cycle=0, step_index=0):
     """Run one protocol step to its first firing termination.
@@ -207,12 +218,7 @@ def run_step(cell, step, dt=DT, dt_rest=DT_REST, trajectory=None, t0=0.0,
     Returns (elapsed_s, discharged_Ah, fired_termination). discharged_Ah
     is the signed coulomb count of this step (positive for discharge).
     """
-    for name, value in (("dt", dt), ("dt_rest", dt_rest)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
-        if value < MIN_DT:   # t grows by dt a step; the stall guard reads t
-            raise ConfigError(f"{name} must be at least the refinement floor "
-                              f"MIN_DT = {MIN_DT:g} s, got {value!r}")
+    check_timesteps(dt, dt_rest)
     t = 0.0
     q_signed = 0.0
     cv = step.mode == "cv"

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism, resume."""
 
 import argparse
+import concurrent.futures
 import json
 import os
 import re
@@ -319,7 +320,8 @@ def test_ambiguity_jobs_capped_at_the_cpu_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    # cli imports the pool class only for more than one worker
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     argv, _ = _ambiguity(tmp_path, jobs=3, n_members=3)
     assert main(argv + ["--out", str(tmp_path / "o")]) == 0
@@ -674,21 +676,29 @@ def test_malformed_input_exits_2(tmp_path, capsys, build, field):
     pytest.param("simulate", "--dt-rest", "dt_rest", id="--dt-rest-dt_rest"),
     pytest.param("ambiguity", "--dt", "dt", id="ambiguity---dt-dt"),
     pytest.param("ambiguity", "--dt-rest", "dt_rest",
-                 id="ambiguity---dt-rest-dt_rest")])
+                 id="ambiguity---dt-rest-dt_rest"),
+    pytest.param("rpt", "--dt", "dt", id="rpt---dt-dt")])
 @pytest.mark.parametrize("value", ["1e-300", "0.01"])
-def test_timestep_below_the_floor_exits_2(tmp_path, capsys, command, flag,
-                                          name, value):
-    # refused before the first step, not left to run without end, and
+def test_timestep_below_the_floor_exits_2(tmp_path, capsys, monkeypatch,
+                                          command, flag, name, value):
+    # refused before anything loads, not left to run without end, and
     # reported as the flag's value, not as an error in the demo file
     out = tmp_path / "o"
-    argv = (_simulate_flags("--protocol", PROTOCOL) if command == "simulate"
-            else _ambiguity(tmp_path)[0])
+    argv = {"simulate": _simulate_flags("--protocol", PROTOCOL),
+            "ambiguity": _ambiguity(tmp_path)[0],
+            "rpt": ["rpt", "--cell", CELL]}[command]
+
+    def load_cell_config(path):
+        raise AssertionError(f"{path} loaded before the timestep check")
+
+    monkeypatch.setattr(cli, "load_cell_config", load_cell_config)
     rc = main(argv + [flag, value, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2, err
     assert (f"error: {name} must be at least the refinement floor "
             f"MIN_DT = 0.05 s, got {float(value)!r}") in err
     assert "demo config" not in err
+    assert "member" not in err
     assert not out.exists()
 
 

@@ -3,15 +3,20 @@
 Every cellfade process pays for what the package imports, in start-up
 time and resident memory. Of scipy the package imports one module, scipy
 itself, and particle.py's loader takes three of its compiled extensions
-by file: the BLAS kernels of the particle step (scipy.linalg._fblas),
-MINPACK (scipy.optimize._minpack), whose lmder the eSOH fit in
+by file: MINPACK (scipy.optimize._minpack), whose lmder the eSOH fit in
 measurement.py calls, and brentq's iteration (scipy.optimize._zeros), the
-root finder of ocp.py. So neither scipy.linalg's nor scipy.optimize's
-package loads, and the OCP tables build their PCHIP rows themselves, so no
-process loads scipy.interpolate: import cellfade.cli loads 305 modules and
-peaks at 39 MB, and an RPT with its fit loads nothing more of scipy, where
-import scipy.optimize would make it 828 modules and 78 MB. Either import
-order hands cellfade and scipy the same extension modules.
+root finder of ocp.py, at import, and the BLAS kernels of the particle
+step (scipy.linalg._fblas) at a process's first step or profile average.
+So neither scipy.linalg's nor scipy.optimize's package loads, and the OCP
+tables build their PCHIP rows themselves, so no process loads
+scipy.interpolate; the CLI imports its process pool only for an
+ambiguity run with more than one worker. import cellfade.cli loads 281
+modules and peaks at 35 MB; a process that only inverts measurements and
+fits eSOH loads 296 and peaks at 38 MB, and maps numpy's OpenBLAS but
+not scipy's. An RPT with its fit loads nothing more of scipy than the
+BLAS kernels, where import scipy.optimize would make it 828 modules and
+78 MB. Either import order hands cellfade and scipy the same extension
+modules.
 """
 
 import ast
@@ -70,15 +75,26 @@ def test_package_and_cli_load_no_scipy_interpolate():
     assert _fresh(code).split() == []
 
 
-def test_package_and_cli_load_only_the_blas_extension_of_scipy_linalg():
+def test_package_and_cli_load_nothing_of_scipy_linalg():
+    # the BLAS extension loads at the first step or profile average
     code = ("import sys, cellfade, cellfade.cli; print(*sorted(m for m in "
             f"sys.modules if m.startswith({LINALG_PACKAGE!r})))")
-    assert _fresh(code).split() == [FBLAS]
+    assert _fresh(code).split() == []
 
 
-LOADS_ONLY_THREE_EXTENSIONS = """
+def test_cli_loads_no_process_pool():
+    # only ambiguity with more than one worker imports the pool
+    code = ("import sys, cellfade.cli; print(*sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent.futures.process', "
+            "'multiprocessing'))))")
+    assert _fresh(code).split() == []
+
+
+LOADS_ONLY_THE_EXTENSIONS = """
 import sys
 from importlib import resources
+
+import numpy as np
 
 import cellfade, cellfade.cli
 
@@ -97,17 +113,25 @@ p, d = params.load_cell_config(data / "cell_default.yaml")
 y, _, campaign, budget = io.load_ambiguity_config(
     data / "ambiguity_demo.yaml", protocol.reference_capacity(p))
 n_li0 = electrochem.pristine_inventory(p)
+# what identify runs, on the vector of a family member with its expansion,
+# and an eSOH fit to a synthesized pseudo-OCV curve: no cell is built
+fam = identify.invert_without_expansion(p, d, y, n_li0, lli_budget=budget)
+member = identify.sample_family(fam, y, 3)[1]
+identify.invert_with_expansion(p, d, measurement.forward_measure(
+    p, d, member, n_li0), n_li0)
+w = electrochem.solve_window(p, member.C_p, member.C_n,
+                             n_li0 * (1.0 - member.LLI))
+measurement.extract_esoh(measurement.synthesize_pseudo_ocv(
+    p, w, noise_mv=0.5, rng=np.random.default_rng(1)), p)
+print(loaded())
+# a cell's first step, its state's profile averages before it
+Cell(p, d).step(1.0, 10.0)
+print(loaded())
 # what ambiguity runs, with one cycle per member and no RPT
 one_cycle = protocol.Campaign(campaign.cycle_protocol, rpt_every=0,
                               max_cycles=1)
 identify.ambiguity_experiment(p, d, y, one_cycle, n_li0=n_li0,
                               lli_budget=budget)
-# what identify runs, on the vector of a family member with its expansion
-fam = identify.invert_without_expansion(p, d, y, n_li0, lli_budget=budget)
-member = identify.sample_family(fam, y, 3)[1]
-identify.invert_with_expansion(p, d, measurement.forward_measure(
-    p, d, member, n_li0), n_li0)
-print(loaded())
 # what simulate runs at each RPT, and rpt once: a sweep and its eSOH fit
 assert protocol.run_rpt(Cell(p, d), dt=30.0)["esoh"] is not None
 print(loaded())
@@ -115,16 +139,24 @@ print(loaded())
 
 
 def test_no_run_loads_scipy_linalg_or_optimize_packages():
-    # at import, after what identify and ambiguity run, and after one RPT's
-    # eSOH fit, the only modules of either package are the three extensions
+    # at import and after an inversion and an eSOH fit, MINPACK and
+    # brentq's extensions alone; from a cell's first step on, through an
+    # ambiguity run and an RPT's fit, the BLAS extension too, and of
+    # either package nothing else
     lines = _fresh(f"PACKAGES = {PACKAGES!r}\n"
-                   + LOADS_ONLY_THREE_EXTENSIONS).splitlines()
-    assert [line.split() for line in lines] == [EXTENSIONS] * 3
+                   + LOADS_ONLY_THE_EXTENSIONS).splitlines()
+    assert [line.split() for line in lines] == [EXTENSIONS[1:]] * 2 + [
+        EXTENSIONS] * 2
 
 
 SCIPY = ("import scipy.linalg.blas as blas, scipy.optimize\n"
          "from scipy.optimize import _minpack_py, _zeros_py\n")
-CELLFADE = "from cellfade import measurement, ocp, particle\n"
+# the kernels bind at a cell's first step, here before or after scipy's
+# package import
+CELLFADE = ("from cellfade import measurement, ocp, particle\n"
+            "from cellfade.cell import Cell\n"
+            "from cellfade.params import default_cell\n"
+            "Cell(*default_cell()).step(1.0, 10.0)\n")
 
 
 @pytest.mark.parametrize("imports", [SCIPY + CELLFADE, CELLFADE + SCIPY],
@@ -138,9 +170,8 @@ def test_either_import_order_shares_one_minpack_and_blas(imports):
 
 
 def test_scipy_linalg_loaded_first_hands_the_particle_step_its_kernels():
-    code = ("import scipy.linalg.blas as blas\n"
-            "from cellfade import particle\n"
-            "print(blas.dgemv is particle.dgemv, blas.ddot is particle.ddot)")
+    code = ("import scipy.linalg.blas as blas\n" + CELLFADE
+            + "print(blas.dgemv is particle.dgemv, blas.ddot is particle.ddot)")
     assert _fresh(code).split() == ["True", "True"]
 
 

@@ -169,6 +169,39 @@ def test_fuzz_state_file(tmp_path, packaged_cell):
     assert not bad, bad
 
 
+@pytest.mark.parametrize("key", ["LLI", "c_avg_pos", "c_avg_neg"])
+def test_state_file_books_off_by_1e_8_exit_2(tmp_path, capsys, key):
+    # io.BOOKS_TOL: a life closes the books to about 5e-14 of n_li0 and
+    # keeps a carried mean within 1.9e-11 of c_smax of its profile's, so
+    # a state moved by 1e-8 was edited, and one moved by 1e-10 loads
+    p, d = load_cell_config(CELL)
+    cio.save_state(tmp_path / "saved.json", Cell(p, d))
+    doc = json.loads((tmp_path / "saved.json").read_text())
+    side, path = (("degradation", key) if key == "LLI"
+                  else ("particles", key))
+    scale = {"LLI": 1.0, "c_avg_pos": p.pos.c_smax,
+             "c_avg_neg": p.neg.c_smax}[key]
+    for move, loads in ((1e-8, False), (1e-10, True)):
+        moved = json.loads(json.dumps(doc))
+        moved[side][path] += move * scale
+        state = tmp_path / f"moved{move:g}.json"
+        state.write_text(json.dumps(moved))
+        if loads:
+            cell = cio.load_state(state, p, d)
+            assert cell.degradation.LLI == moved["degradation"]["LLI"]
+            assert cell.particles.averages[:2] == (
+                moved["particles"]["c_avg_pos"],
+                moved["particles"]["c_avg_neg"])
+            continue
+        out = tmp_path / "out"
+        rc = main(["rpt", "--cell", CELL, "--state", str(state), "--out",
+                   str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"error: state file {state}: particles" in err, err
+        assert not out.exists()
+
+
 def _magnitudes(v):
     return [0, -v, v * 1e-3, v * 1e3, 1e-300, 1e300]
 

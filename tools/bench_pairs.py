@@ -18,7 +18,11 @@ holds both shas, the host (with whether the runs write bytecode: the
 sides start without __pycache__), the kernel scipy's OpenBLAS picked
 (OPENBLAS_VERBOSE=2's Core line), each run's correct flag and metrics,
 and per metric both medians, the parent's quartiles and the pairs won in
-BENCHMARK.json's direction.
+BENCHMARK.json's direction. A run that ends without a result line stays
+in its pair as its exit code and the tail of its stderr; the summaries
+count only the pairs whose two runs completed and say how many runs
+failed, and the tool exits 1 after writing the record if any run failed
+or read "correct": false.
 """
 
 import argparse
@@ -87,9 +91,10 @@ def bench(root, workload, seed, seconds):
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=root, text=True, capture_output=True)
-    if not proc.stdout.strip():
-        sys.exit(f"perfbench failed in {root}:\n{proc.stderr[-2000:]}")
-    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        return failed(proc, f"perfbench {workload} in {root}")
+    res = json.loads(lines[-1])
     info = json.loads((root / ".bench_out" / f"{workload}_seed{seed}_trace0"
                        ".json").read_text())["info"]
     return {"correct": res["correct"], "source_sha256": info["source_sha256"],
@@ -105,8 +110,15 @@ def cellfade(root, name):
     proc = subprocess.run(cmd, cwd=root, text=True, capture_output=True,
                           env=dict(os.environ, PYTHONPATH=str(root / "src")))
     if proc.returncode:
-        sys.exit(f"cellfade {name} failed in {root}:\n{proc.stderr[-2000:]}")
+        return failed(proc, f"cellfade {name} in {root}")
     return {"metrics": json.loads(proc.stdout)}
+
+
+def failed(proc, what):
+    """The record of a run that gave no result, said on stderr too."""
+    print(f"{what} failed with exit code {proc.returncode}",
+          file=sys.stderr)
+    return {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
 
 
 def alternate(n, run):
@@ -126,6 +138,12 @@ def group(text):
 
 
 def summary(pairs, better):
+    """Per metric, over the pairs whose two runs completed: both medians,
+    the parent's quartiles and the pairs won; empty below two such pairs."""
+    pairs = [p for p in pairs if "metrics" in p["parent"]
+             and "metrics" in p["change"]]
+    if len(pairs) < 2:
+        return {}
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         par = [p["parent"]["metrics"][name] for p in pairs]
@@ -138,6 +156,11 @@ def summary(pairs, better):
                      "parent_q1": q1, "parent_q3": q3, "pairs_won": won,
                      "pairs": len(pairs)}
     return out
+
+
+def failed_runs(pairs):
+    return {side: sum("metrics" not in p[side] for p in pairs)
+            for side in ("parent", "change")}
 
 
 def main(argv=None):
@@ -174,7 +197,8 @@ def main(argv=None):
                 sides[side], workload, seed, seconds))
             record["groups"].append({
                 "workload": workload, "seed": seed, "seconds": seconds,
-                "pairs": pairs, "summary": summary(pairs, better)})
+                "pairs": pairs, "summary": summary(pairs, better),
+                "failed_runs": failed_runs(pairs)})
         if args.cli_pairs:
             for root in sides.values():
                 (root / "demo_vector.json").write_text(subprocess.run(
@@ -186,8 +210,16 @@ def main(argv=None):
                                   lambda side: cellfade(sides[side], name))
                 record["cli"].append({
                     "run": name, "argv": CLI[name], "pairs": pairs,
-                    "summary": summary(pairs, better)})
+                    "summary": summary(pairs, better),
+                    "failed_runs": failed_runs(pairs)})
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    runs = [pair[side] for g in record["groups"] + record.get("cli", [])
+            for pair in g["pairs"] for side in pair]
+    lost = sum("metrics" not in run for run in runs)
+    wrong = sum(run.get("correct") is False for run in runs)
+    if lost or wrong:
+        sys.exit(f"{args.out}: {lost} of {len(runs)} runs failed, "
+                 f"{wrong} read \"correct\": false")
 
 
 if __name__ == "__main__":
